@@ -4,7 +4,7 @@ Subcommands are thin wrappers over the library: ``denoise`` runs one model
 on one volume, ``add-noise`` corrupts a volume reproducibly, ``metrics``
 prints quality numbers, ``project`` writes the projected gradient channels,
 ``slice`` exports a PGM view.  Exit codes: 0 success, 2 usage or parameter
-error, 3 IO or format error, 4 numerical divergence.
+error, 3 IO or format error, 4 numerical divergence, 5 out of memory.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
+EXIT_MEMORY = 5
 
 
 def _tau_arg(text: str):
@@ -171,6 +172,9 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"tvs: numerical divergence: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"tvs: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

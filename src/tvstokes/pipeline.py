@@ -135,38 +135,29 @@ def run_denoise(
     u = validate_field(u, "input volume")
     d = u.ndim
 
-    steps: dict[str, StepStats] = {}
+    shared = {"tau": tau, "max_iters": max_iters, "tol": tol}
     if model == "tvstokes":
-        cfg1 = SmoothingConfig(lam=lam1, tau=tau, max_iters=max_iters, tol=tol)
-        cfg2 = ReconstructionConfig(lam=lam2, tau=tau, max_iters=max_iters, tol=tol, eps=eps)
-        resolved_tau = cfg1.validate(d)
-        cfg2.validate(d)
-        overridden = cfg1.tau_exceeds_bound(d)
+        cfg1 = SmoothingConfig(lam=lam1, **shared)
+        cfg = ReconstructionConfig(lam=lam2, eps=eps, **shared)
+        cfg1.validate(d)
+        cfg.validate(d)  # reject bad step-2 parameters before step 1 runs
         r1 = smooth_gradient_field(u, cfg1)
-        steps["smoothing"] = StepStats(r1.iters, r1.final_change, r1.kkt_residual, r1.objective)
-        r2 = reconstruct(u, r1.g, cfg2)
-        steps["reconstruction"] = StepStats(r2.iters, r2.final_change, r2.kkt_residual, r2.objective)
-        out = r2.u
-        config = {
-            "model": model,
-            "lambda1": float(lam1),
-            "lambda2": float(lam2),
-            "eps": float(eps),
-        }
+        result = reconstruct(u, r1.g, cfg)
+        results = {"smoothing": r1, "reconstruction": result}
+        config = {"model": model, "lambda1": float(lam1), "lambda2": float(lam2), "eps": float(eps)}
     else:
-        cfg = RofConfig(lam=lam, tau=tau, max_iters=max_iters, tol=tol)
-        resolved_tau = cfg.validate(d)
-        overridden = cfg.tau_exceeds_bound(d)
-        rr = rof_denoise(u, cfg)
-        steps["rof"] = StepStats(rr.iters, rr.final_change, rr.kkt_residual, rr.objective)
-        out = rr.u
+        cfg = RofConfig(lam=lam, **shared)
+        result = rof_denoise(u, cfg)
+        results = {"rof": result}
         config = {"model": model, "lambda": float(lam)}
+    steps = {n: StepStats(r.iters, r.final_change, r.kkt_residual, r.objective)
+             for n, r in results.items()}
 
     config.update(
         {
-            "tau": float(resolved_tau),
+            "tau": cfg.resolve_tau(d),
             "tau_was_auto": tau is None,
-            "tau_exceeds_bound": bool(overridden),
+            "tau_exceeds_bound": cfg.tau_exceeds_bound(d),
             # sharper admissible step estimated from the gradient norm;
             # informational only, the default stays at 1/(2d)
             "tau_limit_estimate": 2.0 / grad_operator_norm(u.shape) ** 2,
@@ -175,7 +166,7 @@ def run_denoise(
         }
     )
 
-    out_raw = _denormalize(out, norm_info)
+    out_raw = _denormalize(result.u, norm_info)
     metrics = {"psnr_db": None, "staircase": _safe_staircase(out_raw)}
 
     report = RunReport(

@@ -8,94 +8,57 @@ step, this module minimizes the vector-matching functional
 over images ``u``.  Completing the square turns the last two terms into
 ``1/(2*lam) * ||u + lam*m - u0||_2^2`` up to a constant, where
 ``m = divergence(g/|g|)`` is a fixed scalar field computed once per solve.
-The dual problem is solved by the same kind of semi-implicit projection
-iteration as the smoothing step, now on a vector-valued dual:
+The dual is solved by the iteration of :mod:`.dual` on a vector-valued dual
+with the residual
 
-    p <- unit_clip(p - tau * grad(m + adjoint_grad(p) - u0/lam))
+    A(p) = grad(m + adjoint_grad(p) - u0/lam)
 
 and the image is recovered as ``u = u0 - lam * (adjoint_grad(p) + m)``.
-Setting ``m = 0`` reduces everything to plain isotropic TV denoising, which
-is how the baseline model reuses this solver.
+With ``m = 0`` this is plain isotropic TV denoising, which :mod:`.rof`
+solves through :func:`solve_shifted`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import DivergenceError, DimensionError, ParameterError
+from .dual import DualConfig, DualResult, checked_step, iterate, stationarity_residual
+from .errors import DimensionError, ParameterError
 from .fields import (
-    adjoint_grad,
-    divergence,
-    grad,
-    inner,
-    iso_l1_norm,
-    max_tuple_norm,
-    pointwise_normalize,
-    tuple_norm,
-    unit_clip,
-    validate_field,
+    adjoint_grad, divergence, grad, inner, iso_l1_norm, pointwise_normalize, validate_field,
 )
-from .spectral import dual_step_bound
 
 __all__ = [
-    "ReconstructionConfig",
-    "ReconstructionResult",
-    "matching_field",
-    "dual_step",
-    "reconstruct",
-    "matching_objective",
-    "matching_kkt_residual",
+    "ReconstructionConfig", "ReconstructionResult", "matching_field", "dual_step",
+    "solve_shifted", "reconstruct", "matching_objective", "matching_kkt_residual",
 ]
 
 
 @dataclass(frozen=True)
-class ReconstructionConfig:
+class ReconstructionConfig(DualConfig):
     """Iteration parameters for the vector-matching solve.
 
     ``eps`` guards the normalization ``g/|g|`` where the smoothed field
     vanishes.
     """
 
-    lam: float = 0.1
-    tau: float | None = None
-    max_iters: int = 200
-    tol: float = 1e-6
     eps: float = 1e-8
 
-    def resolve_tau(self, ndim: int) -> float:
-        return dual_step_bound(ndim) if self.tau is None else float(self.tau)
-
-    def tau_exceeds_bound(self, ndim: int) -> bool:
-        return self.resolve_tau(ndim) > dual_step_bound(ndim) + 1e-15
-
     def validate(self, ndim: int) -> float:
-        if self.lam <= 0:
-            raise ParameterError(f"lam must be positive, got {self.lam}")
-        if self.max_iters < 1:
-            raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol < 0:
-            raise ParameterError(f"tol must be nonnegative, got {self.tol}")
+        tau = super().validate(ndim)
         if self.eps <= 0:
             raise ParameterError(f"eps must be positive, got {self.eps}")
-        tau = self.resolve_tau(ndim)
-        if tau <= 0:
-            raise ParameterError(f"tau must be positive, got {tau}")
         return tau
 
 
 @dataclass(frozen=True)
-class ReconstructionResult:
+class ReconstructionResult(DualResult):
     """Reconstructed image plus the final dual and solve diagnostics."""
 
     u: np.ndarray
-    p: np.ndarray
-    iters: int
-    final_change: float
-    kkt_residual: float
-    objective: float
 
 
 def matching_field(g: np.ndarray, eps: float) -> np.ndarray:
@@ -108,10 +71,8 @@ def matching_field(g: np.ndarray, eps: float) -> np.ndarray:
     return divergence(pointwise_normalize(g, eps))
 
 
-def _update(p, m, u0_scaled, tau):
-    """One dual step; the pre-clip value is evaluated exactly once."""
-    w = grad(m + adjoint_grad(p) - u0_scaled)
-    return unit_clip(p - tau * w, channel_ndim=1)
+def _residual(p, m, u0_scaled):
+    return grad(m + adjoint_grad(p) - u0_scaled)
 
 
 def dual_step(
@@ -126,32 +87,27 @@ def dual_step(
             f"field shapes disagree: dual {p.shape}, data {u0.shape}, matching {m.shape}"
         )
     tau = cfg.validate(u0.ndim)
-    if max_tuple_norm(p, channel_ndim=1) > 1.0 + 1e-12:
-        raise ParameterError("dual field violates the pointwise unit bound")
-    p_next = _update(p, m, u0 / cfg.lam, tau)
-    if not np.isfinite(p_next).all():
-        raise DivergenceError("non-finite values in dual update")
-    return p_next
+    residual = partial(_residual, m=m, u0_scaled=u0 / cfg.lam)
+    return checked_step(p, residual, tau, channel_ndim=1)
 
 
-def _solve_dual(u0, m, lam, tau, tol, max_iters):
-    """Run the dual projection loop; shared by reconstruction and the TV baseline."""
-    d = u0.ndim
-    u0_scaled = u0 / lam
-    p = np.zeros((d,) + u0.shape)
-    iters = 0
-    change = 0.0
-    for k in range(1, max_iters + 1):
-        p_next = _update(p, m, u0_scaled, tau)
-        change = max_tuple_norm(p_next - p, channel_ndim=1)
-        if not math.isfinite(change):
-            raise DivergenceError(f"dual update diverged at iteration {k}")
-        p = p_next
-        iters = k
-        if change <= tol:
-            break
-    u = u0 - lam * (adjoint_grad(p) + m)
-    return u, p, iters, change
+def solve_shifted(u0, m, cfg: DualConfig, tau: float, objective) -> ReconstructionResult:
+    """Run the dual solve for data ``u0`` and shift ``m`` and recover the image.
+
+    ``u0`` must be a validated field; ``objective(u)`` is the value reported
+    for the recovered image.
+    """
+    residual = partial(_residual, m=m, u0_scaled=u0 / cfg.lam)
+    p, iters, change = iterate(residual, (u0.ndim,) + u0.shape, 1, tau, cfg)
+    u = u0 - cfg.lam * (adjoint_grad(p) + m)
+    return ReconstructionResult(
+        u=u,
+        p=p,
+        iters=iters,
+        final_change=change,
+        kkt_residual=matching_kkt_residual(p, u0, m, cfg.lam),
+        objective=objective(u),
+    )
 
 
 def reconstruct(
@@ -166,14 +122,8 @@ def reconstruct(
         )
     tau = cfg.validate(u_noisy.ndim)
     m = matching_field(g, cfg.eps)  # frozen across iterations
-    u, p, iters, change = _solve_dual(u_noisy, m, cfg.lam, tau, cfg.tol, cfg.max_iters)
-    return ReconstructionResult(
-        u=u,
-        p=p,
-        iters=iters,
-        final_change=change,
-        kkt_residual=matching_kkt_residual(p, u_noisy, m, cfg.lam),
-        objective=matching_objective(u, u_noisy, g, cfg.lam, cfg.eps),
+    return solve_shifted(
+        u_noisy, m, cfg, tau, lambda u: matching_objective(u, u_noisy, g, cfg.lam, cfg.eps)
     )
 
 
@@ -209,5 +159,4 @@ def matching_kkt_residual(
     p = np.asarray(p, dtype=np.float64)
     u0 = np.asarray(u0, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
-    w = grad(m + adjoint_grad(p) - u0 / lam)
-    return float(np.max(np.abs(w + tuple_norm(w, channel_ndim=1) * p)))
+    return stationarity_residual(_residual(p, m, u0 / lam), p, channel_ndim=1)

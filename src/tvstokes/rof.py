@@ -1,77 +1,37 @@
 """Isotropic TV denoising baseline on the same dual projection machinery.
 
-Minimizes ``iso_l1(grad(u)) + 1/(2*lam) * ||u - u0||_2^2`` by running the
-reconstruction solver with a zero matching field, so both models share one
-tested iteration kernel and their outputs are directly comparable.
+Minimizes ``iso_l1(grad(u)) + 1/(2*lam) * ||u - u0||_2^2``: the
+reconstruction model with a zero matching field, solved by
+:func:`.reconstruction.solve_shifted` with its residual and recovery map, so
+both models run one iteration kernel and their outputs are directly
+comparable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ParameterError
+from .dual import DualConfig
 from .fields import grad, inner, iso_l1_norm, validate_field
-from .reconstruction import _solve_dual, matching_kkt_residual
-from .spectral import dual_step_bound
+from .reconstruction import ReconstructionResult, solve_shifted
 
 __all__ = ["RofConfig", "RofResult", "rof_denoise"]
 
 
-@dataclass(frozen=True)
-class RofConfig:
+class RofConfig(DualConfig):
     """Iteration parameters for the TV baseline."""
 
-    lam: float = 0.1
-    tau: float | None = None
-    max_iters: int = 200
-    tol: float = 1e-6
 
-    def resolve_tau(self, ndim: int) -> float:
-        return dual_step_bound(ndim) if self.tau is None else float(self.tau)
-
-    def tau_exceeds_bound(self, ndim: int) -> bool:
-        return self.resolve_tau(ndim) > dual_step_bound(ndim) + 1e-15
-
-    def validate(self, ndim: int) -> float:
-        if self.lam <= 0:
-            raise ParameterError(f"lam must be positive, got {self.lam}")
-        if self.max_iters < 1:
-            raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol < 0:
-            raise ParameterError(f"tol must be nonnegative, got {self.tol}")
-        tau = self.resolve_tau(ndim)
-        if tau <= 0:
-            raise ParameterError(f"tau must be positive, got {tau}")
-        return tau
-
-
-@dataclass(frozen=True)
-class RofResult:
-    """Denoised image plus the final dual and solve diagnostics."""
-
-    u: np.ndarray
-    p: np.ndarray
-    iters: int
-    final_change: float
-    kkt_residual: float
-    objective: float
+RofResult = ReconstructionResult
 
 
 def rof_denoise(u_noisy: np.ndarray, cfg: RofConfig) -> RofResult:
     """Classical isotropic TV denoising via the dual projection iteration."""
     u_noisy = validate_field(u_noisy, "u_noisy")
     tau = cfg.validate(u_noisy.ndim)
-    m = np.zeros_like(u_noisy)
-    u, p, iters, change = _solve_dual(u_noisy, m, cfg.lam, tau, cfg.tol, cfg.max_iters)
-    diff = u - u_noisy
-    objective = iso_l1_norm(grad(u), channel_ndim=1) + 0.5 / cfg.lam * inner(diff, diff)
-    return RofResult(
-        u=u,
-        p=p,
-        iters=iters,
-        final_change=change,
-        kkt_residual=matching_kkt_residual(p, u_noisy, m, cfg.lam),
-        objective=objective,
-    )
+
+    def objective(u):
+        diff = u - u_noisy
+        return iso_l1_norm(grad(u), channel_ndim=1) + 0.5 / cfg.lam * inner(diff, diff)
+
+    return solve_shifted(u_noisy, np.zeros_like(u_noisy), cfg, tau, objective)

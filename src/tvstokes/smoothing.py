@@ -7,95 +7,46 @@ minimizes
 
 over fields ``g`` constrained to stay gradients of some image.  The
 constraint is enforced through the orthogonal projector onto gradient fields,
-and the minimum is found by a semi-implicit dual projection iteration on a
-tensor-valued dual variable ``p`` with pointwise tuple norms at most 1:
+and the minimum is found by the dual projection iteration of :mod:`.dual`
+on a tensor-valued dual variable ``p`` with the residual
 
-    p <- unit_clip(p - tau * grad_vec(project(adjoint_grad_tensor(p)) - g0/lam))
+    A(p) = grad_vec(project(adjoint_grad_tensor(p)) - g0/lam)
 
-The iteration is nonexpansive for ``tau <= 1/(2d)``.  The smoothed field is
-recovered from the final dual as ``g = g0 - lam * project(adjoint_grad_tensor(p))``.
+The smoothed field is recovered from the final dual as
+``g = g0 - lam * project(adjoint_grad_tensor(p))``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, ParameterError
-from .fields import (
-    adjoint_grad_tensor,
-    grad,
-    grad_vec,
-    inner,
-    iso_l1_norm,
-    max_tuple_norm,
-    tuple_norm,
-    unit_clip,
-    validate_field,
-)
-from .spectral import PoissonPlan, dual_step_bound, project_gradient_field
+from .dual import DualConfig, DualResult, checked_step, iterate, stationarity_residual
+from .errors import DimensionError, ParameterError
+from .fields import adjoint_grad_tensor, grad, grad_vec, inner, iso_l1_norm, validate_field
+from .spectral import PoissonPlan, project_gradient_field
 
 __all__ = [
-    "SmoothingConfig",
-    "SmoothingResult",
-    "dual_step",
-    "smooth_gradient_field",
-    "smoothing_objective",
-    "smoothing_kkt_residual",
+    "SmoothingConfig", "SmoothingResult", "dual_step", "smooth_gradient_field",
+    "smoothing_objective", "smoothing_kkt_residual",
 ]
 
 
-@dataclass(frozen=True)
-class SmoothingConfig:
-    """Iteration parameters for the gradient-field smoothing solve.
-
-    ``tau=None`` resolves to the guaranteed step ``1/(2d)``.  Larger values
-    are accepted but flagged by :meth:`tau_exceeds_bound`.
-    """
-
-    lam: float = 0.1
-    tau: float | None = None
-    max_iters: int = 200
-    tol: float = 1e-6
-
-    def resolve_tau(self, ndim: int) -> float:
-        return dual_step_bound(ndim) if self.tau is None else float(self.tau)
-
-    def tau_exceeds_bound(self, ndim: int) -> bool:
-        return self.resolve_tau(ndim) > dual_step_bound(ndim) + 1e-15
-
-    def validate(self, ndim: int) -> float:
-        """Check parameter ranges and return the resolved step size."""
-        if self.lam <= 0:
-            raise ParameterError(f"lam must be positive, got {self.lam}")
-        if self.max_iters < 1:
-            raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol < 0:
-            raise ParameterError(f"tol must be nonnegative, got {self.tol}")
-        tau = self.resolve_tau(ndim)
-        if tau <= 0:
-            raise ParameterError(f"tau must be positive, got {tau}")
-        return tau
+class SmoothingConfig(DualConfig):
+    """Iteration parameters for the gradient-field smoothing solve."""
 
 
 @dataclass(frozen=True)
-class SmoothingResult:
+class SmoothingResult(DualResult):
     """Smoothed gradient field plus the final dual and solve diagnostics."""
 
     g: np.ndarray
-    p: np.ndarray
-    iters: int
-    final_change: float
-    kkt_residual: float
-    objective: float
 
 
-def _update(p, g0_scaled, tau, plan):
-    """One dual step; the pre-clip value is evaluated exactly once."""
-    w = grad_vec(project_gradient_field(adjoint_grad_tensor(p), plan) - g0_scaled)
-    return unit_clip(p - tau * w, channel_ndim=2)
+def _residual(p, g0_scaled, plan):
+    return grad_vec(project_gradient_field(adjoint_grad_tensor(p), plan) - g0_scaled)
 
 
 def dual_step(p: np.ndarray, g0: np.ndarray, cfg: SmoothingConfig) -> np.ndarray:
@@ -112,13 +63,9 @@ def dual_step(p: np.ndarray, g0: np.ndarray, cfg: SmoothingConfig) -> np.ndarray
     if p.shape != (d, d) + g0.shape[1:]:
         raise DimensionError(f"dual shape {p.shape} does not match data shape {g0.shape}")
     tau = cfg.validate(d)
-    if max_tuple_norm(p, channel_ndim=2) > 1.0 + 1e-12:
-        raise ParameterError("dual field violates the pointwise unit bound")
     plan = PoissonPlan(g0.shape[1:])
-    p_next = _update(p, g0 / cfg.lam, tau, plan)
-    if not np.isfinite(p_next).all():
-        raise DivergenceError("non-finite values in dual update")
-    return p_next
+    residual = partial(_residual, g0_scaled=g0 / cfg.lam, plan=plan)
+    return checked_step(p, residual, tau, channel_ndim=2)
 
 
 def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> SmoothingResult:
@@ -131,22 +78,9 @@ def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> Smoothin
     d = u_noisy.ndim
     tau = cfg.validate(d)
     plan = PoissonPlan(u_noisy.shape)
-
     g0 = grad(u_noisy)
-    g0_scaled = g0 / cfg.lam
-    p = np.zeros((d, d) + u_noisy.shape)
-    iters = 0
-    change = 0.0
-    for k in range(1, cfg.max_iters + 1):
-        p_next = _update(p, g0_scaled, tau, plan)
-        change = max_tuple_norm(p_next - p, channel_ndim=2)
-        if not math.isfinite(change):
-            raise DivergenceError(f"dual update diverged at iteration {k}")
-        p = p_next
-        iters = k
-        if change <= cfg.tol:
-            break
-
+    residual = partial(_residual, g0_scaled=g0 / cfg.lam, plan=plan)
+    p, iters, change = iterate(residual, (d, d) + u_noisy.shape, 2, tau, cfg)
     g = g0 - cfg.lam * project_gradient_field(adjoint_grad_tensor(p), plan)
     return SmoothingResult(
         g=g,
@@ -181,5 +115,4 @@ def smoothing_kkt_residual(
         raise ParameterError(f"lam must be positive, got {lam}")
     p = np.asarray(p, dtype=np.float64)
     g0 = np.asarray(g0, dtype=np.float64)
-    w = grad_vec(project_gradient_field(adjoint_grad_tensor(p), plan) - g0 / lam)
-    return float(np.max(np.abs(w + tuple_norm(w, channel_ndim=2) * p)))
+    return stationarity_residual(_residual(p, g0 / lam, plan), p, channel_ndim=2)

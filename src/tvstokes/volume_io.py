@@ -5,11 +5,14 @@ A header declares ``dims`` (grid shape, every axis >= 2), ``dtype`` ("f32" or
 and an optional ``value_range`` ``[min, max]``.  Payloads are plain
 little-endian IEEE floats; f64 volumes round-trip bit-exactly, f32 volumes
 are widened to f64 on load and narrowed with round-to-nearest-even on save.
+Payloads and headers are written atomically (temp file, then rename).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,11 +114,38 @@ def read_header(header_path) -> VolumeHeader:
     return VolumeHeader.from_dict(data)
 
 
-def write_header(header: VolumeHeader, header_path) -> None:
+def _write_atomic(*files) -> None:
+    """Write each ``(path, bytes-like data)`` pair, all files or none.
+
+    Every file is first written in full to a temporary file beside its
+    target; only then does ``os.replace`` rename each over its target.  A
+    failed write leaves the earlier files untouched and removes the
+    temporaries, so a payload never disagrees with its header.  This guards
+    against a failing process, not against power loss: there is no fsync.
+    """
+    renames = []
+    try:
+        for path, data in files:
+            path = Path(path)
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.{uuid.uuid4().hex[:8]}.tmp")
+            renames.append((tmp, path))
+            with open(tmp, "xb") as fh:
+                fh.write(data)
+        for tmp, path in renames:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in renames:
+            tmp.unlink(missing_ok=True)
+        raise
+
+
+def _header_bytes(header: VolumeHeader) -> bytes:
     header.validate()
-    Path(header_path).write_text(
-        json.dumps(header.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    return (json.dumps(header.to_dict(), indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def write_header(header: VolumeHeader, header_path) -> None:
+    _write_atomic((header_path, _header_bytes(header)))
 
 
 def load_volume(data_path, header_path=None) -> np.ndarray:
@@ -150,10 +180,11 @@ def save_volume(
     field = np.asarray(field, dtype=np.float64)
     header = VolumeHeader(dims=tuple(field.shape), dtype=dtype, value_range=value_range)
     header.validate()
-    data_path = Path(data_path)
-    payload = np.ascontiguousarray(field.astype(_DTYPES[dtype]))
-    data_path.write_bytes(payload.tobytes())
-    write_header(header, default_header_path(data_path) if header_path is None else header_path)
+    _write_atomic(
+        (data_path, np.ascontiguousarray(field.astype(_DTYPES[dtype]))),
+        (default_header_path(data_path) if header_path is None else header_path,
+         _header_bytes(header)),
+    )
     return header
 
 

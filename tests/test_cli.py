@@ -279,3 +279,18 @@ def test_console_module_entry(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_out_of_memory_exits_5(tmp_path, monkeypatch, capsys):
+    import tvstokes.cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.50 GiB for an array")
+
+    monkeypatch.setattr(tvstokes.cli, "run_denoise", exhausted)
+    inp = make_noisy(tmp_path, dims=(6, 6))
+    code = main(["denoise", "--input", str(inp), "--output", str(tmp_path / "o.raw")])
+    assert code == 5
+    err = capsys.readouterr().err
+    assert err == "tvs: out of memory: Unable to allocate 7.50 GiB for an array\n"
+    assert not (tmp_path / "o.raw").exists()

@@ -207,3 +207,16 @@ def test_shape_mismatch_rejected():
 def test_bad_eps_rejected():
     with pytest.raises(ParameterError):
         reconstruct(np.zeros((4, 4)), np.zeros((2, 4, 4)), ReconstructionConfig(eps=0.0))
+
+
+def test_dual_step_matches_driver():
+    u0 = rand_scalar((6, 5, 4), 22)
+    g = rand_vector((6, 5, 4), 23)
+    cfg = ReconstructionConfig(lam=0.2, max_iters=500, tol=1e-4)
+    res = reconstruct(u0, g, cfg)
+    assert 1 < res.iters < cfg.max_iters
+    m = matching_field(g, cfg.eps)
+    p = np.zeros((3, 6, 5, 4))
+    for _ in range(res.iters):
+        p = dual_step(p, u0, m, cfg)
+    assert p.tobytes() == res.p.tobytes()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tvstokes import RofConfig, grad, iso_l1_norm, rof_denoise
+from tvstokes import ReconstructionConfig, reconstruct
 
 from oracles import dense_diff, rand_scalar
 
@@ -81,3 +82,13 @@ def test_objective_reported():
     res = rof_denoise(u0, cfg)
     want = iso_l1_norm(grad(res.u)) + 0.5 / cfg.lam * float(np.sum((res.u - u0) ** 2))
     assert res.objective == pytest.approx(want, rel=1e-12)
+
+
+def test_equals_reconstruction_with_zero_field():
+    u0 = rand_scalar((7, 6, 5), 5)
+    params = dict(lam=0.2, max_iters=40, tol=1e-7)
+    res = rof_denoise(u0, RofConfig(**params))
+    rec = reconstruct(u0, np.zeros((3, 7, 6, 5)), ReconstructionConfig(**params))
+    assert res.iters == rec.iters
+    assert res.u.tobytes() == rec.u.tobytes()
+    assert res.p.tobytes() == rec.p.tobytes()

@@ -124,6 +124,45 @@ def test_explicit_header_path(tmp_path):
     np.testing.assert_array_equal(back, u)
 
 
+@pytest.mark.parametrize("failing", ["vol.raw", "vol.json"])
+def test_failed_save_keeps_previous_volume(tmp_path, monkeypatch, failing):
+    import builtins
+    import errno
+
+    from tvstokes import volume_io
+
+    path = tmp_path / "vol.raw"
+    old = rand_scalar((4, 5), 7)
+    save_volume(old, path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    class WriteFailsHalfway:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            data = memoryview(data).cast("B")
+            self.fh.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def open_failing(file, mode="r", *args, **kwargs):
+        fh = builtins.open(file, mode, *args, **kwargs)
+        return WriteFailsHalfway(fh) if file.name.startswith(f".{failing}.") else fh
+
+    monkeypatch.setattr(volume_io, "open", open_failing, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_volume(rand_scalar((4, 5), 8), path, dtype="f32", value_range=(0.0, 1.0))
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert load_volume(path).tobytes() == old.tobytes()
+
+
 # ------------------------------------------------------------------ stacking
 
 def test_stack_frames_forms_video_volume():
