@@ -14,6 +14,11 @@ stencil is ``[-1, +1]`` with a zero last row, which encodes homogeneous
 Neumann boundaries; consequently a differentiated field always vanishes on
 the final slice of its own axis.
 
+Two private kernels carry the four operators: ``_grad`` under ``grad`` and
+``grad_vec``, its transpose ``_adjoint`` under the two adjoints.  Both work
+on one contiguous channel grid at a time, since a ufunc over a whole stacked
+field makes numpy allocate iterator buffers of several grids.
+
 Operators in this module assume finite float inputs (see
 :func:`validate_field`); only cheap structural checks are performed here.
 """
@@ -61,33 +66,38 @@ def validate_field(u, name: str = "field") -> np.ndarray:
     return u
 
 
-def _ax(ndim: int, axis: int, s: slice) -> tuple:
-    idx = [slice(None)] * ndim
-    idx[axis] = s
-    return tuple(idx)
+def _grad(u, lead: int) -> np.ndarray:
+    """Forward differences of each channel ``u[c]``, ``c`` over the first ``lead`` axes.
 
-
-def _forward_diff(u: np.ndarray, axis: int) -> np.ndarray:
-    """One-sided difference along ``axis``; the last slice is zero."""
-    out = np.zeros_like(u)
-    lo = _ax(u.ndim, axis, slice(None, -1))
-    hi = _ax(u.ndim, axis, slice(1, None))
-    out[lo] = u[hi] - u[lo]
+    Output ``[c][axis]`` is the axis-``axis`` difference, zero on the last slice.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    dims = u.shape[lead:]
+    out = np.empty(u.shape[:lead] + (len(dims),) + dims)
+    for c in np.ndindex(u.shape[:lead]):
+        for axis, dst in enumerate(out[c]):
+            src, dst = u[c].swapaxes(0, axis), dst.swapaxes(0, axis)
+            np.subtract(src[1:], src[:-1], out=dst[:-1])
+            dst[-1] = 0.0
     return out
 
 
-def _adjoint_diff(v: np.ndarray, axis: int) -> np.ndarray:
-    """Transpose of :func:`_forward_diff` along ``axis``.
+def _adjoint(p, lead: int) -> np.ndarray:
+    """Transpose of :func:`_grad`: per channel, the axis-summed transpose stencil.
 
-    The last input slice never contributes (zero last stencil row).
+    Each axis term is rounded once before it is added, and the sum starts at
+    ``-0.0``, the exact additive identity, so the result matches a term-wise
+    evaluation bit for bit, signed zeros included.
     """
-    out = np.empty_like(v)
-    nd = v.ndim
-    out[_ax(nd, axis, slice(0, 1))] = -v[_ax(nd, axis, slice(0, 1))]
-    out[_ax(nd, axis, slice(1, -1))] = (
-        v[_ax(nd, axis, slice(None, -2))] - v[_ax(nd, axis, slice(1, -1))]
-    )
-    out[_ax(nd, axis, slice(-1, None))] = v[_ax(nd, axis, slice(-2, -1))]
+    p = np.asarray(p, dtype=np.float64)
+    out = np.full(p.shape[:lead] + p.shape[lead + 1:], -0.0)
+    for c in np.ndindex(p.shape[:lead]):
+        for axis, v in enumerate(p[c]):
+            dst, v = out[c].swapaxes(0, axis), v.swapaxes(0, axis)
+            first, mid, last = dst[:1], dst[1:-1], dst[-1:]  # views, also in 1-d
+            first -= v[:1]
+            mid += v[:-2] - v[1:-1]
+            last += v[-2:-1]
     return out
 
 
@@ -117,11 +127,7 @@ def mode_apply(u: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
 
 def grad(u: np.ndarray) -> np.ndarray:
     """Forward-difference gradient of a scalar field, shape ``(d, *dims)``."""
-    u = np.asarray(u, dtype=np.float64)
-    g = np.empty((u.ndim,) + u.shape)
-    for axis in range(u.ndim):
-        g[axis] = _forward_diff(u, axis)
-    return g
+    return _grad(u, 0)
 
 
 def grad_vec(g: np.ndarray) -> np.ndarray:
@@ -129,13 +135,7 @@ def grad_vec(g: np.ndarray) -> np.ndarray:
 
     Output channel ``(l, m)`` is the axis-``m`` difference of channel ``l``.
     """
-    g = np.asarray(g, dtype=np.float64)
-    d = g.shape[0]
-    out = np.empty((d,) + g.shape)
-    for l in range(d):
-        for m in range(d):
-            out[l, m] = _forward_diff(g[l], m)
-    return out
+    return _grad(g, 1)
 
 
 def adjoint_grad(p: np.ndarray) -> np.ndarray:
@@ -144,21 +144,12 @@ def adjoint_grad(p: np.ndarray) -> np.ndarray:
     Satisfies ``inner(grad(u), p) == inner(u, adjoint_grad(p))`` up to
     roundoff.
     """
-    p = np.asarray(p, dtype=np.float64)
-    out = _adjoint_diff(p[0], 0)
-    for axis in range(1, p.shape[0]):
-        out += _adjoint_diff(p[axis], axis)
-    return out
+    return _adjoint(p, 0)
 
 
 def adjoint_grad_tensor(p: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`grad_vec`; output channel ``l`` sums over ``m``."""
-    p = np.asarray(p, dtype=np.float64)
-    d = p.shape[0]
-    out = np.empty(p.shape[1:])
-    for l in range(d):
-        out[l] = adjoint_grad(p[l])
-    return out
+    return _adjoint(p, 1)
 
 
 def divergence(v: np.ndarray) -> np.ndarray:

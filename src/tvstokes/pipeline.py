@@ -28,6 +28,7 @@ from .volume_io import (
     load_volume,
     read_header,
     save_volume,
+    write_atomic,
 )
 
 __all__ = ["StepStats", "RunReport", "run_denoise", "run_project"]
@@ -58,9 +59,7 @@ class RunReport:
     wall_time_seconds: float
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["steps"] = {name: asdict(stats) for name, stats in self.steps.items()}
-        return data
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
@@ -182,7 +181,7 @@ def run_denoise(
     if output_path is not None:
         save_volume(out_raw, output_path, dtype=header.dtype, value_range=header.value_range)
     if report_path is not None:
-        Path(report_path).write_text(report.to_json() + "\n", encoding="utf-8")
+        write_atomic((report_path, (report.to_json() + "\n").encode("utf-8")))
     return out_raw, report
 
 

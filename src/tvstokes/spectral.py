@@ -26,7 +26,7 @@ matrices are retained for small-n verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import reduce
 
 import numpy as np
 from scipy import fft as _fft
@@ -147,9 +147,11 @@ def dual_step_bound(ndim: int) -> float:
 class PoissonPlan:
     """Precomputed spectral data for the Neumann Poisson pseudo-solve.
 
-    Holds the per-axis squared singular values and their broadcast sum (the
-    eigenvalues of ``adjoint_grad . grad`` in the DCT basis).  The plan is
-    immutable after construction and safe to share across threads.
+    Holds one grid-sized array: the reciprocal eigenvalues of
+    ``adjoint_grad . grad`` in the DCT basis, with the constant mode zeroed
+    so that multiplying by it both inverts the spectrum and discards the
+    nullspace coefficient.  The plan is immutable after construction and
+    safe to share across threads.
     """
 
     def __init__(self, dims):
@@ -157,21 +159,14 @@ class PoissonPlan:
         if not dims or any(n < 2 for n in dims):
             raise DimensionError(f"invalid grid shape {dims}")
         self.dims = dims
-        self.sigma_sq = tuple(singular_values(n) ** 2 for n in dims)
-        denom = np.zeros(dims)
-        for axis, sq in enumerate(self.sigma_sq):
-            shape = [1] * len(dims)
-            shape[axis] = dims[axis]
-            denom = denom + sq.reshape(shape)
-        self.denominator = denom
-        # Reciprocal with the constant mode zeroed: multiplying by it both
-        # inverts the spectrum and discards the nullspace coefficient.
-        inverse = np.zeros(dims)
-        origin = (0,) * len(dims)
-        mask = np.ones(dims, dtype=bool)
-        mask[origin] = False
-        inverse[mask] = 1.0 / denom[mask]
-        self._inverse = inverse
+        inverse = self.denominator
+        inverse[(0,) * len(dims)] = np.inf
+        self._inverse = np.divide(1.0, inverse, out=inverse)
+
+    @property
+    def denominator(self) -> np.ndarray:
+        """Eigenvalues ``sum_k sigma_k[i_k]^2``, computed afresh on access."""
+        return reduce(np.add.outer, [singular_values(n) ** 2 for n in self.dims])
 
     def solve(self, f: np.ndarray) -> np.ndarray:
         """Pseudoinverse solve of ``adjoint_grad(grad(u)) = f``.
@@ -188,16 +183,10 @@ class PoissonPlan:
         return _fft.idctn(fhat, type=2, norm="ortho")
 
 
-@lru_cache(maxsize=8)
-def _cached_plan(dims: tuple) -> PoissonPlan:
-    return PoissonPlan(dims)
-
-
 def poisson_solve(f: np.ndarray, plan: PoissonPlan | None = None) -> np.ndarray:
     """Convenience wrapper around :meth:`PoissonPlan.solve`."""
-    f = np.asarray(f, dtype=np.float64)
     if plan is None:
-        plan = _cached_plan(f.shape)
+        plan = PoissonPlan(np.shape(f))
     return plan.solve(f)
 
 
@@ -209,5 +198,5 @@ def project_gradient_field(v: np.ndarray, plan: PoissonPlan | None = None) -> np
     """
     v = np.asarray(v, dtype=np.float64)
     if plan is None:
-        plan = _cached_plan(v.shape[1:])
+        plan = PoissonPlan(v.shape[1:])
     return grad(plan.solve(adjoint_grad(v)))

@@ -29,6 +29,7 @@ __all__ = [
     "save_volume",
     "stack_frames",
     "export_slice",
+    "write_atomic",
 ]
 
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
@@ -78,17 +79,33 @@ class VolumeHeader:
 
     @classmethod
     def from_dict(cls, data: dict) -> "VolumeHeader":
-        try:
-            dims = tuple(int(n) for n in data["dims"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise VolumeFormatError(f"header is missing a valid 'dims' list: {exc}") from exc
+        """Build and validate a header from its decoded JSON object.
+
+        ``dims`` must be a list of integers and ``value_range`` either
+        ``null`` or a list of two numbers; anything else is rejected with
+        :class:`VolumeFormatError` rather than coerced.
+        """
+        dims = data.get("dims")
+        if not isinstance(dims, list) or not all(isinstance(n, int) for n in dims):
+            raise VolumeFormatError(f"header 'dims' must be a list of integers, got {dims!r}")
         vr = data.get("value_range")
+        if vr is not None and not (
+            isinstance(vr, list) and len(vr) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vr)
+        ):
+            raise VolumeFormatError(
+                f"header 'value_range' must be null or a list of two numbers, got {vr!r}"
+            )
+        try:
+            value_range = None if vr is None else (float(vr[0]), float(vr[1]))
+        except OverflowError as exc:
+            raise VolumeFormatError(f"header 'value_range' {vr!r} exceeds float range") from exc
         header = cls(
-            dims=dims,
+            dims=tuple(dims),
             dtype=str(data.get("dtype", "f64")),
             byte_order=str(data.get("byte_order", "little")),
             layout=str(data.get("layout", "last-fastest")),
-            value_range=None if vr is None else (float(vr[0]), float(vr[1])),
+            value_range=value_range,
         )
         header.validate()
         return header
@@ -107,14 +124,14 @@ def read_header(header_path) -> VolumeHeader:
         raise VolumeFormatError(f"cannot read header {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise VolumeFormatError(f"malformed JSON header {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise VolumeFormatError(f"header {path} must contain a JSON object")
     return VolumeHeader.from_dict(data)
 
 
-def _write_atomic(*files) -> None:
+def write_atomic(*files) -> None:
     """Write each ``(path, bytes-like data)`` pair, all files or none.
 
     Every file is first written in full to a temporary file beside its
@@ -145,25 +162,27 @@ def _header_bytes(header: VolumeHeader) -> bytes:
 
 
 def write_header(header: VolumeHeader, header_path) -> None:
-    _write_atomic((header_path, _header_bytes(header)))
+    write_atomic((header_path, _header_bytes(header)))
 
 
 def load_volume(data_path, header_path=None) -> np.ndarray:
     """Load a raw volume as float64, checking payload size and finiteness."""
     data_path = Path(data_path)
     header = read_header(default_header_path(data_path) if header_path is None else header_path)
+    dtype = _DTYPES[header.dtype]
+    expected = header.payload_bytes()
     try:
-        raw = data_path.read_bytes()
+        with open(data_path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size != expected:
+                raise VolumeFormatError(
+                    f"payload {data_path} has {size} bytes but header "
+                    f"dims {list(header.dims)} and dtype {header.dtype} require {expected}"
+                )
+            values = np.fromfile(fh, dtype=dtype, count=expected // dtype.itemsize)
     except OSError as exc:
         raise VolumeFormatError(f"cannot read payload {data_path}: {exc}") from exc
-    expected = header.payload_bytes()
-    if len(raw) != expected:
-        raise VolumeFormatError(
-            f"payload {data_path} has {len(raw)} bytes but header "
-            f"dims {list(header.dims)} and dtype {header.dtype} require {expected}"
-        )
-    values = np.frombuffer(raw, dtype=_DTYPES[header.dtype]).reshape(header.dims)
-    values = values.astype(np.float64)
+    values = values.reshape(header.dims).astype(np.float64, copy=False)
     if not np.isfinite(values).all():
         raise VolumeFormatError(f"payload {data_path} contains non-finite values")
     return values
@@ -180,7 +199,7 @@ def save_volume(
     field = np.asarray(field, dtype=np.float64)
     header = VolumeHeader(dims=tuple(field.shape), dtype=dtype, value_range=value_range)
     header.validate()
-    _write_atomic(
+    write_atomic(
         (data_path, np.ascontiguousarray(field.astype(_DTYPES[dtype]))),
         (default_header_path(data_path) if header_path is None else header_path,
          _header_bytes(header)),
@@ -245,6 +264,4 @@ def export_slice(
     else:
         pixels = np.full(plane.shape, 128, dtype=np.uint8)
     rows, cols = pixels.shape
-    with open(out_path, "wb") as fh:
-        fh.write(f"P5\n{cols} {rows}\n255\n".encode("ascii"))
-        fh.write(pixels.tobytes())
+    write_atomic((out_path, f"P5\n{cols} {rows}\n255\n".encode("ascii") + pixels.tobytes()))

@@ -294,3 +294,60 @@ def test_out_of_memory_exits_5(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == "tvs: out of memory: Unable to allocate 7.50 GiB for an array\n"
     assert not (tmp_path / "o.raw").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("value_range", [0]),
+    ("value_range", "ab"),
+    ("value_range", 5),
+    ("value_range", [0, "x"]),
+    ("value_range", [0, 10**400]),
+    ("value_range", [False, True]),
+    ("dims", "44"),
+    ("dims", [4, 4.7]),
+])
+def test_malformed_header_exits_3(tmp_path, capsys, field, value):
+    raw = tmp_path / "vol.raw"
+    raw.write_bytes(np.zeros(16).tobytes())
+    header = VolumeHeader(dims=(4, 4)).to_dict()
+    header[field] = value
+    (tmp_path / "vol.json").write_text(json.dumps(header))
+    code = main(["denoise", "--input", str(raw), "--output", str(tmp_path / "o.raw")])
+    assert code == 3
+    assert field in capsys.readouterr().err
+
+
+def test_failed_report_write_keeps_previous_report(tmp_path, monkeypatch):
+    import builtins
+    import errno
+
+    from tvstokes import volume_io
+
+    inp = make_noisy(tmp_path, dims=(6, 6))
+    rep = tmp_path / "report.json"
+    run_denoise("rof", inp, report_path=rep, max_iters=3)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    class WriteFailsHalfway:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def open_failing(file, mode="r", *args, **kwargs):
+        fh = builtins.open(file, mode, *args, **kwargs)
+        return WriteFailsHalfway(fh) if "x" in mode else fh
+
+    monkeypatch.setattr(volume_io, "open", open_failing, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        run_denoise("rof", inp, report_path=rep, max_iters=5)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -271,3 +271,14 @@ def test_validate_field_widens_f32():
 def test_diff_matrix_matches_oracle():
     for n in (2, 3, 7):
         np.testing.assert_array_equal(diff_matrix(n), dense_diff(n))
+
+
+@pytest.mark.parametrize("dims", [(5,), (4, 6), (3, 4, 5), (2, 3, 2, 4)])
+def test_vector_operators_act_channel_by_channel(dims):
+    g = rand_vector(dims, 23)
+    p = rand_tensor(dims, 24)
+    gv = grad_vec(g)
+    at = adjoint_grad_tensor(p)
+    for l in range(len(dims)):
+        assert gv[l].tobytes() == grad(g[l]).tobytes()
+        assert at[l].tobytes() == adjoint_grad(p[l]).tobytes()

@@ -1,0 +1,35 @@
+"""Peak numpy allocation of each solver, as a multiple of the input bytes."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from tvstokes import (
+    ReconstructionConfig,
+    RofConfig,
+    SmoothingConfig,
+    add_gaussian_noise,
+    grad,
+    reconstruct,
+    rof_denoise,
+    smooth_gradient_field,
+)
+
+NOISY = add_gaussian_noise(np.random.default_rng(0).random((32, 32, 32)), 0.1, seed=1)
+
+
+@pytest.mark.parametrize("solve, bound", [
+    (lambda u: smooth_gradient_field(u, SmoothingConfig(lam=0.1, max_iters=2)), 46.5),
+    (lambda u: reconstruct(u, grad(u), ReconstructionConfig(lam=0.1, max_iters=2)), 19.5),
+    (lambda u: rof_denoise(u, RofConfig(lam=0.1, max_iters=2)), 15.5),
+], ids=["smoothing", "reconstruction", "rof"])
+def test_solver_peak_memory_per_input_byte(solve, bound):
+    solve(NOISY)  # warm up so one-time allocations are not counted
+    tracemalloc.start()
+    try:
+        solve(NOISY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / NOISY.nbytes <= bound

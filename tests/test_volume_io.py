@@ -101,6 +101,21 @@ def test_payload_size_mismatch(tmp_path):
         load_volume(path)
 
 
+def test_payload_with_partial_trailing_item_rejected(tmp_path):
+    path = tmp_path / "vol.raw"
+    path.write_bytes(b"\x00" * (16 * 8 + 3))
+    write_header(VolumeHeader(dims=(4, 4)), default_header_path(path))
+    with pytest.raises(VolumeFormatError, match="131 bytes"):
+        load_volume(path)
+
+
+def test_header_with_overlong_integer_rejected(tmp_path):
+    path = tmp_path / "vol.json"
+    path.write_text('{"dims": [4, ' + "9" * 5000 + "]}")
+    with pytest.raises(VolumeFormatError):
+        read_header(path)
+
+
 def test_missing_payload(tmp_path):
     write_header(VolumeHeader(dims=(4, 4)), tmp_path / "vol.json")
     with pytest.raises(VolumeFormatError):
