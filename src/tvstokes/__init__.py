@@ -5,133 +5,28 @@ constraint that it stays a gradient field, then rebuilds the image by
 matching its gradient direction to the smoothed field.  Both steps run the
 same family of semi-implicit dual projection iterations; a classical
 isotropic TV baseline shares the iteration kernel for comparison.
+
+Each module's ``__all__`` is the one declaration of its public names.
 """
 
-from .errors import (
-    DimensionError,
-    DivergenceError,
-    ParameterError,
-    TvStokesError,
-    VolumeFormatError,
-)
-from .fields import (
-    adjoint_grad,
-    adjoint_grad_tensor,
-    divergence,
-    grad,
-    grad_vec,
-    inner,
-    iso_l1_norm,
-    l2_norm,
-    max_tuple_norm,
-    mode_apply,
-    pointwise_normalize,
-    tuple_norm,
-    unit_clip,
-    validate_field,
-)
-from .metrics import psnr, staircase_metric
-from .noise import add_gaussian_noise, standard_normal_field
-from .pipeline import RunReport, StepStats, run_denoise, run_project
-from .reconstruction import (
-    ReconstructionConfig,
-    ReconstructionResult,
-    matching_field,
-    matching_kkt_residual,
-    matching_objective,
-    reconstruct,
-)
-from .rof import RofConfig, RofResult, rof_denoise
-from .smoothing import (
-    SmoothingConfig,
-    SmoothingResult,
-    smooth_gradient_field,
-    smoothing_kkt_residual,
-    smoothing_objective,
-)
-from .spectral import (
-    DiffFactors,
-    PoissonPlan,
-    dct_axis,
-    diff_factors,
-    diff_matrix,
-    dual_step_bound,
-    grad_operator_norm,
-    poisson_solve,
-    project_gradient_field,
-    singular_values,
-)
-from .volume_io import (
-    VolumeHeader,
-    default_header_path,
-    export_slice,
-    load_volume,
-    read_header,
-    save_volume,
-    stack_frames,
-    write_header,
-)
+from . import errors, fields, metrics, noise, pipeline, reconstruction, rof, smoothing
+from . import spectral, volume_io
+from .errors import *
+from .fields import *
+from .spectral import *
+from .smoothing import *
+from .reconstruction import *
+from .rof import *
+from .volume_io import *
+from .noise import *
+from .metrics import *
+from .pipeline import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "TvStokesError",
-    "DimensionError",
-    "ParameterError",
-    "VolumeFormatError",
-    "DivergenceError",
-    "validate_field",
-    "mode_apply",
-    "grad",
-    "grad_vec",
-    "adjoint_grad",
-    "adjoint_grad_tensor",
-    "divergence",
-    "tuple_norm",
-    "unit_clip",
-    "pointwise_normalize",
-    "l2_norm",
-    "iso_l1_norm",
-    "max_tuple_norm",
-    "inner",
-    "diff_matrix",
-    "singular_values",
-    "DiffFactors",
-    "diff_factors",
-    "dct_axis",
-    "grad_operator_norm",
-    "dual_step_bound",
-    "PoissonPlan",
-    "poisson_solve",
-    "project_gradient_field",
-    "SmoothingConfig",
-    "SmoothingResult",
-    "smooth_gradient_field",
-    "smoothing_objective",
-    "smoothing_kkt_residual",
-    "ReconstructionConfig",
-    "ReconstructionResult",
-    "matching_field",
-    "reconstruct",
-    "matching_objective",
-    "matching_kkt_residual",
-    "RofConfig",
-    "RofResult",
-    "rof_denoise",
-    "VolumeHeader",
-    "default_header_path",
-    "read_header",
-    "write_header",
-    "load_volume",
-    "save_volume",
-    "stack_frames",
-    "export_slice",
-    "add_gaussian_noise",
-    "standard_normal_field",
-    "psnr",
-    "staircase_metric",
-    "StepStats",
-    "RunReport",
-    "run_denoise",
-    "run_project",
+    name
+    for module in (errors, fields, spectral, smoothing, reconstruction, rof, volume_io, noise,
+                   metrics, pipeline)
+    for name in module.__all__
 ]

@@ -5,6 +5,9 @@ over ``channel_ndim`` leading axes (1 for a vector dual, 2 for a tensor dual),
 by the iteration ``p <- unit_clip(p - tau * A(p))`` (Chambolle, JMIV 2004),
 which is nonexpansive for ``tau <= 1/(2d)``.  A model supplies its residual
 ``A(p)``, the map recovering its primal solution from ``p`` and its objective.
+
+:func:`iterate` is the one loop: the drivers run it from a zero dual, and each
+model's ``dual_step`` runs one step of it, so single steps retrace a driver.
 """
 
 from __future__ import annotations
@@ -42,15 +45,15 @@ class DualConfig:
 
     def validate(self, ndim: int) -> float:
         """Check parameter ranges and return the resolved step size."""
-        if self.lam <= 0:
-            raise ParameterError(f"lam must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:  # NaN fails every comparison
+            raise ParameterError(f"lam must be positive and finite, got {self.lam}")
         if self.max_iters < 1:
             raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol < 0:
+        if not self.tol >= 0:  # a NaN tol would disable the stop rule
             raise ParameterError(f"tol must be nonnegative, got {self.tol}")
         tau = self.resolve_tau(ndim)
-        if tau <= 0:
-            raise ParameterError(f"tau must be positive, got {tau}")
+        if not 0 < tau < math.inf:
+            raise ParameterError(f"tau must be positive and finite, got {tau}")
         return tau
 
 
@@ -65,35 +68,26 @@ class DualResult:
     objective: float
 
 
-def _update(p, residual, tau, channel_ndim):
-    """One dual step; ``A(p)`` is evaluated exactly once."""
-    return unit_clip(p - tau * residual(p), channel_ndim=channel_ndim)
-
-
 def checked_step(p, residual, tau: float, channel_ndim: int) -> np.ndarray:
-    """One dual step from a feasible ``p``, rejecting non-finite output."""
+    """One step of :func:`iterate` from a feasible ``p``."""
     if max_tuple_norm(p, channel_ndim=channel_ndim) > 1.0 + 1e-12:
         raise ParameterError("dual field violates the pointwise unit bound")
-    p_next = _update(p, residual, tau, channel_ndim)
-    if not np.isfinite(p_next).all():
-        raise DivergenceError("non-finite values in dual update")
-    return p_next
+    return iterate(residual, p, channel_ndim, tau, 1, 0.0)[0]
 
 
-def iterate(residual, shape, channel_ndim: int, tau: float, cfg: DualConfig):
-    """Iterate from a zero dual of ``shape``; returns ``(p, iters, final_change)``.
+def iterate(residual, p, channel_ndim: int, tau: float, max_iters: int, tol: float):
+    """Iterate from the dual ``p``; returns ``(p, iters, final_change)``.
 
-    Stops once the pointwise max norm of the increment drops to ``cfg.tol``
-    or after ``cfg.max_iters`` steps.
+    Stops once the pointwise max norm of the increment drops to ``tol`` or
+    after ``max_iters >= 1`` steps; a non-finite increment raises.
     """
-    p = np.zeros(shape)
-    for iters in range(1, cfg.max_iters + 1):  # validate() ensures max_iters >= 1
-        p_next = _update(p, residual, tau, channel_ndim)
+    for iters in range(1, max_iters + 1):
+        p_next = unit_clip(p - tau * residual(p), channel_ndim=channel_ndim)
         change = max_tuple_norm(p_next - p, channel_ndim=channel_ndim)
         if not math.isfinite(change):
             raise DivergenceError(f"dual update diverged at iteration {iters}")
         p = p_next
-        if change <= cfg.tol:
+        if change <= tol:
             break
     return p, iters, change
 

@@ -186,8 +186,8 @@ def pointwise_normalize(g: np.ndarray, eps: float) -> np.ndarray:
     Tuples with norm below ``eps`` shrink toward zero instead of blowing up,
     so the output is always finite with tuple norms <= 1.
     """
-    if eps <= 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
+    if not 0 < eps < np.inf:
+        raise ParameterError(f"eps must be positive and finite, got {eps}")
     g = np.asarray(g, dtype=np.float64)
     return g / np.maximum(tuple_norm(g, 1), eps)
 

@@ -17,8 +17,8 @@ def psnr(reference: np.ndarray, test: np.ndarray, peak: float = 1.0) -> float:
     test = np.asarray(test, dtype=np.float64)
     if reference.shape != test.shape:
         raise DimensionError(f"shape mismatch: {reference.shape} vs {test.shape}")
-    if peak <= 0:
-        raise ParameterError(f"peak must be positive, got {peak}")
+    if not 0 < peak < math.inf:
+        raise ParameterError(f"peak must be positive and finite, got {peak}")
     mse = float(np.mean((reference - test) ** 2))
     if mse == 0.0:
         return math.inf

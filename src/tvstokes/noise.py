@@ -19,6 +19,8 @@ __all__ = ["add_gaussian_noise", "standard_normal_field"]
 
 def standard_normal_field(shape, seed: int) -> np.ndarray:
     """Deterministic standard normal samples of the given shape."""
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
     shape = tuple(int(n) for n in shape)
     size = 1
     for n in shape:
@@ -38,8 +40,10 @@ def add_gaussian_noise(u: np.ndarray, sigma: float, seed: int) -> np.ndarray:
 
     Identical ``(u, sigma, seed)`` triples produce bitwise identical output.
     """
-    if sigma < 0:
-        raise ParameterError(f"sigma must be nonnegative, got {sigma}")
+    if not 0 <= sigma < np.inf:
+        raise ParameterError(f"sigma must be nonnegative and finite, got {sigma}")
+    if seed < 0:  # checked here too: sigma == 0 never draws
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
     u = np.asarray(u, dtype=np.float64)
     if sigma == 0:
         return u.copy()

@@ -16,6 +16,9 @@ with the residual
 and the image is recovered as ``u = u0 - lam * (adjoint_grad(p) + m)``.
 With ``m = 0`` this is plain isotropic TV denoising, which :mod:`.rof`
 solves through :func:`solve_shifted`.
+
+:func:`dual_step` and :func:`solve_shifted` are public at module level only,
+not in ``__all__``.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from .fields import (
 )
 
 __all__ = [
-    "ReconstructionConfig", "ReconstructionResult", "matching_field", "dual_step",
-    "solve_shifted", "reconstruct", "matching_objective", "matching_kkt_residual",
+    "ReconstructionConfig", "ReconstructionResult", "matching_field", "reconstruct",
+    "matching_objective", "matching_kkt_residual",
 ]
 
 
@@ -49,8 +52,8 @@ class ReconstructionConfig(DualConfig):
 
     def validate(self, ndim: int) -> float:
         tau = super().validate(ndim)
-        if self.eps <= 0:
-            raise ParameterError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < np.inf:
+            raise ParameterError(f"eps must be positive and finite, got {self.eps}")
         return tau
 
 
@@ -98,7 +101,9 @@ def solve_shifted(u0, m, cfg: DualConfig, tau: float, objective) -> Reconstructi
     for the recovered image.
     """
     residual = partial(_residual, m=m, u0_scaled=u0 / cfg.lam)
-    p, iters, change = iterate(residual, (u0.ndim,) + u0.shape, 1, tau, cfg)
+    p, iters, change = iterate(
+        residual, np.zeros((u0.ndim,) + u0.shape), 1, tau, cfg.max_iters, cfg.tol
+    )
     u = u0 - cfg.lam * (adjoint_grad(p) + m)
     return ReconstructionResult(
         u=u,

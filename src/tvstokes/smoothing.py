@@ -14,6 +14,9 @@ on a tensor-valued dual variable ``p`` with the residual
 
 The smoothed field is recovered from the final dual as
 ``g = g0 - lam * project(adjoint_grad_tensor(p))``.
+
+:func:`dual_step` is public at module level only: in ``__all__`` it would
+collide with the reconstruction step.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .fields import adjoint_grad_tensor, grad, grad_vec, inner, iso_l1_norm, val
 from .spectral import PoissonPlan, project_gradient_field
 
 __all__ = [
-    "SmoothingConfig", "SmoothingResult", "dual_step", "smooth_gradient_field",
+    "SmoothingConfig", "SmoothingResult", "smooth_gradient_field",
     "smoothing_objective", "smoothing_kkt_residual",
 ]
 
@@ -80,7 +83,9 @@ def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> Smoothin
     plan = PoissonPlan(u_noisy.shape)
     g0 = grad(u_noisy)
     residual = partial(_residual, g0_scaled=g0 / cfg.lam, plan=plan)
-    p, iters, change = iterate(residual, (d, d) + u_noisy.shape, 2, tau, cfg)
+    p, iters, change = iterate(
+        residual, np.zeros((d, d) + u_noisy.shape), 2, tau, cfg.max_iters, cfg.tol
+    )
     g = g0 - cfg.lam * project_gradient_field(adjoint_grad_tensor(p), plan)
     return SmoothingResult(
         g=g,

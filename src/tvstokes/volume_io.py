@@ -5,7 +5,8 @@ A header declares ``dims`` (grid shape, every axis >= 2), ``dtype`` ("f32" or
 and an optional ``value_range`` ``[min, max]``.  Payloads are plain
 little-endian IEEE floats; f64 volumes round-trip bit-exactly, f32 volumes
 are widened to f64 on load and narrowed with round-to-nearest-even on save.
-Payloads and headers are written atomically (temp file, then rename).
+Payloads and headers are written atomically (temp file, then rename) by
+:func:`write_atomic`, public at module level only, not in ``__all__``.
 """
 
 from __future__ import annotations
@@ -21,15 +22,8 @@ import numpy as np
 from .errors import DimensionError, VolumeFormatError
 
 __all__ = [
-    "VolumeHeader",
-    "default_header_path",
-    "read_header",
-    "write_header",
-    "load_volume",
-    "save_volume",
-    "stack_frames",
-    "export_slice",
-    "write_atomic",
+    "VolumeHeader", "default_header_path", "read_header", "write_header", "load_volume",
+    "save_volume", "stack_frames", "export_slice",
 ]
 
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
@@ -195,12 +189,19 @@ def save_volume(
     dtype: str = "f64",
     value_range: tuple[float, float] | None = None,
 ) -> VolumeHeader:
-    """Write a volume payload and its header; returns the written header."""
+    """Write a volume payload and its header; returns the written header.
+
+    Refuses values that are not finite in ``dtype`` before writing any file.
+    """
     field = np.asarray(field, dtype=np.float64)
     header = VolumeHeader(dims=tuple(field.shape), dtype=dtype, value_range=value_range)
     header.validate()
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(field.astype(_DTYPES[dtype]))
+    if not np.isfinite(payload).all():
+        raise VolumeFormatError(f"volume for {data_path} has values not finite as {dtype}")
     write_atomic(
-        (data_path, np.ascontiguousarray(field.astype(_DTYPES[dtype]))),
+        (data_path, payload),
         (default_header_path(data_path) if header_path is None else header_path,
          _header_bytes(header)),
     )

@@ -242,6 +242,37 @@ def test_bad_lambda_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["denoise", "--model", "rof", "--lambda", "inf"],
+    ["denoise", "--model", "rof", "--lambda", "nan"],
+    ["denoise", "--lambda1", "inf"],
+    ["denoise", "--lambda2", "inf"],
+    ["denoise", "--tau", "nan"],
+    ["denoise", "--tau", "inf"],
+    ["denoise", "--eps", "nan"],
+    ["denoise", "--tol", "nan"],
+    ["add-noise", "--sigma", "nan"],
+    ["add-noise", "--sigma", "0.1", "--seed", "-1"],
+    ["add-noise", "--sigma", "0", "--seed", "-1"],
+], ids=" ".join)
+def test_non_finite_or_negative_parameter_exits_2(tmp_path, capsys, args):
+    inp = make_noisy(tmp_path, dims=(6, 6, 6))
+    out = tmp_path / "o.raw"
+    code = main(args + ["--input", str(inp), "--output", str(out)])
+    assert code == 2
+    assert "parameter error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("peak", ["nan", "inf"])
+def test_metrics_non_finite_peak_exits_2(tmp_path, capsys, peak):
+    ref = write_volume(tmp_path, rand_scalar((6, 6), 1), name="ref.raw")
+    test = write_volume(tmp_path, rand_scalar((6, 6), 2), name="test.raw")
+    code = main(["metrics", "--ref", str(ref), "--test", str(test), "--peak", peak])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_payload_size_mismatch_exits_3(tmp_path):
     raw = tmp_path / "vol.raw"
     raw.write_bytes(b"\x00" * 8)

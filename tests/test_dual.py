@@ -26,6 +26,11 @@ BAD = {
     "tol<0": {"tol": -1e-3},
     "tau=0": {"tau": 0.0},
     "tau<0": {"tau": -0.1},
+    "lam=nan": {"lam": float("nan")},
+    "lam=inf": {"lam": float("inf")},
+    "tau=nan": {"tau": float("nan")},
+    "tau=inf": {"tau": float("inf")},
+    "tol=nan": {"tol": float("nan")},
 }
 
 

@@ -47,6 +47,21 @@ def test_negative_sigma_rejected():
         add_gaussian_noise(np.zeros((4, 4)), -0.1, seed=0)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_non_finite_sigma_rejected(sigma):
+    with pytest.raises(ParameterError):
+        add_gaussian_noise(np.zeros((4, 4)), sigma, seed=0)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ParameterError):
+        standard_normal_field((4, 4), seed=-1)
+    with pytest.raises(ParameterError):
+        add_gaussian_noise(np.zeros((4, 4)), 0.1, seed=-1)
+    with pytest.raises(ParameterError):
+        add_gaussian_noise(np.zeros((4, 4)), 0.0, seed=-1)
+
+
 def test_standard_normal_field_is_finite_and_shaped():
     z = standard_normal_field((7, 5), seed=3)
     assert z.shape == (7, 5)
@@ -77,6 +92,12 @@ def test_psnr_validation():
         psnr(np.zeros((4, 4)), np.zeros((4, 5)))
     with pytest.raises(ParameterError):
         psnr(np.zeros((4, 4)), np.zeros((4, 4)), peak=0.0)
+
+
+@pytest.mark.parametrize("peak", [float("nan"), float("inf")])
+def test_psnr_rejects_non_finite_peak(peak):
+    with pytest.raises(ParameterError):
+        psnr(np.zeros((4, 4)), np.ones((4, 4)), peak=peak)
 
 
 # --------------------------------------------------------------- staircase

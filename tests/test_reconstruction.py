@@ -209,6 +209,14 @@ def test_bad_eps_rejected():
         reconstruct(np.zeros((4, 4)), np.zeros((2, 4, 4)), ReconstructionConfig(eps=0.0))
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_non_finite_eps_rejected(eps):
+    with pytest.raises(ParameterError):
+        reconstruct(np.zeros((4, 4)), np.zeros((2, 4, 4)), ReconstructionConfig(eps=eps))
+    with pytest.raises(ParameterError):
+        pointwise_normalize(np.zeros((2, 4, 4)), eps)
+
+
 def test_dual_step_matches_driver():
     u0 = rand_scalar((6, 5, 4), 22)
     g = rand_vector((6, 5, 4), 23)

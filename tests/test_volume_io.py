@@ -178,6 +178,19 @@ def test_failed_save_keeps_previous_volume(tmp_path, monkeypatch, failing):
     assert load_volume(path).tobytes() == old.tobytes()
 
 
+@pytest.mark.parametrize("dtype, value", [("f64", np.inf), ("f32", 1e300)])
+def test_save_rejects_values_not_finite_in_header_dtype(tmp_path, dtype, value):
+    path = tmp_path / "vol.raw"
+    old = rand_scalar((4, 5), 7)
+    save_volume(old, path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    bad = rand_scalar((4, 5), 8)
+    bad[1, 2] = value
+    with pytest.raises(VolumeFormatError):
+        save_volume(bad, path, dtype=dtype)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 # ------------------------------------------------------------------ stacking
 
 def test_stack_frames_forms_video_volume():
