@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, ParameterError
-from .fields import max_tuple_norm, tuple_norm, unit_clip
+from .fields import max_tuple_norm, tuple_norm
 from .spectral import dual_step_bound
 
 __all__ = ["DualConfig", "DualResult", "checked_step", "iterate", "stationarity_residual"]
@@ -70,8 +70,8 @@ class DualResult:
 
 def checked_step(p, residual, tau: float, channel_ndim: int) -> np.ndarray:
     """One step of :func:`iterate` from a feasible ``p``."""
-    if max_tuple_norm(p, channel_ndim=channel_ndim) > 1.0 + 1e-12:
-        raise ParameterError("dual field violates the pointwise unit bound")
+    if not max_tuple_norm(p, channel_ndim=channel_ndim) <= 1.0 + 1e-12:  # NaN fails too
+        raise ParameterError("dual field violates the pointwise unit bound or is not finite")
     return iterate(residual, p, channel_ndim, tau, 1, 0.0)[0]
 
 
@@ -80,21 +80,53 @@ def iterate(residual, p, channel_ndim: int, tau: float, max_iters: int, tol: flo
 
     Stops once the pointwise max norm of the increment drops to ``tol`` or
     after ``max_iters >= 1`` steps; a non-finite increment raises.
+
+    ``residual(p, out)`` writes ``A(p)`` into ``out``.  The work arrays, a
+    private copy of ``p`` and a scratch dual swapped every step plus two grids,
+    are allocated once.  Each step equals ``unit_clip(p - tau*A(p))`` and
+    ``max_tuple_norm`` of its increment bit for bit.
     """
+    p = np.array(p, dtype=np.float64, order="C")
+    q = np.empty_like(p)
+    norm, scratch = np.empty((2,) + p.shape[channel_ndim:])
+    channels = list(np.ndindex(p.shape[:channel_ndim]))
     for iters in range(1, max_iters + 1):
-        p_next = unit_clip(p - tau * residual(p), channel_ndim=channel_ndim)
-        change = max_tuple_norm(p_next - p, channel_ndim=channel_ndim)
+        residual(p, q)  # then q <- unit_clip(p - tau*q), channel by channel
+        np.multiply(q, tau, out=q)
+        np.subtract(p, q, out=q)
+        _sum_squares((q[c] for c in channels), norm, scratch)
+        np.sqrt(norm, out=norm)
+        np.divide(q, np.maximum(norm, 1.0, out=norm), out=q)
+        _sum_squares((np.subtract(q[c], p[c], out=scratch) for c in channels), norm, scratch)
+        change = float(np.sqrt(norm.max()))  # max_tuple_norm(q - p)
         if not math.isfinite(change):
             raise DivergenceError(f"dual update diverged at iteration {iters}")
-        p = p_next
+        p, q = q, p
         if change <= tol:
             break
     return p, iters, change
 
 
+def _sum_squares(grids, out: np.ndarray, scratch: np.ndarray) -> None:
+    """``out = sum(g*g for g in grids)`` in order; a grid may be ``scratch`` itself."""
+    for i, g in enumerate(grids):
+        if i:
+            out += np.multiply(g, g, out=scratch)
+        else:
+            np.multiply(g, g, out=out)
+
+
 def stationarity_residual(w: np.ndarray, p: np.ndarray, channel_ndim: int) -> float:
     """Max-abs of ``w + |w| * p`` for ``w = A(p)`` and ``|w|`` the pointwise tuple norm.
 
-    It is zero exactly at fixed points of the update.
+    It is zero exactly at fixed points of the update, and NaN if ``w`` or
+    ``p`` holds a NaN.  Computed channel by channel in one grid scratch.
     """
-    return float(np.max(np.abs(w + tuple_norm(w, channel_ndim=channel_ndim) * p)))
+    norm = tuple_norm(w, channel_ndim=channel_ndim)
+    term = np.empty_like(norm)
+    worst = []
+    for c in np.ndindex(w.shape[:channel_ndim]):
+        np.multiply(norm, p[c], out=term)
+        term += w[c]
+        worst.append(np.abs(term, out=term).max())
+    return float(np.max(worst))  # np.max keeps a NaN that Python's max may drop

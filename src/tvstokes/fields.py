@@ -17,7 +17,8 @@ the final slice of its own axis.
 Two private kernels carry the four operators: ``_grad`` under ``grad`` and
 ``grad_vec``, its transpose ``_adjoint`` under the two adjoints.  Both work
 on one contiguous channel grid at a time, since a ufunc over a whole stacked
-field makes numpy allocate iterator buffers of several grids.
+field makes numpy allocate iterator buffers of several grids.  The forward
+operators write into a caller's ``out`` array when given one.
 
 Operators in this module assume finite float inputs (see
 :func:`validate_field`); only cheap structural checks are performed here.
@@ -66,14 +67,15 @@ def validate_field(u, name: str = "field") -> np.ndarray:
     return u
 
 
-def _grad(u, lead: int) -> np.ndarray:
+def _grad(u, lead: int, out=None) -> np.ndarray:
     """Forward differences of each channel ``u[c]``, ``c`` over the first ``lead`` axes.
 
     Output ``[c][axis]`` is the axis-``axis`` difference, zero on the last slice.
     """
     u = np.asarray(u, dtype=np.float64)
     dims = u.shape[lead:]
-    out = np.empty(u.shape[:lead] + (len(dims),) + dims)
+    if out is None:
+        out = np.empty(u.shape[:lead] + (len(dims),) + dims)
     for c in np.ndindex(u.shape[:lead]):
         for axis, dst in enumerate(out[c]):
             src, dst = u[c].swapaxes(0, axis), dst.swapaxes(0, axis)
@@ -85,19 +87,27 @@ def _grad(u, lead: int) -> np.ndarray:
 def _adjoint(p, lead: int) -> np.ndarray:
     """Transpose of :func:`_grad`: per channel, the axis-summed transpose stencil.
 
-    Each axis term is rounded once before it is added, and the sum starts at
-    ``-0.0``, the exact additive identity, so the result matches a term-wise
-    evaluation bit for bit, signed zeros included.
+    The first axis writes its stencil directly; every later axis term is
+    rounded into one grid scratch before it is added.  The result matches a
+    term-wise sum started at ``-0.0``, the exact additive identity, bit for
+    bit, signed zeros included.
     """
     p = np.asarray(p, dtype=np.float64)
-    out = np.full(p.shape[:lead] + p.shape[lead + 1:], -0.0)
+    dims = p.shape[lead + 1:]
+    out = np.empty(p.shape[:lead] + dims)
+    scratch = np.empty(dims)
     for c in np.ndindex(p.shape[:lead]):
         for axis, v in enumerate(p[c]):
             dst, v = out[c].swapaxes(0, axis), v.swapaxes(0, axis)
             first, mid, last = dst[:1], dst[1:-1], dst[-1:]  # views, also in 1-d
-            first -= v[:1]
-            mid += v[:-2] - v[1:-1]
-            last += v[-2:-1]
+            if axis == 0:
+                np.negative(v[:1], out=first)
+                np.subtract(v[:-2], v[1:-1], out=mid)
+                last[...] = v[-2:-1]
+            else:
+                first -= v[:1]
+                mid += np.subtract(v[:-2], v[1:-1], out=scratch.swapaxes(0, axis)[1:-1])
+                last += v[-2:-1]
     return out
 
 
@@ -125,17 +135,17 @@ def mode_apply(u: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def grad(u: np.ndarray) -> np.ndarray:
+def grad(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Forward-difference gradient of a scalar field, shape ``(d, *dims)``."""
-    return _grad(u, 0)
+    return _grad(u, 0, out)
 
 
-def grad_vec(g: np.ndarray) -> np.ndarray:
+def grad_vec(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Channel-wise gradient of a vector field, shape ``(d, d, *dims)``.
 
     Output channel ``(l, m)`` is the axis-``m`` difference of channel ``l``.
     """
-    return _grad(g, 1)
+    return _grad(g, 1, out)
 
 
 def adjoint_grad(p: np.ndarray) -> np.ndarray:
@@ -161,12 +171,18 @@ def divergence(v: np.ndarray) -> np.ndarray:
 
 
 def tuple_norm(q: np.ndarray, channel_ndim: int = 1) -> np.ndarray:
-    """Pointwise Euclidean norm over the leading ``channel_ndim`` axes."""
+    """Pointwise Euclidean norm over the leading ``channel_ndim`` axes.
+
+    Adds the squares channel by channel in C order, as ``np.sum`` over them would.
+    """
     if channel_ndim < 1 or channel_ndim >= q.ndim:
         raise DimensionError(
             f"channel_ndim {channel_ndim} invalid for array of ndim {q.ndim}"
         )
-    return np.sqrt(np.sum(q * q, axis=tuple(range(channel_ndim))))
+    total = np.zeros_like(q, shape=q.shape[channel_ndim:])  # exact: squares are never -0.0
+    for c in np.ndindex(q.shape[:channel_ndim]):
+        total += q[c] * q[c]
+    return np.sqrt(total)
 
 
 def unit_clip(q: np.ndarray, channel_ndim: int = 1) -> np.ndarray:

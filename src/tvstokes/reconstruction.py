@@ -74,8 +74,12 @@ def matching_field(g: np.ndarray, eps: float) -> np.ndarray:
     return divergence(pointwise_normalize(g, eps))
 
 
-def _residual(p, m, u0_scaled):
-    return grad(m + adjoint_grad(p) - u0_scaled)
+def _residual(p, out, m, u0_scaled):
+    """``A(p)``, written into ``out`` unless it is ``None``."""
+    a = adjoint_grad(p)
+    a += m
+    a -= u0_scaled
+    return grad(a, out=out)
 
 
 def dual_step(
@@ -100,9 +104,10 @@ def solve_shifted(u0, m, cfg: DualConfig, tau: float, objective) -> Reconstructi
     ``u0`` must be a validated field; ``objective(u)`` is the value reported
     for the recovered image.
     """
-    residual = partial(_residual, m=m, u0_scaled=u0 / cfg.lam)
+    # iterate copies the zero start; u0/lam is freed before the diagnostics run
     p, iters, change = iterate(
-        residual, np.zeros((u0.ndim,) + u0.shape), 1, tau, cfg.max_iters, cfg.tol
+        partial(_residual, m=m, u0_scaled=u0 / cfg.lam),
+        np.broadcast_to(0.0, (u0.ndim,) + u0.shape), 1, tau, cfg.max_iters, cfg.tol,
     )
     u = u0 - cfg.lam * (adjoint_grad(p) + m)
     return ReconstructionResult(
@@ -136,8 +141,8 @@ def matching_objective(
     u: np.ndarray, u0: np.ndarray, g: np.ndarray, lam: float, eps: float
 ) -> float:
     """Value of the vector-matching functional at a candidate image."""
-    if lam <= 0:
-        raise ParameterError(f"lam must be positive, got {lam}")
+    if not 0 < lam < np.inf:  # NaN fails every comparison
+        raise ParameterError(f"lam must be positive and finite, got {lam}")
     u = np.asarray(u, dtype=np.float64)
     u0 = np.asarray(u0, dtype=np.float64)
     if u.shape != u0.shape:
@@ -159,9 +164,9 @@ def matching_kkt_residual(
     With ``w = grad(m + adjoint_grad(p) - u0/lam)`` the fixed points satisfy
     ``w + |w| * p = 0`` entrywise.
     """
-    if lam <= 0:
-        raise ParameterError(f"lam must be positive, got {lam}")
+    if not 0 < lam < np.inf:
+        raise ParameterError(f"lam must be positive and finite, got {lam}")
     p = np.asarray(p, dtype=np.float64)
     u0 = np.asarray(u0, dtype=np.float64)
     m = np.asarray(m, dtype=np.float64)
-    return stationarity_residual(_residual(p, m, u0 / lam), p, channel_ndim=1)
+    return stationarity_residual(_residual(p, None, m, u0 / lam), p, channel_ndim=1)

@@ -48,8 +48,11 @@ class SmoothingResult(DualResult):
     g: np.ndarray
 
 
-def _residual(p, g0_scaled, plan):
-    return grad_vec(project_gradient_field(adjoint_grad_tensor(p), plan) - g0_scaled)
+def _residual(p, out, g0_scaled, plan):
+    """``A(p)``, written into ``out`` unless it is ``None``."""
+    v = project_gradient_field(adjoint_grad_tensor(p), plan)
+    v -= g0_scaled
+    return grad_vec(v, out=out)
 
 
 def dual_step(p: np.ndarray, g0: np.ndarray, cfg: SmoothingConfig) -> np.ndarray:
@@ -82,9 +85,10 @@ def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> Smoothin
     tau = cfg.validate(d)
     plan = PoissonPlan(u_noisy.shape)
     g0 = grad(u_noisy)
-    residual = partial(_residual, g0_scaled=g0 / cfg.lam, plan=plan)
+    # iterate copies the zero start; g0/lam is freed before the diagnostics run
     p, iters, change = iterate(
-        residual, np.zeros((d, d) + u_noisy.shape), 2, tau, cfg.max_iters, cfg.tol
+        partial(_residual, g0_scaled=g0 / cfg.lam, plan=plan),
+        np.broadcast_to(0.0, (d, d) + u_noisy.shape), 2, tau, cfg.max_iters, cfg.tol,
     )
     g = g0 - cfg.lam * project_gradient_field(adjoint_grad_tensor(p), plan)
     return SmoothingResult(
@@ -99,8 +103,8 @@ def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> Smoothin
 
 def smoothing_objective(g: np.ndarray, g0: np.ndarray, lam: float) -> float:
     """Value of the smoothing functional at a candidate field ``g``."""
-    if lam <= 0:
-        raise ParameterError(f"lam must be positive, got {lam}")
+    if not 0 < lam < np.inf:  # NaN fails every comparison
+        raise ParameterError(f"lam must be positive and finite, got {lam}")
     g = np.asarray(g, dtype=np.float64)
     g0 = np.asarray(g0, dtype=np.float64)
     diff = g - g0
@@ -116,8 +120,8 @@ def smoothing_kkt_residual(
     fixed points satisfy ``w + |w| * p = 0`` entrywise, ``|w|`` being the
     pointwise tuple norm.
     """
-    if lam <= 0:
-        raise ParameterError(f"lam must be positive, got {lam}")
+    if not 0 < lam < np.inf:
+        raise ParameterError(f"lam must be positive and finite, got {lam}")
     p = np.asarray(p, dtype=np.float64)
     g0 = np.asarray(g0, dtype=np.float64)
-    return stationarity_residual(_residual(p, g0 / lam, plan), p, channel_ndim=2)
+    return stationarity_residual(_residual(p, None, g0 / lam, plan), p, channel_ndim=2)

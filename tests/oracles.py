@@ -86,3 +86,21 @@ def feasible_tensor(dims, seed, scale=1.0):
 def brute_inner(x, y):
     """Inner product via a flat dot product, independent of fields.inner."""
     return float(np.dot(np.asarray(x, float).ravel(), np.asarray(y, float).ravel()))
+
+
+def reference_iterate(residual, p, channel_ndim, tau, max_iters, tol):
+    """The dual loop written naively: ``unit_clip(p - tau*A(p))`` and ``max_tuple_norm``.
+
+    Allocates fresh arrays every step and reduces the channel axes with
+    ``np.sum``; ``residual(p)`` returns ``A(p)``.  Returns ``(p, iters, change)``.
+    """
+    axes = tuple(range(channel_ndim))
+    for iters in range(1, max_iters + 1):
+        q = p - tau * residual(p)
+        p_next = q / np.maximum(1.0, np.sqrt(np.sum(q * q, axis=axes)))
+        step = p_next - p
+        change = float(np.max(np.sqrt(np.sum(step * step, axis=axes))))
+        p = p_next
+        if change <= tol:
+            break
+    return p, iters, change

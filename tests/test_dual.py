@@ -1,4 +1,6 @@
-"""Shared dual-projection core: every solver validates its config the same way."""
+"""Shared dual-projection core: config validation, the in-place loop, diagnostics."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,9 +10,24 @@ from tvstokes import (
     ReconstructionConfig,
     RofConfig,
     SmoothingConfig,
+    adjoint_grad,
+    adjoint_grad_tensor,
+    grad,
+    grad_vec,
+    matching_kkt_residual,
+    matching_objective,
     reconstruct,
     rof_denoise,
     smooth_gradient_field,
+    smoothing_kkt_residual,
+    smoothing_objective,
+)
+from tvstokes.dual import iterate, stationarity_residual
+from tvstokes.reconstruction import dual_step as reconstruction_step
+from tvstokes.smoothing import dual_step as smoothing_step
+
+from oracles import (
+    feasible_tensor, feasible_vector, rand_scalar, rand_tensor, rand_vector, reference_iterate,
 )
 
 U = np.zeros((4, 4))
@@ -46,3 +63,123 @@ def test_solver_rejects_out_of_range_config(solver, bad):
 def test_solver_accepts_default_config(solver):
     config_cls, solve = SOLVERS[solver]
     assert solve(config_cls()).iters == 1
+
+
+# ------------------------------------------------------------ the in-place loop
+
+GRIDS = [(9,), (6, 5), (5, 4, 3), (3, 3, 2, 3)]
+
+
+def _residual(dims, channel_ndim):
+    """``A(p) = D(D^T p - f)`` with ``D`` the gradient (vector dual) or ``grad_vec`` (tensor dual)."""
+    rng = np.random.default_rng(len(dims))
+    if channel_ndim == 1:
+        f, fwd, adj = 3.0 * rng.standard_normal(dims), grad, adjoint_grad
+    else:
+        f, fwd, adj = 3.0 * rng.standard_normal((len(dims),) + dims), grad_vec, adjoint_grad_tensor
+
+    def residual(p, out=None):
+        return fwd(adj(p) - f, out=out)
+
+    return residual
+
+
+def _start(dims, channel_ndim):
+    return (feasible_vector if channel_ndim == 1 else feasible_tensor)(dims, 7, scale=0.9)
+
+
+def _assert_same_run(got, want):
+    assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
+    assert got[1:] == want[1:]
+
+
+@pytest.mark.parametrize("channel_ndim", [1, 2])
+@pytest.mark.parametrize("dims", GRIDS, ids=str)
+def test_iterate_matches_reference_loop_bitwise(dims, channel_ndim):
+    residual, p0 = _residual(dims, channel_ndim), _start(dims, channel_ndim)
+    tau = 1.0 / (2 * len(dims))
+    want = reference_iterate(residual, p0, channel_ndim, tau, 12, 0.0)
+    _assert_same_run(iterate(residual, p0, channel_ndim, tau, 12, 0.0), want)
+    # a tol reached after a few steps stops both loops early, at the same step
+    tol = reference_iterate(residual, p0, channel_ndim, tau, 5, 0.0)[2]
+    want = reference_iterate(residual, p0, channel_ndim, tau, 40, tol)
+    assert want[1] < 40
+    _assert_same_run(iterate(residual, p0, channel_ndim, tau, 40, tol), want)
+
+
+@pytest.mark.parametrize("max_iters", [1, 2])
+@pytest.mark.parametrize("channel_ndim", [1, 2])
+def test_iterate_leaves_its_start_unmodified(channel_ndim, max_iters):
+    dims = (5, 4)
+    residual, p0 = _residual(dims, channel_ndim), _start(dims, channel_ndim)
+    before = p0.copy()
+    p = iterate(residual, p0, channel_ndim, 0.25, max_iters, 0.0)[0]
+    assert not np.shares_memory(p, p0)
+    assert p0.tobytes() == before.tobytes()
+
+
+U5 = rand_scalar((5, 6), 3)
+CALLS = {
+    "smoothing.dual_step": (
+        lambda p, g0: smoothing_step(p, g0, SmoothingConfig(lam=0.3)),
+        lambda: (feasible_tensor((5, 6), 4), grad(U5))),
+    "reconstruction.dual_step": (
+        lambda p, u0, m: reconstruction_step(p, u0, m, ReconstructionConfig(lam=0.3)),
+        lambda: (feasible_vector((5, 6), 5), U5.copy(), rand_scalar((5, 6), 6))),
+    "smooth_gradient_field": (
+        lambda u: smooth_gradient_field(u, SmoothingConfig(lam=0.3, max_iters=3)),
+        lambda: (U5.copy(),)),
+    "reconstruct": (
+        lambda u, g: reconstruct(u, g, ReconstructionConfig(lam=0.3, max_iters=3)),
+        lambda: (U5.copy(), grad(rand_scalar((5, 6), 7)))),
+    "rof_denoise": (
+        lambda u: rof_denoise(u, RofConfig(lam=0.3, max_iters=3)),
+        lambda: (U5.copy(),)),
+}
+
+
+@pytest.mark.parametrize("call", CALLS)
+def test_solvers_leave_their_inputs_unmodified(call):
+    fn, make = CALLS[call]
+    args = make()
+    before = [a.copy() for a in args]
+    fn(*args)
+    for a, b in zip(args, before):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("channel", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("holder", ["w", "p"])
+@pytest.mark.parametrize("channel_ndim", [1, 2])
+def test_stationarity_residual_propagates_nan(channel_ndim, holder, channel):
+    dims = (4, 5)
+    w = 0.1 * (rand_vector(dims, 8) if channel_ndim == 1 else rand_tensor(dims, 8))
+    arrays = {"w": w, "p": _start(dims, channel_ndim)}
+    arrays[holder].reshape((-1,) + dims)[channel][1, 2] = np.nan
+    assert math.isnan(stationarity_residual(arrays["w"], arrays["p"], channel_ndim))
+
+
+G0 = grad(U5)
+LAM_CALLS = {
+    "smoothing_objective": lambda lam: smoothing_objective(G0, G0, lam),
+    "smoothing_kkt_residual": lambda lam: smoothing_kkt_residual(np.zeros((2, 2, 5, 6)), G0, lam),
+    "matching_objective": lambda lam: matching_objective(U5, U5, G0, lam, 1e-8),
+    "matching_kkt_residual": lambda lam: matching_kkt_residual(
+        np.zeros((2, 5, 6)), np.ones((5, 6)), np.zeros((5, 6)), lam),
+}
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")], ids=str)
+@pytest.mark.parametrize("call", LAM_CALLS)
+def test_diagnostics_reject_non_finite_lam(call, lam):
+    with pytest.raises(ParameterError):
+        LAM_CALLS[call](lam)
+
+
+@pytest.mark.parametrize("call", ["smoothing.dual_step", "reconstruction.dual_step"])
+def test_dual_step_rejects_nan_dual(call):
+    fn, make = CALLS[call]
+    p, *data = make()
+    p.reshape(-1)[17] = np.nan
+    with pytest.raises(ParameterError):
+        fn(p, *data)
