@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -47,8 +48,8 @@ class DualConfig:
         """Check parameter ranges and return the resolved step size."""
         if not 0 < self.lam < math.inf:  # NaN fails every comparison
             raise ParameterError(f"lam must be positive and finite, got {self.lam}")
-        if self.max_iters < 1:
-            raise ParameterError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not isinstance(self.max_iters, Integral) or self.max_iters < 1:
+            raise ParameterError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not self.tol >= 0:  # a NaN tol would disable the stop rule
             raise ParameterError(f"tol must be nonnegative, got {self.tol}")
         tau = self.resolve_tau(ndim)

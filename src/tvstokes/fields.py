@@ -32,7 +32,6 @@ from .errors import DimensionError, ParameterError
 
 __all__ = [
     "validate_field",
-    "mode_apply",
     "grad",
     "grad_vec",
     "adjoint_grad",
@@ -109,30 +108,6 @@ def _adjoint(p, lead: int) -> np.ndarray:
                 mid += np.subtract(v[:-2], v[1:-1], out=scratch.swapaxes(0, axis)[1:-1])
                 last += v[-2:-1]
     return out
-
-
-def mode_apply(u: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    """Apply a matrix to one axis of ``u``, leaving all other axes untouched.
-
-    Output entry ``(..., j, ...)`` equals ``sum_k mat[j, k] * u[..., k, ...]``
-    with ``j, k`` running along ``axis``.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2:
-        raise DimensionError(f"mode_apply needs a matrix, got shape {mat.shape}")
-    if not -u.ndim <= axis < u.ndim:
-        raise DimensionError(f"axis {axis} out of range for {u.ndim}-d field")
-    axis %= u.ndim
-    if mat.shape[1] != u.shape[axis]:
-        raise DimensionError(
-            f"matrix of shape {mat.shape} cannot act on axis {axis} of "
-            f"length {u.shape[axis]}"
-        )
-    moved = np.moveaxis(u, axis, 0)
-    out = mat @ moved.reshape(mat.shape[1], -1)
-    out = out.reshape((mat.shape[0],) + moved.shape[1:])
-    return np.moveaxis(out, 0, axis)
 
 
 def grad(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -82,20 +82,31 @@ def _residual(p, out, m, u0_scaled):
     return grad(a, out=out)
 
 
+def _checked(lam, u0, v, s):
+    """``(u0, v, s)`` as float64 after checking ``lam`` and that the vector
+    field ``v`` and the scalar field ``s`` lie on the grid of ``u0``."""
+    if not 0 < lam < np.inf:  # NaN fails every comparison
+        raise ParameterError(f"lam must be positive and finite, got {lam}")
+    u0, v, s = (np.asarray(a, dtype=np.float64) for a in (u0, v, s))
+    if v.shape != (u0.ndim,) + u0.shape or s.shape != u0.shape:
+        raise DimensionError(
+            f"field shapes disagree: data {u0.shape}, vector {v.shape}, scalar {s.shape}"
+        )
+    return u0, v, s
+
+
+def _bind(p, u0, m, lam):
+    """Check the dual ``p`` against the data; return ``(residual, p)`` for :func:`iterate`."""
+    u0, p, m = _checked(lam, u0, p, m)
+    return partial(_residual, m=m, u0_scaled=u0 / lam), p
+
+
 def dual_step(
     p: np.ndarray, u0: np.ndarray, m: np.ndarray, cfg: ReconstructionConfig
 ) -> np.ndarray:
     """Apply one semi-implicit dual update to a feasible vector dual."""
-    p = np.asarray(p, dtype=np.float64)
-    u0 = np.asarray(u0, dtype=np.float64)
-    m = np.asarray(m, dtype=np.float64)
-    if p.shape != (u0.ndim,) + u0.shape or m.shape != u0.shape:
-        raise DimensionError(
-            f"field shapes disagree: dual {p.shape}, data {u0.shape}, matching {m.shape}"
-        )
-    tau = cfg.validate(u0.ndim)
-    residual = partial(_residual, m=m, u0_scaled=u0 / cfg.lam)
-    return checked_step(p, residual, tau, channel_ndim=1)
+    residual, p = _bind(p, u0, m, cfg.lam)
+    return checked_step(p, residual, cfg.validate(len(p)), channel_ndim=1)
 
 
 def solve_shifted(u0, m, cfg: DualConfig, tau: float, objective) -> ReconstructionResult:
@@ -106,8 +117,8 @@ def solve_shifted(u0, m, cfg: DualConfig, tau: float, objective) -> Reconstructi
     """
     # iterate copies the zero start; u0/lam is freed before the diagnostics run
     p, iters, change = iterate(
-        partial(_residual, m=m, u0_scaled=u0 / cfg.lam),
-        np.broadcast_to(0.0, (u0.ndim,) + u0.shape), 1, tau, cfg.max_iters, cfg.tol,
+        *_bind(np.broadcast_to(0.0, (u0.ndim,) + u0.shape), u0, m, cfg.lam),
+        1, tau, cfg.max_iters, cfg.tol,
     )
     u = u0 - cfg.lam * (adjoint_grad(p) + m)
     return ReconstructionResult(
@@ -125,11 +136,9 @@ def reconstruct(
 ) -> ReconstructionResult:
     """Rebuild an image whose gradient direction matches the smoothed field."""
     u_noisy = validate_field(u_noisy, "u_noisy")
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != (u_noisy.ndim,) + u_noisy.shape:
-        raise DimensionError(
-            f"gradient field shape {g.shape} does not match image shape {u_noisy.shape}"
-        )
+    g = _checked(cfg.lam, u_noisy, g, u_noisy)[1]
+    if not np.isfinite(g).all():
+        raise ParameterError("g contains non-finite values")
     tau = cfg.validate(u_noisy.ndim)
     m = matching_field(g, cfg.eps)  # frozen across iterations
     return solve_shifted(
@@ -141,12 +150,7 @@ def matching_objective(
     u: np.ndarray, u0: np.ndarray, g: np.ndarray, lam: float, eps: float
 ) -> float:
     """Value of the vector-matching functional at a candidate image."""
-    if not 0 < lam < np.inf:  # NaN fails every comparison
-        raise ParameterError(f"lam must be positive and finite, got {lam}")
-    u = np.asarray(u, dtype=np.float64)
-    u0 = np.asarray(u0, dtype=np.float64)
-    if u.shape != u0.shape:
-        raise DimensionError(f"shape mismatch: {u.shape} vs {u0.shape}")
+    u0, g, u = _checked(lam, u0, g, u)
     gu = grad(u)
     diff = u - u0
     return (
@@ -164,9 +168,5 @@ def matching_kkt_residual(
     With ``w = grad(m + adjoint_grad(p) - u0/lam)`` the fixed points satisfy
     ``w + |w| * p = 0`` entrywise.
     """
-    if not 0 < lam < np.inf:
-        raise ParameterError(f"lam must be positive and finite, got {lam}")
-    p = np.asarray(p, dtype=np.float64)
-    u0 = np.asarray(u0, dtype=np.float64)
-    m = np.asarray(m, dtype=np.float64)
-    return stationarity_residual(_residual(p, None, m, u0 / lam), p, channel_ndim=1)
+    residual, p = _bind(p, u0, m, lam)
+    return stationarity_residual(residual(p, None), p, channel_ndim=1)

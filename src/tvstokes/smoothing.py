@@ -55,23 +55,35 @@ def _residual(p, out, g0_scaled, plan):
     return grad_vec(v, out=out)
 
 
+def _checked(lam, g0, f, lead: int):
+    """``(g0, f)`` as float64 after checking ``lam``, that ``g0`` is a vector
+    field and that ``f`` has shape ``g0.shape[:lead] + g0.shape``."""
+    if not 0 < lam < np.inf:  # NaN fails every comparison
+        raise ParameterError(f"lam must be positive and finite, got {lam}")
+    g0, f = np.asarray(g0, dtype=np.float64), np.asarray(f, dtype=np.float64)
+    if g0.ndim < 2 or g0.ndim != g0.shape[0] + 1:
+        raise DimensionError(f"not a vector field: shape {g0.shape}")
+    if f.shape != g0.shape[:lead] + g0.shape:
+        raise DimensionError(f"field shape {f.shape} does not match data shape {g0.shape}")
+    return g0, f
+
+
+def _bind(p, g0, lam, plan=None):
+    """Check the dual ``p`` against the data; return ``(residual, p)`` for :func:`iterate`."""
+    g0, p = _checked(lam, g0, p, 1)
+    if plan is None:
+        plan = PoissonPlan(g0.shape[1:])
+    return partial(_residual, g0_scaled=g0 / lam, plan=plan), p
+
+
 def dual_step(p: np.ndarray, g0: np.ndarray, cfg: SmoothingConfig) -> np.ndarray:
     """Apply one semi-implicit dual update to a feasible tensor dual.
 
     Inputs must be finite with pointwise tuple norms of ``p`` at most 1;
     the output is feasible again by construction.
     """
-    p = np.asarray(p, dtype=np.float64)
-    g0 = np.asarray(g0, dtype=np.float64)
-    if g0.ndim != g0.shape[0] + 1:
-        raise DimensionError(f"not a vector field: shape {g0.shape}")
-    d = g0.shape[0]
-    if p.shape != (d, d) + g0.shape[1:]:
-        raise DimensionError(f"dual shape {p.shape} does not match data shape {g0.shape}")
-    tau = cfg.validate(d)
-    plan = PoissonPlan(g0.shape[1:])
-    residual = partial(_residual, g0_scaled=g0 / cfg.lam, plan=plan)
-    return checked_step(p, residual, tau, channel_ndim=2)
+    residual, p = _bind(p, g0, cfg.lam)
+    return checked_step(p, residual, cfg.validate(len(p)), channel_ndim=2)
 
 
 def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> SmoothingResult:
@@ -87,8 +99,8 @@ def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> Smoothin
     g0 = grad(u_noisy)
     # iterate copies the zero start; g0/lam is freed before the diagnostics run
     p, iters, change = iterate(
-        partial(_residual, g0_scaled=g0 / cfg.lam, plan=plan),
-        np.broadcast_to(0.0, (d, d) + u_noisy.shape), 2, tau, cfg.max_iters, cfg.tol,
+        *_bind(np.broadcast_to(0.0, (d, d) + u_noisy.shape), g0, cfg.lam, plan),
+        2, tau, cfg.max_iters, cfg.tol,
     )
     g = g0 - cfg.lam * project_gradient_field(adjoint_grad_tensor(p), plan)
     return SmoothingResult(
@@ -103,10 +115,7 @@ def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> Smoothin
 
 def smoothing_objective(g: np.ndarray, g0: np.ndarray, lam: float) -> float:
     """Value of the smoothing functional at a candidate field ``g``."""
-    if not 0 < lam < np.inf:  # NaN fails every comparison
-        raise ParameterError(f"lam must be positive and finite, got {lam}")
-    g = np.asarray(g, dtype=np.float64)
-    g0 = np.asarray(g0, dtype=np.float64)
+    g0, g = _checked(lam, g0, g, 0)
     diff = g - g0
     return iso_l1_norm(grad_vec(g), channel_ndim=2) + 0.5 / lam * inner(diff, diff)
 
@@ -120,8 +129,5 @@ def smoothing_kkt_residual(
     fixed points satisfy ``w + |w| * p = 0`` entrywise, ``|w|`` being the
     pointwise tuple norm.
     """
-    if not 0 < lam < np.inf:
-        raise ParameterError(f"lam must be positive and finite, got {lam}")
-    p = np.asarray(p, dtype=np.float64)
-    g0 = np.asarray(g0, dtype=np.float64)
-    return stationarity_residual(_residual(p, None, g0 / lam, plan), p, channel_ndim=2)
+    residual, p = _bind(p, g0, lam, plan)
+    return stationarity_residual(residual(p, None), p, channel_ndim=2)

@@ -18,9 +18,8 @@ Because ``D^T D = C^T diag(sigma)^2 C`` holds per axis, the grid operator
 eigenvalue vanishes only at the all-zeros frequency (the constant mode),
 which is the pseudoinverse nullspace; its coefficient is forced to zero.
 
-All fast paths use FFT-based transforms (scipy.fft) with orthonormal
-scaling, which agree with the dense factors to better than 1e-12; the dense
-matrices are retained for small-n verification.
+The solve runs that diagonalization through scipy.fft's orthonormal DCT pair,
+which agrees with the dense factors to better than 1e-12.
 """
 
 from __future__ import annotations
@@ -35,28 +34,14 @@ from .errors import DimensionError, ParameterError
 from .fields import adjoint_grad, grad
 
 __all__ = [
-    "diff_matrix",
     "singular_values",
     "DiffFactors",
     "diff_factors",
-    "dct_axis",
     "grad_operator_norm",
     "dual_step_bound",
     "PoissonPlan",
-    "poisson_solve",
     "project_gradient_field",
 ]
-
-
-def diff_matrix(n: int) -> np.ndarray:
-    """Dense n-by-n one-sided difference matrix with a zero last row."""
-    if n < 2:
-        raise DimensionError(f"difference matrix needs n >= 2, got {n}")
-    mat = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    mat[idx, idx] = -1.0
-    mat[idx, idx + 1] = 1.0
-    return mat
 
 
 def singular_values(n: int) -> np.ndarray:
@@ -72,8 +57,8 @@ class DiffFactors:
 
     ``cosine`` is the n-by-n orthonormal DCT-II matrix, ``sine`` the
     (n-1)-by-(n-1) orthonormal DST-I matrix.  Dense factors are meant for
-    verification at small n; production transforms go through
-    :func:`dct_axis`.
+    verification at small n; :class:`PoissonPlan` applies ``C`` through
+    scipy.fft instead.
     """
 
     n: int
@@ -102,22 +87,6 @@ def diff_factors(n: int) -> DiffFactors:
     i = np.arange(1, n)
     sine = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(i, i) / n)
     return DiffFactors(n=n, sigma=sigma, cosine=cosine, sine=sine)
-
-
-def dct_axis(u: np.ndarray, axis: int, direction: str = "forward") -> np.ndarray:
-    """Orthonormal cosine transform along one axis via FFT.
-
-    ``forward`` applies the DCT-II factor ``C``; ``inverse`` applies its
-    transpose, so the two compose to the identity.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    if not -u.ndim <= axis < u.ndim:
-        raise DimensionError(f"axis {axis} out of range for {u.ndim}-d field")
-    if direction == "forward":
-        return _fft.dct(u, type=2, axis=axis, norm="ortho")
-    if direction == "inverse":
-        return _fft.dct(u, type=3, axis=axis, norm="ortho")
-    raise ParameterError(f"direction must be 'forward' or 'inverse', got {direction!r}")
 
 
 def grad_operator_norm(dims) -> float:
@@ -183,17 +152,10 @@ class PoissonPlan:
         return _fft.idctn(fhat, type=2, norm="ortho")
 
 
-def poisson_solve(f: np.ndarray, plan: PoissonPlan | None = None) -> np.ndarray:
-    """Convenience wrapper around :meth:`PoissonPlan.solve`."""
-    if plan is None:
-        plan = PoissonPlan(np.shape(f))
-    return plan.solve(f)
-
-
 def project_gradient_field(v: np.ndarray, plan: PoissonPlan | None = None) -> np.ndarray:
     """Orthogonal projection of a vector field onto the gradient subspace.
 
-    Computes ``grad(poisson_solve(adjoint_grad(v)))``; the result is the
+    Computes ``grad(plan.solve(adjoint_grad(v)))``; the result is the
     closest field expressible as ``grad(u)``.  Idempotent and self-adjoint.
     """
     v = np.asarray(v, dtype=np.float64)

@@ -12,6 +12,7 @@ Payloads and headers are written atomically (temp file, then rename) by
 from __future__ import annotations
 
 import json
+import math
 import os
 import uuid
 from dataclasses import dataclass
@@ -53,8 +54,11 @@ class VolumeHeader:
             raise VolumeFormatError(f"unsupported layout {self.layout!r}")
         if self.value_range is not None:
             lo, hi = self.value_range
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                raise VolumeFormatError(f"value_range {self.value_range} is not an increasing finite pair")
+            # NaN fails lo < hi, and a finite width implies finite ends
+            if not (lo < hi and math.isfinite(float(hi) - float(lo))):
+                raise VolumeFormatError(
+                    f"value_range {self.value_range} is not an increasing pair of finite width"
+                )
 
     def payload_bytes(self) -> int:
         count = 1

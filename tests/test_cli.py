@@ -334,6 +334,7 @@ def test_out_of_memory_exits_5(tmp_path, monkeypatch, capsys):
     ("value_range", [0, "x"]),
     ("value_range", [0, 10**400]),
     ("value_range", [False, True]),
+    ("value_range", [-1e308, 1e308]),
     ("dims", "44"),
     ("dims", [4, 4.7]),
 ])

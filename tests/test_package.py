@@ -33,3 +33,17 @@ def test_module_level_helpers_stay_out_of_the_package(module, name):
     assert callable(getattr(importlib.import_module(f"tvstokes.{module}"), name))
     assert name not in tvstokes.__all__
     assert not hasattr(tvstokes, name)
+
+
+@pytest.mark.parametrize("module, name", [
+    ("fields", "mode_apply"),
+    ("spectral", "dct_axis"),
+    ("spectral", "diff_matrix"),
+    ("spectral", "poisson_solve"),
+])
+def test_verification_helpers_left_the_library(module, name):
+    mod = importlib.import_module(f"tvstokes.{module}")
+    assert name not in tvstokes.__all__
+    assert name not in mod.__all__
+    assert not hasattr(mod, name)
+    assert not hasattr(tvstokes, name)

@@ -217,6 +217,14 @@ def test_non_finite_eps_rejected(eps):
         pointwise_normalize(np.zeros((2, 4, 4)), eps)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_field_rejected(bad):
+    g = np.zeros((2, 4, 4))
+    g[1, 2, 3] = bad
+    with pytest.raises(ParameterError):
+        reconstruct(np.zeros((4, 4)), g, ReconstructionConfig())
+
+
 def test_dual_step_matches_driver():
     u0 = rand_scalar((6, 5, 4), 22)
     g = rand_vector((6, 5, 4), 23)
