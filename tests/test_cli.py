@@ -334,9 +334,9 @@ def test_out_of_memory_exits_5(tmp_path, monkeypatch, capsys):
     ("value_range", [0, "x"]),
     ("value_range", [0, 10**400]),
     ("value_range", [False, True]),
-    ("value_range", [-1e308, 1e308]),
     ("dims", "44"),
     ("dims", [4, 4.7]),
+    ("value_range", [-1e308, 1e308]),
 ])
 def test_malformed_header_exits_3(tmp_path, capsys, field, value):
     raw = tmp_path / "vol.raw"
