@@ -23,7 +23,7 @@ from .errors import (
 from .metrics import psnr, staircase_metric
 from .noise import add_gaussian_noise
 from .pipeline import run_denoise, run_project
-from .volume_io import export_slice, load_volume, read_header, save_volume, default_header_path
+from .volume_io import _read_volume, export_slice, load_volume, save_volume
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -115,8 +115,7 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_add_noise(args) -> int:
-    header = read_header(args.meta if args.meta else default_header_path(args.input))
-    u = load_volume(args.input, args.meta)
+    header, u = _read_volume(args.input, args.meta)
     noisy = add_gaussian_noise(u, args.sigma, args.seed)
     save_volume(noisy, args.output, dtype=header.dtype, value_range=header.value_range)
     return EXIT_OK
@@ -143,8 +142,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_slice(args) -> int:
-    header = read_header(args.meta if args.meta else default_header_path(args.input))
-    u = load_volume(args.input, args.meta)
+    header, u = _read_volume(args.input, args.meta)
     export_slice(u, args.axis, args.index, args.out, value_range=header.value_range)
     return EXIT_OK
 

@@ -1,13 +1,22 @@
 """The semi-implicit dual projection core shared by every solver.
 
 Each model solves its dual, a field ``p`` with pointwise tuple norms at most 1
-over ``channel_ndim`` leading axes (1 for a vector dual, 2 for a tensor dual),
-by the iteration ``p <- unit_clip(p - tau * A(p))`` (Chambolle, JMIV 2004),
-which is nonexpansive for ``tau <= 1/(2d)``.  A model supplies its residual
-``A(p)``, the map recovering its primal solution from ``p`` and its objective.
+over ``channel_ndim`` leading axes, by the iteration
+``p <- unit_clip(p - tau * A(p))`` (Chambolle, JMIV 2004), which is
+nonexpansive for ``tau <= 1/(2d)``.  A model supplies its residual ``A(p)``,
+the map recovering its primal solution from ``p`` and its objective.
+
+A dual may be stored packed: ``channels`` then lists, in the order the tuple
+norm adds their squares, the stored channel of every entry of the tuple, so
+a stored channel listed twice counts twice.  Reconstruction and ROF store
+their vector dual as it is.  The smoothing stores the ``d(d+1)/2`` channels
+of its symmetric tensor dual along one leading axis and lists each
+off-diagonal channel twice, in the C order of the ``(d, d)`` tensor, so its
+norms equal the full tensor's bit for bit.
 
 :func:`iterate` is the one loop: the drivers run it from a zero dual, and each
-model's ``dual_step`` runs one step of it, so single steps retrace a driver.
+model's ``dual_step`` checks its input with :func:`require_feasible` and runs
+one step of it, so single steps retrace a driver.
 """
 
 from __future__ import annotations
@@ -19,10 +28,10 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DivergenceError, ParameterError
-from .fields import max_tuple_norm, tuple_norm
+from .fields import max_tuple_norm
 from .spectral import dual_step_bound
 
-__all__ = ["DualConfig", "DualResult", "checked_step", "iterate", "stationarity_residual"]
+__all__ = ["DualConfig", "DualResult", "require_feasible", "iterate", "stationarity_residual"]
 
 
 @dataclass(frozen=True)
@@ -69,18 +78,21 @@ class DualResult:
     objective: float
 
 
-def checked_step(p, residual, tau: float, channel_ndim: int) -> np.ndarray:
-    """One step of :func:`iterate` from a feasible ``p``."""
+def require_feasible(p, channel_ndim: int) -> None:
+    """Raise unless ``p`` is finite with pointwise tuple norms at most 1."""
     if not max_tuple_norm(p, channel_ndim=channel_ndim) <= 1.0 + 1e-12:  # NaN fails too
         raise ParameterError("dual field violates the pointwise unit bound or is not finite")
-    return iterate(residual, p, channel_ndim, tau, 1, 0.0)[0]
 
 
-def iterate(residual, p, channel_ndim: int, tau: float, max_iters: int, tol: float):
+def iterate(residual, p, channel_ndim: int, tau: float, max_iters: int, tol: float,
+            channels=None):
     """Iterate from the dual ``p``; returns ``(p, iters, final_change)``.
 
     Stops once the pointwise max norm of the increment drops to ``tol`` or
     after ``max_iters >= 1`` steps; a non-finite increment raises.
+    ``channels`` lists the stored channel of each tuple entry (see the module
+    docstring); by default every channel over the first ``channel_ndim`` axes,
+    once, in C order.
 
     ``residual(p, out)`` writes ``A(p)`` into ``out``.  The work arrays, a
     private copy of ``p`` and a scratch dual swapped every step plus two grids,
@@ -90,15 +102,17 @@ def iterate(residual, p, channel_ndim: int, tau: float, max_iters: int, tol: flo
     p = np.array(p, dtype=np.float64, order="C")
     q = np.empty_like(p)
     norm, scratch = np.empty((2,) + p.shape[channel_ndim:])
-    channels = list(np.ndindex(p.shape[:channel_ndim]))
+    if channels is None:
+        channels = list(np.ndindex(p.shape[:channel_ndim]))
     for iters in range(1, max_iters + 1):
-        residual(p, q)  # then q <- unit_clip(p - tau*q), channel by channel
+        residual(p, q)  # then q <- unit_clip(p - tau*q)
         np.multiply(q, tau, out=q)
         np.subtract(p, q, out=q)
         _sum_squares((q[c] for c in channels), norm, scratch)
         np.sqrt(norm, out=norm)
         np.divide(q, np.maximum(norm, 1.0, out=norm), out=q)
-        _sum_squares((np.subtract(q[c], p[c], out=scratch) for c in channels), norm, scratch)
+        np.subtract(p, q, out=p)  # minus the increment: p is not read again
+        _sum_squares((p[c] for c in channels), norm, scratch)
         change = float(np.sqrt(norm.max()))  # max_tuple_norm(q - p)
         if not math.isfinite(change):
             raise DivergenceError(f"dual update diverged at iteration {iters}")
@@ -117,17 +131,25 @@ def _sum_squares(grids, out: np.ndarray, scratch: np.ndarray) -> None:
             np.multiply(g, g, out=out)
 
 
-def stationarity_residual(w: np.ndarray, p: np.ndarray, channel_ndim: int) -> float:
+def stationarity_residual(w: np.ndarray, p: np.ndarray, channel_ndim: int,
+                          channels=None) -> float:
     """Max-abs of ``w + |w| * p`` for ``w = A(p)`` and ``|w|`` the pointwise tuple norm.
 
-    It is zero exactly at fixed points of the update, and NaN if ``w`` or
-    ``p`` holds a NaN.  Computed channel by channel in one grid scratch.
+    ``channels`` lists the stored channel of ``w`` paired with each channel of
+    ``p``, these in C order over its first ``channel_ndim`` axes; by default
+    ``w`` is stored like ``p``.  The result is zero exactly at fixed points of
+    the update, and NaN if ``w`` or ``p`` holds a NaN.  Computed channel by
+    channel in two grid scratches.
     """
-    norm = tuple_norm(w, channel_ndim=channel_ndim)
-    term = np.empty_like(norm)
+    entries = list(np.ndindex(p.shape[:channel_ndim]))
+    if channels is None:
+        channels = entries
+    norm, term = np.empty((2,) + p.shape[channel_ndim:])
+    _sum_squares((w[c] for c in channels), norm, term)
+    np.sqrt(norm, out=norm)
     worst = []
-    for c in np.ndindex(w.shape[:channel_ndim]):
-        np.multiply(norm, p[c], out=term)
+    for e, c in zip(entries, channels):
+        np.multiply(norm, p[e], out=term)
         term += w[c]
         worst.append(np.abs(term, out=term).max())
     return float(np.max(worst))  # np.max keeps a NaN that Python's max may drop

@@ -7,6 +7,9 @@ Field layout conventions used throughout the package:
   difference of a scalar field along axis ``l``
 * tensor field   -- ``(d, d, N1, ..., Nd)``, channel ``(l, m)`` holds the
   axis-``m`` difference of vector channel ``l``
+* packed symmetric tensor field -- ``(d(d+1)/2, N1, ..., Nd)``, channel ``k``
+  holds the ``k``-th pair ``(l, m)`` with ``l <= m`` in row-major order (the
+  order of ``np.triu_indices(d)``), standing for both ``(l, m)`` and ``(m, l)``
 
 Channels lead so that grid-shaped reductions broadcast against them and every
 axis-wise stencil streams the contiguous last axis.  The one-sided difference
@@ -14,11 +17,14 @@ stencil is ``[-1, +1]`` with a zero last row, which encodes homogeneous
 Neumann boundaries; consequently a differentiated field always vanishes on
 the final slice of its own axis.
 
-Two private kernels carry the four operators: ``_grad`` under ``grad`` and
-``grad_vec``, its transpose ``_adjoint`` under the two adjoints.  Both work
-on one contiguous channel grid at a time, since a ufunc over a whole stacked
-field makes numpy allocate iterator buffers of several grids.  The forward
-operators write into a caller's ``out`` array when given one.
+Two private one-axis kernels, the difference ``_diff`` and its transpose
+``_diff_t``, carry every operator: ``grad`` and ``grad_vec``, the two
+adjoints, and the packed Hessian pair :func:`hessian` / :func:`adjoint_hessian`
+that the gradient-field smoothing iterates on (public at module level only,
+not in ``__all__``).  The kernels work on one contiguous channel grid at a
+time, since a ufunc over a whole stacked field makes numpy allocate iterator
+buffers of several grids.  The forward operators write into a caller's
+``out`` array when given one.
 
 Operators in this module assume finite float inputs (see
 :func:`validate_field`); only cheap structural checks are performed here.
@@ -66,6 +72,33 @@ def validate_field(u, name: str = "field") -> np.ndarray:
     return u
 
 
+def _diff(u, axis: int, out) -> np.ndarray:
+    """Write the axis-``axis`` forward difference of the grid ``u`` into ``out``."""
+    src, dst = u.swapaxes(0, axis), out.swapaxes(0, axis)
+    np.subtract(src[1:], src[:-1], out=dst[:-1])
+    dst[-1] = 0.0
+    return out
+
+
+def _diff_t(v, axis: int, out, scratch=None) -> np.ndarray:
+    """Transpose of :func:`_diff` applied to the grid ``v``.
+
+    Writes into ``out``, or adds to it when given a ``scratch`` grid, which
+    holds the interior term before it is added.
+    """
+    dst, v = out.swapaxes(0, axis), v.swapaxes(0, axis)
+    first, mid, last = dst[:1], dst[1:-1], dst[-1:]  # views, also in 1-d
+    if scratch is None:
+        np.negative(v[:1], out=first)
+        np.subtract(v[:-2], v[1:-1], out=mid)
+        last[...] = v[-2:-1]
+    else:
+        first -= v[:1]
+        mid += np.subtract(v[:-2], v[1:-1], out=scratch.swapaxes(0, axis)[1:-1])
+        last += v[-2:-1]
+    return out
+
+
 def _grad(u, lead: int, out=None) -> np.ndarray:
     """Forward differences of each channel ``u[c]``, ``c`` over the first ``lead`` axes.
 
@@ -77,9 +110,7 @@ def _grad(u, lead: int, out=None) -> np.ndarray:
         out = np.empty(u.shape[:lead] + (len(dims),) + dims)
     for c in np.ndindex(u.shape[:lead]):
         for axis, dst in enumerate(out[c]):
-            src, dst = u[c].swapaxes(0, axis), dst.swapaxes(0, axis)
-            np.subtract(src[1:], src[:-1], out=dst[:-1])
-            dst[-1] = 0.0
+            _diff(u[c], axis, dst)
     return out
 
 
@@ -97,16 +128,7 @@ def _adjoint(p, lead: int) -> np.ndarray:
     scratch = np.empty(dims)
     for c in np.ndindex(p.shape[:lead]):
         for axis, v in enumerate(p[c]):
-            dst, v = out[c].swapaxes(0, axis), v.swapaxes(0, axis)
-            first, mid, last = dst[:1], dst[1:-1], dst[-1:]  # views, also in 1-d
-            if axis == 0:
-                np.negative(v[:1], out=first)
-                np.subtract(v[:-2], v[1:-1], out=mid)
-                last[...] = v[-2:-1]
-            else:
-                first -= v[:1]
-                mid += np.subtract(v[:-2], v[1:-1], out=scratch.swapaxes(0, axis)[1:-1])
-                last += v[-2:-1]
+            _diff_t(v, axis, out[c], scratch if axis else None)
     return out
 
 
@@ -135,6 +157,50 @@ def adjoint_grad(p: np.ndarray) -> np.ndarray:
 def adjoint_grad_tensor(p: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`grad_vec`; output channel ``l`` sums over ``m``."""
     return _adjoint(p, 1)
+
+
+def hessian(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Packed symmetric second differences of a scalar field, ``(d(d+1)/2, *dims)``.
+
+    Channel ``k`` of pair ``(l, m)``, ``l <= m``, is the axis-``m`` difference
+    of the axis-``l`` difference: channel ``(l, m)`` of ``grad_vec(grad(u))``,
+    bit for bit, in ``d`` + ``d(d+1)/2`` stencil passes instead of ``d + d^2``.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    d = u.ndim
+    if out is None:
+        out = np.empty((d * (d + 1) // 2,) + u.shape)
+    channels, du = iter(out), np.empty_like(u)
+    for l in range(d):
+        _diff(u, l, du)
+        for m in range(l, d):
+            _diff(du, m, next(channels))
+    return out
+
+
+def adjoint_hessian(q: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`hessian` when off-diagonal channels count twice.
+
+    Equals ``adjoint_grad(adjoint_grad_tensor(p))`` for the symmetric tensor
+    ``p`` that ``q`` packs, up to roundoff, as
+    ``sum_l D_l^T (D_l^T q_ll + 2 sum_{m>l} D_m^T q_lm)``: transposed
+    differences along distinct axes commute.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    dims = q.shape[1:]
+    d = len(dims)
+    if d < 1 or len(q) != d * (d + 1) // 2:
+        raise DimensionError(f"not a packed symmetric tensor field: shape {q.shape}")
+    out, row, scratch = np.empty(dims), np.empty(dims), np.empty(dims)
+    # the last axis, the slowest to stride along, is written rather than added where it can be
+    for l in reversed(range(d)):
+        first = l * (2 * d - l + 1) // 2  # the packed channel of (l, l)
+        for i, m in enumerate(range(d - 1, l - 1, -1)):
+            if m == l and i:
+                row *= 2.0
+            _diff_t(q[first + m - l], m, row, scratch if i else None)
+        _diff_t(row, l, out, scratch if l < d - 1 else None)
+    return out
 
 
 def divergence(v: np.ndarray) -> np.ndarray:

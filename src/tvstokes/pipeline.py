@@ -22,14 +22,7 @@ from .reconstruction import ReconstructionConfig, reconstruct
 from .rof import RofConfig, rof_denoise
 from .smoothing import SmoothingConfig, smooth_gradient_field
 from .spectral import PoissonPlan, grad_operator_norm, project_gradient_field
-from .volume_io import (
-    VolumeHeader,
-    default_header_path,
-    load_volume,
-    read_header,
-    save_volume,
-    write_atomic,
-)
+from .volume_io import VolumeHeader, _read_volume, load_volume, save_volume, write_atomic
 
 __all__ = ["StepStats", "RunReport", "run_denoise", "run_project"]
 
@@ -82,6 +75,10 @@ class RunReport:
         return cls.from_dict(json.loads(text))
 
 
+def _stats(result) -> StepStats:
+    return StepStats(result.iters, result.final_change, result.kkt_residual, result.objective)
+
+
 def _normalize(u: np.ndarray, header: VolumeHeader):
     """Rescale to [0, 1] when the header declares a value range."""
     if header.value_range is None:
@@ -128,8 +125,7 @@ def run_denoise(
         raise ParameterError(f"unknown model {model!r}; expected one of {MODELS}")
     t_start = time.perf_counter()
 
-    header = read_header(default_header_path(data_path) if header_path is None else header_path)
-    u_raw = load_volume(data_path, header_path)
+    header, u_raw = _read_volume(data_path, header_path)
     u, norm_info = _normalize(u_raw, header)
     u = validate_field(u, "input volume")
     d = u.ndim
@@ -141,16 +137,18 @@ def run_denoise(
         cfg1.validate(d)
         cfg.validate(d)  # reject bad step-2 parameters before step 1 runs
         r1 = smooth_gradient_field(u, cfg1)
-        result = reconstruct(u, r1.g, cfg)
-        results = {"smoothing": r1, "reconstruction": result}
+        steps = {"smoothing": _stats(r1)}
+        g = r1.g
+        del r1  # step 2 needs only g, not the step-1 dual
+        result = reconstruct(u, g, cfg)
+        del g
+        steps["reconstruction"] = _stats(result)
         config = {"model": model, "lambda1": float(lam1), "lambda2": float(lam2), "eps": float(eps)}
     else:
         cfg = RofConfig(lam=lam, **shared)
         result = rof_denoise(u, cfg)
-        results = {"rof": result}
+        steps = {"rof": _stats(result)}
         config = {"model": model, "lambda": float(lam)}
-    steps = {n: StepStats(r.iters, r.final_change, r.kkt_residual, r.objective)
-             for n, r in results.items()}
 
     config.update(
         {

@@ -28,7 +28,7 @@ from functools import partial
 
 import numpy as np
 
-from .dual import DualConfig, DualResult, checked_step, iterate, stationarity_residual
+from .dual import DualConfig, DualResult, iterate, require_feasible, stationarity_residual
 from .errors import DimensionError, ParameterError
 from .fields import (
     adjoint_grad, divergence, grad, inner, iso_l1_norm, pointwise_normalize, validate_field,
@@ -106,7 +106,9 @@ def dual_step(
 ) -> np.ndarray:
     """Apply one semi-implicit dual update to a feasible vector dual."""
     residual, p = _bind(p, u0, m, cfg.lam)
-    return checked_step(p, residual, cfg.validate(len(p)), channel_ndim=1)
+    tau = cfg.validate(len(p))
+    require_feasible(p, channel_ndim=1)
+    return iterate(residual, p, 1, tau, 1, 0.0)[0]
 
 
 def solve_shifted(u0, m, cfg: DualConfig, tau: float, objective) -> ReconstructionResult:

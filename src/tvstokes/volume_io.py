@@ -165,6 +165,15 @@ def write_header(header: VolumeHeader, header_path) -> None:
 
 def load_volume(data_path, header_path=None) -> np.ndarray:
     """Load a raw volume as float64, checking payload size and finiteness."""
+    return _read_volume(data_path, header_path)[1]
+
+
+def _read_volume(data_path, header_path=None) -> tuple[VolumeHeader, np.ndarray]:
+    """The header and the float64 values of a volume, the header read once.
+
+    Callers that need the header's ``dtype`` or ``value_range`` take it from
+    here, so a header replaced on disk cannot pair the payload with another.
+    """
     data_path = Path(data_path)
     header = read_header(default_header_path(data_path) if header_path is None else header_path)
     dtype = _DTYPES[header.dtype]
@@ -183,7 +192,7 @@ def load_volume(data_path, header_path=None) -> np.ndarray:
     values = values.reshape(header.dims).astype(np.float64, copy=False)
     if not np.isfinite(values).all():
         raise VolumeFormatError(f"payload {data_path} contains non-finite values")
-    return values
+    return header, values
 
 
 def save_volume(

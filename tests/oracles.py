@@ -1,13 +1,17 @@
 """Independent dense oracles and random-field helpers for the test suite.
 
-Everything here is built from first principles (explicit stencils, Kronecker
-products, SVD pseudoinverses) so it exercises none of the fast paths it is
-used to check.
+The dense oracles are built from first principles (explicit stencils,
+Kronecker products, SVD pseudoinverses) so they exercise none of the fast
+paths they are used to check.  The reference implementations, ``mode_apply``,
+the naive dual loop and the full-tensor step-1 residual, are the simple forms
+that the library's paths replaced; tests compare the two.
 """
 
 import numpy as np
 
 from tvstokes.errors import DimensionError
+from tvstokes.fields import adjoint_grad_tensor, grad_vec
+from tvstokes.spectral import project_gradient_field
 
 
 def dense_diff(n):
@@ -130,3 +134,26 @@ def reference_iterate(residual, p, channel_ndim, tau, max_iters, tol):
         if change <= tol:
             break
     return p, iters, change
+
+
+def symmetric_packing(d):
+    """``(rows, cols, index)`` of the packed symmetric layout, written out independently.
+
+    Packed channel ``k`` holds ``(rows[k], cols[k])``, the row-major upper
+    triangle; ``index[l, m]`` is the packed channel of ``(l, m)`` and ``(m, l)``.
+    """
+    rows, cols = np.triu_indices(d)
+    index = np.empty((d, d), dtype=int)
+    index[rows, cols] = index[cols, rows] = np.arange(len(rows))
+    return rows, cols, index
+
+
+def full_tensor_residual(p, g0, lam, plan=None):
+    """Step-1 residual on the full ``(d, d)`` tensor dual, the form the packed one replaced.
+
+    ``A(p) = grad_vec(project(adjoint_grad_tensor(p)) - g0/lam)``: 12 stencil
+    passes at d = 3 where the packed potential form takes 9 each way.
+    """
+    v = project_gradient_field(adjoint_grad_tensor(p), plan)
+    v -= g0 / lam
+    return grad_vec(v)

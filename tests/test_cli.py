@@ -383,3 +383,37 @@ def test_failed_report_write_keeps_previous_report(tmp_path, monkeypatch):
         run_denoise("rof", inp, report_path=rep, max_iters=5)
     monkeypatch.undo()
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+# ------------------------------------------------------------- header reads
+
+READERS = {
+    "run_denoise": lambda inp, tmp_path: run_denoise("tvstokes", inp, max_iters=2),
+    "add-noise": lambda inp, tmp_path: main([
+        "add-noise", "--input", str(inp), "--sigma", "0.1", "--output", str(tmp_path / "n.raw")]),
+    "slice": lambda inp, tmp_path: main([
+        "slice", "--input", str(inp), "--axis", "0", "--index", "1",
+        "--out", str(tmp_path / "s.pgm")]),
+}
+
+
+@pytest.mark.parametrize("call", READERS)
+def test_input_header_is_read_once(tmp_path, monkeypatch, call):
+    """One read pairs the payload with the header it was checked against."""
+    import tvstokes.cli
+    import tvstokes.pipeline
+    import tvstokes.volume_io
+
+    inp = make_noisy(tmp_path, dims=(4, 5, 6))
+    reads = []
+    original = tvstokes.volume_io.read_header
+
+    def counting(path):
+        reads.append(path)
+        return original(path)
+
+    for module in (tvstokes.volume_io, tvstokes.pipeline, tvstokes.cli):
+        if hasattr(module, "read_header"):
+            monkeypatch.setattr(module, "read_header", counting)
+    READERS[call](inp, tmp_path)
+    assert len(reads) == 1

@@ -20,6 +20,7 @@ from tvstokes import (
     unit_clip,
     validate_field,
 )
+from tvstokes.fields import adjoint_hessian, hessian
 from oracles import brute_inner, dense_diff, mode_apply, rand_scalar, rand_vector, rand_tensor
 
 
@@ -272,3 +273,37 @@ def test_vector_operators_act_channel_by_channel(dims):
     for l in range(len(dims)):
         assert gv[l].tobytes() == grad(g[l]).tobytes()
         assert at[l].tobytes() == adjoint_grad(p[l]).tobytes()
+
+
+# ------------------------------------------------- packed symmetric Hessian
+
+@pytest.mark.parametrize("dims", [(5,), (4, 6), (3, 4, 5), (2, 3, 2, 4)])
+def test_hessian_is_the_upper_triangle_of_grad_vec_grad(dims):
+    u = rand_scalar(dims, 25)
+    rows, cols = np.triu_indices(len(dims))
+    want = grad_vec(grad(u))[rows, cols]
+    assert hessian(u).tobytes() == want.tobytes()
+    out = np.full_like(want, np.nan)
+    assert hessian(u, out=out) is out and out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dims", [(5,), (4, 6), (3, 4, 5), (2, 3, 2, 4)])
+def test_adjoint_hessian_identities(dims):
+    d = len(dims)
+    rows, cols = np.triu_indices(d)
+    weights = np.where(rows == cols, 1.0, 2.0)  # off-diagonal channels count twice
+    u = rand_scalar(dims, 26)
+    t = rand_tensor(dims, 27)
+    p = t + t.swapaxes(0, 1)
+    q = p[rows, cols]
+    h = hessian(u)
+    lhs = sum(w * brute_inner(a, b) for w, a, b in zip(weights, h, q))
+    assert abs(lhs - brute_inner(u, adjoint_hessian(q))) <= 1e-12 * l2_norm(u) * l2_norm(p)
+    want = adjoint_grad(adjoint_grad_tensor(p))
+    assert np.max(np.abs(adjoint_hessian(q) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 4, 4), (6, 4, 4), (3, 4, 4, 4)])
+def test_adjoint_hessian_rejects_unpacked_shapes(shape):
+    with pytest.raises(DimensionError):
+        adjoint_hessian(np.zeros(shape))

@@ -28,6 +28,8 @@ def test_exported_names_are_the_module_objects(module):
     ("reconstruction", "dual_step"),
     ("reconstruction", "solve_shifted"),
     ("volume_io", "write_atomic"),
+    ("fields", "hessian"),
+    ("fields", "adjoint_hessian"),
 ])
 def test_module_level_helpers_stay_out_of_the_package(module, name):
     assert callable(getattr(importlib.import_module(f"tvstokes.{module}"), name))

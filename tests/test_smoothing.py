@@ -5,6 +5,7 @@ import pytest
 
 from tvstokes import (
     ParameterError,
+    PoissonPlan,
     SmoothingConfig,
     adjoint_grad_tensor,
     grad,
@@ -18,9 +19,13 @@ from tvstokes import (
     smoothing_objective,
     unit_clip,
 )
+from tvstokes import smoothing
 from tvstokes.smoothing import dual_step
 
-from oracles import feasible_tensor, rand_scalar
+from oracles import (
+    feasible_tensor, full_tensor_residual, rand_scalar, rand_tensor, reference_iterate,
+    symmetric_packing,
+)
 
 
 def test_zero_dual_zero_data_is_fixed_point():
@@ -185,3 +190,66 @@ def test_non_finite_data_raises_divergence_error():
     g0[0, 0, 0] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
         dual_step(np.zeros((2, 2, 4, 4)), g0, SmoothingConfig())
+
+
+# ------------------------------------------------- packed symmetric dual
+
+GRIDS = [(9,), (6, 5), (5, 4, 3), (3, 3, 2, 3)]  # 1, 3, 6 and 10 packed channels
+
+
+@pytest.mark.parametrize("dims", GRIDS, ids=str)
+def test_packed_residual_matches_full_tensor_oracle(dims):
+    d = len(dims)
+    t = rand_tensor(dims, 20)
+    p = t + t.swapaxes(0, 1)
+    g0 = grad(rand_scalar(dims, 21))
+    lam = 0.3
+    plan = PoissonPlan(dims)
+    rows, cols, index = symmetric_packing(d)
+    got = smoothing._bind(g0, lam, plan)(p[rows, cols], None)
+    assert got.shape == (d * (d + 1) // 2,) + dims
+    want = full_tensor_residual(p, g0, lam, plan)
+    assert np.max(np.abs(got[index] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dims", GRIDS, ids=str)
+def test_driver_matches_reference_loop_on_full_tensor_oracle(dims):
+    d = len(dims)
+    u = rand_scalar(dims, 22)
+    cfg = SmoothingConfig(lam=0.3, max_iters=40, tol=0.0)
+    g0 = grad(u)
+    plan = PoissonPlan(dims)
+    p, iters, _ = reference_iterate(
+        lambda p: full_tensor_residual(p, g0, cfg.lam, plan),
+        np.zeros((d, d) + dims), 2, cfg.resolve_tau(d), 40, 0.0)
+    want = g0 - cfg.lam * project_gradient_field(adjoint_grad_tensor(p), plan)
+    res = smooth_gradient_field(u, cfg)
+    assert res.iters == iters == 40
+    assert np.max(np.abs(res.g - want)) <= 1e-10
+    assert np.max(np.abs(res.p - p)) <= 1e-10
+
+
+def test_dual_step_acts_on_the_symmetric_part():
+    dims = (6, 5)
+    g0 = grad(rand_scalar(dims, 23))
+    cfg = SmoothingConfig(lam=0.2)
+    p = feasible_tensor(dims, 24)  # not symmetric
+    got = dual_step(p, g0, cfg)
+    assert got.tobytes() == got.swapaxes(0, 1).tobytes()
+    assert got.tobytes() == dual_step(0.5 * (p + p.swapaxes(0, 1)), g0, cfg).tobytes()
+    # the given dual is checked, not its symmetric part: here that part is zero
+    skew = np.zeros((2, 2) + dims)
+    skew[0, 1], skew[1, 0] = 2.0, -2.0
+    with pytest.raises(ParameterError):
+        dual_step(skew, g0, cfg)
+
+
+def test_kkt_residual_checks_the_given_dual_against_the_symmetric_residual():
+    dims = (5, 4)
+    g0 = grad(rand_scalar(dims, 25))
+    lam = 0.2
+    p = feasible_tensor(dims, 26, scale=0.5)
+    w = full_tensor_residual(0.5 * (p + p.swapaxes(0, 1)), g0, lam)
+    norm = np.sqrt(np.sum(w * w, axis=(0, 1)))
+    want = np.max(np.abs(w + norm * p))
+    assert smoothing_kkt_residual(p, g0, lam) == pytest.approx(want, rel=1e-12)
