@@ -16,7 +16,12 @@ norms equal the full tensor's bit for bit.
 
 :func:`iterate` is the one loop: the drivers run it from a zero dual, and each
 model's ``dual_step`` checks its input with :func:`require_feasible` and runs
-one step of it, so single steps retrace a driver.
+one step of it, so single steps retrace a driver.  A step calls the residual
+on the whole grid, then runs the pointwise update (the scaled step, the clip
+and the increment norm, ~25 passes over a vector dual and ~60 over a packed
+one) slab by slab over the first grid axis, so that a slab's channels stay in
+cache across those passes; the update is pointwise, so the result does not
+depend on the slab size.
 """
 
 from __future__ import annotations
@@ -32,6 +37,12 @@ from .fields import max_tuple_norm
 from .spectral import dual_step_bound
 
 __all__ = ["DualConfig", "DualResult", "require_feasible", "iterate", "stationarity_residual"]
+
+# Grid entries per slab of the pointwise update: few enough that a slab's
+# channels stay in L2 cache across the ~25-60 passes of one step.  On a Xeon
+# with 4 MiB L2 and one thread, 16K-32K entries timed best for the packed 64^3
+# and the vector 160x160x16 dual; whole grids took 25-35% longer per update.
+_SLAB = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -95,25 +106,35 @@ def iterate(residual, p, channel_ndim: int, tau: float, max_iters: int, tol: flo
     once, in C order.
 
     ``residual(p, out)`` writes ``A(p)`` into ``out``.  The work arrays, a
-    private copy of ``p`` and a scratch dual swapped every step plus two grids,
-    are allocated once.  Each step equals ``unit_clip(p - tau*A(p))`` and
-    ``max_tuple_norm`` of its increment bit for bit.
+    private copy of ``p`` and a scratch dual swapped every step plus two
+    slab-sized grids, are allocated once.  Each step equals
+    ``unit_clip(p - tau*A(p))`` and ``max_tuple_norm`` of its increment bit
+    for bit.
     """
     p = np.array(p, dtype=np.float64, order="C")
     q = np.empty_like(p)
-    norm, scratch = np.empty((2,) + p.shape[channel_ndim:])
+    grid = p.shape[channel_ndim:]
+    rows = max(1, _SLAB // math.prod(grid[1:]))  # the slab's span of the first grid axis
+    lead = (slice(None),) * channel_ndim
+    slabs = [(lead + (slice(a, a + rows),), slice(min(rows, grid[0] - a)))
+             for a in range(0, grid[0], rows)]
+    norm, scratch = np.empty((2, min(rows, grid[0])) + grid[1:])
+    maxima = np.empty(len(slabs))
     if channels is None:
         channels = list(np.ndindex(p.shape[:channel_ndim]))
     for iters in range(1, max_iters + 1):
-        residual(p, q)  # then q <- unit_clip(p - tau*q)
-        np.multiply(q, tau, out=q)
-        np.subtract(p, q, out=q)
-        _sum_squares((q[c] for c in channels), norm, scratch)
-        np.sqrt(norm, out=norm)
-        np.divide(q, np.maximum(norm, 1.0, out=norm), out=q)
-        np.subtract(p, q, out=p)  # minus the increment: p is not read again
-        _sum_squares((p[c] for c in channels), norm, scratch)
-        change = float(np.sqrt(norm.max()))  # max_tuple_norm(q - p)
+        residual(p, q)
+        for i, (slab, part) in enumerate(slabs):  # then q <- unit_clip(p - tau*q)
+            ps, qs, n, t = p[slab], q[slab], norm[part], scratch[part]
+            np.multiply(qs, tau, out=qs)
+            np.subtract(ps, qs, out=qs)
+            _sum_squares((qs[c] for c in channels), n, t)
+            np.sqrt(n, out=n)
+            np.divide(qs, np.maximum(n, 1.0, out=n), out=qs)
+            np.subtract(ps, qs, out=ps)  # minus the increment: p is not read again
+            _sum_squares((ps[c] for c in channels), n, t)
+            maxima[i] = n.max()  # a NaN stays a NaN
+        change = float(np.sqrt(maxima.max()))  # max_tuple_norm(q - p)
         if not math.isfinite(change):
             raise DivergenceError(f"dual update diverged at iteration {iters}")
         p, q = q, p
@@ -135,9 +156,11 @@ def stationarity_residual(w: np.ndarray, p: np.ndarray, channel_ndim: int,
                           channels=None) -> float:
     """Max-abs of ``w + |w| * p`` for ``w = A(p)`` and ``|w|`` the pointwise tuple norm.
 
-    ``channels`` lists the stored channel of ``w`` paired with each channel of
-    ``p``, these in C order over its first ``channel_ndim`` axes; by default
-    ``w`` is stored like ``p``.  The result is zero exactly at fixed points of
+    ``channels`` lists the stored channel of ``w`` for each tuple entry, as
+    for :func:`iterate`; by default ``w``'s channels over the first
+    ``channel_ndim`` axes of ``p``, in C order.  ``p`` is either stored like
+    ``w`` or holds one channel per tuple entry, in C order over its first
+    ``channel_ndim`` axes.  The result is zero exactly at fixed points of
     the update, and NaN if ``w`` or ``p`` holds a NaN.  Computed channel by
     channel in two grid scratches.
     """
@@ -148,7 +171,7 @@ def stationarity_residual(w: np.ndarray, p: np.ndarray, channel_ndim: int,
     _sum_squares((w[c] for c in channels), norm, term)
     np.sqrt(norm, out=norm)
     worst = []
-    for e, c in zip(entries, channels):
+    for e, c in zip(entries, entries if p.shape == w.shape else channels):
         np.multiply(norm, p[e], out=term)
         term += w[c]
         worst.append(np.abs(term, out=term).max())

@@ -21,16 +21,26 @@ Two private one-axis kernels, the difference ``_diff`` and its transpose
 ``_diff_t``, carry every operator: ``grad`` and ``grad_vec``, the two
 adjoints, and the packed Hessian pair :func:`hessian` / :func:`adjoint_hessian`
 that the gradient-field smoothing iterates on (public at module level only,
-not in ``__all__``).  The kernels work on one contiguous channel grid at a
+not in ``__all__``).  The kernels work on one C-ordered channel grid at a
 time, since a ufunc over a whole stacked field makes numpy allocate iterator
-buffers of several grids.  The forward operators write into a caller's
-``out`` array when given one.
+buffers of several grids.  Along every axis they run one ufunc over the
+flattened grids, offset by the axis stride (the product of the later axis
+lengths), so the inner loop spans the whole grid rather than one row of the
+last axis; the entries that wrap across a slice boundary are then
+overwritten by the boundary slices.  The operators therefore copy an input of
+another layout into C order, and the forward operators write into a caller's
+``out`` array only when it is C-ordered with the result's shape.  The first
+transposed slice is ``v[0] * -1.0``, not ``np.negative``: numpy 2.4.6's
+``negative`` miscomputes operands strided by 64 bytes (a last axis of 8),
+while the product is exact, signed zeros included.
 
 Operators in this module assume finite float inputs (see
 :func:`validate_field`); only cheap structural checks are performed here.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -73,29 +83,38 @@ def validate_field(u, name: str = "field") -> np.ndarray:
 
 
 def _diff(u, axis: int, out) -> np.ndarray:
-    """Write the axis-``axis`` forward difference of the grid ``u`` into ``out``."""
-    src, dst = u.swapaxes(0, axis), out.swapaxes(0, axis)
-    np.subtract(src[1:], src[:-1], out=dst[:-1])
-    dst[-1] = 0.0
+    """Write the axis-``axis`` forward difference of the C-ordered grid ``u`` into ``out``."""
+    stride = math.prod(u.shape[axis + 1:])
+    src, dst = u.reshape(-1), out.reshape(-1)  # views of C-ordered grids
+    np.subtract(src[stride:], src[:-stride], out=dst[:-stride])
+    out.swapaxes(0, axis)[-1] = 0.0  # also overwrites the differences that wrapped
     return out
 
 
 def _diff_t(v, axis: int, out, scratch=None) -> np.ndarray:
-    """Transpose of :func:`_diff` applied to the grid ``v``.
+    """Transpose of :func:`_diff` applied to the C-ordered grid ``v``.
 
     Writes into ``out``, or adds to it when given a ``scratch`` grid, which
-    holds the interior term before it is added.
+    holds the whole term before it is added.
     """
+    if scratch is not None:
+        out += _diff_t(v, axis, scratch)  # a + (-b) rounds as a - b, signed zeros included
+        return out
+    stride = math.prod(v.shape[axis + 1:])
+    src = v.reshape(-1)
+    np.subtract(src[:-stride], src[stride:], out=out.reshape(-1)[stride:])
     dst, v = out.swapaxes(0, axis), v.swapaxes(0, axis)
-    first, mid, last = dst[:1], dst[1:-1], dst[-1:]  # views, also in 1-d
-    if scratch is None:
-        np.negative(v[:1], out=first)
-        np.subtract(v[:-2], v[1:-1], out=mid)
-        last[...] = v[-2:-1]
-    else:
-        first -= v[:1]
-        mid += np.subtract(v[:-2], v[1:-1], out=scratch.swapaxes(0, axis)[1:-1])
-        last += v[-2:-1]
+    np.multiply(v[:1], -1.0, out=dst[:1])  # views in 1-d too; np.negative: see the module docstring
+    dst[-1:] = v[-2:-1]
+    return out
+
+
+def _output(out, shape) -> np.ndarray:
+    """A new grid stack of ``shape``, or ``out`` after checking that the kernels can write it."""
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape or not out.flags.c_contiguous:
+        raise DimensionError(f"out must be a C-ordered array of shape {shape}")
     return out
 
 
@@ -104,10 +123,9 @@ def _grad(u, lead: int, out=None) -> np.ndarray:
 
     Output ``[c][axis]`` is the axis-``axis`` difference, zero on the last slice.
     """
-    u = np.asarray(u, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64, order="C")
     dims = u.shape[lead:]
-    if out is None:
-        out = np.empty(u.shape[:lead] + (len(dims),) + dims)
+    out = _output(out, u.shape[:lead] + (len(dims),) + dims)
     for c in np.ndindex(u.shape[:lead]):
         for axis, dst in enumerate(out[c]):
             _diff(u[c], axis, dst)
@@ -122,7 +140,7 @@ def _adjoint(p, lead: int) -> np.ndarray:
     term-wise sum started at ``-0.0``, the exact additive identity, bit for
     bit, signed zeros included.
     """
-    p = np.asarray(p, dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64, order="C")
     dims = p.shape[lead + 1:]
     out = np.empty(p.shape[:lead] + dims)
     scratch = np.empty(dims)
@@ -166,10 +184,9 @@ def hessian(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     of the axis-``l`` difference: channel ``(l, m)`` of ``grad_vec(grad(u))``,
     bit for bit, in ``d`` + ``d(d+1)/2`` stencil passes instead of ``d + d^2``.
     """
-    u = np.asarray(u, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64, order="C")
     d = u.ndim
-    if out is None:
-        out = np.empty((d * (d + 1) // 2,) + u.shape)
+    out = _output(out, (d * (d + 1) // 2,) + u.shape)
     channels, du = iter(out), np.empty_like(u)
     for l in range(d):
         _diff(u, l, du)
@@ -186,7 +203,7 @@ def adjoint_hessian(q: np.ndarray) -> np.ndarray:
     ``sum_l D_l^T (D_l^T q_ll + 2 sum_{m>l} D_m^T q_lm)``: transposed
     differences along distinct axes commute.
     """
-    q = np.asarray(q, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64, order="C")
     dims = q.shape[1:]
     d = len(dims)
     if d < 1 or len(q) != d * (d + 1) // 2:

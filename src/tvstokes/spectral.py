@@ -149,7 +149,7 @@ class PoissonPlan:
             raise DimensionError(f"field shape {f.shape} does not match plan {self.dims}")
         fhat = _fft.dctn(f, type=2, norm="ortho")
         fhat *= self._inverse
-        return _fft.idctn(fhat, type=2, norm="ortho")
+        return _fft.idctn(fhat, type=2, norm="ortho", overwrite_x=True)  # fhat is private
 
 
 def project_gradient_field(v: np.ndarray, plan: PoissonPlan | None = None) -> np.ndarray:

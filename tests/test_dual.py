@@ -7,6 +7,7 @@ import pytest
 
 from tvstokes import (
     DimensionError,
+    DivergenceError,
     ParameterError,
     ReconstructionConfig,
     RofConfig,
@@ -23,6 +24,7 @@ from tvstokes import (
     smoothing_kkt_residual,
     smoothing_objective,
 )
+from tvstokes import dual
 from tvstokes.dual import iterate, stationarity_residual
 from tvstokes.reconstruction import dual_step as reconstruction_step
 from tvstokes.smoothing import dual_step as smoothing_step
@@ -70,7 +72,7 @@ def test_solver_accepts_default_config(solver):
 
 # ------------------------------------------------------------ the in-place loop
 
-GRIDS = [(9,), (6, 5), (5, 4, 3), (3, 3, 2, 3)]
+GRIDS = [(9,), (6, 5), (5, 4, 3), (3, 3, 2, 3), (70, 33, 16)]  # the last: slabs of 62 and 8 rows
 
 
 def _residual(dims, channel_ndim):
@@ -108,6 +110,18 @@ def test_iterate_matches_reference_loop_bitwise(dims, channel_ndim):
     want = reference_iterate(residual, p0, channel_ndim, tau, 40, tol)
     assert want[1] < 40
     _assert_same_run(iterate(residual, p0, channel_ndim, tau, 40, tol), want)
+
+
+def test_iterate_raises_on_a_nan_in_a_later_slab():
+    dims = (70, 33, 16)
+    assert dual._SLAB < 33 * 16 * 70
+
+    def residual(p, out):
+        out[...] = 0.0
+        out[-1, -1, -1, -1] = np.nan
+
+    with pytest.raises(DivergenceError):
+        iterate(residual, np.zeros((3,) + dims), 1, 0.1, 5, 0.0)
 
 
 @pytest.mark.parametrize("max_iters", [1, 2])
@@ -227,6 +241,14 @@ def test_packed_iterate_matches_full_tensor_loop_bitwise(dims):
     want = reference_iterate(residual, p0, 2, tau, 12, 0.0)
     got = iterate(packed, p0[rows, cols], 1, tau, 12, 0.0, index.ravel().tolist())
     _assert_same_run((got[0][index],) + got[1:], want)
+    tol = reference_iterate(residual, p0, 2, tau, 5, 0.0)[2]
+    stopped = reference_iterate(residual, p0, 2, tau, 40, tol)
+    assert stopped[1] < 40
+    got = iterate(packed, p0[rows, cols], 1, tau, 40, tol, index.ravel().tolist())
+    _assert_same_run((got[0][index],) + got[1:], stopped)
     w = residual(want[0])
     packed_kkt = stationarity_residual(w[rows, cols], want[0], 2, index.ravel().tolist())
     assert packed_kkt == stationarity_residual(w, want[0], 2)
+    # a dual stored packed like w: duplicated entries give identical terms
+    assert packed_kkt == stationarity_residual(w[rows, cols], want[0][rows, cols], 1,
+                                               index.ravel().tolist())

@@ -20,7 +20,7 @@ from tvstokes import (
     unit_clip,
     validate_field,
 )
-from tvstokes.fields import adjoint_hessian, hessian
+from tvstokes.fields import _diff, _diff_t, adjoint_hessian, hessian
 from oracles import brute_inner, dense_diff, mode_apply, rand_scalar, rand_vector, rand_tensor
 
 
@@ -259,6 +259,75 @@ def test_validate_field_rejects_non_finite():
         validate_field(u)
 
 
+# ------------------------------------------------------ the one-axis kernels
+
+def _signed_grid(dims, seed):
+    """Random grid in which about a third of the entries are +0.0 or -0.0."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(dims)
+    return np.where(rng.random(dims) < 0.35, np.copysign(0.0, rng.standard_normal(dims)), u)
+
+
+def _slices(u, axis):
+    """Contiguous copies of the slices of ``u`` along ``axis``."""
+    return [np.take(u, i, axis=axis) for i in range(u.shape[axis])]
+
+
+def _naive_diff(u, axis):
+    s = _slices(u, axis)
+    return np.stack([b - a for a, b in zip(s, s[1:])] + [np.zeros_like(s[0])], axis=axis)
+
+
+def _naive_diff_t(v, axis, base=None):
+    """``D^T v`` slice by slice, or ``base + D^T v`` computed as the update of each slice."""
+    s = _slices(v, axis)
+    if base is None:
+        return np.stack([s[0] * -1.0] + [a - b for a, b in zip(s, s[1:-1])] + [s[-2]], axis=axis)
+    b = _slices(base, axis)
+    mid = [c + (x - y) for c, x, y in zip(b[1:-1], s, s[1:-1])]
+    return np.stack([b[0] - s[0]] + mid + [b[-1] + s[-2]], axis=axis)
+
+
+KERNEL_GRIDS = [lead + (n,) for n in (2, 3, 8, 16) for lead in [(), (3,), (2, 3), (2, 2, 3)]]
+
+
+@pytest.mark.parametrize("dims", KERNEL_GRIDS, ids=str)
+def test_kernels_match_a_naive_slice_reference_bitwise(dims):
+    u, base = _signed_grid(dims, 30), _signed_grid(dims, 31)
+    for axis in range(len(dims)):
+        got = _diff(u, axis, np.full(dims, np.nan))
+        assert got.tobytes() == _naive_diff(u, axis).tobytes()
+        got = _diff_t(u, axis, np.full(dims, np.nan))
+        assert got.tobytes() == _naive_diff_t(u, axis).tobytes()
+        got = _diff_t(u, axis, base.copy(), np.full(dims, np.nan))
+        assert got.tobytes() == _naive_diff_t(u, axis, base).tobytes()
+
+
+@pytest.mark.parametrize("dims", [(5, 8), (3, 4, 8), (6, 5, 4)], ids=str)
+def test_operators_give_the_c_ordered_result_on_other_layouts(dims):
+    u, p = rand_scalar(dims, 32), rand_vector(dims, 33)
+    for op, x in [(grad, u), (adjoint_grad, p), (hessian, u), (grad_vec, p),
+                  (adjoint_grad_tensor, rand_tensor(dims, 34))]:
+        want = op(x)
+        assert op(np.asfortranarray(x)).tobytes() == want.tobytes()
+        strided = np.repeat(x, 2, axis=-1)[..., ::2]  # a view that is not contiguous
+        assert op(strided).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("op, out", [
+    (grad, np.empty((2, 5, 6), order="F")),
+    (grad, np.empty((2, 5, 12))[..., ::2]),
+    (grad, np.empty((2, 6, 5))),
+    (hessian, np.empty((3, 5, 6), order="F")),
+    (hessian, np.empty((3, 10, 6))[:, ::2]),
+    (hessian, np.empty((2, 5, 6))),
+], ids=["grad-fortran", "grad-strided", "grad-shape", "hessian-fortran", "hessian-strided",
+        "hessian-shape"])
+def test_forward_operators_reject_an_out_they_cannot_write(op, out):
+    with pytest.raises(DimensionError):
+        op(rand_scalar((5, 6), 35), out=out)
+
+
 def test_validate_field_widens_f32():
     u = validate_field(np.zeros((3, 3), dtype=np.float32))
     assert u.dtype == np.float64
@@ -287,7 +356,7 @@ def test_hessian_is_the_upper_triangle_of_grad_vec_grad(dims):
     assert hessian(u, out=out) is out and out.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("dims", [(5,), (4, 6), (3, 4, 5), (2, 3, 2, 4)])
+@pytest.mark.parametrize("dims", [(5,), (4, 6), (3, 4, 5), (2, 3, 2, 4), (8, 8, 8)])
 def test_adjoint_hessian_identities(dims):
     d = len(dims)
     rows, cols = np.triu_indices(d)

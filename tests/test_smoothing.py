@@ -194,7 +194,8 @@ def test_non_finite_data_raises_divergence_error():
 
 # ------------------------------------------------- packed symmetric dual
 
-GRIDS = [(9,), (6, 5), (5, 4, 3), (3, 3, 2, 3)]  # 1, 3, 6 and 10 packed channels
+# 1, 3, 6 and 10 packed channels; a last axis of 8 strides its slices by 64 bytes
+GRIDS = [(9,), (6, 5), (5, 4, 3), (3, 3, 2, 3), (12, 8), (8, 8, 8)]
 
 
 @pytest.mark.parametrize("dims", GRIDS, ids=str)
@@ -227,6 +228,9 @@ def test_driver_matches_reference_loop_on_full_tensor_oracle(dims):
     assert res.iters == iters == 40
     assert np.max(np.abs(res.g - want)) <= 1e-10
     assert np.max(np.abs(res.p - p)) <= 1e-10
+    # the driver's diagnostics, taken on the packed dual, equal the public functions'
+    assert res.kkt_residual == smoothing_kkt_residual(res.p, g0, cfg.lam, plan)
+    assert res.objective == smoothing_objective(res.g, g0, cfg.lam)
 
 
 def test_dual_step_acts_on_the_symmetric_part():
