@@ -53,6 +53,7 @@ BAD = {
     "tau=inf": {"tau": float("inf")},
     "tol=nan": {"tol": float("nan")},
     "max_iters=2.5": {"max_iters": 2.5},
+    "max_iters=True": {"max_iters": True},
 }
 
 
@@ -222,9 +223,8 @@ def test_dual_step_rejects_nan_dual(call):
 
 # ------------------------------------------------- a packed symmetric dual
 
-@pytest.mark.parametrize("dims", GRIDS, ids=str)
-def test_packed_iterate_matches_full_tensor_loop_bitwise(dims):
-    """Off-diagonal channels listed twice, in C order, give the full tensor's norms exactly."""
+def _packed_case(dims):
+    """``(residual, packed, p0, rows, cols, index)``: a symmetric tensor dual, full and packed."""
     rows, cols, index = symmetric_packing(len(dims))
     f = 3.0 * np.random.default_rng(len(dims)).standard_normal(dims)
 
@@ -236,7 +236,13 @@ def test_packed_iterate_matches_full_tensor_loop_bitwise(dims):
         out[...] = residual(q[index])[rows, cols]
 
     t = _start(dims, 2)
-    p0 = 0.5 * (t + t.swapaxes(0, 1))
+    return residual, packed, 0.5 * (t + t.swapaxes(0, 1)), rows, cols, index
+
+
+@pytest.mark.parametrize("dims", GRIDS, ids=str)
+def test_packed_iterate_matches_full_tensor_loop_bitwise(dims):
+    """Off-diagonal channels listed twice, in C order, give the full tensor's norms exactly."""
+    residual, packed, p0, rows, cols, index = _packed_case(dims)
     tau = 1.0 / (2 * len(dims))
     want = reference_iterate(residual, p0, 2, tau, 12, 0.0)
     got = iterate(packed, p0[rows, cols], 1, tau, 12, 0.0, index.ravel().tolist())
@@ -252,3 +258,98 @@ def test_packed_iterate_matches_full_tensor_loop_bitwise(dims):
     # a dual stored packed like w: duplicated entries give identical terms
     assert packed_kkt == stationarity_residual(w[rows, cols], want[0][rows, cols], 1,
                                                index.ravel().tolist())
+
+
+# ------------------------------------------- the increment, computed only when it decides
+
+def _dual_case(kind, dims):
+    """``(reference, stored, unpack)``: the reference loop's residual, start and channel axes,
+    then ``iterate``'s residual, start, channel axes and channel list, and the map back."""
+    if kind == "packed":
+        residual, packed, p0, rows, cols, index = _packed_case(dims)
+        stored = (packed, p0[rows, cols], 1, index.ravel().tolist())
+        return (residual, p0, 2), stored, lambda p: p[index]
+    channel_ndim = 1 if kind == "vector" else 2
+    residual, p0 = _residual(dims, channel_ndim), _start(dims, channel_ndim)
+    return (residual, p0, channel_ndim), (residual, p0, channel_ndim, None), lambda p: p
+
+
+def _run_both(kind, dims, max_iters, tol, wrap=lambda residual: residual):
+    """The reference loop and ``iterate``, each on a fresh ``wrap`` of its residual."""
+    (residual, p0, channel_ndim), (stored, start, stored_ndim, channels), unpack = _dual_case(kind, dims)
+    tau = 1.0 / (2 * len(dims))
+    want = reference_iterate(wrap(residual), p0, channel_ndim, tau, max_iters, tol)
+    got = iterate(wrap(stored), start, stored_ndim, tau, max_iters, tol, channels)
+    return (unpack(got[0]),) + got[1:], want
+
+
+KINDS = ["vector", "tensor", "packed"]
+STOP_GRIDS = [(70, 33, 16), (6, 5)]  # two slabs, one slab
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dims", STOP_GRIDS, ids=str)
+def test_iterate_stops_at_the_reference_step_for_every_tol(kind, dims):
+    """A ``tol`` equal to the increment of step k, for k in 1..12, stops both loops alike."""
+    (residual, p, channel_ndim), _, _ = _dual_case(kind, dims)
+    tau = 1.0 / (2 * len(dims))
+    changes = []
+    for _ in range(12):  # the loop is memoryless: one step at a time gives each step's increment
+        p, _, change = reference_iterate(residual, p, channel_ndim, tau, 1, 0.0)
+        changes.append(change)
+    for tol in changes:
+        got, want = _run_both(kind, dims, 40, tol)
+        _assert_same_run(got, want)
+
+
+def _spoiled(step, value):
+    """A wrapper whose residual's call ``step`` puts ``value`` at the first channel's last entry."""
+    def wrap(residual):
+        calls = [0]
+
+        def spoiled(p, out=None):
+            calls[0] += 1
+            if out is None:
+                out = residual(p)
+            else:
+                residual(p, out)
+            if calls[0] == step:  # the first channel is the diagonal (0, 0) of a tensor dual
+                out[np.unravel_index(out[(0,) * (out.ndim - 3)].size - 1, out.shape)] = value
+            return out
+
+        return spoiled
+
+    return wrap
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_iterate_raises_at_the_iteration_a_later_slab_goes_nan(kind):
+    _, (stored, start, channel_ndim, channels), _ = _dual_case(kind, (70, 33, 16))
+    with pytest.raises(DivergenceError, match=r"^dual update diverged at iteration 3$"):
+        iterate(_spoiled(3, np.nan)(stored), start, channel_ndim, 1.0 / 6, 12, 0.0, channels)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_iterate_matches_the_reference_when_the_clip_norm_overflows(kind):
+    """A finite step whose tuple norm overflows clips to zero there, without raising."""
+    with np.errstate(over="ignore"):
+        got, want = _run_both(kind, (70, 33, 16), 8, 0.0, _spoiled(3, 1e200))
+    _assert_same_run(got, want)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_capped_solve_computes_the_full_increment_twice(kind, monkeypatch):
+    """Once for the first witness and once at the cap: every other step only checks its witness."""
+    dims = (70, 33, 16)
+    calls, increment = [], dual._increment
+
+    def spy(*args):
+        calls.append(1)
+        return increment(*args)
+
+    monkeypatch.setattr(dual, "_increment", spy)
+    got, want = _run_both(kind, dims, 40, 1e-9)
+    _assert_same_run(got, want)
+    assert got[1] == 40
+    slabs = -(-dims[0] // (dual._SLAB // (dims[1] * dims[2])))
+    assert slabs == 2 and len(calls) <= 2 * slabs
