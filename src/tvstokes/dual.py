@@ -78,6 +78,9 @@ class DualConfig:
 
     def validate(self, ndim: int) -> float:
         """Check parameter ranges and return the resolved step size."""
+        for name in ("lam", "tau", "tol"):  # True would pass as 1.0
+            if isinstance(getattr(self, name), bool):
+                raise ParameterError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not 0 < self.lam < math.inf:  # NaN fails every comparison
             raise ParameterError(f"lam must be positive and finite, got {self.lam}")
         if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, Integral)

@@ -100,7 +100,7 @@ def _potential(q, f0, plan):
     """``solve(adjoint_hessian(q) - f0)``, the potential of ``A`` at the packed dual ``q``."""
     s = adjoint_hessian(q)
     s -= f0
-    return plan.solve(s)
+    return plan.solve(s, overwrite_x=True)
 
 
 def _residual(q, out, f0, plan):
@@ -162,7 +162,7 @@ def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> Smoothin
     # terms, so the KKT value equals smoothing_kkt_residual(p, ...) bit for bit
     kkt = stationarity_residual(_residual(q, None, _data(grad(u_noisy), cfg.lam), plan),
                                 q, 1, channels)
-    g = grad(u_noisy - cfg.lam * plan.solve(adjoint_hessian(q)))
+    g = grad(u_noisy - cfg.lam * plan.solve(adjoint_hessian(q), overwrite_x=True))
     objective = smoothing_objective(g, grad(u_noisy), cfg.lam)
     return SmoothingResult(
         g=g,
@@ -204,5 +204,5 @@ def smoothing_kkt_residual(
         plan = PoissonPlan(g0.shape[1:])
     s = adjoint_hessian(_pack(p))  # _potential, with the packed copy freed first
     s -= _data(g0, lam)
-    w = hessian(plan.solve(s))
+    w = hessian(plan.solve(s, overwrite_x=True))
     return stationarity_residual(w, p, 2, _layout(len(p))[1])

@@ -54,6 +54,9 @@ BAD = {
     "tol=nan": {"tol": float("nan")},
     "max_iters=2.5": {"max_iters": 2.5},
     "max_iters=True": {"max_iters": True},
+    "lam=True": {"lam": True},
+    "tau=True": {"tau": True},
+    "tol=True": {"tol": True},
 }
 
 

@@ -1,9 +1,15 @@
 """Spectral factorization, fast transforms, Poisson pseudo-solve, projector."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import fft
 
+import tvstokes
 from tvstokes import (
     DimensionError,
     PoissonPlan,
@@ -16,6 +22,7 @@ from tvstokes import (
     project_gradient_field,
     singular_values,
 )
+from tvstokes.spectral import _DENSE_MAX
 
 from oracles import (
     dense_diff,
@@ -159,6 +166,75 @@ def test_poisson_plan_denominator_positive_off_origin():
 def test_poisson_plan_shape_mismatch():
     with pytest.raises(DimensionError):
         PoissonPlan((4, 4)).solve(np.zeros((4, 5)))
+
+
+# axes of 64 and 65 sit on both sides of _DENSE_MAX; a last axis of 8 once
+# hit a numpy strided-ufunc bug; (2, 3, 40, 300) mixes short and long axes
+SOLVE_GRIDS = [(64,), (65,), (17, 64), (64, 65), (9, 64, 8), (65, 12, 8), (3, 64, 5, 8),
+               (2, 3, 40, 300)]
+
+
+def _pocketfft_solve(f):
+    """The pseudo-solve written with scipy.fft's DCT pair."""
+    denom = PoissonPlan(f.shape).denominator
+    denom[(0,) * f.ndim] = np.inf
+    spectrum = fft.dctn(f, type=2, norm="ortho") / denom
+    return fft.idctn(spectrum, type=2, norm="ortho")
+
+
+@pytest.mark.parametrize("dims", SOLVE_GRIDS)
+def test_poisson_solve_matches_pocketfft(dims):
+    f = rand_scalar(dims, len(dims))
+    plan = PoissonPlan(dims)
+    assert (plan._cosine is not None) == (max(dims) <= _DENSE_MAX)
+    want = _pocketfft_solve(f)
+    for got in (plan.solve(f), plan.solve(f.copy(), overwrite_x=True)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dims", SOLVE_GRIDS)
+def test_poisson_solve_leaves_input_unchanged(dims):
+    f = rand_scalar(dims, 1)
+    before = f.copy()
+    PoissonPlan(dims).solve(f)
+    np.testing.assert_array_equal(f, before)
+
+
+def test_poisson_solve_overwrite_x_copies_what_it_cannot_overwrite():
+    f = rand_scalar((6, 5), 2)
+    want = _pocketfft_solve(f)
+    readonly = f.copy()
+    readonly.flags.writeable = False
+    for arg in (readonly, np.asfortranarray(f)):
+        got = PoissonPlan(f.shape).solve(arg, overwrite_x=True)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    np.testing.assert_array_equal(readonly, f)
+
+
+def test_poisson_plan_one_matrix_per_axis_length():
+    assert len(PoissonPlan((8, 8, 8))._cosine) == 1
+    assert len(PoissonPlan((8, 5, 8))._cosine) == 2
+
+
+def test_smoothing_bytes_do_not_depend_on_blas_threads():
+    """The dense transforms run through BLAS; its thread count must not change a bit."""
+    script = (
+        "import hashlib, numpy as np\n"
+        "from tvstokes import SmoothingConfig, smooth_gradient_field\n"
+        "u = np.random.default_rng(0).standard_normal((32, 32, 32))\n"
+        "r = smooth_gradient_field(u, SmoothingConfig(lam=0.1, max_iters=3))\n"
+        "print(hashlib.sha256(r.g.tobytes() + r.p.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(tvstokes.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 # ------------------------------------------------------------- projector
