@@ -195,20 +195,23 @@ def hessian(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def adjoint_hessian(q: np.ndarray) -> np.ndarray:
+def adjoint_hessian(q: np.ndarray, out: np.ndarray | None = None,
+                    work: tuple = (None, None)) -> np.ndarray:
     """Adjoint of :func:`hessian` when off-diagonal channels count twice.
 
     Equals ``adjoint_grad(adjoint_grad_tensor(p))`` for the symmetric tensor
     ``p`` that ``q`` packs, up to roundoff, as
     ``sum_l D_l^T (D_l^T q_ll + 2 sum_{m>l} D_m^T q_lm)``: transposed
-    differences along distinct axes commute.
+    differences along distinct axes commute.  ``out`` and the two ``work``
+    grids, each allocated when ``None``, must be distinct C-ordered grids
+    that do not overlap ``q``; the work grids' contents are destroyed.
     """
     q = np.asarray(q, dtype=np.float64, order="C")
     dims = q.shape[1:]
     d = len(dims)
     if d < 1 or len(q) != d * (d + 1) // 2:
         raise DimensionError(f"not a packed symmetric tensor field: shape {q.shape}")
-    out, row, scratch = np.empty(dims), np.empty(dims), np.empty(dims)
+    out, row, scratch = (_output(grid, dims) for grid in (out, *work))
     # the last axis, the slowest to stride along, is written rather than added where it can be
     for l in reversed(range(d)):
         first = l * (2 * d - l + 1) // 2  # the packed channel of (l, l)
@@ -263,7 +266,8 @@ def pointwise_normalize(g: np.ndarray, eps: float) -> np.ndarray:
     if not 0 < eps < np.inf:
         raise ParameterError(f"eps must be positive and finite, got {eps}")
     g = np.asarray(g, dtype=np.float64)
-    return g / np.maximum(tuple_norm(g, 1), eps)
+    norm = tuple_norm(g, 1)
+    return g / np.maximum(norm, eps, out=norm)
 
 
 def l2_norm(x: np.ndarray) -> float:

@@ -122,7 +122,10 @@ def solve_shifted(u0, m, cfg: DualConfig, tau: float, objective) -> Reconstructi
         *_bind(np.broadcast_to(0.0, (u0.ndim,) + u0.shape), u0, m, cfg.lam),
         1, tau, cfg.max_iters, cfg.tol,
     )
-    u = u0 - cfg.lam * (adjoint_grad(p) + m)
+    u = adjoint_grad(p)  # then u0 - lam*(u + m), in place
+    u += m
+    u *= cfg.lam
+    np.subtract(u0, u, out=u)
     return ReconstructionResult(
         u=u,
         p=p,
@@ -153,13 +156,14 @@ def matching_objective(
 ) -> float:
     """Value of the vector-matching functional at a candidate image."""
     u0, g, u = _checked(lam, u0, g, u)
-    gu = grad(u)
     diff = u - u0
-    return (
-        iso_l1_norm(gu, channel_ndim=1)
-        + 0.5 / lam * inner(diff, diff)
-        - inner(gu, pointwise_normalize(g, eps))
-    )
+    fidelity = 0.5 / lam * inner(diff, diff)
+    del diff
+    gu = grad(u)
+    tv = iso_l1_norm(gu, channel_ndim=1)
+    matching = pointwise_normalize(g, eps)
+    matching = float(np.sum(np.multiply(matching, gu, out=matching)))  # inner(gu, g/|g|)
+    return tv + fidelity - matching
 
 
 def matching_kkt_residual(

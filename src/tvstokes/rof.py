@@ -34,4 +34,5 @@ def rof_denoise(u_noisy: np.ndarray, cfg: RofConfig) -> RofResult:
         diff = u - u_noisy
         return iso_l1_norm(grad(u), channel_ndim=1) + 0.5 / cfg.lam * inner(diff, diff)
 
-    return solve_shifted(u_noisy, np.zeros_like(u_noisy), cfg, tau, objective)
+    # a read-only zero view: no grid is stored for the shift
+    return solve_shifted(u_noisy, np.broadcast_to(0.0, u_noisy.shape), cfg, tau, objective)

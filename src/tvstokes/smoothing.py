@@ -22,9 +22,17 @@ axes commute, and the iteration keeps the dual symmetric.  The loop therefore
 stores it packed: the ``d(d+1)/2`` channels ``l <= m`` of the layout of
 :func:`.fields.hessian` (6 of 9 at d = 3), each off-diagonal channel counted
 twice in the tuple norm; :func:`.fields.adjoint_hessian` takes it to the
-potential's right-hand side and :func:`.fields.hessian` back.  The smoothed field is recovered from the
-final dual as ``g = grad(u0 - lam*z)``, ``z = solve(adjoint_hessian(p))``, a
-gradient by construction.  The result's ``p`` is the full ``(d, d)`` tensor.
+potential's right-hand side and :func:`.fields.hessian` back.  The loop's
+scratch dual, which the residual overwrites, is dead until ``hessian``
+writes it, so the residual borrows it: from two channels up (d >= 2) the
+right-hand side, the adjoint's two work grids and the in-place solve live
+in its channels, and a step allocates only the solve's ping-pong grid and
+``hessian``'s difference grid, one after the other.  The smoothed field is
+recovered from the final dual as ``g = grad(u0 - lam*z)``,
+``z = solve(adjoint_hessian(p))``, a gradient by construction.  The result's
+``p`` is the full ``(d, d)`` tensor, unpacked last and in place: the packed
+dual's buffer is resized to the tensor, so the two are never alive side by
+side.
 
 :func:`dual_step` takes and returns full tensors.  It acts on the symmetric
 part ``(p + p^T)/2`` of its input, which it checks for feasibility as given;
@@ -46,7 +54,7 @@ import numpy as np
 
 from .dual import DualConfig, DualResult, iterate, require_feasible, stationarity_residual
 from .errors import DimensionError, ParameterError
-from .fields import adjoint_grad, adjoint_hessian, grad, hessian, validate_field
+from .fields import _diff, adjoint_grad, adjoint_hessian, grad, hessian, validate_field
 from .spectral import PoissonPlan
 
 __all__ = [
@@ -96,16 +104,22 @@ def _data(g0: np.ndarray, lam: float) -> np.ndarray:
     return f0
 
 
-def _potential(q, f0, plan):
-    """``solve(adjoint_hessian(q) - f0)``, the potential of ``A`` at the packed dual ``q``."""
-    s = adjoint_hessian(q)
-    s -= f0
-    return plan.solve(s, overwrite_x=True)
-
-
 def _residual(q, out, f0, plan):
-    """Packed ``A(q)``, written into ``out`` unless it is ``None``."""
-    return hessian(_potential(q, f0, plan), out=out)
+    """Packed ``A(q)``, written into ``out``, allocated first when ``None``.
+
+    ``out`` is dead until :func:`.fields.hessian` writes it, so with two or
+    more channels it lends them to the potential: the right-hand side
+    ``adjoint_hessian(q) - f0`` goes to its last channel, the adjoint's two
+    work grids are channels 0 and 1, and the solve runs in place.
+    ``hessian`` reads the potential from the last channel before it writes
+    that channel, last of all.  The result equals one computed in fresh
+    arrays bit for bit.
+    """
+    if out is None:
+        out = np.empty(q.shape)
+    s = adjoint_hessian(q, out[-1], (out[0], out[1])) if len(out) > 1 else adjoint_hessian(q)
+    s -= f0
+    return hessian(plan.solve(s, overwrite_x=True), out=out)
 
 
 def _bind(g0, lam, plan):
@@ -141,6 +155,19 @@ def dual_step(p: np.ndarray, g0: np.ndarray, cfg: SmoothingConfig) -> np.ndarray
     return iterate(residual, _pack(p), 1, tau, 1, 0.0, channels)[0][index]
 
 
+def _unpack(p: np.ndarray) -> np.ndarray:
+    """Unpack in place the packed dual held in the leading channels of the tensor ``p``."""
+    d = len(p)
+    flat = p.reshape((d * d,) + p.shape[2:])  # a view: p is C-ordered
+    index = _layout(d)[0]
+    # upper channels move to C order, each at or after its packed channel: last first
+    for l, m in reversed(list(zip(*np.triu_indices(d)))):
+        flat[l * d + m] = flat[index[l, m]]
+    for l, m in zip(*np.tril_indices(d, -1)):
+        p[l, m] = p[m, l]
+    return p
+
+
 def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> SmoothingResult:
     """Smooth the gradient field of a noisy image by dual projection.
 
@@ -151,7 +178,7 @@ def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> Smoothin
     d = u_noisy.ndim
     tau = cfg.validate(d)
     plan = PoissonPlan(u_noisy.shape)
-    index, channels = _layout(d)
+    channels = _layout(d)[1]
     # iterate copies the zero start; the data term is freed before the diagnostics run
     q, iters, change = iterate(
         _bind(grad(u_noisy), cfg.lam, plan),
@@ -163,10 +190,14 @@ def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> Smoothin
     kkt = stationarity_residual(_residual(q, None, _data(grad(u_noisy), cfg.lam), plan),
                                 q, 1, channels)
     g = grad(u_noisy - cfg.lam * plan.solve(adjoint_hessian(q), overwrite_x=True))
-    objective = smoothing_objective(g, grad(u_noisy), cfg.lam)
+    diff = grad(u_noisy)
+    objective = _objective(g, np.subtract(g, diff, out=diff), cfg.lam)
+    del diff
+    # q owns its buffer and no view of it is alive: resize reallocates it in place of a copy
+    q.resize((d, d) + u_noisy.shape)
     return SmoothingResult(
         g=g,
-        p=q[index],
+        p=_unpack(q),
         iters=iters,
         final_change=change,
         kkt_residual=kkt,
@@ -177,16 +208,20 @@ def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> Smoothin
 def smoothing_objective(g: np.ndarray, g0: np.ndarray, lam: float) -> float:
     """Value of the smoothing functional at a candidate field ``g``."""
     g0, g = _checked(lam, g0, g, 0)
-    diff = g - g0
+    return _objective(g, g - g0, lam)
+
+
+def _objective(g: np.ndarray, diff: np.ndarray, lam: float) -> float:
+    """:func:`smoothing_objective` from ``diff = g - g0``, which it overwrites."""
     fidelity = 0.5 / lam * float(np.sum(np.square(diff, out=diff)))  # inner(diff, diff)
-    del diff
-    # iso_l1_norm(grad_vec(g), channel_ndim=2) bit for bit, one channel of g at a time
+    # iso_l1_norm(grad_vec(g), channel_ndim=2) bit for bit, one difference at a time
     squares = np.zeros_like(g[0])  # exact start: squares are never -0.0
-    diffs = np.empty_like(g)
+    step = np.empty(g.shape[1:])  # C-ordered, as _diff writes it
     for channel in g:
-        for diff in grad(channel, out=diffs):
-            squares += diff * diff
-    return float(np.sum(np.sqrt(squares))) + fidelity
+        for axis in range(len(g)):
+            _diff(channel, axis, step)
+            squares += np.multiply(step, step, out=step)
+    return float(np.sum(np.sqrt(squares, out=squares))) + fidelity
 
 
 def smoothing_kkt_residual(
@@ -202,7 +237,7 @@ def smoothing_kkt_residual(
     g0, p = _checked(lam, g0, p, 1)
     if plan is None:
         plan = PoissonPlan(g0.shape[1:])
-    s = adjoint_hessian(_pack(p))  # _potential, with the packed copy freed first
+    s = adjoint_hessian(_pack(p))  # the potential, with the packed copy freed first
     s -= _data(g0, lam)
     w = hessian(plan.solve(s, overwrite_x=True))
     return stationarity_residual(w, p, 2, _layout(len(p))[1])

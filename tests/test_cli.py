@@ -6,13 +6,18 @@ import numpy as np
 import pytest
 
 from tvstokes import (
+    ReconstructionConfig,
     RunReport,
+    SmoothingConfig,
+    StepStats,
     VolumeHeader,
     add_gaussian_noise,
     grad,
     load_volume,
+    reconstruct,
     run_denoise,
     save_volume,
+    smooth_gradient_field,
 )
 from tvstokes.cli import main
 
@@ -161,6 +166,18 @@ def test_axis_permutation_equivariance(tmp_path):
     out_b, _ = run_denoise("tvstokes", inp_b, **kwargs)
     inverse = np.argsort(perm)
     np.testing.assert_allclose(np.transpose(out_b, inverse), out_a, atol=1e-10)
+
+
+def test_run_denoise_equals_the_public_two_step_path(tmp_path):
+    """The run is the two public solves, bit for bit, report included."""
+    noisy = add_gaussian_noise(rand_scalar((5, 6, 8), 4) * 0.2 + 0.5, 0.05, seed=7)
+    out, report = run_denoise("tvstokes", write_volume(tmp_path, noisy), lam1=0.2, lam2=0.35,
+                              max_iters=15, tol=0.0)
+    r1 = smooth_gradient_field(noisy, SmoothingConfig(lam=0.2, max_iters=15, tol=0.0))
+    r2 = reconstruct(noisy, r1.g, ReconstructionConfig(lam=0.35, max_iters=15, tol=0.0))
+    assert out.tobytes() == r2.u.tobytes()
+    for name, r in (("smoothing", r1), ("reconstruction", r2)):
+        assert report.steps[name] == StepStats(r.iters, r.final_change, r.kkt_residual, r.objective)
 
 
 # ---------------------------------------------------------------- add-noise

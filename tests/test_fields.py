@@ -376,3 +376,22 @@ def test_adjoint_hessian_identities(dims):
 def test_adjoint_hessian_rejects_unpacked_shapes(shape):
     with pytest.raises(DimensionError):
         adjoint_hessian(np.zeros(shape))
+
+
+@pytest.mark.parametrize("dims", [(9,), (5, 8), (4, 3, 8), (2, 3, 2, 3)])
+def test_adjoint_hessian_into_caller_grids_equals_fresh(dims):
+    d = len(dims)
+    q = np.random.default_rng(36).standard_normal((d * (d + 1) // 2,) + dims)
+    out, row, scratch = (np.full(dims, np.nan) for _ in range(3))  # stale contents must not leak
+    assert adjoint_hessian(q, out, (row, scratch)) is out
+    assert out.tobytes() == adjoint_hessian(q).tobytes()
+
+
+@pytest.mark.parametrize("at", [0, 1, 2], ids=["out", "row", "scratch"])
+@pytest.mark.parametrize("grid", [np.empty((5, 6), order="F"), np.empty((5, 12))[:, ::2],
+                                  np.empty((6, 5))], ids=["fortran", "strided", "shape"])
+def test_adjoint_hessian_rejects_a_grid_it_cannot_write(at, grid):
+    grids = [np.empty((5, 6)) for _ in range(3)]
+    grids[at] = grid
+    with pytest.raises(DimensionError):
+        adjoint_hessian(rand_scalar((3, 5, 6), 37), grids[0], tuple(grids[1:]))

@@ -20,6 +20,7 @@ from tvstokes import (
     unit_clip,
 )
 from tvstokes import smoothing
+from tvstokes.fields import adjoint_hessian, hessian
 from tvstokes.smoothing import dual_step
 
 from oracles import (
@@ -106,6 +107,13 @@ def test_objective_examples():
     )
     with pytest.raises(ParameterError):
         smoothing_objective(g0, g0, 0.0)
+
+
+def test_objective_reads_any_memory_layout():
+    g0, g = grad(rand_scalar((6, 7, 8), 5)), grad(rand_scalar((6, 7, 8), 6))
+    want = smoothing_objective(g, g0, 0.3)
+    assert smoothing_objective(np.asfortranarray(g), g0, 0.3) == want
+    assert smoothing_objective(np.repeat(g, 2, axis=-1)[..., ::2], g0, 0.3) == want
 
 
 def test_solver_beats_trivial_candidates():
@@ -211,6 +219,31 @@ def test_packed_residual_matches_full_tensor_oracle(dims):
     assert got.shape == (d * (d + 1) // 2,) + dims
     want = full_tensor_residual(p, g0, lam, plan)
     assert np.max(np.abs(got[index] - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# an axis longer than spectral._DENSE_MAX also runs the scipy.fft solve
+@pytest.mark.parametrize("dims", GRIDS + [(70, 3)], ids=str)
+def test_residual_borrowing_its_output_equals_fresh_arrays(dims):
+    d = len(dims)
+    q = np.random.default_rng(23).standard_normal((d * (d + 1) // 2,) + dims)
+    g0 = grad(rand_scalar(dims, 24))
+    plan = PoissonPlan(dims)
+    f0 = smoothing._data(g0, 0.3)
+    fresh = hessian(plan.solve(adjoint_hessian(q) - f0))
+    before = q.copy()
+    out = np.full_like(q, np.nan)  # stale contents must not leak into the result
+    assert smoothing._residual(q, out, f0, plan) is out
+    assert out.tobytes() == smoothing._residual(q, None, f0, plan).tobytes() == fresh.tobytes()
+    assert q.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("dims", GRIDS, ids=str)
+def test_unpack_in_place_equals_indexed_copy(dims):
+    d = len(dims)
+    q = np.random.default_rng(25).standard_normal((d * (d + 1) // 2,) + dims)
+    want = q[smoothing._layout(d)[0]]
+    q.resize((d, d) + dims)
+    assert smoothing._unpack(q).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dims", GRIDS, ids=str)
