@@ -3,8 +3,13 @@
 Each model solves its dual, a field ``p`` with pointwise tuple norms at most 1
 over ``channel_ndim`` leading axes, by the iteration
 ``p <- unit_clip(p - tau * A(p))`` (Chambolle, JMIV 2004), which is
-nonexpansive for ``tau <= 1/(2d)``.  A model supplies its residual ``A(p)``,
-the map recovering its primal solution from ``p`` and its objective.
+nonexpansive for ``tau <= 1/(2d)``.  Every model's residual is a
+forward-difference operator ``K`` of one potential computed from the whole
+dual, ``A(p) = K(y)`` with ``y = potential(p)``: :func:`.fields.hessian` in
+the smoothing, :func:`.fields.grad` in reconstruction and ROF.  A model
+supplies the potential, ``K`` as a kernel that writes any rows ``[a, b)`` of
+the first grid axis, the map recovering its primal solution from ``p`` and
+its objective.
 
 A dual may be stored packed: ``channels`` then lists, in the order the tuple
 norm adds their squares, the stored channel of every entry of the tuple, so
@@ -16,24 +21,32 @@ norms equal the full tensor's bit for bit.
 
 :func:`iterate` is the one loop: the drivers run it from a zero dual, and each
 model's ``dual_step`` checks its input with :func:`require_feasible` and runs
-one step of it, so single steps retrace a driver.  A step calls the residual
-on the whole grid, then runs the pointwise update slab by slab over the first
-grid axis, so that a slab's channels stay in cache across its passes; the
-update is pointwise, so the result does not depend on the slab size.
+one step of it, so single steps retrace a driver.  A step computes the
+potential, then runs the update slab by slab over the first grid axis: the
+kernel writes the slab's residual into slab-sized scratch, where the scaled
+step and the clip run while the slab's channels stay in cache, and the clipped
+step goes straight back into ``p``.  Once ``y`` is computed the old dual is
+read only slab by slab, so a solve holds one dual.  The update is pointwise,
+so the result depends neither on the slab size nor on the slab order.
+:func:`kkt_residual` evaluates the stationarity residual through the same
+kernel, one slab of ``A(p)`` at a time.
 
 The increment norm only decides whether to stop, so a step computes it
-exactly only when it may stop or may diverge: the first step, the last one
-allowed, a step whose clip norm is not finite somewhere, and a step whose
-*witness* does not rule out a stop.  The witness is the grid point where the
-last exact increment peaked; its tuple norm, added in the same order as the
-full one, is a lower bound of the max, so a witness above ``tol`` proves the
-step cannot stop.  Every other step runs only the scaled step and the clip
-plus one max of the clip norm, 17 passes per slab over a 3-channel vector
-dual and 38 over the 6-channel packed one instead of 25 and 61.  A finite
-clip norm means a finite step, and a clipped dual is bounded, so a skipped
-increment is finite too: results, iteration counts and the iteration at
-which :class:`DivergenceError` is raised are those of a loop that computes
-the increment every step, bit for bit.
+exactly only when it may stop: on the first step, on the last one allowed
+and on a step whose *witness* does not rule out a stop.  The witness is the
+grid point where the last exact increment peaked.  Its slab runs first, and
+its tuple norm, added in the same order as the full one, is a lower bound of
+the max, so a witness above ``tol`` proves the step cannot stop before any
+slab is written; otherwise every slab gets its exact increment before it is
+written.  Every other step runs only the scaled step and the clip plus one
+max of the clip norm: 17 passes per slab over a 3-channel vector dual and 38
+over the 6-channel packed one, where an exact step takes 28 and 67, its clip
+written back after the increment.  A finite clip norm means a finite step,
+and a clipped dual is bounded, so a skipped increment is finite too; a slab
+whose clip norm is not finite gets its exact increment before it is written,
+and a non-finite one raises.  Results, iteration counts and the iteration at
+which :class:`DivergenceError` is raised are therefore those of a loop that
+computes the increment every step, bit for bit.
 """
 
 from __future__ import annotations
@@ -48,10 +61,13 @@ from .errors import DivergenceError, ParameterError
 from .fields import max_tuple_norm
 from .spectral import dual_step_bound
 
-__all__ = ["DualConfig", "DualResult", "require_feasible", "iterate", "stationarity_residual"]
+__all__ = [
+    "DualConfig", "DualResult", "require_feasible", "iterate", "stationarity_residual",
+    "kkt_residual",
+]
 
 # Grid entries per slab of the pointwise update: few enough that a slab's
-# channels stay in L2 cache across the 17-61 passes of one step.  On a Xeon
+# channels stay in L2 cache across the 17-67 passes of one step.  On a Xeon
 # with 4 MiB L2 and one thread, 16K-32K entries timed best for the packed 64^3
 # and the vector 160x160x16 dual; whole grids took 25-35% longer per update.
 _SLAB = 1 << 15
@@ -111,7 +127,13 @@ def require_feasible(p, channel_ndim: int) -> None:
         raise ParameterError("dual field violates the pointwise unit bound or is not finite")
 
 
-def iterate(residual, p, channel_ndim: int, tau: float, max_iters: int, tol: float,
+def _spans(grid) -> list:
+    """The slabs of ``grid``: rows ``[a, b)`` of its first axis, about ``_SLAB`` entries each."""
+    rows = max(1, _SLAB // math.prod(grid[1:]))
+    return [(a, min(a + rows, grid[0])) for a in range(0, grid[0], rows)]
+
+
+def iterate(potential, kernel, p, channel_ndim: int, tau: float, max_iters: int, tol: float,
             channels=None):
     """Iterate from the dual ``p``; returns ``(p, iters, final_change)``.
 
@@ -121,56 +143,74 @@ def iterate(residual, p, channel_ndim: int, tau: float, max_iters: int, tol: flo
     docstring); by default every channel over the first ``channel_ndim`` axes,
     once, in C order.
 
-    ``residual(p, out)`` writes ``A(p)`` into ``out``.  The work arrays, a
-    private copy of ``p`` and a scratch dual swapped every step plus two
-    slab-sized grids, are allocated once.  Each step equals
+    The residual is ``A(p) = K(y)`` with ``y = potential(p)``:
+    ``kernel(y, out, (a, b))`` writes rows ``[a, b)`` of the first grid axis
+    of ``K(y)`` into ``out``, C-ordered, or allocates it when ``out`` is
+    ``None``.  A private copy of ``p`` and the slab's residual are allocated
+    once, two slab-sized norm grids once per step.  Each step equals
     ``unit_clip(p - tau*A(p))`` bit for bit.  The increment's
     ``max_tuple_norm`` is computed, bit for bit, on the first and the last
-    allowed step and on a step whose clip norm is not finite or whose
-    witness norm is at most ``tol`` (see the module docstring); a second pass
-    over the slabs computes it when the step's own pass has skipped it.
+    allowed step and on a step whose witness norm is at most ``tol`` (see
+    the module docstring); a slab whose clip norm is not finite gets its own
+    exact increment on any step.
     """
     p = np.array(p, dtype=np.float64, order="C")
-    q = np.empty_like(p)
     grid = p.shape[channel_ndim:]
-    row = math.prod(grid[1:])  # grid entries per index of the first grid axis
-    rows = max(1, _SLAB // row)  # the slab's span of the first grid axis
     lead = (slice(None),) * channel_ndim
-    slabs = [(lead + (slice(a, a + rows),), slice(min(rows, grid[0] - a)))
-             for a in range(0, grid[0], rows)]
-    norm, scratch = np.empty((2, min(rows, grid[0])) + grid[1:])
-    maxima = np.empty(len(slabs))
-    peaks = [0] * len(slabs)  # where each slab's last exact increment peaked
+    spans = _spans(grid)
+    maxima = np.empty(len(spans))
+    peaks = [0] * len(spans)  # where each slab's last exact increment peaked
     if channels is None:
         channels = list(np.ndindex(p.shape[:channel_ndim]))
-    witness = None  # the index in p of the tuple where the last exact increment peaked
-    for iters in range(1, max_iters + 1):
-        residual(p, q)
-        lazy = witness is not None and iters < max_iters
-        for i, (slab, part) in enumerate(slabs):  # then q <- unit_clip(p - tau*q)
-            ps, qs, n, t = p[slab], q[slab], norm[part], scratch[part]
+
+    step = np.empty(p[lead + (slice(spans[0][1]),)].size)  # a slab's residual, then its step
+    slabs = []  # (rows, the slab of p, the slab's residual and then its step)
+    for a, b in spans:
+        ps = p[lead + (slice(a, b),)]
+        slabs.append(((a, b), ps, step[:ps.size].reshape(ps.shape)))
+
+    def sweep(iters: int, witness) -> bool:
+        """One step, slab by slab, the witness's slab first; whether it stayed lazy."""
+        y = potential(p)
+        lazy = witness is not None
+        first = witness[0] if lazy else 0
+        order = [first, *range(first), *range(first + 1, len(spans))]
+        norms = None
+        for i in order:
+            (a, b), ps, qs = slabs[i]
+            kernel(y, qs, (a, b))  # then qs <- unit_clip(ps - tau*qs)
+            # when one slab spans the grid, its residual is dual-sized: the norms
+            # are allocated after the kernel's work grid and the potential are freed
+            if i == order[-1]:
+                del y
+            if norms is None:
+                norms = np.empty((2, spans[0][1]) + grid[1:])
+            n, t = norms[0, :b - a], norms[1, :b - a]
             np.multiply(qs, tau, out=qs)
             np.subtract(ps, qs, out=qs)
             _sum_squares((qs[c] for c in channels), n, t)
             np.sqrt(n, out=n)
-            np.divide(qs, np.maximum(n, 1.0, out=n), out=qs)
-            if lazy:
-                maxima[i] = n.max()  # finite iff the slab's step is; a NaN stays a NaN
-            else:
-                maxima[i], peaks[i] = _increment(ps, qs, n, t, channels)
-        if lazy and not (math.isfinite(maxima.max()) and _norm_at(p, q, witness, channels) > tol):
-            lazy = False
-            for i, (slab, part) in enumerate(slabs):
-                maxima[i], peaks[i] = _increment(p[slab], q[slab], norm[part], scratch[part],
-                                                 channels)
-        if not lazy:
-            i = int(maxima.argmax())  # the first NaN, if any
-            change = float(np.sqrt(maxima[i]))  # max_tuple_norm(q - p)
-            if not math.isfinite(change):
+            np.maximum(n, 1.0, out=n)
+            if lazy and i == first:  # before any slab is written
+                lazy = _norm_at(ps, qs, n, witness[1], channels) > tol  # NaN fails too
+            if lazy and math.isfinite(n.max()):  # finite iff the slab's step is
+                np.divide(qs, n, out=ps)
+                continue
+            np.divide(qs, n, out=qs)
+            maxima[i], peaks[i] = _increment(ps, qs, n, t, channels)
+            if not math.isfinite(maxima[i]):
                 raise DivergenceError(f"dual update diverged at iteration {iters}")
-            witness = lead + np.unravel_index(i * rows * row + peaks[i], grid)
-        p, q = q, p
-        if not lazy and change <= tol:
+            np.copyto(ps, qs)
+        return lazy
+
+    witness = None  # (slab, grid index in it) where the last exact increment peaked
+    for iters in range(1, max_iters + 1):
+        if sweep(iters, witness if iters < max_iters else None):
+            continue
+        i = int(maxima.argmax())
+        change = float(np.sqrt(maxima[i]))  # max_tuple_norm of the increment
+        witness = i, np.unravel_index(peaks[i], (spans[i][1] - spans[i][0],) + grid[1:])
+        if change <= tol:
             break
     return p, iters, change
 
@@ -183,9 +223,10 @@ def _increment(ps, qs, norm: np.ndarray, scratch: np.ndarray, channels):
     return norm.flat[j], j
 
 
-def _norm_at(p: np.ndarray, q: np.ndarray, at: tuple, channels) -> float:
-    """Tuple norm of ``p - q`` at the grid point of ``at``, added as :func:`_sum_squares` adds."""
-    d = p[at] - q[at]
+def _norm_at(ps, qs, norm: np.ndarray, at: tuple, channels) -> float:
+    """Tuple norm of ``ps - qs/norm`` at the slab point ``at``, added as in :func:`_sum_squares`."""
+    lead = (slice(None),) * (ps.ndim - norm.ndim)
+    d = ps[lead + at] - qs[lead + at] / norm[at]
     total = 0.0
     for c in channels:  # in order: np.sum adds 8 or more terms pairwise
         total += d[c] * d[c]
@@ -225,3 +266,18 @@ def stationarity_residual(w: np.ndarray, p: np.ndarray, channel_ndim: int,
         term += w[c]
         worst.append(np.abs(term, out=term).max())
     return float(np.max(worst))  # np.max keeps a NaN that Python's max may drop
+
+
+def kkt_residual(kernel, y, p: np.ndarray, channel_ndim: int, channels=None) -> float:
+    """:func:`stationarity_residual` of ``w = K(y)`` and ``p``, one slab of ``w`` at a time.
+
+    ``kernel(y, None, (a, b))`` returns rows ``[a, b)`` of ``w``, as for
+    :func:`iterate`; the result equals ``stationarity_residual(w, p, ...)``
+    bit for bit, since a max is exact.
+    """
+    lead = (slice(None),) * channel_ndim
+    return float(np.max([
+        stationarity_residual(kernel(y, None, span), p[lead + (slice(*span),)], channel_ndim,
+                              channels)
+        for span in _spans(p.shape[channel_ndim:])
+    ]))

@@ -34,6 +34,14 @@ transposed slice is ``v[0] * -1.0``, not ``np.negative``: numpy 2.4.6's
 ``negative`` miscomputes operands strided by 64 bytes (a last axis of 8),
 while the product is exact, signed zeros included.
 
+``grad`` and ``hessian`` also compute any rows ``[a, b)`` of the first grid
+axis alone, bit for bit those rows of the whole result: the first-axis
+difference reads one row past the range, and the Hessian two, so the dual
+loop can evaluate its residual one slab at a time.  For the objectives, which
+work one channel at a time, ``_total_variation`` adds the squares of a
+gradient one difference at a time and ``_stacked_sum`` adds stacked grids
+handed over one by one in ``np.sum``'s pairwise order, both bit for bit.
+
 Operators in this module assume finite float inputs (see
 :func:`validate_field`); only cheap structural checks are performed here.
 """
@@ -83,11 +91,22 @@ def validate_field(u, name: str = "field") -> np.ndarray:
 
 
 def _diff(u, axis: int, out) -> np.ndarray:
-    """Write the axis-``axis`` forward difference of the C-ordered grid ``u`` into ``out``."""
+    """Write the axis-``axis`` forward difference of the C-ordered grid ``u`` into ``out``.
+
+    ``out`` may hold fewer rows of the first axis than ``u``: it then gets the
+    first ``len(out)`` rows of the difference.  Along the first axis the row
+    after them is a halo that the last row reads, so only a ``u`` that ends
+    with ``out`` gives that row the zero of the grid's last row.
+    """
+    halo = axis == 0 and len(u) > len(out)
+    if len(u) != len(out) + halo:
+        u = u[:len(out) + halo]
     stride = math.prod(u.shape[axis + 1:])
     src, dst = u.reshape(-1), out.reshape(-1)  # views of C-ordered grids
-    np.subtract(src[stride:], src[:-stride], out=dst[:-stride])
-    out.swapaxes(0, axis)[-1] = 0.0  # also overwrites the differences that wrapped
+    end = dst.size if halo else dst.size - stride
+    np.subtract(src[stride:stride + end], src[:end], out=dst[:end])
+    if not halo:
+        out.swapaxes(0, axis)[-1] = 0.0  # also overwrites the differences that wrapped
     return out
 
 
@@ -118,17 +137,28 @@ def _output(out, shape) -> np.ndarray:
     return out
 
 
-def _grad(u, lead: int, out=None) -> np.ndarray:
+def _span(rows, n: int) -> tuple:
+    """``rows`` as ``(a, b)`` with ``0 <= a < b <= n``; ``None`` is the whole axis."""
+    a, b = (0, n) if rows is None else rows
+    if not 0 <= a < b <= n:
+        raise DimensionError(f"rows {rows} are not a range of a first axis of length {n}")
+    return a, b
+
+
+def _grad(u, lead: int, out=None, rows=None) -> np.ndarray:
     """Forward differences of each channel ``u[c]``, ``c`` over the first ``lead`` axes.
 
-    Output ``[c][axis]`` is the axis-``axis`` difference, zero on the last slice.
+    Output ``[c][axis]`` is the axis-``axis`` difference, zero on the last
+    slice, over the rows ``rows`` of the first grid axis.
     """
     u = np.asarray(u, dtype=np.float64, order="C")
     dims = u.shape[lead:]
-    out = _output(out, u.shape[:lead] + (len(dims),) + dims)
+    a, b = _span(rows, dims[0])
+    out = _output(out, u.shape[:lead] + (len(dims), b - a) + dims[1:])
     for c in np.ndindex(u.shape[:lead]):
+        block = u[c][a:b + 1]  # one halo row for the first-axis difference
         for axis, dst in enumerate(out[c]):
-            _diff(u[c], axis, dst)
+            _diff(block, axis, dst)
     return out
 
 
@@ -150,9 +180,14 @@ def _adjoint(p, lead: int) -> np.ndarray:
     return out
 
 
-def grad(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Forward-difference gradient of a scalar field, shape ``(d, *dims)``."""
-    return _grad(u, 0, out)
+def grad(u: np.ndarray, out: np.ndarray | None = None, rows=None) -> np.ndarray:
+    """Forward-difference gradient of a scalar field, shape ``(d, *dims)``.
+
+    ``rows=(a, b)`` computes rows ``[a, b)`` of the first grid axis only,
+    shape ``(d, b - a, *dims[1:])``, bit for bit those of the whole gradient;
+    they read ``u`` up to row ``b``.
+    """
+    return _grad(u, 0, out, rows)
 
 
 def grad_vec(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -177,21 +212,25 @@ def adjoint_grad_tensor(p: np.ndarray) -> np.ndarray:
     return _adjoint(p, 1)
 
 
-def hessian(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def hessian(u: np.ndarray, out: np.ndarray | None = None, rows=None) -> np.ndarray:
     """Packed symmetric second differences of a scalar field, ``(d(d+1)/2, *dims)``.
 
     Channel ``k`` of pair ``(l, m)``, ``l <= m``, is the axis-``m`` difference
     of the axis-``l`` difference: channel ``(l, m)`` of ``grad_vec(grad(u))``,
     bit for bit, in ``d`` + ``d(d+1)/2`` stencil passes instead of ``d + d^2``.
+    ``rows=(a, b)`` computes rows ``[a, b)`` of the first grid axis only, bit
+    for bit those of the whole result; they read ``u`` up to row ``b + 1``.
     """
     u = np.asarray(u, dtype=np.float64, order="C")
     d = u.ndim
-    out = _output(out, (d * (d + 1) // 2,) + u.shape)
-    channels, du = iter(out), np.empty_like(u)
+    a, b = _span(rows, len(u))
+    out = _output(out, (d * (d + 1) // 2, b - a) + u.shape[1:])
+    block = u[a:b + 2]  # two halo rows: the first-axis difference is differenced again
+    channels, du = iter(out), np.empty((min(b + 1, len(u)) - a,) + u.shape[1:])
     for l in range(d):
-        _diff(u, l, du)
+        dl = _diff(block, l, du if l == 0 else du[:b - a])
         for m in range(l, d):
-            _diff(du, m, next(channels))
+            _diff(dl, m, next(channels))
     return out
 
 
@@ -263,11 +302,16 @@ def pointwise_normalize(g: np.ndarray, eps: float) -> np.ndarray:
     Tuples with norm below ``eps`` shrink toward zero instead of blowing up,
     so the output is always finite with tuple norms <= 1.
     """
+    g = np.asarray(g, dtype=np.float64)
+    return g / _guarded_norm(g, eps)
+
+
+def _guarded_norm(g: np.ndarray, eps: float) -> np.ndarray:
+    """``max(|g|, eps)`` pointwise over the vector field ``g``, after checking ``eps``."""
     if not 0 < eps < np.inf:
         raise ParameterError(f"eps must be positive and finite, got {eps}")
-    g = np.asarray(g, dtype=np.float64)
     norm = tuple_norm(g, 1)
-    return g / np.maximum(norm, eps, out=norm)
+    return np.maximum(norm, eps, out=norm)
 
 
 def l2_norm(x: np.ndarray) -> float:
@@ -293,3 +337,54 @@ def inner(x: np.ndarray, y: np.ndarray) -> float:
     if x.shape != y.shape:
         raise DimensionError(f"inner product shape mismatch: {x.shape} vs {y.shape}")
     return float(np.sum(x * y))
+
+
+def _total_variation(u: np.ndarray, lead: int) -> float:
+    """``iso_l1_norm(_grad(u, lead), lead + 1)`` bit for bit, in two grids.
+
+    The squares are added one difference at a time, channels of ``u`` over
+    its first ``lead`` axes outer and axes inner, the C order of the
+    gradient's channels.
+    """
+    dims = u.shape[lead:]
+    squares, step = np.zeros(dims), np.empty(dims)  # an exact start: squares are never -0.0
+    for c in np.ndindex(u.shape[:lead]):
+        for axis in range(len(dims)):
+            squares += np.square(_diff(u[c], axis, step), out=step)
+    return float(np.sum(np.sqrt(squares, out=squares)))
+
+
+def _stacked_sum(grid, count: int, size: int) -> float:
+    """``np.sum`` over ``count`` stacked grids of ``size`` entries, bit for bit, one grid at a time.
+
+    ``grid(k)`` returns grid ``k`` flattened; it is asked for every ``k`` once,
+    in increasing order, so it may reuse one buffer.  Partial sums that differ
+    only in the sign of a zero give equal totals after the final ``0.0 +``,
+    which ``np.sum`` also adds.
+    """
+    held = [-1, None]
+
+    def values(k):
+        if held[0] != k:
+            held[:] = k, grid(k)
+        return held[1]
+
+    return float(0.0 + _pairwise(values, size, 0, count * size))
+
+
+def _pairwise(values, size: int, start: int, n: int):
+    """``np.sum``'s pairwise sum of the entries ``[start, start + n)`` of the stacked grids.
+
+    ``np.sum`` adds a contiguous array pairwise, splitting a block of more
+    than 128 entries at half its length rounded down to a multiple of 8; this
+    sum splits where it does and hands ``np.sum`` every block that lies in one
+    grid ``values(k)`` or has at most 128 entries.
+    """
+    k, i = divmod(start, size)
+    if i + n <= size:
+        return np.sum(values(k)[i:i + n])
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        left = _pairwise(values, size, start, half)  # first: grids are asked for in order
+        return left + _pairwise(values, size, start + half, n - half)
+    return np.sum(np.array([values(at // size)[at % size] for at in range(start, start + n)]))

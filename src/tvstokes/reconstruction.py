@@ -13,9 +13,10 @@ with the residual
 
     A(p) = grad(m + adjoint_grad(p) - u0/lam)
 
-and the image is recovered as ``u = u0 - lam * (adjoint_grad(p) + m)``.
-With ``m = 0`` this is plain isotropic TV denoising, which :mod:`.rof`
-solves through :func:`solve_shifted`.
+whose potential ``m + adjoint_grad(p) - u0/lam`` the loop differentiates
+one slab of rows at a time, and the image is recovered as
+``u = u0 - lam * (adjoint_grad(p) + m)``.  With ``m = 0`` this is plain
+isotropic TV denoising, which :mod:`.rof` solves through :func:`solve_shifted`.
 
 :func:`dual_step` and :func:`solve_shifted` are public at module level only,
 not in ``__all__``.
@@ -28,10 +29,11 @@ from functools import partial
 
 import numpy as np
 
-from .dual import DualConfig, DualResult, iterate, require_feasible, stationarity_residual
+from .dual import DualConfig, DualResult, iterate, kkt_residual, require_feasible
 from .errors import DimensionError, ParameterError
 from .fields import (
-    adjoint_grad, divergence, grad, inner, iso_l1_norm, pointwise_normalize, validate_field,
+    _diff, _guarded_norm, _stacked_sum, _total_variation, adjoint_grad, divergence, grad, inner,
+    pointwise_normalize, validate_field,
 )
 
 __all__ = [
@@ -74,12 +76,12 @@ def matching_field(g: np.ndarray, eps: float) -> np.ndarray:
     return divergence(pointwise_normalize(g, eps))
 
 
-def _residual(p, out, m, u0_scaled):
-    """``A(p)``, written into ``out`` unless it is ``None``."""
+def _potential(p, m, u0_scaled):
+    """``adjoint_grad(p) + m - u0/lam``, the potential whose :func:`.fields.grad` is ``A(p)``."""
     a = adjoint_grad(p)
     a += m
     a -= u0_scaled
-    return grad(a, out=out)
+    return a
 
 
 def _checked(lam, u0, v, s):
@@ -96,19 +98,19 @@ def _checked(lam, u0, v, s):
 
 
 def _bind(p, u0, m, lam):
-    """Check the dual ``p`` against the data; return ``(residual, p)`` for :func:`iterate`."""
+    """Check the dual ``p`` against the data; return ``(potential, p)`` for :func:`iterate`."""
     u0, p, m = _checked(lam, u0, p, m)
-    return partial(_residual, m=m, u0_scaled=u0 / lam), p
+    return partial(_potential, m=m, u0_scaled=u0 / lam), p
 
 
 def dual_step(
     p: np.ndarray, u0: np.ndarray, m: np.ndarray, cfg: ReconstructionConfig
 ) -> np.ndarray:
     """Apply one semi-implicit dual update to a feasible vector dual."""
-    residual, p = _bind(p, u0, m, cfg.lam)
+    potential, p = _bind(p, u0, m, cfg.lam)
     tau = cfg.validate(len(p))
     require_feasible(p, channel_ndim=1)
-    return iterate(residual, p, 1, tau, 1, 0.0)[0]
+    return iterate(potential, grad, p, 1, tau, 1, 0.0)[0]
 
 
 def solve_shifted(u0, m, cfg: DualConfig, tau: float, objective) -> ReconstructionResult:
@@ -117,11 +119,9 @@ def solve_shifted(u0, m, cfg: DualConfig, tau: float, objective) -> Reconstructi
     ``u0`` must be a validated field; ``objective(u)`` is the value reported
     for the recovered image.
     """
-    # iterate copies the zero start; u0/lam is freed before the diagnostics run
-    p, iters, change = iterate(
-        *_bind(np.broadcast_to(0.0, (u0.ndim,) + u0.shape), u0, m, cfg.lam),
-        1, tau, cfg.max_iters, cfg.tol,
-    )
+    potential, p = _bind(np.broadcast_to(0.0, (u0.ndim,) + u0.shape), u0, m, cfg.lam)
+    p, iters, change = iterate(potential, grad, p, 1, tau, cfg.max_iters, cfg.tol)  # copies p
+    del potential  # and with it u0/lam, before the diagnostics run
     u = adjoint_grad(p)  # then u0 - lam*(u + m), in place
     u += m
     u *= cfg.lam
@@ -159,11 +159,16 @@ def matching_objective(
     diff = u - u0
     fidelity = 0.5 / lam * inner(diff, diff)
     del diff
-    gu = grad(u)
-    tv = iso_l1_norm(gu, channel_ndim=1)
-    matching = pointwise_normalize(g, eps)
-    matching = float(np.sum(np.multiply(matching, gu, out=matching)))  # inner(gu, g/|g|)
-    return tv + fidelity - matching
+    tv = _total_variation(u, 0)  # iso_l1_norm(grad(u))
+    # inner(grad(u), g/|g|) bit for bit, one channel at a time
+    norm = _guarded_norm(g, eps)
+    du, term = np.empty(u.shape), np.empty(u.shape)
+
+    def matched(k):  # channel k of g/|g| * grad(u)
+        np.divide(g[k], norm, out=term)
+        return np.multiply(term, _diff(u, k, du), out=term).reshape(-1)
+
+    return tv + fidelity - _stacked_sum(matched, len(g), norm.size)
 
 
 def matching_kkt_residual(
@@ -174,5 +179,5 @@ def matching_kkt_residual(
     With ``w = grad(m + adjoint_grad(p) - u0/lam)`` the fixed points satisfy
     ``w + |w| * p = 0`` entrywise.
     """
-    residual, p = _bind(p, u0, m, lam)
-    return stationarity_residual(residual(p, None), p, channel_ndim=1)
+    potential, p = _bind(p, u0, m, lam)
+    return kkt_residual(grad, potential(p), p, 1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dual import DualConfig
-from .fields import grad, inner, iso_l1_norm, validate_field
+from .fields import _total_variation, inner, validate_field
 from .reconstruction import ReconstructionResult, solve_shifted
 
 __all__ = ["RofConfig", "RofResult", "rof_denoise"]
@@ -31,8 +31,9 @@ def rof_denoise(u_noisy: np.ndarray, cfg: RofConfig) -> RofResult:
     tau = cfg.validate(u_noisy.ndim)
 
     def objective(u):
+        tv = _total_variation(u, 0)  # iso_l1_norm(grad(u)), in two grids
         diff = u - u_noisy
-        return iso_l1_norm(grad(u), channel_ndim=1) + 0.5 / cfg.lam * inner(diff, diff)
+        return tv + 0.5 / cfg.lam * inner(diff, diff)
 
     # a read-only zero view: no grid is stored for the shift
     return solve_shifted(u_noisy, np.broadcast_to(0.0, u_noisy.shape), cfg, tau, objective)

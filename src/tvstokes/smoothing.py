@@ -22,17 +22,20 @@ axes commute, and the iteration keeps the dual symmetric.  The loop therefore
 stores it packed: the ``d(d+1)/2`` channels ``l <= m`` of the layout of
 :func:`.fields.hessian` (6 of 9 at d = 3), each off-diagonal channel counted
 twice in the tuple norm; :func:`.fields.adjoint_hessian` takes it to the
-potential's right-hand side and :func:`.fields.hessian` back.  The loop's
-scratch dual, which the residual overwrites, is dead until ``hessian``
-writes it, so the residual borrows it: from two channels up (d >= 2) the
-right-hand side, the adjoint's two work grids and the in-place solve live
-in its channels, and a step allocates only the solve's ping-pong grid and
-``hessian``'s difference grid, one after the other.  The smoothed field is
-recovered from the final dual as ``g = grad(u0 - lam*z)``,
-``z = solve(adjoint_hessian(p))``, a gradient by construction.  The result's
-``p`` is the full ``(d, d)`` tensor, unpacked last and in place: the packed
-dual's buffer is resized to the tensor, so the two are never alive side by
-side.
+potential's right-hand side and :func:`.fields.hessian` back, a slab of rows
+at a time.  The potential holds three grids while it is computed, the
+right-hand side and the adjoint's two work grids, and the in-place solve
+takes one of those, dead by then, as its second buffer; :func:`.dual.iterate`
+then writes each slab's step straight back into the one packed dual.  The
+smoothed field is recovered from the final dual as ``g = grad(u0 - lam*z)``,
+``z = solve(adjoint_hessian(p))``, a gradient by construction.  The KKT value
+is taken slab by slab and the objective one channel at a time, and the plan
+and the loop's grids are freed before the result's ``p``, the full
+``(d, d)`` tensor, is unpacked last and in place: the packed dual's buffer is
+resized to the tensor, so the two are never alive side by side.  Where numpy
+refuses the resize, as it does under a trace or profile function, which adds
+references to the dual, the tensor is unpacked into a fresh array with the
+same bytes.
 
 :func:`dual_step` takes and returns full tensors.  It acts on the symmetric
 part ``(p + p^T)/2`` of its input, which it checks for feasibility as given;
@@ -52,9 +55,12 @@ from functools import partial
 
 import numpy as np
 
-from .dual import DualConfig, DualResult, iterate, require_feasible, stationarity_residual
+from .dual import DualConfig, DualResult, iterate, kkt_residual, require_feasible
 from .errors import DimensionError, ParameterError
-from .fields import _diff, adjoint_grad, adjoint_hessian, grad, hessian, validate_field
+from .fields import (
+    _diff, _stacked_sum, _total_variation, adjoint_grad, adjoint_hessian, grad, hessian,
+    validate_field,
+)
 from .spectral import PoissonPlan
 
 __all__ = [
@@ -104,27 +110,24 @@ def _data(g0: np.ndarray, lam: float) -> np.ndarray:
     return f0
 
 
-def _residual(q, out, f0, plan):
-    """Packed ``A(q)``, written into ``out``, allocated first when ``None``.
+def _potential(q, plan, f0=None):
+    """``solve(adjoint_hessian(q) - f0)``, the potential whose :func:`.fields.hessian` is ``A(q)``.
 
-    ``out`` is dead until :func:`.fields.hessian` writes it, so with two or
-    more channels it lends them to the potential: the right-hand side
-    ``adjoint_hessian(q) - f0`` goes to its last channel, the adjoint's two
-    work grids are channels 0 and 1, and the solve runs in place.
-    ``hessian`` reads the potential from the last channel before it writes
-    that channel, last of all.  The result equals one computed in fresh
-    arrays bit for bit.
+    ``f0=None`` subtracts nothing: that is the recovery's potential.  The
+    solve runs in place and takes a work grid of the adjoint, dead by then,
+    as its second buffer, so the potential holds three grids while it is
+    computed and one after.
     """
-    if out is None:
-        out = np.empty(q.shape)
-    s = adjoint_hessian(q, out[-1], (out[0], out[1])) if len(out) > 1 else adjoint_hessian(q)
-    s -= f0
-    return hessian(plan.solve(s, overwrite_x=True), out=out)
+    y, work = np.empty(q.shape[1:]), np.empty((2,) + q.shape[1:])
+    adjoint_hessian(q, y, (work[0], work[1]))
+    if f0 is not None:
+        y -= f0
+    return plan.solve(y, overwrite_x=True, work=work[0])
 
 
 def _bind(g0, lam, plan):
-    """The packed residual ``residual(q, out)`` of the data ``g0``, for :func:`iterate`."""
-    return partial(_residual, f0=_data(g0, lam), plan=plan)
+    """The potential ``potential(q)`` of the data ``g0``, for :func:`iterate`."""
+    return partial(_potential, plan=plan, f0=_data(g0, lam))
 
 
 def _checked(lam, g0, f, lead: int):
@@ -151,8 +154,8 @@ def dual_step(p: np.ndarray, g0: np.ndarray, cfg: SmoothingConfig) -> np.ndarray
     tau = cfg.validate(len(p))
     require_feasible(p, channel_ndim=2)
     index, channels = _layout(len(p))
-    residual = _bind(g0, cfg.lam, PoissonPlan(g0.shape[1:]))
-    return iterate(residual, _pack(p), 1, tau, 1, 0.0, channels)[0][index]
+    potential = _bind(g0, cfg.lam, PoissonPlan(g0.shape[1:]))
+    return iterate(potential, hessian, _pack(p), 1, tau, 1, 0.0, channels)[0][index]
 
 
 def _unpack(p: np.ndarray) -> np.ndarray:
@@ -178,26 +181,31 @@ def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> Smoothin
     d = u_noisy.ndim
     tau = cfg.validate(d)
     plan = PoissonPlan(u_noisy.shape)
-    channels = _layout(d)[1]
-    # iterate copies the zero start; the data term is freed before the diagnostics run
+    index, channels = _layout(d)
+    potential = _bind(grad(u_noisy), cfg.lam, plan)
+    # iterate copies the zero start
     q, iters, change = iterate(
-        _bind(grad(u_noisy), cfg.lam, plan),
-        np.broadcast_to(0.0, (d * (d + 1) // 2,) + u_noisy.shape),
+        potential, hessian, np.broadcast_to(0.0, (d * (d + 1) // 2,) + u_noisy.shape),
         1, tau, cfg.max_iters, cfg.tol, channels,
     )
     # the diagnostics read the packed dual: duplicated entries give identical
     # terms, so the KKT value equals smoothing_kkt_residual(p, ...) bit for bit
-    kkt = stationarity_residual(_residual(q, None, _data(grad(u_noisy), cfg.lam), plan),
-                                q, 1, channels)
-    g = grad(u_noisy - cfg.lam * plan.solve(adjoint_hessian(q), overwrite_x=True))
-    diff = grad(u_noisy)
-    objective = _objective(g, np.subtract(g, diff, out=diff), cfg.lam)
-    del diff
-    # q owns its buffer and no view of it is alive: resize reallocates it in place of a copy
-    q.resize((d, d) + u_noisy.shape)
+    kkt = kkt_residual(hessian, potential(q), q, 1, channels)
+    del potential  # and with it the data term
+    z = _potential(q, plan)  # then u0 - lam*z, in place
+    z *= cfg.lam
+    g = grad(np.subtract(u_noisy, z, out=z))
+    del z, plan  # the unpack below sets the peak: only q, g and the input may be alive
+    objective = _objective(g, partial(_diff, u_noisy), cfg.lam)
+    try:  # q owns its buffer: resize reallocates it in place of a copy
+        q.resize((d, d) + u_noisy.shape)
+    except ValueError:  # numpy counts more references to q, as under a trace or profile function
+        p = q[index]
+    else:
+        p = _unpack(q)
     return SmoothingResult(
         g=g,
-        p=_unpack(q),
+        p=p,
         iters=iters,
         final_change=change,
         kkt_residual=kkt,
@@ -208,20 +216,23 @@ def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> Smoothin
 def smoothing_objective(g: np.ndarray, g0: np.ndarray, lam: float) -> float:
     """Value of the smoothing functional at a candidate field ``g``."""
     g0, g = _checked(lam, g0, g, 0)
-    return _objective(g, g - g0, lam)
+    return _objective(g, lambda k, out: g0[k], lam)
 
 
-def _objective(g: np.ndarray, diff: np.ndarray, lam: float) -> float:
-    """:func:`smoothing_objective` from ``diff = g - g0``, which it overwrites."""
-    fidelity = 0.5 / lam * float(np.sum(np.square(diff, out=diff)))  # inner(diff, diff)
-    # iso_l1_norm(grad_vec(g), channel_ndim=2) bit for bit, one difference at a time
-    squares = np.zeros_like(g[0])  # exact start: squares are never -0.0
-    step = np.empty(g.shape[1:])  # C-ordered, as _diff writes it
-    for channel in g:
-        for axis in range(len(g)):
-            _diff(channel, axis, step)
-            squares += np.multiply(step, step, out=step)
-    return float(np.sum(np.sqrt(squares, out=squares))) + fidelity
+def _objective(g: np.ndarray, data, lam: float) -> float:
+    """:func:`smoothing_objective` with channel ``k`` of ``g0`` from ``data(k, out)``.
+
+    ``data`` may write the channel into the grid ``out`` and return it.  The
+    objective holds at most two grids.
+    """
+    tv = _total_variation(g, 1)  # iso_l1_norm(grad_vec(g), channel_ndim=2)
+    diff = np.empty(g.shape[1:])
+
+    def squared_diff(k):  # channel k of (g - g0)**2
+        np.subtract(g[k], data(k, diff), out=diff)
+        return np.square(diff, out=diff).reshape(-1)
+
+    return tv + 0.5 / lam * _stacked_sum(squared_diff, len(g), diff.size)  # inner(g - g0, g - g0)
 
 
 def smoothing_kkt_residual(
@@ -237,7 +248,5 @@ def smoothing_kkt_residual(
     g0, p = _checked(lam, g0, p, 1)
     if plan is None:
         plan = PoissonPlan(g0.shape[1:])
-    s = adjoint_hessian(_pack(p))  # the potential, with the packed copy freed first
-    s -= _data(g0, lam)
-    w = hessian(plan.solve(s, overwrite_x=True))
-    return stationarity_residual(w, p, 2, _layout(len(p))[1])
+    y = _potential(_pack(p), plan, _data(g0, lam))
+    return kkt_residual(hessian, y, p, 2, _layout(len(p))[1])

@@ -34,7 +34,7 @@ import numpy as np
 from scipy import fft as _fft
 
 from .errors import DimensionError, ParameterError
-from .fields import adjoint_grad, grad
+from .fields import _output, adjoint_grad, grad
 
 __all__ = [
     "singular_values",
@@ -150,14 +150,16 @@ class PoissonPlan:
         """Eigenvalues ``sum_k sigma_k[i_k]^2``, computed afresh on access."""
         return reduce(np.add.outer, [singular_values(n) ** 2 for n in self.dims])
 
-    def solve(self, f: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    def solve(self, f: np.ndarray, overwrite_x: bool = False, work=None) -> np.ndarray:
         """Pseudoinverse solve of ``adjoint_grad(grad(u)) = f``.
 
         The first spectral coefficient of the result is zero; exactness
         requires ``f`` in the operator's range (arbitrary input is accepted
         and its constant-mode coefficient discarded).  As in scipy.fft,
         ``overwrite_x=True`` lets the solve destroy ``f`` and return its
-        buffer.
+        buffer.  ``work``, a C-ordered grid apart from ``f``, is the dense
+        solve's second buffer, allocated when ``None``; its contents are
+        destroyed.
         """
         f = np.asarray(f, dtype=np.float64)
         if f.shape != self.dims:
@@ -168,7 +170,7 @@ class PoissonPlan:
             return _fft.idctn(fhat, type=2, norm="ortho", overwrite_x=True)  # fhat is ours
         writable = overwrite_x and f.flags.c_contiguous and f.flags.writeable
         x = f if writable else np.array(f, order="C")
-        y = np.empty_like(x)
+        y = _output(work, self.dims)
         for transpose in (False, True):
             # one product per axis, ping-ponging between x and y; the 2d
             # passes in all leave the result in x

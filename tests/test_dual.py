@@ -1,6 +1,8 @@
 """Shared dual-projection core: config validation, the in-place loop, diagnostics."""
 
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from tvstokes import (
     smoothing_objective,
 )
 from tvstokes import dual
-from tvstokes.dual import iterate, stationarity_residual
+from tvstokes.dual import iterate, kkt_residual, stationarity_residual
 from tvstokes.reconstruction import dual_step as reconstruction_step
 from tvstokes.smoothing import dual_step as smoothing_step
 
@@ -79,18 +81,33 @@ def test_solver_accepts_default_config(solver):
 GRIDS = [(9,), (6, 5), (5, 4, 3), (3, 3, 2, 3), (70, 33, 16)]  # the last: slabs of 62 and 8 rows
 
 
+def _rows_of(full, lead: int):
+    """A kernel for ``iterate``: rows ``[a, b)`` of the first grid axis of ``full(y)``, which
+    has ``lead`` channel axes, copied into ``out`` or returned fresh."""
+    def kernel(y, out, rows):
+        w = full(y)[(slice(None),) * lead + (slice(*rows),)]
+        if out is None:
+            return w.copy()
+        out[...] = w
+        return out
+
+    return kernel
+
+
 def _residual(dims, channel_ndim):
-    """``A(p) = D(D^T p - f)`` with ``D`` the gradient (vector dual) or ``grad_vec`` (tensor dual)."""
+    """``(residual, potential, kernel)`` of ``A(p) = D(D^T p - f)``, ``D`` the gradient (vector
+    dual, whose kernel is ``grad``'s row range) or ``grad_vec`` (tensor dual)."""
     rng = np.random.default_rng(len(dims))
     if channel_ndim == 1:
-        f, fwd, adj = 3.0 * rng.standard_normal(dims), grad, adjoint_grad
+        f, fwd, adj, kernel = 3.0 * rng.standard_normal(dims), grad, adjoint_grad, grad
     else:
         f, fwd, adj = 3.0 * rng.standard_normal((len(dims),) + dims), grad_vec, adjoint_grad_tensor
+        kernel = _rows_of(grad_vec, 2)
 
-    def residual(p, out=None):
-        return fwd(adj(p) - f, out=out)
+    def potential(p):
+        return adj(p) - f
 
-    return residual
+    return lambda p: fwd(potential(p)), potential, kernel
 
 
 def _start(dims, channel_ndim):
@@ -105,38 +122,56 @@ def _assert_same_run(got, want):
 @pytest.mark.parametrize("channel_ndim", [1, 2])
 @pytest.mark.parametrize("dims", GRIDS, ids=str)
 def test_iterate_matches_reference_loop_bitwise(dims, channel_ndim):
-    residual, p0 = _residual(dims, channel_ndim), _start(dims, channel_ndim)
+    (residual, *model), p0 = _residual(dims, channel_ndim), _start(dims, channel_ndim)
     tau = 1.0 / (2 * len(dims))
     want = reference_iterate(residual, p0, channel_ndim, tau, 12, 0.0)
-    _assert_same_run(iterate(residual, p0, channel_ndim, tau, 12, 0.0), want)
+    _assert_same_run(iterate(*model, p0, channel_ndim, tau, 12, 0.0), want)
     # a tol reached after a few steps stops both loops early, at the same step
     tol = reference_iterate(residual, p0, channel_ndim, tau, 5, 0.0)[2]
     want = reference_iterate(residual, p0, channel_ndim, tau, 40, tol)
     assert want[1] < 40
-    _assert_same_run(iterate(residual, p0, channel_ndim, tau, 40, tol), want)
+    _assert_same_run(iterate(*model, p0, channel_ndim, tau, 40, tol), want)
 
 
 def test_iterate_raises_on_a_nan_in_a_later_slab():
     dims = (70, 33, 16)
     assert dual._SLAB < 33 * 16 * 70
 
-    def residual(p, out):
+    def kernel(y, out, rows):
         out[...] = 0.0
-        out[-1, -1, -1, -1] = np.nan
+        if rows[1] == dims[0]:
+            out[-1, -1, -1, -1] = np.nan
 
     with pytest.raises(DivergenceError):
-        iterate(residual, np.zeros((3,) + dims), 1, 0.1, 5, 0.0)
+        iterate(lambda p: None, kernel, np.zeros((3,) + dims), 1, 0.1, 5, 0.0)
 
 
 @pytest.mark.parametrize("max_iters", [1, 2])
 @pytest.mark.parametrize("channel_ndim", [1, 2])
 def test_iterate_leaves_its_start_unmodified(channel_ndim, max_iters):
     dims = (5, 4)
-    residual, p0 = _residual(dims, channel_ndim), _start(dims, channel_ndim)
+    (_, *model), p0 = _residual(dims, channel_ndim), _start(dims, channel_ndim)
     before = p0.copy()
-    p = iterate(residual, p0, channel_ndim, 0.25, max_iters, 0.0)[0]
+    p = iterate(*model, p0, channel_ndim, 0.25, max_iters, 0.0)[0]
     assert not np.shares_memory(p, p0)
     assert p0.tobytes() == before.tobytes()
+
+
+def test_iterate_holds_one_dual_and_slab_sized_scratch():
+    """No second dual: the step is written back slab by slab from slab-sized scratch."""
+    dims = (70, 33, 16)
+    y = rand_scalar(dims, 9)
+    p0 = np.broadcast_to(0.0, (3,) + dims)  # iterate's own copy is the one dual
+    iterate(lambda p: y, grad, p0, 1, 1.0 / 6, 4, 0.0)  # warm-up: one-time allocations
+    tracemalloc.start()
+    try:
+        iterate(lambda p: y, grad, p0, 1, 1.0 / 6, 4, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slab = (dual._SLAB // (33 * 16)) * 33 * 16 * 8  # bytes of one slab-sized grid
+    # the slab's residual (3 channels) and the two norm grids; 16 KiB for Python objects
+    assert peak <= 3 * y.nbytes + (3 + 2) * slab + (1 << 14)
 
 
 U5 = rand_scalar((5, 6), 3)
@@ -178,6 +213,19 @@ def test_stationarity_residual_propagates_nan(channel_ndim, holder, channel):
     arrays = {"w": w, "p": _start(dims, channel_ndim)}
     arrays[holder].reshape((-1,) + dims)[channel][1, 2] = np.nan
     assert math.isnan(stationarity_residual(arrays["w"], arrays["p"], channel_ndim))
+
+
+@pytest.mark.parametrize("value", [5.0, np.nan], ids=["largest", "nan"])
+def test_kkt_residual_reads_every_slab(value):
+    dims = (70, 33, 16)  # slabs of 62 and 8 rows
+    w = 0.1 * rand_vector(dims, 10)
+    w[0, -1, -1, -1] = value  # in the last slab
+    p = _start(dims, 1)
+    got, want = kkt_residual(_rows_of(lambda y: y, 1), w, p, 1), stationarity_residual(w, p, 1)
+    if math.isnan(value):
+        assert math.isnan(got) and math.isnan(want)
+    else:
+        assert got == want
 
 
 G0 = grad(U5)
@@ -227,17 +275,22 @@ def test_dual_step_rejects_nan_dual(call):
 # ------------------------------------------------- a packed symmetric dual
 
 def _packed_case(dims):
-    """``(residual, packed, p0, rows, cols, index)``: a symmetric tensor dual, full and packed."""
+    """``(residual, packed, p0, rows, cols, index)``: a symmetric tensor dual, full and packed;
+    ``packed`` is the ``(potential, kernel)`` pair of the packed dual."""
     rows, cols, index = symmetric_packing(len(dims))
     f = 3.0 * np.random.default_rng(len(dims)).standard_normal(dims)
 
-    def residual(p):  # bitwise symmetric, as the packed layout needs
-        a = grad_vec(grad(adjoint_grad(adjoint_grad_tensor(p)) - f))
+    def hessian_of(y):  # bitwise symmetric, as the packed layout needs
+        a = grad_vec(grad(y))
         return 0.5 * (a + a.swapaxes(0, 1))
 
-    def packed(q, out):
-        out[...] = residual(q[index])[rows, cols]
+    def potential(p):  # of the full tensor dual
+        return adjoint_grad(adjoint_grad_tensor(p)) - f
 
+    def residual(p):
+        return hessian_of(potential(p))
+
+    packed = (lambda q: potential(q[index]), _rows_of(lambda y: hessian_of(y)[rows, cols], 1))
     t = _start(dims, 2)
     return residual, packed, 0.5 * (t + t.swapaxes(0, 1)), rows, cols, index
 
@@ -248,12 +301,12 @@ def test_packed_iterate_matches_full_tensor_loop_bitwise(dims):
     residual, packed, p0, rows, cols, index = _packed_case(dims)
     tau = 1.0 / (2 * len(dims))
     want = reference_iterate(residual, p0, 2, tau, 12, 0.0)
-    got = iterate(packed, p0[rows, cols], 1, tau, 12, 0.0, index.ravel().tolist())
+    got = iterate(*packed, p0[rows, cols], 1, tau, 12, 0.0, index.ravel().tolist())
     _assert_same_run((got[0][index],) + got[1:], want)
     tol = reference_iterate(residual, p0, 2, tau, 5, 0.0)[2]
     stopped = reference_iterate(residual, p0, 2, tau, 40, tol)
     assert stopped[1] < 40
-    got = iterate(packed, p0[rows, cols], 1, tau, 40, tol, index.ravel().tolist())
+    got = iterate(*packed, p0[rows, cols], 1, tau, 40, tol, index.ravel().tolist())
     _assert_same_run((got[0][index],) + got[1:], stopped)
     w = residual(want[0])
     packed_kkt = stationarity_residual(w[rows, cols], want[0], 2, index.ravel().tolist())
@@ -261,28 +314,35 @@ def test_packed_iterate_matches_full_tensor_loop_bitwise(dims):
     # a dual stored packed like w: duplicated entries give identical terms
     assert packed_kkt == stationarity_residual(w[rows, cols], want[0][rows, cols], 1,
                                                index.ravel().tolist())
+    # and slab by slab, through the kernel
+    assert packed_kkt == kkt_residual(packed[1], packed[0](want[0][rows, cols]), want[0], 2,
+                                      index.ravel().tolist())
 
 
 # ------------------------------------------- the increment, computed only when it decides
 
 def _dual_case(kind, dims):
     """``(reference, stored, unpack)``: the reference loop's residual, start and channel axes,
-    then ``iterate``'s residual, start, channel axes and channel list, and the map back."""
+    then ``iterate``'s ``(potential, kernel)``, start, channel axes and channel list, and the
+    map back."""
     if kind == "packed":
         residual, packed, p0, rows, cols, index = _packed_case(dims)
         stored = (packed, p0[rows, cols], 1, index.ravel().tolist())
         return (residual, p0, 2), stored, lambda p: p[index]
     channel_ndim = 1 if kind == "vector" else 2
-    residual, p0 = _residual(dims, channel_ndim), _start(dims, channel_ndim)
-    return (residual, p0, channel_ndim), (residual, p0, channel_ndim, None), lambda p: p
+    (residual, *model), p0 = _residual(dims, channel_ndim), _start(dims, channel_ndim)
+    return (residual, p0, channel_ndim), (model, p0, channel_ndim, None), lambda p: p
 
 
-def _run_both(kind, dims, max_iters, tol, wrap=lambda residual: residual):
-    """The reference loop and ``iterate``, each on a fresh ``wrap`` of its residual."""
-    (residual, p0, channel_ndim), (stored, start, stored_ndim, channels), unpack = _dual_case(kind, dims)
+def _run_both(kind, dims, max_iters, tol, spoil=None):
+    """``iterate`` and then the reference loop, each on its residual as ``spoil`` wraps it."""
+    reference, stored, unpack = _dual_case(kind, dims)
+    (residual, p0, channel_ndim), (model, start, stored_ndim, channels) = reference, stored
     tau = 1.0 / (2 * len(dims))
-    want = reference_iterate(wrap(residual), p0, channel_ndim, tau, max_iters, tol)
-    got = iterate(wrap(stored), start, stored_ndim, tau, max_iters, tol, channels)
+    if spoil is not None:
+        model, residual = spoil.model(*model), spoil.reference(residual)
+    got = iterate(*model, start, stored_ndim, tau, max_iters, tol, channels)
+    want = reference_iterate(residual, p0, channel_ndim, tau, max_iters, tol)
     return (unpack(got[0]),) + got[1:], want
 
 
@@ -305,39 +365,96 @@ def test_iterate_stops_at_the_reference_step_for_every_tol(kind, dims):
         _assert_same_run(got, want)
 
 
-def _spoiled(step, value):
-    """A wrapper whose residual's call ``step`` puts ``value`` at the first channel's last entry."""
-    def wrap(residual):
+SPOILED = (70, 33, 16)  # two slabs
+
+
+def _spoiled(step, value, nth=None):
+    """Wrappers that put ``value`` into the residual of step ``step`` on the grid ``SPOILED``.
+
+    ``model`` wraps ``iterate``'s ``(potential, kernel)``: on that step it spoils
+    the last entry of the first channel of the ``nth`` slab written, or, without
+    ``nth``, of the slab that ends the grid, and records the grid point;
+    ``reference`` then spoils the same entry, so ``iterate`` runs first.
+    ``written`` lists the rows of the slabs written on that step, in order, and
+    ``steps`` counts the steps begun.  The first channel is the diagonal
+    ``(0, 0)`` of a tensor dual.
+    """
+    spoil = SimpleNamespace(spot=None, written=[], steps=0)
+
+    def model(potential, kernel):
+        def counted(p):
+            spoil.steps += 1
+            return potential(p)
+
+        def spoiled(y, out, rows):
+            out = kernel(y, out, rows)
+            if spoil.steps == step:
+                spoil.written.append(rows)
+                ends = rows[1] == SPOILED[0] if nth is None else len(spoil.written) == nth
+                if ends:
+                    out[(0,) * (out.ndim - 3) + (-1, -1, -1)] = value
+                    spoil.spot = (rows[1] - 1, -1, -1)
+            return out
+
+        return counted, spoiled
+
+    def reference(residual):
         calls = [0]
 
-        def spoiled(p, out=None):
+        def spoiled(p):
             calls[0] += 1
-            if out is None:
-                out = residual(p)
-            else:
-                residual(p, out)
-            if calls[0] == step:  # the first channel is the diagonal (0, 0) of a tensor dual
-                out[np.unravel_index(out[(0,) * (out.ndim - 3)].size - 1, out.shape)] = value
+            out = residual(p)
+            if calls[0] == step:
+                out[(0,) * (out.ndim - 3) + spoil.spot] = value
             return out
 
         return spoiled
 
-    return wrap
+    spoil.model, spoil.reference = model, reference
+    return spoil
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_iterate_raises_at_the_iteration_a_later_slab_goes_nan(kind):
-    _, (stored, start, channel_ndim, channels), _ = _dual_case(kind, (70, 33, 16))
+    _, (model, start, channel_ndim, channels), _ = _dual_case(kind, SPOILED)
     with pytest.raises(DivergenceError, match=r"^dual update diverged at iteration 3$"):
-        iterate(_spoiled(3, np.nan)(stored), start, channel_ndim, 1.0 / 6, 12, 0.0, channels)
+        iterate(*_spoiled(3, np.nan).model(*model), start, channel_ndim, 1.0 / 6, 12, 0.0,
+                channels)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_iterate_raises_when_a_slab_written_after_the_first_goes_nan(kind):
+    """One slab of the lazy step is already written in place when the next one goes NaN."""
+    _, (model, start, channel_ndim, channels), _ = _dual_case(kind, SPOILED)
+    spoil = _spoiled(3, np.nan, nth=2)
+    with pytest.raises(DivergenceError, match=r"^dual update diverged at iteration 3$"):
+        iterate(*spoil.model(*model), start, channel_ndim, 1.0 / 6, 12, 0.0, channels)
+    assert len(spoil.written) == 2 and spoil.spot is not None
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_iterate_matches_the_reference_when_the_clip_norm_overflows(kind):
     """A finite step whose tuple norm overflows clips to zero there, without raising."""
     with np.errstate(over="ignore"):
-        got, want = _run_both(kind, (70, 33, 16), 8, 0.0, _spoiled(3, 1e200))
+        got, want = _run_both(kind, SPOILED, 8, 0.0, _spoiled(3, 1e200))
     _assert_same_run(got, want)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_lazy_step_takes_the_exact_increment_of_an_overflowing_later_slab(kind, monkeypatch):
+    """The slab written after the witness's overflows: it alone gets its exact increment,
+    before it is written, and the step stays lazy."""
+    spoil, increment, steps = _spoiled(3, 1e200, nth=2), dual._increment, []
+
+    def spy(*args):
+        steps.append(spoil.steps)
+        return increment(*args)
+
+    monkeypatch.setattr(dual, "_increment", spy)
+    with np.errstate(over="ignore"):
+        got, want = _run_both(kind, SPOILED, 8, 0.0, spoil)
+    _assert_same_run(got, want)
+    assert len(spoil.written) == 2 and steps.count(3) == 1
 
 
 @pytest.mark.parametrize("kind", KINDS)

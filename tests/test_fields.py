@@ -20,7 +20,9 @@ from tvstokes import (
     unit_clip,
     validate_field,
 )
-from tvstokes.fields import _diff, _diff_t, adjoint_hessian, hessian
+from tvstokes.fields import (
+    _diff, _diff_t, _stacked_sum, _total_variation, adjoint_hessian, hessian,
+)
 from oracles import brute_inner, dense_diff, mode_apply, rand_scalar, rand_vector, rand_tensor
 
 
@@ -326,6 +328,58 @@ def test_operators_give_the_c_ordered_result_on_other_layouts(dims):
 def test_forward_operators_reject_an_out_they_cannot_write(op, out):
     with pytest.raises(DimensionError):
         op(rand_scalar((5, 6), 35), out=out)
+
+
+# 1-d to 4-d; a last axis of 8 strides its slices by 64 bytes (numpy 2.4.6's np.negative bug)
+ROW_GRIDS = [(9,), (12,), (6, 5), (12, 8), (5, 4, 3), (8, 8, 8), (4, 3, 2, 8), (3, 2, 2, 3)]
+
+
+def _row_ranges(n):
+    """Row ranges ending at ``n``, ``n - 1``, ``n - 2`` and inside, from several starts."""
+    ends = {n, n - 1, n - 2, n // 2, 1}
+    return sorted({(a, b) for b in ends for a in (0, 1, b - 1, b - 2) if 0 <= a < b <= n})
+
+
+@pytest.mark.parametrize("dims", ROW_GRIDS, ids=str)
+def test_row_ranges_equal_the_rows_of_the_whole_result_bitwise(dims):
+    u = _signed_grid(dims, 36)
+    for op in (grad, hessian):
+        whole = op(u)
+        for a, b in _row_ranges(dims[0]):
+            want = whole[:, a:b].tobytes()
+            assert op(u, rows=(a, b)).tobytes() == want
+            out = np.full(whole[:, a:b].shape, np.nan)  # stale contents must not leak
+            assert op(u, out, (a, b)) is out and out.tobytes() == want
+
+
+@pytest.mark.parametrize("rows", [(0, 0), (3, 2), (-1, 2), (0, 6), (5, 6)], ids=str)
+@pytest.mark.parametrize("op", [grad, hessian], ids=["grad", "hessian"])
+def test_forward_operators_reject_rows_outside_the_first_axis(op, rows):
+    with pytest.raises(DimensionError):
+        op(rand_scalar((5, 6), 37), rows=rows)
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (3, 7, 9), (2, 64, 64), (3, 16, 17, 19), (4, 130),
+                                   (6, 3, 3)], ids=str)
+def test_stacked_sum_equals_np_sum_of_the_stack_bitwise(shape):
+    """np.sum's pairwise order is followed across grid boundaries, block by block."""
+    x = _signed_grid(shape, 38) * np.random.default_rng(39).uniform(1, 1e6, shape)
+    for stack in (x, x * x, np.zeros(shape), -np.zeros(shape)):
+        buffer = np.empty(shape[1:])
+
+        def grid(k):  # one reused buffer, as the objectives pass their channels
+            buffer[...] = stack[k]
+            return buffer.reshape(-1)
+
+        want, got = np.sum(stack), _stacked_sum(grid, shape[0], buffer.size)
+        assert got == want and np.signbit(got) == np.signbit(want)
+
+
+@pytest.mark.parametrize("dims", [(5,), (4, 6), (3, 4, 8), (2, 3, 2, 4)], ids=str)
+def test_total_variation_equals_iso_l1_norm_of_the_gradient_bitwise(dims):
+    u, g = _signed_grid(dims, 40), _signed_grid((len(dims),) + dims, 41)
+    assert _total_variation(u, 0) == iso_l1_norm(grad(u))
+    assert _total_variation(g, 1) == iso_l1_norm(grad_vec(g), channel_ndim=2)
 
 
 def test_validate_field_widens_f32():

@@ -77,6 +77,17 @@ def test_smoothing_peak_memory_near_the_dual_floor_at_64():
     assert peak_x_input(lambda: smooth_gradient_field(noisy, cfg), noisy) <= 16.0
 
 
+@pytest.mark.parametrize("solve, bound", [
+    (lambda u: smooth_gradient_field(u, SmoothingConfig(lam=0.1, max_iters=2)), 13.5),
+    (lambda u: reconstruct(u, grad(u), ReconstructionConfig(lam=0.1, max_iters=2)), 12.0),
+], ids=["smoothing", "reconstruction"])
+def test_solver_peak_memory_at_one_dual_at_64(solve, bound):
+    """One dual per solve: the loop writes each slab's step straight back into the
+    dual, and the diagnostics and objectives work one slab or one channel at a time."""
+    noisy = noisy_cube(64)
+    assert peak_x_input(lambda: solve(noisy), noisy) <= bound
+
+
 def test_run_denoise_peak_memory_per_input_byte(tmp_path):
     """The whole two-step run; step 2 runs after the step-1 dual is dropped."""
     path = tmp_path / "noisy.raw"
@@ -86,15 +97,17 @@ def test_run_denoise_peak_memory_per_input_byte(tmp_path):
 
 @pytest.mark.parametrize("n, model, bound", [
     (64, "tvstokes", 17.0),
-    # 32^3 cannot reach 16x: dual._SLAB = 1 << 15 is exactly 32^3 entries, so
-    # the update's two slab-sized grids are whole grids here (1/8 grid each at 64^3)
+    # 32^3 cannot reach 16x: dual._SLAB = 1 << 15 is exactly 32^3 entries, so one
+    # slab spans the grid and its residual scratch is dual-sized (1/8 dual at 64^3)
     (32, "tvstokes", 18.5),
     (32, "rof", 12.5),
-], ids=["tvstokes-64", "tvstokes-32", "rof-32"])
+    # one dual per solve: the peak is the unpacked (3, 3) result, g and the input
+    (64, "tvstokes", 14.0),
+], ids=["tvstokes-64", "tvstokes-32", "rof-32", "tvstokes-64-one-dual"])
 def test_run_denoise_peak_memory_near_the_dual_floor(tmp_path, n, model, bound):
-    """A whole run at two duals plus a few grids: step 1 borrows its scratch
-    dual for the residual's work grids and unpacks its full tensor in place,
-    the objectives work in place and ROF holds no zero shift."""
+    """A whole run at one dual plus a few grids: the loop writes each slab's
+    step back into the dual, step 1 unpacks its full tensor in place, the
+    objectives work one channel at a time and ROF holds no zero shift."""
     noisy = noisy_cube(n)
     path = tmp_path / "noisy.raw"
     save_volume(noisy, path)

@@ -1,5 +1,7 @@
 """Gradient-field smoothing solve: fixed points, feasibility, convergence."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -215,7 +217,7 @@ def test_packed_residual_matches_full_tensor_oracle(dims):
     lam = 0.3
     plan = PoissonPlan(dims)
     rows, cols, index = symmetric_packing(d)
-    got = smoothing._bind(g0, lam, plan)(p[rows, cols], None)
+    got = hessian(smoothing._bind(g0, lam, plan)(p[rows, cols]))
     assert got.shape == (d * (d + 1) // 2,) + dims
     want = full_tensor_residual(p, g0, lam, plan)
     assert np.max(np.abs(got[index] - want)) <= 1e-12 * np.max(np.abs(want))
@@ -224,6 +226,8 @@ def test_packed_residual_matches_full_tensor_oracle(dims):
 # an axis longer than spectral._DENSE_MAX also runs the scipy.fft solve
 @pytest.mark.parametrize("dims", GRIDS + [(70, 3)], ids=str)
 def test_residual_borrowing_its_output_equals_fresh_arrays(dims):
+    """The potential's solve borrows a dead work grid of the adjoint; its Hessian, whole
+    or slab by slab, equals one computed in fresh arrays bit for bit."""
     d = len(dims)
     q = np.random.default_rng(23).standard_normal((d * (d + 1) // 2,) + dims)
     g0 = grad(rand_scalar(dims, 24))
@@ -231,9 +235,13 @@ def test_residual_borrowing_its_output_equals_fresh_arrays(dims):
     f0 = smoothing._data(g0, 0.3)
     fresh = hessian(plan.solve(adjoint_hessian(q) - f0))
     before = q.copy()
+    y = smoothing._potential(q, plan, f0)
     out = np.full_like(q, np.nan)  # stale contents must not leak into the result
-    assert smoothing._residual(q, out, f0, plan) is out
-    assert out.tobytes() == smoothing._residual(q, None, f0, plan).tobytes() == fresh.tobytes()
+    assert hessian(y, out) is out
+    assert out.tobytes() == fresh.tobytes()
+    slabs = [hessian(y, rows=(a, min(a + 2, dims[0]))) for a in range(0, dims[0], 2)]
+    assert np.concatenate(slabs, axis=1).tobytes() == fresh.tobytes()
+    assert smoothing._potential(q, plan).tobytes() == plan.solve(adjoint_hessian(q)).tobytes()
     assert q.tobytes() == before.tobytes()
 
 
@@ -279,6 +287,30 @@ def test_dual_step_acts_on_the_symmetric_part():
     skew[0, 1], skew[1, 0] = 2.0, -2.0
     with pytest.raises(ParameterError):
         dual_step(skew, g0, cfg)
+
+
+@pytest.mark.parametrize("install", [sys.settrace, sys.setprofile], ids=["settrace", "setprofile"])
+def test_driver_runs_under_a_trace_or_profile_function(install):
+    """Under a trace or profile function (debuggers, coverage, cProfile) numpy refuses
+    the in-place resize of the dual; the unpack falls back to a fresh tensor, same bytes."""
+    u = rand_scalar((8, 8, 8), 27)
+    cfg = SmoothingConfig(lam=0.2, max_iters=5)
+    want = smooth_gradient_field(u, cfg)
+
+    def tracer(frame, event, arg):
+        return tracer
+
+    trace, profile = sys.gettrace(), sys.getprofile()
+    install(tracer)
+    try:
+        got = smooth_gradient_field(u, cfg)
+    finally:
+        sys.settrace(trace)
+        sys.setprofile(profile)
+    for name in ("g", "p"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert (got.iters, got.final_change, got.kkt_residual, got.objective) == (
+        want.iters, want.final_change, want.kkt_residual, want.objective)
 
 
 def test_kkt_residual_checks_the_given_dual_against_the_symmetric_residual():
