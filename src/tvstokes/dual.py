@@ -94,11 +94,10 @@ class DualConfig:
 
     def validate(self, ndim: int) -> float:
         """Check parameter ranges and return the resolved step size."""
-        for name in ("lam", "tau", "tol"):  # True would pass as 1.0
+        _check_lam(self.lam)
+        for name in ("tau", "tol"):  # True would pass as 1.0
             if isinstance(getattr(self, name), bool):
                 raise ParameterError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if not 0 < self.lam < math.inf:  # NaN fails every comparison
-            raise ParameterError(f"lam must be positive and finite, got {self.lam}")
         if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, Integral)
                 or self.max_iters < 1):
             raise ParameterError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
@@ -112,13 +111,18 @@ class DualConfig:
 
 @dataclass(frozen=True)
 class DualResult:
-    """Final dual of a solve and its diagnostics."""
+    """Diagnostics of a solve; each model adds its solution and final dual."""
 
-    p: np.ndarray
     iters: int
     final_change: float
     kkt_residual: float
     objective: float
+
+
+def _check_lam(lam) -> None:
+    """Raise unless ``lam`` is a positive finite number; ``True`` would pass as 1.0."""
+    if isinstance(lam, bool) or not 0 < lam < math.inf:  # NaN fails every comparison
+        raise ParameterError(f"lam must be positive and finite, got {lam!r}")
 
 
 def require_feasible(p, channel_ndim: int) -> None:

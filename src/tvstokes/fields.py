@@ -39,8 +39,7 @@ axis alone, bit for bit those rows of the whole result: the first-axis
 difference reads one row past the range, and the Hessian two, so the dual
 loop can evaluate its residual one slab at a time.  For the objectives, which
 work one channel at a time, ``_total_variation`` adds the squares of a
-gradient one difference at a time and ``_stacked_sum`` adds stacked grids
-handed over one by one in ``np.sum``'s pairwise order, both bit for bit.
+gradient one difference at a time, bit for bit those of ``iso_l1_norm``.
 
 Operators in this module assume finite float inputs (see
 :func:`validate_field`); only cheap structural checks are performed here.
@@ -353,38 +352,3 @@ def _total_variation(u: np.ndarray, lead: int) -> float:
             squares += np.square(_diff(u[c], axis, step), out=step)
     return float(np.sum(np.sqrt(squares, out=squares)))
 
-
-def _stacked_sum(grid, count: int, size: int) -> float:
-    """``np.sum`` over ``count`` stacked grids of ``size`` entries, bit for bit, one grid at a time.
-
-    ``grid(k)`` returns grid ``k`` flattened; it is asked for every ``k`` once,
-    in increasing order, so it may reuse one buffer.  Partial sums that differ
-    only in the sign of a zero give equal totals after the final ``0.0 +``,
-    which ``np.sum`` also adds.
-    """
-    held = [-1, None]
-
-    def values(k):
-        if held[0] != k:
-            held[:] = k, grid(k)
-        return held[1]
-
-    return float(0.0 + _pairwise(values, size, 0, count * size))
-
-
-def _pairwise(values, size: int, start: int, n: int):
-    """``np.sum``'s pairwise sum of the entries ``[start, start + n)`` of the stacked grids.
-
-    ``np.sum`` adds a contiguous array pairwise, splitting a block of more
-    than 128 entries at half its length rounded down to a multiple of 8; this
-    sum splits where it does and hands ``np.sum`` every block that lies in one
-    grid ``values(k)`` or has at most 128 entries.
-    """
-    k, i = divmod(start, size)
-    if i + n <= size:
-        return np.sum(values(k)[i:i + n])
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        left = _pairwise(values, size, start, half)  # first: grids are asked for in order
-        return left + _pairwise(values, size, start + half, n - half)
-    return np.sum(np.array([values(at // size)[at % size] for at in range(start, start + n)]))

@@ -10,6 +10,8 @@ the sine halves, truncated to the field size.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 from .errors import ParameterError
@@ -17,10 +19,15 @@ from .errors import ParameterError
 __all__ = ["add_gaussian_noise", "standard_normal_field"]
 
 
+def _check_seed(seed) -> None:
+    """Raise unless ``seed`` is a nonnegative integer; 1.7 and ``True`` would seed as 1."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def standard_normal_field(shape, seed: int) -> np.ndarray:
     """Deterministic standard normal samples of the given shape."""
-    if seed < 0:
-        raise ParameterError(f"seed must be nonnegative, got {seed}")
+    _check_seed(seed)
     shape = tuple(int(n) for n in shape)
     size = 1
     for n in shape:
@@ -40,10 +47,9 @@ def add_gaussian_noise(u: np.ndarray, sigma: float, seed: int) -> np.ndarray:
 
     Identical ``(u, sigma, seed)`` triples produce bitwise identical output.
     """
-    if not 0 <= sigma < np.inf:
-        raise ParameterError(f"sigma must be nonnegative and finite, got {sigma}")
-    if seed < 0:  # checked here too: sigma == 0 never draws
-        raise ParameterError(f"seed must be nonnegative, got {seed}")
+    if isinstance(sigma, bool) or not 0 <= sigma < np.inf:  # True would pass as 1.0
+        raise ParameterError(f"sigma must be nonnegative and finite, got {sigma!r}")
+    _check_seed(seed)  # checked here too: sigma == 0 never draws
     u = np.asarray(u, dtype=np.float64)
     if sigma == 0:
         return u.copy()

@@ -79,13 +79,14 @@ def _stats(result) -> StepStats:
     return StepStats(result.iters, result.final_change, result.kkt_residual, result.objective)
 
 
-def _normalize(u: np.ndarray, header: VolumeHeader):
-    """Rescale to [0, 1] when the header declares a value range."""
+def _normalize(u: np.ndarray, header: VolumeHeader) -> dict | None:
+    """Rescale ``u`` in place to [0, 1] when the header declares a value range."""
     if header.value_range is None:
-        return u, None
+        return None
     lo, hi = header.value_range
-    info = {"applied": True, "offset": float(lo), "scale": float(hi - lo)}
-    return (u - lo) / (hi - lo), info
+    u -= lo
+    u /= hi - lo
+    return {"applied": True, "offset": float(lo), "scale": float(hi - lo)}
 
 
 def _denormalize(u: np.ndarray, info: dict | None) -> np.ndarray:
@@ -125,8 +126,8 @@ def run_denoise(
         raise ParameterError(f"unknown model {model!r}; expected one of {MODELS}")
     t_start = time.perf_counter()
 
-    header, u_raw = _read_volume(data_path, header_path)
-    u, norm_info = _normalize(u_raw, header)
+    header, u = _read_volume(data_path, header_path)
+    norm_info = _normalize(u, header)
     u = validate_field(u, "input volume")
     d = u.ndim
 

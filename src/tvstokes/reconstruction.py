@@ -29,10 +29,10 @@ from functools import partial
 
 import numpy as np
 
-from .dual import DualConfig, DualResult, iterate, kkt_residual, require_feasible
+from .dual import DualConfig, DualResult, _check_lam, iterate, kkt_residual, require_feasible
 from .errors import DimensionError, ParameterError
 from .fields import (
-    _diff, _guarded_norm, _stacked_sum, _total_variation, adjoint_grad, divergence, grad, inner,
+    _diff, _guarded_norm, _total_variation, adjoint_grad, divergence, grad, inner,
     pointwise_normalize, validate_field,
 )
 
@@ -64,6 +64,7 @@ class ReconstructionResult(DualResult):
     """Reconstructed image plus the final dual and solve diagnostics."""
 
     u: np.ndarray
+    p: np.ndarray
 
 
 def matching_field(g: np.ndarray, eps: float) -> np.ndarray:
@@ -87,8 +88,7 @@ def _potential(p, m, u0_scaled):
 def _checked(lam, u0, v, s):
     """``(u0, v, s)`` as float64 after checking ``lam`` and that the vector
     field ``v`` and the scalar field ``s`` lie on the grid of ``u0``."""
-    if not 0 < lam < np.inf:  # NaN fails every comparison
-        raise ParameterError(f"lam must be positive and finite, got {lam}")
+    _check_lam(lam)
     u0, v, s = (np.asarray(a, dtype=np.float64) for a in (u0, v, s))
     if v.shape != (u0.ndim,) + u0.shape or s.shape != u0.shape:
         raise DimensionError(
@@ -160,15 +160,15 @@ def matching_objective(
     fidelity = 0.5 / lam * inner(diff, diff)
     del diff
     tv = _total_variation(u, 0)  # iso_l1_norm(grad(u))
-    # inner(grad(u), g/|g|) bit for bit, one channel at a time
+    # inner(grad(u), g/|g|), one channel at a time
     norm = _guarded_norm(g, eps)
     du, term = np.empty(u.shape), np.empty(u.shape)
 
-    def matched(k):  # channel k of g/|g| * grad(u)
+    def matched(k):  # channel k's term of inner(grad(u), g/|g|)
         np.divide(g[k], norm, out=term)
-        return np.multiply(term, _diff(u, k, du), out=term).reshape(-1)
+        return float(np.sum(np.multiply(term, _diff(u, k, du), out=term)))
 
-    return tv + fidelity - _stacked_sum(matched, len(g), norm.size)
+    return tv + fidelity - sum(matched(k) for k in range(len(g)))
 
 
 def matching_kkt_residual(

@@ -29,13 +29,9 @@ takes one of those, dead by then, as its second buffer; :func:`.dual.iterate`
 then writes each slab's step straight back into the one packed dual.  The
 smoothed field is recovered from the final dual as ``g = grad(u0 - lam*z)``,
 ``z = solve(adjoint_hessian(p))``, a gradient by construction.  The KKT value
-is taken slab by slab and the objective one channel at a time, and the plan
-and the loop's grids are freed before the result's ``p``, the full
-``(d, d)`` tensor, is unpacked last and in place: the packed dual's buffer is
-resized to the tensor, so the two are never alive side by side.  Where numpy
-refuses the resize, as it does under a trace or profile function, which adds
-references to the dual, the tensor is unpacked into a fresh array with the
-same bytes.
+is taken slab by slab and the objective one channel at a time.  The result
+keeps the dual packed, as ``packed``; its ``p``, the full ``(d, d)`` tensor, is
+unpacked afresh on each access.
 
 :func:`dual_step` takes and returns full tensors.  It acts on the symmetric
 part ``(p + p^T)/2`` of its input, which it checks for feasibility as given;
@@ -55,11 +51,10 @@ from functools import partial
 
 import numpy as np
 
-from .dual import DualConfig, DualResult, iterate, kkt_residual, require_feasible
-from .errors import DimensionError, ParameterError
+from .dual import DualConfig, DualResult, _check_lam, iterate, kkt_residual, require_feasible
+from .errors import DimensionError
 from .fields import (
-    _diff, _stacked_sum, _total_variation, adjoint_grad, adjoint_hessian, grad, hessian,
-    validate_field,
+    _diff, _total_variation, adjoint_grad, adjoint_hessian, grad, hessian, validate_field,
 )
 from .spectral import PoissonPlan
 
@@ -75,9 +70,18 @@ class SmoothingConfig(DualConfig):
 
 @dataclass(frozen=True)
 class SmoothingResult(DualResult):
-    """Smoothed gradient field plus the final dual and solve diagnostics."""
+    """Smoothed gradient field plus the final dual and solve diagnostics.
+
+    ``packed`` is the final dual as the loop stores it (see :func:`_layout`).
+    """
 
     g: np.ndarray
+    packed: np.ndarray
+
+    @property
+    def p(self) -> np.ndarray:
+        """The final dual as the full symmetric ``(d, d)`` tensor, a new array."""
+        return self.packed[_layout(self.packed.ndim - 1)[0]]
 
 
 def _layout(d: int):
@@ -133,8 +137,7 @@ def _bind(g0, lam, plan):
 def _checked(lam, g0, f, lead: int):
     """``(g0, f)`` as float64 after checking ``lam``, that ``g0`` is a vector
     field and that ``f`` has shape ``g0.shape[:lead] + g0.shape``."""
-    if not 0 < lam < np.inf:  # NaN fails every comparison
-        raise ParameterError(f"lam must be positive and finite, got {lam}")
+    _check_lam(lam)
     g0, f = np.asarray(g0, dtype=np.float64), np.asarray(f, dtype=np.float64)
     if g0.ndim < 2 or g0.ndim != g0.shape[0] + 1:
         raise DimensionError(f"not a vector field: shape {g0.shape}")
@@ -158,19 +161,6 @@ def dual_step(p: np.ndarray, g0: np.ndarray, cfg: SmoothingConfig) -> np.ndarray
     return iterate(potential, hessian, _pack(p), 1, tau, 1, 0.0, channels)[0][index]
 
 
-def _unpack(p: np.ndarray) -> np.ndarray:
-    """Unpack in place the packed dual held in the leading channels of the tensor ``p``."""
-    d = len(p)
-    flat = p.reshape((d * d,) + p.shape[2:])  # a view: p is C-ordered
-    index = _layout(d)[0]
-    # upper channels move to C order, each at or after its packed channel: last first
-    for l, m in reversed(list(zip(*np.triu_indices(d)))):
-        flat[l * d + m] = flat[index[l, m]]
-    for l, m in zip(*np.tril_indices(d, -1)):
-        p[l, m] = p[m, l]
-    return p
-
-
 def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> SmoothingResult:
     """Smooth the gradient field of a noisy image by dual projection.
 
@@ -181,7 +171,7 @@ def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> Smoothin
     d = u_noisy.ndim
     tau = cfg.validate(d)
     plan = PoissonPlan(u_noisy.shape)
-    index, channels = _layout(d)
+    channels = _layout(d)[1]
     potential = _bind(grad(u_noisy), cfg.lam, plan)
     # iterate copies the zero start
     q, iters, change = iterate(
@@ -195,21 +185,14 @@ def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> Smoothin
     z = _potential(q, plan)  # then u0 - lam*z, in place
     z *= cfg.lam
     g = grad(np.subtract(u_noisy, z, out=z))
-    del z, plan  # the unpack below sets the peak: only q, g and the input may be alive
-    objective = _objective(g, partial(_diff, u_noisy), cfg.lam)
-    try:  # q owns its buffer: resize reallocates it in place of a copy
-        q.resize((d, d) + u_noisy.shape)
-    except ValueError:  # numpy counts more references to q, as under a trace or profile function
-        p = q[index]
-    else:
-        p = _unpack(q)
+    del z, plan  # before the objective's two work grids
     return SmoothingResult(
         g=g,
-        p=p,
+        packed=q,
         iters=iters,
         final_change=change,
         kkt_residual=kkt,
-        objective=objective,
+        objective=_objective(g, partial(_diff, u_noisy), cfg.lam),
     )
 
 
@@ -228,11 +211,11 @@ def _objective(g: np.ndarray, data, lam: float) -> float:
     tv = _total_variation(g, 1)  # iso_l1_norm(grad_vec(g), channel_ndim=2)
     diff = np.empty(g.shape[1:])
 
-    def squared_diff(k):  # channel k of (g - g0)**2
+    def squared_norm(k):  # channel k's term of inner(g - g0, g - g0)
         np.subtract(g[k], data(k, diff), out=diff)
-        return np.square(diff, out=diff).reshape(-1)
+        return float(np.sum(np.square(diff, out=diff)))
 
-    return tv + 0.5 / lam * _stacked_sum(squared_diff, len(g), diff.size)  # inner(g - g0, g - g0)
+    return tv + 0.5 / lam * sum(squared_norm(k) for k in range(len(g)))
 
 
 def smoothing_kkt_residual(

@@ -238,7 +238,7 @@ LAM_CALLS = {
 }
 
 
-@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")], ids=str)
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf"), True], ids=str)
 @pytest.mark.parametrize("call", LAM_CALLS)
 def test_diagnostics_reject_non_finite_lam(call, lam):
     with pytest.raises(ParameterError):

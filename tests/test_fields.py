@@ -20,9 +20,7 @@ from tvstokes import (
     unit_clip,
     validate_field,
 )
-from tvstokes.fields import (
-    _diff, _diff_t, _stacked_sum, _total_variation, adjoint_hessian, hessian,
-)
+from tvstokes.fields import _diff, _diff_t, _total_variation, adjoint_hessian, hessian
 from oracles import brute_inner, dense_diff, mode_apply, rand_scalar, rand_vector, rand_tensor
 
 
@@ -357,22 +355,6 @@ def test_row_ranges_equal_the_rows_of_the_whole_result_bitwise(dims):
 def test_forward_operators_reject_rows_outside_the_first_axis(op, rows):
     with pytest.raises(DimensionError):
         op(rand_scalar((5, 6), 37), rows=rows)
-
-
-@pytest.mark.parametrize("shape", [(2, 5), (3, 7, 9), (2, 64, 64), (3, 16, 17, 19), (4, 130),
-                                   (6, 3, 3)], ids=str)
-def test_stacked_sum_equals_np_sum_of_the_stack_bitwise(shape):
-    """np.sum's pairwise order is followed across grid boundaries, block by block."""
-    x = _signed_grid(shape, 38) * np.random.default_rng(39).uniform(1, 1e6, shape)
-    for stack in (x, x * x, np.zeros(shape), -np.zeros(shape)):
-        buffer = np.empty(shape[1:])
-
-        def grid(k):  # one reused buffer, as the objectives pass their channels
-            buffer[...] = stack[k]
-            return buffer.reshape(-1)
-
-        want, got = np.sum(stack), _stacked_sum(grid, shape[0], buffer.size)
-        assert got == want and np.signbit(got) == np.signbit(want)
 
 
 @pytest.mark.parametrize("dims", [(5,), (4, 6), (3, 4, 8), (2, 3, 2, 4)], ids=str)

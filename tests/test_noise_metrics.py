@@ -47,7 +47,7 @@ def test_negative_sigma_rejected():
         add_gaussian_noise(np.zeros((4, 4)), -0.1, seed=0)
 
 
-@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), True])
 def test_non_finite_sigma_rejected(sigma):
     with pytest.raises(ParameterError):
         add_gaussian_noise(np.zeros((4, 4)), sigma, seed=0)
@@ -60,6 +60,13 @@ def test_negative_seed_rejected():
         add_gaussian_noise(np.zeros((4, 4)), 0.1, seed=-1)
     with pytest.raises(ParameterError):
         add_gaussian_noise(np.zeros((4, 4)), 0.0, seed=-1)
+    for seed in (1.7, 1.0, True, np.float64(1.0)):  # each would seed the stream as 1
+        with pytest.raises(ParameterError):
+            standard_normal_field((4, 4), seed=seed)
+        with pytest.raises(ParameterError):
+            add_gaussian_noise(np.zeros((4, 4)), 0.0, seed=seed)
+    assert np.array_equal(standard_normal_field((4, 4), seed=np.int64(1)),
+                          standard_normal_field((4, 4), seed=1))
 
 
 def test_standard_normal_field_is_finite_and_shaped():

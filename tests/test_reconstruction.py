@@ -9,6 +9,7 @@ from tvstokes import (
     ReconstructionConfig,
     adjoint_grad,
     grad,
+    inner,
     iso_l1_norm,
     l2_norm,
     matching_field,
@@ -104,6 +105,14 @@ def test_objective_examples():
     assert matching_objective(u0, u0, np.zeros((2, 5, 5)), lam, 1e-8) == pytest.approx(
         iso_l1_norm(grad(u0))
     )
+    # a Python float, near the whole-field formula; the driver's value too
+    res = reconstruct(u0, g, ReconstructionConfig(lam=lam, max_iters=3))
+    for u in (rand_scalar((5, 5), 10), res.u):
+        got = matching_objective(u, u0, g, lam, 1e-8)
+        assert type(got) is float and got == pytest.approx(
+            iso_l1_norm(grad(u)) + 0.5 / lam * inner(u - u0, u - u0)
+            - inner(grad(u), pointwise_normalize(g, 1e-8)), rel=1e-12)
+    assert type(res.objective) is float and res.objective == got
     with pytest.raises(ParameterError):
         matching_objective(u0, u0, g, -0.1, 1e-8)
 

@@ -12,6 +12,7 @@ from tvstokes import (
     adjoint_grad_tensor,
     grad,
     grad_vec,
+    inner,
     iso_l1_norm,
     l2_norm,
     max_tuple_norm,
@@ -107,6 +108,13 @@ def test_objective_examples():
     assert smoothing_objective(np.zeros_like(g0), g0, 0.5) == pytest.approx(
         l2_norm(g0) ** 2 / 1.0
     )
+    # a Python float, near the whole-field formula; the driver's value too
+    res = smooth_gradient_field(u, SmoothingConfig(lam=0.5, max_iters=3))
+    for g in (grad(rand_scalar((5, 5), 7)), res.g):
+        got = smoothing_objective(g, g0, 0.5)
+        assert type(got) is float and got == pytest.approx(
+            iso_l1_norm(grad_vec(g), channel_ndim=2) + inner(g - g0, g - g0), rel=1e-12)
+    assert type(res.objective) is float and res.objective == got
     with pytest.raises(ParameterError):
         smoothing_objective(g0, g0, 0.0)
 
@@ -246,12 +254,13 @@ def test_residual_borrowing_its_output_equals_fresh_arrays(dims):
 
 
 @pytest.mark.parametrize("dims", GRIDS, ids=str)
-def test_unpack_in_place_equals_indexed_copy(dims):
+def test_result_p_is_the_symmetric_tensor_of_the_packed_dual(dims):
     d = len(dims)
-    q = np.random.default_rng(25).standard_normal((d * (d + 1) // 2,) + dims)
-    want = q[smoothing._layout(d)[0]]
-    q.resize((d, d) + dims)
-    assert smoothing._unpack(q).tobytes() == want.tobytes()
+    res = smooth_gradient_field(rand_scalar(dims, 25), SmoothingConfig(lam=0.2, max_iters=3))
+    assert res.packed.shape == (d * (d + 1) // 2,) + dims
+    p = res.p
+    assert p.shape == (d, d) + dims and p.tobytes() == p.swapaxes(0, 1).tobytes()
+    assert smoothing._pack(p).tobytes() == res.packed.tobytes()
 
 
 @pytest.mark.parametrize("dims", GRIDS, ids=str)
@@ -291,8 +300,8 @@ def test_dual_step_acts_on_the_symmetric_part():
 
 @pytest.mark.parametrize("install", [sys.settrace, sys.setprofile], ids=["settrace", "setprofile"])
 def test_driver_runs_under_a_trace_or_profile_function(install):
-    """Under a trace or profile function (debuggers, coverage, cProfile) numpy refuses
-    the in-place resize of the dual; the unpack falls back to a fresh tensor, same bytes."""
+    """A trace or profile function (debuggers, coverage, cProfile) adds references
+    to every live array and changes no byte of the result."""
     u = rand_scalar((8, 8, 8), 27)
     cfg = SmoothingConfig(lam=0.2, max_iters=5)
     want = smooth_gradient_field(u, cfg)
