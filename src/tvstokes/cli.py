@@ -79,7 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
     met.add_argument("--ref-meta", default=None)
     met.add_argument("--test", required=True, help="test raw payload")
     met.add_argument("--test-meta", default=None)
-    met.add_argument("--peak", type=float, default=1.0)
+    met.add_argument("--peak", type=float, default=None,
+                     help="peak value (default: width of the reference's value range, else 1)")
 
     pro = sub.add_parser("project", help="write the projected gradient channels")
     pro.add_argument("--input", required=True)
@@ -122,9 +123,12 @@ def _cmd_add_noise(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    ref = load_volume(args.ref, args.ref_meta)
+    header, ref = _read_volume(args.ref, args.ref_meta)
     test = load_volume(args.test, args.test_meta)
-    value = psnr(ref, test, args.peak)
+    peak = args.peak
+    if peak is None:
+        peak = 1.0 if header.value_range is None else header.value_range[1] - header.value_range[0]
+    value = psnr(ref, test, peak)
     stair = None
     if all(n >= 3 for n in test.shape):
         stair = staircase_metric(test)

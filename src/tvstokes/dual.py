@@ -1,15 +1,16 @@
 """The semi-implicit dual projection core shared by every solver.
 
-Each model solves its dual, a field ``p`` with pointwise tuple norms at most 1
-over ``channel_ndim`` leading axes, by the iteration
+Each model solves its dual, a stack of channel grids along axis 0 with
+pointwise tuple norms at most 1, by the iteration
 ``p <- unit_clip(p - tau * A(p))`` (Chambolle, JMIV 2004), which is
 nonexpansive for ``tau <= 1/(2d)``.  Every model's residual is a
 forward-difference operator ``K`` of one potential computed from the whole
 dual, ``A(p) = K(y)`` with ``y = potential(p)``: :func:`.fields.hessian` in
 the smoothing, :func:`.fields.grad` in reconstruction and ROF.  A model
 supplies the potential, ``K`` as a kernel that writes any rows ``[a, b)`` of
-the first grid axis, the map recovering its primal solution from ``p`` and
-its objective.
+the first grid axis, and its objective.  Each driver ends at one potential:
+it computes ``y`` of the final dual once, takes :func:`kkt_residual` from it
+and recovers its primal solution from ``y``.
 
 A dual may be stored packed: ``channels`` then lists, in the order the tuple
 norm adds their squares, the stored channel of every entry of the tuple, so
@@ -137,15 +138,13 @@ def _spans(grid) -> list:
     return [(a, min(a + rows, grid[0])) for a in range(0, grid[0], rows)]
 
 
-def iterate(potential, kernel, p, channel_ndim: int, tau: float, max_iters: int, tol: float,
-            channels=None):
+def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channels=None):
     """Iterate from the dual ``p``; returns ``(p, iters, final_change)``.
 
     Stops once the pointwise max norm of the increment drops to ``tol`` or
     after ``max_iters >= 1`` steps; a non-finite increment raises.
     ``channels`` lists the stored channel of each tuple entry (see the module
-    docstring); by default every channel over the first ``channel_ndim`` axes,
-    once, in C order.
+    docstring); by default every channel of ``p``, once, in order.
 
     The residual is ``A(p) = K(y)`` with ``y = potential(p)``:
     ``kernel(y, out, (a, b))`` writes rows ``[a, b)`` of the first grid axis
@@ -159,18 +158,17 @@ def iterate(potential, kernel, p, channel_ndim: int, tau: float, max_iters: int,
     exact increment on any step.
     """
     p = np.array(p, dtype=np.float64, order="C")
-    grid = p.shape[channel_ndim:]
-    lead = (slice(None),) * channel_ndim
+    grid = p.shape[1:]
     spans = _spans(grid)
     maxima = np.empty(len(spans))
     peaks = [0] * len(spans)  # where each slab's last exact increment peaked
     if channels is None:
-        channels = list(np.ndindex(p.shape[:channel_ndim]))
+        channels = range(len(p))
 
-    step = np.empty(p[lead + (slice(spans[0][1]),)].size)  # a slab's residual, then its step
+    step = np.empty(p[:, :spans[0][1]].size)  # a slab's residual, then its step
     slabs = []  # (rows, the slab of p, the slab's residual and then its step)
     for a, b in spans:
-        ps = p[lead + (slice(a, b),)]
+        ps = p[:, a:b]
         slabs.append(((a, b), ps, step[:ps.size].reshape(ps.shape)))
 
     def sweep(iters: int, witness) -> bool:
@@ -229,8 +227,7 @@ def _increment(ps, qs, norm: np.ndarray, scratch: np.ndarray, channels):
 
 def _norm_at(ps, qs, norm: np.ndarray, at: tuple, channels) -> float:
     """Tuple norm of ``ps - qs/norm`` at the slab point ``at``, added as in :func:`_sum_squares`."""
-    lead = (slice(None),) * (ps.ndim - norm.ndim)
-    d = ps[lead + at] - qs[lead + at] / norm[at]
+    d = ps[(slice(None), *at)] - qs[(slice(None), *at)] / norm[at]
     total = 0.0
     for c in channels:  # in order: np.sum adds 8 or more terms pairwise
         total += d[c] * d[c]
@@ -246,22 +243,19 @@ def _sum_squares(grids, out: np.ndarray, scratch: np.ndarray) -> None:
             np.multiply(g, g, out=out)
 
 
-def stationarity_residual(w: np.ndarray, p: np.ndarray, channel_ndim: int,
-                          channels=None) -> float:
+def stationarity_residual(w: np.ndarray, p: np.ndarray, channels=None) -> float:
     """Max-abs of ``w + |w| * p`` for ``w = A(p)`` and ``|w|`` the pointwise tuple norm.
 
     ``channels`` lists the stored channel of ``w`` for each tuple entry, as
-    for :func:`iterate`; by default ``w``'s channels over the first
-    ``channel_ndim`` axes of ``p``, in C order.  ``p`` is either stored like
-    ``w`` or holds one channel per tuple entry, in C order over its first
-    ``channel_ndim`` axes.  The result is zero exactly at fixed points of
-    the update, and NaN if ``w`` or ``p`` holds a NaN.  Computed channel by
-    channel in two grid scratches.
+    for :func:`iterate`; by default every channel of ``p``, in order.  ``p``
+    is either stored like ``w`` or holds one channel per tuple entry.  The
+    result is zero exactly at fixed points of the update, and NaN if ``w``
+    or ``p`` holds a NaN.  Computed channel by channel in two grid scratches.
     """
-    entries = list(np.ndindex(p.shape[:channel_ndim]))
+    entries = range(len(p))
     if channels is None:
         channels = entries
-    norm, term = np.empty((2,) + p.shape[channel_ndim:])
+    norm, term = np.empty((2,) + p.shape[1:])
     _sum_squares((w[c] for c in channels), norm, term)
     np.sqrt(norm, out=norm)
     worst = []
@@ -272,16 +266,14 @@ def stationarity_residual(w: np.ndarray, p: np.ndarray, channel_ndim: int,
     return float(np.max(worst))  # np.max keeps a NaN that Python's max may drop
 
 
-def kkt_residual(kernel, y, p: np.ndarray, channel_ndim: int, channels=None) -> float:
+def kkt_residual(kernel, y, p: np.ndarray, channels=None) -> float:
     """:func:`stationarity_residual` of ``w = K(y)`` and ``p``, one slab of ``w`` at a time.
 
     ``kernel(y, None, (a, b))`` returns rows ``[a, b)`` of ``w``, as for
     :func:`iterate`; the result equals ``stationarity_residual(w, p, ...)``
     bit for bit, since a max is exact.
     """
-    lead = (slice(None),) * channel_ndim
     return float(np.max([
-        stationarity_residual(kernel(y, None, span), p[lead + (slice(*span),)], channel_ndim,
-                              channels)
-        for span in _spans(p.shape[channel_ndim:])
+        stationarity_residual(kernel(y, None, span), p[:, slice(*span)], channels)
+        for span in _spans(p.shape[1:])
     ]))

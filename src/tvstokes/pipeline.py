@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dual import DualResult
 from .errors import ParameterError
 from .fields import grad, validate_field
 from .metrics import staircase_metric
@@ -29,14 +30,7 @@ __all__ = ["StepStats", "RunReport", "run_denoise", "run_project"]
 MODELS = ("tvstokes", "rof")
 
 
-@dataclass
-class StepStats:
-    """Convergence summary of one dual solve."""
-
-    iters: int
-    final_change: float
-    kkt_residual: float
-    objective: float
+StepStats = DualResult  # the convergence summary of one dual solve
 
 
 @dataclass
@@ -75,8 +69,8 @@ class RunReport:
         return cls.from_dict(json.loads(text))
 
 
-def _stats(result) -> StepStats:
-    return StepStats(result.iters, result.final_change, result.kkt_residual, result.objective)
+def _stats(result) -> DualResult:
+    return DualResult(result.iters, result.final_change, result.kkt_residual, result.objective)
 
 
 def _normalize(u: np.ndarray, header: VolumeHeader) -> dict | None:

@@ -13,10 +13,12 @@ with the residual
 
     A(p) = grad(m + adjoint_grad(p) - u0/lam)
 
-whose potential ``m + adjoint_grad(p) - u0/lam`` the loop differentiates
-one slab of rows at a time, and the image is recovered as
-``u = u0 - lam * (adjoint_grad(p) + m)``.  With ``m = 0`` this is plain
-isotropic TV denoising, which :mod:`.rof` solves through :func:`solve_shifted`.
+whose potential ``y = m + adjoint_grad(p) - u0/lam`` the loop differentiates
+one slab of rows at a time.  :func:`solve_shifted` computes ``y`` of the final
+dual once, takes the KKT value from it and recovers the image in place as
+``u = u0 - lam*(y + u0/lam)``, which reproduces a constant ``u0`` exactly
+where ``-lam*y`` may round.  With ``m = 0`` this is plain isotropic TV
+denoising, which :mod:`.rof` solves through :func:`solve_shifted`.
 
 :func:`dual_step` and :func:`solve_shifted` are public at module level only,
 not in ``__all__``.
@@ -110,7 +112,7 @@ def dual_step(
     potential, p = _bind(p, u0, m, cfg.lam)
     tau = cfg.validate(len(p))
     require_feasible(p, channel_ndim=1)
-    return iterate(potential, grad, p, 1, tau, 1, 0.0)[0]
+    return iterate(potential, grad, p, tau, 1, 0.0)[0]
 
 
 def solve_shifted(u0, m, cfg: DualConfig, tau: float, objective) -> ReconstructionResult:
@@ -119,20 +121,18 @@ def solve_shifted(u0, m, cfg: DualConfig, tau: float, objective) -> Reconstructi
     ``u0`` must be a validated field; ``objective(u)`` is the value reported
     for the recovered image.
     """
-    potential, p = _bind(np.broadcast_to(0.0, (u0.ndim,) + u0.shape), u0, m, cfg.lam)
-    p, iters, change = iterate(potential, grad, p, 1, tau, cfg.max_iters, cfg.tol)  # copies p
-    del potential  # and with it u0/lam, before the diagnostics run
-    u = adjoint_grad(p)  # then u0 - lam*(u + m), in place
-    u += m
+    u0, p, m = _checked(cfg.lam, u0, np.broadcast_to(0.0, (u0.ndim,) + u0.shape), m)
+    u0_scaled = u0 / cfg.lam
+    potential = partial(_potential, m=m, u0_scaled=u0_scaled)
+    p, iters, change = iterate(potential, grad, p, tau, cfg.max_iters, cfg.tol)  # copies p
+    u = potential(p)  # the final dual's potential y
+    kkt = kkt_residual(grad, u, p)
+    u += u0_scaled  # then u0 - lam*(y + u0/lam), in place
+    del potential, u0_scaled  # before the objective runs
     u *= cfg.lam
     np.subtract(u0, u, out=u)
     return ReconstructionResult(
-        u=u,
-        p=p,
-        iters=iters,
-        final_change=change,
-        kkt_residual=matching_kkt_residual(p, u0, m, cfg.lam),
-        objective=objective(u),
+        u=u, p=p, iters=iters, final_change=change, kkt_residual=kkt, objective=objective(u)
     )
 
 
@@ -180,4 +180,4 @@ def matching_kkt_residual(
     ``w + |w| * p = 0`` entrywise.
     """
     potential, p = _bind(p, u0, m, lam)
-    return kkt_residual(grad, potential(p), p, 1)
+    return kkt_residual(grad, potential(p), p)

@@ -2,9 +2,9 @@
 
 Minimizes ``iso_l1(grad(u)) + 1/(2*lam) * ||u - u0||_2^2``: the
 reconstruction model with a zero matching field, solved by
-:func:`.reconstruction.solve_shifted` with its residual and recovery map, so
-both models run one iteration kernel and their outputs are directly
-comparable.
+:func:`.reconstruction.solve_shifted` with its residual and its recovery
+``u = u0 - lam*(y + u0/lam)`` from the final dual's potential ``y``, so both
+models run one iteration kernel and their outputs are directly comparable.
 """
 
 from __future__ import annotations

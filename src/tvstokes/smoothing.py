@@ -27,11 +27,12 @@ at a time.  The potential holds three grids while it is computed, the
 right-hand side and the adjoint's two work grids, and the in-place solve
 takes one of those, dead by then, as its second buffer; :func:`.dual.iterate`
 then writes each slab's step straight back into the one packed dual.  The
-smoothed field is recovered from the final dual as ``g = grad(u0 - lam*z)``,
-``z = solve(adjoint_hessian(p))``, a gradient by construction.  The KKT value
-is taken slab by slab and the objective one channel at a time.  The result
-keeps the dual packed, as ``packed``; its ``p``, the full ``(d, d)`` tensor, is
-unpacked afresh on each access.
+final dual's potential ``y``, computed once, gives the KKT value, slab by
+slab, and the smoothed field ``g = -lam*grad(y)``, a gradient by construction
+with ``grad_vec(g) = -lam*A(p)``: ``y`` differs from the primal potential
+``(u0 - lam*solve(adjoint_hessian(p)))/(-lam)`` by a constant.  The objective
+takes one channel at a time.  The result keeps the dual packed, as ``packed``;
+its ``p``, the full ``(d, d)`` tensor, is unpacked afresh on each access.
 
 :func:`dual_step` takes and returns full tensors.  It acts on the symmetric
 part ``(p + p^T)/2`` of its input, which it checks for feasibility as given;
@@ -114,18 +115,16 @@ def _data(g0: np.ndarray, lam: float) -> np.ndarray:
     return f0
 
 
-def _potential(q, plan, f0=None):
+def _potential(q, plan, f0):
     """``solve(adjoint_hessian(q) - f0)``, the potential whose :func:`.fields.hessian` is ``A(q)``.
 
-    ``f0=None`` subtracts nothing: that is the recovery's potential.  The
-    solve runs in place and takes a work grid of the adjoint, dead by then,
-    as its second buffer, so the potential holds three grids while it is
-    computed and one after.
+    The solve runs in place and takes a work grid of the adjoint, dead by
+    then, as its second buffer, so the potential holds three grids while it
+    is computed and one after.
     """
     y, work = np.empty(q.shape[1:]), np.empty((2,) + q.shape[1:])
     adjoint_hessian(q, y, (work[0], work[1]))
-    if f0 is not None:
-        y -= f0
+    y -= f0
     return plan.solve(y, overwrite_x=True, work=work[0])
 
 
@@ -158,7 +157,7 @@ def dual_step(p: np.ndarray, g0: np.ndarray, cfg: SmoothingConfig) -> np.ndarray
     require_feasible(p, channel_ndim=2)
     index, channels = _layout(len(p))
     potential = _bind(g0, cfg.lam, PoissonPlan(g0.shape[1:]))
-    return iterate(potential, hessian, _pack(p), 1, tau, 1, 0.0, channels)[0][index]
+    return iterate(potential, hessian, _pack(p), tau, 1, 0.0, channels)[0][index]
 
 
 def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> SmoothingResult:
@@ -176,16 +175,16 @@ def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> Smoothin
     # iterate copies the zero start
     q, iters, change = iterate(
         potential, hessian, np.broadcast_to(0.0, (d * (d + 1) // 2,) + u_noisy.shape),
-        1, tau, cfg.max_iters, cfg.tol, channels,
+        tau, cfg.max_iters, cfg.tol, channels,
     )
+    y = potential(q)
     # the diagnostics read the packed dual: duplicated entries give identical
     # terms, so the KKT value equals smoothing_kkt_residual(p, ...) bit for bit
-    kkt = kkt_residual(hessian, potential(q), q, 1, channels)
-    del potential  # and with it the data term
-    z = _potential(q, plan)  # then u0 - lam*z, in place
-    z *= cfg.lam
-    g = grad(np.subtract(u_noisy, z, out=z))
-    del z, plan  # before the objective's two work grids
+    kkt = kkt_residual(hessian, y, q, channels)
+    del potential, plan  # and with them the data term
+    g = grad(y)  # then -lam*grad(y), in place
+    del y  # before the objective's two work grids
+    g *= -cfg.lam
     return SmoothingResult(
         g=g,
         packed=q,
@@ -231,5 +230,6 @@ def smoothing_kkt_residual(
     g0, p = _checked(lam, g0, p, 1)
     if plan is None:
         plan = PoissonPlan(g0.shape[1:])
+    d = len(p)
     y = _potential(_pack(p), plan, _data(g0, lam))
-    return kkt_residual(hessian, y, p, 2, _layout(len(p))[1])
+    return kkt_residual(hessian, y, p.reshape((d * d,) + p.shape[2:]), _layout(d)[1])

@@ -99,6 +99,14 @@ def rand_tensor(dims, seed):
     return np.random.default_rng(seed).standard_normal((d, d) + tuple(dims))
 
 
+def constant_cases(n=50, seed=0):
+    """``n`` random ``(value, lam)`` pairs for constant inputs, over several decades of each:
+    ``lam * (value/lam)`` rounds away from ``value`` for a good share of them."""
+    rng = np.random.default_rng(seed)
+    values = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    return list(zip(values.tolist(), (10.0 ** rng.uniform(-3.0, 1.0, n)).tolist()))
+
+
 def feasible_vector(dims, seed, scale=1.0):
     """Random vector field with pointwise tuple norms at most ``scale``."""
     q = rand_vector(dims, seed)

@@ -220,6 +220,19 @@ def test_metrics_identical_reports_null_psnr(tmp_path, capsys):
     assert payload["psnr_db"] is None
 
 
+def test_metrics_peak_defaults_to_the_reference_value_range(tmp_path, capsys):
+    """A 0-255 volume scores against a peak of 255, not 1, unless --peak says otherwise."""
+    u = 250 * np.random.default_rng(8).random((6, 6, 6))  # and u + 4 stays in [0, 255]
+    box = (0.0, 255.0)
+    ref = write_volume(tmp_path, u, name="ref.raw", dtype="f32", value_range=box)
+    test = write_volume(tmp_path, u + 4.0, name="test.raw", dtype="f32", value_range=box)
+    scores = []
+    for peak in ([], ["--peak", "255"], ["--peak", "1"]):
+        assert main(["metrics", "--ref", str(ref), "--test", str(test), *peak]) == 0
+        scores.append(json.loads(capsys.readouterr().out)["psnr_db"])
+    assert scores[0] == scores[1] > 0 > scores[2]
+
+
 # ------------------------------------------------------------------ project
 
 def test_project_writes_gradient_channels(tmp_path):

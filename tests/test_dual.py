@@ -81,11 +81,17 @@ def test_solver_accepts_default_config(solver):
 GRIDS = [(9,), (6, 5), (5, 4, 3), (3, 3, 2, 3), (70, 33, 16)]  # the last: slabs of 62 and 8 rows
 
 
-def _rows_of(full, lead: int):
-    """A kernel for ``iterate``: rows ``[a, b)`` of the first grid axis of ``full(y)``, which
-    has ``lead`` channel axes, copied into ``out`` or returned fresh."""
+def _stacked(p, channel_ndim):
+    """``p`` with its ``channel_ndim`` channel axes stacked along axis 0, as ``iterate``
+    stores it."""
+    return p.reshape((-1,) + p.shape[channel_ndim:])
+
+
+def _rows_of(full):
+    """A kernel for ``iterate``: rows ``[a, b)`` of the first grid axis of ``full(y)``, whose
+    channels are stacked along axis 0, copied into ``out`` or returned fresh."""
     def kernel(y, out, rows):
-        w = full(y)[(slice(None),) * lead + (slice(*rows),)]
+        w = full(y)[:, slice(*rows)]
         if out is None:
             return w.copy()
         out[...] = w
@@ -96,16 +102,18 @@ def _rows_of(full, lead: int):
 
 def _residual(dims, channel_ndim):
     """``(residual, potential, kernel)`` of ``A(p) = D(D^T p - f)``, ``D`` the gradient (vector
-    dual, whose kernel is ``grad``'s row range) or ``grad_vec`` (tensor dual)."""
+    dual, whose kernel is ``grad``'s row range) or ``grad_vec`` (tensor dual).  ``residual``
+    takes the dual with its ``channel_ndim`` channel axes; ``potential`` takes it, and
+    ``kernel`` writes ``A(p)``, stacked as ``iterate`` stores them."""
     rng = np.random.default_rng(len(dims))
     if channel_ndim == 1:
         f, fwd, adj, kernel = 3.0 * rng.standard_normal(dims), grad, adjoint_grad, grad
     else:
         f, fwd, adj = 3.0 * rng.standard_normal((len(dims),) + dims), grad_vec, adjoint_grad_tensor
-        kernel = _rows_of(grad_vec, 2)
+        kernel = _rows_of(lambda y: _stacked(grad_vec(y), 2))
 
     def potential(p):
-        return adj(p) - f
+        return adj(p.reshape((len(dims),) * channel_ndim + dims)) - f
 
     return lambda p: fwd(potential(p)), potential, kernel
 
@@ -119,18 +127,24 @@ def _assert_same_run(got, want):
     assert got[1:] == want[1:]
 
 
+def _iterate(model, p0, channel_ndim, *args):
+    """``iterate`` from ``p0`` stacked along axis 0; its dual comes back in ``p0``'s shape."""
+    p, *rest = iterate(*model, _stacked(p0, channel_ndim), *args)
+    return (p.reshape(p0.shape), *rest)
+
+
 @pytest.mark.parametrize("channel_ndim", [1, 2])
 @pytest.mark.parametrize("dims", GRIDS, ids=str)
 def test_iterate_matches_reference_loop_bitwise(dims, channel_ndim):
     (residual, *model), p0 = _residual(dims, channel_ndim), _start(dims, channel_ndim)
     tau = 1.0 / (2 * len(dims))
     want = reference_iterate(residual, p0, channel_ndim, tau, 12, 0.0)
-    _assert_same_run(iterate(*model, p0, channel_ndim, tau, 12, 0.0), want)
+    _assert_same_run(_iterate(model, p0, channel_ndim, tau, 12, 0.0), want)
     # a tol reached after a few steps stops both loops early, at the same step
     tol = reference_iterate(residual, p0, channel_ndim, tau, 5, 0.0)[2]
     want = reference_iterate(residual, p0, channel_ndim, tau, 40, tol)
     assert want[1] < 40
-    _assert_same_run(iterate(*model, p0, channel_ndim, tau, 40, tol), want)
+    _assert_same_run(_iterate(model, p0, channel_ndim, tau, 40, tol), want)
 
 
 def test_iterate_raises_on_a_nan_in_a_later_slab():
@@ -143,7 +157,7 @@ def test_iterate_raises_on_a_nan_in_a_later_slab():
             out[-1, -1, -1, -1] = np.nan
 
     with pytest.raises(DivergenceError):
-        iterate(lambda p: None, kernel, np.zeros((3,) + dims), 1, 0.1, 5, 0.0)
+        iterate(lambda p: None, kernel, np.zeros((3,) + dims), 0.1, 5, 0.0)
 
 
 @pytest.mark.parametrize("max_iters", [1, 2])
@@ -152,7 +166,7 @@ def test_iterate_leaves_its_start_unmodified(channel_ndim, max_iters):
     dims = (5, 4)
     (_, *model), p0 = _residual(dims, channel_ndim), _start(dims, channel_ndim)
     before = p0.copy()
-    p = iterate(*model, p0, channel_ndim, 0.25, max_iters, 0.0)[0]
+    p = _iterate(model, p0, channel_ndim, 0.25, max_iters, 0.0)[0]
     assert not np.shares_memory(p, p0)
     assert p0.tobytes() == before.tobytes()
 
@@ -162,10 +176,10 @@ def test_iterate_holds_one_dual_and_slab_sized_scratch():
     dims = (70, 33, 16)
     y = rand_scalar(dims, 9)
     p0 = np.broadcast_to(0.0, (3,) + dims)  # iterate's own copy is the one dual
-    iterate(lambda p: y, grad, p0, 1, 1.0 / 6, 4, 0.0)  # warm-up: one-time allocations
+    iterate(lambda p: y, grad, p0, 1.0 / 6, 4, 0.0)  # warm-up: one-time allocations
     tracemalloc.start()
     try:
-        iterate(lambda p: y, grad, p0, 1, 1.0 / 6, 4, 0.0)
+        iterate(lambda p: y, grad, p0, 1.0 / 6, 4, 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -210,9 +224,10 @@ def test_solvers_leave_their_inputs_unmodified(call):
 def test_stationarity_residual_propagates_nan(channel_ndim, holder, channel):
     dims = (4, 5)
     w = 0.1 * (rand_vector(dims, 8) if channel_ndim == 1 else rand_tensor(dims, 8))
-    arrays = {"w": w, "p": _start(dims, channel_ndim)}
-    arrays[holder].reshape((-1,) + dims)[channel][1, 2] = np.nan
-    assert math.isnan(stationarity_residual(arrays["w"], arrays["p"], channel_ndim))
+    p = _start(dims, channel_ndim)
+    arrays = {"w": _stacked(w, channel_ndim), "p": _stacked(p, channel_ndim)}
+    arrays[holder][channel][1, 2] = np.nan
+    assert math.isnan(stationarity_residual(arrays["w"], arrays["p"]))
 
 
 @pytest.mark.parametrize("value", [5.0, np.nan], ids=["largest", "nan"])
@@ -221,7 +236,7 @@ def test_kkt_residual_reads_every_slab(value):
     w = 0.1 * rand_vector(dims, 10)
     w[0, -1, -1, -1] = value  # in the last slab
     p = _start(dims, 1)
-    got, want = kkt_residual(_rows_of(lambda y: y, 1), w, p, 1), stationarity_residual(w, p, 1)
+    got, want = kkt_residual(_rows_of(lambda y: y), w, p), stationarity_residual(w, p)
     if math.isnan(value):
         assert math.isnan(got) and math.isnan(want)
     else:
@@ -290,7 +305,7 @@ def _packed_case(dims):
     def residual(p):
         return hessian_of(potential(p))
 
-    packed = (lambda q: potential(q[index]), _rows_of(lambda y: hessian_of(y)[rows, cols], 1))
+    packed = (lambda q: potential(q[index]), _rows_of(lambda y: hessian_of(y)[rows, cols]))
     t = _start(dims, 2)
     return residual, packed, 0.5 * (t + t.swapaxes(0, 1)), rows, cols, index
 
@@ -301,21 +316,21 @@ def test_packed_iterate_matches_full_tensor_loop_bitwise(dims):
     residual, packed, p0, rows, cols, index = _packed_case(dims)
     tau = 1.0 / (2 * len(dims))
     want = reference_iterate(residual, p0, 2, tau, 12, 0.0)
-    got = iterate(*packed, p0[rows, cols], 1, tau, 12, 0.0, index.ravel().tolist())
+    got = iterate(*packed, p0[rows, cols], tau, 12, 0.0, index.ravel().tolist())
     _assert_same_run((got[0][index],) + got[1:], want)
     tol = reference_iterate(residual, p0, 2, tau, 5, 0.0)[2]
     stopped = reference_iterate(residual, p0, 2, tau, 40, tol)
     assert stopped[1] < 40
-    got = iterate(*packed, p0[rows, cols], 1, tau, 40, tol, index.ravel().tolist())
+    got = iterate(*packed, p0[rows, cols], tau, 40, tol, index.ravel().tolist())
     _assert_same_run((got[0][index],) + got[1:], stopped)
-    w = residual(want[0])
-    packed_kkt = stationarity_residual(w[rows, cols], want[0], 2, index.ravel().tolist())
-    assert packed_kkt == stationarity_residual(w, want[0], 2)
+    w, full = residual(want[0]), _stacked(want[0], 2)
+    packed_kkt = stationarity_residual(w[rows, cols], full, index.ravel().tolist())
+    assert packed_kkt == stationarity_residual(_stacked(w, 2), full)
     # a dual stored packed like w: duplicated entries give identical terms
-    assert packed_kkt == stationarity_residual(w[rows, cols], want[0][rows, cols], 1,
+    assert packed_kkt == stationarity_residual(w[rows, cols], want[0][rows, cols],
                                                index.ravel().tolist())
     # and slab by slab, through the kernel
-    assert packed_kkt == kkt_residual(packed[1], packed[0](want[0][rows, cols]), want[0], 2,
+    assert packed_kkt == kkt_residual(packed[1], packed[0](want[0][rows, cols]), full,
                                       index.ravel().tolist())
 
 
@@ -323,25 +338,25 @@ def test_packed_iterate_matches_full_tensor_loop_bitwise(dims):
 
 def _dual_case(kind, dims):
     """``(reference, stored, unpack)``: the reference loop's residual, start and channel axes,
-    then ``iterate``'s ``(potential, kernel)``, start, channel axes and channel list, and the
-    map back."""
+    then ``iterate``'s ``(potential, kernel)``, start and channel list, and the map back."""
     if kind == "packed":
         residual, packed, p0, rows, cols, index = _packed_case(dims)
-        stored = (packed, p0[rows, cols], 1, index.ravel().tolist())
+        stored = (packed, p0[rows, cols], index.ravel().tolist())
         return (residual, p0, 2), stored, lambda p: p[index]
     channel_ndim = 1 if kind == "vector" else 2
     (residual, *model), p0 = _residual(dims, channel_ndim), _start(dims, channel_ndim)
-    return (residual, p0, channel_ndim), (model, p0, channel_ndim, None), lambda p: p
+    stored = (model, _stacked(p0, channel_ndim), None)
+    return (residual, p0, channel_ndim), stored, lambda p: p.reshape(p0.shape)
 
 
 def _run_both(kind, dims, max_iters, tol, spoil=None):
     """``iterate`` and then the reference loop, each on its residual as ``spoil`` wraps it."""
     reference, stored, unpack = _dual_case(kind, dims)
-    (residual, p0, channel_ndim), (model, start, stored_ndim, channels) = reference, stored
+    (residual, p0, channel_ndim), (model, start, channels) = reference, stored
     tau = 1.0 / (2 * len(dims))
     if spoil is not None:
         model, residual = spoil.model(*model), spoil.reference(residual)
-    got = iterate(*model, start, stored_ndim, tau, max_iters, tol, channels)
+    got = iterate(*model, start, tau, max_iters, tol, channels)
     want = reference_iterate(residual, p0, channel_ndim, tau, max_iters, tol)
     return (unpack(got[0]),) + got[1:], want
 
@@ -416,19 +431,18 @@ def _spoiled(step, value, nth=None):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_iterate_raises_at_the_iteration_a_later_slab_goes_nan(kind):
-    _, (model, start, channel_ndim, channels), _ = _dual_case(kind, SPOILED)
+    _, (model, start, channels), _ = _dual_case(kind, SPOILED)
     with pytest.raises(DivergenceError, match=r"^dual update diverged at iteration 3$"):
-        iterate(*_spoiled(3, np.nan).model(*model), start, channel_ndim, 1.0 / 6, 12, 0.0,
-                channels)
+        iterate(*_spoiled(3, np.nan).model(*model), start, 1.0 / 6, 12, 0.0, channels)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_iterate_raises_when_a_slab_written_after_the_first_goes_nan(kind):
     """One slab of the lazy step is already written in place when the next one goes NaN."""
-    _, (model, start, channel_ndim, channels), _ = _dual_case(kind, SPOILED)
+    _, (model, start, channels), _ = _dual_case(kind, SPOILED)
     spoil = _spoiled(3, np.nan, nth=2)
     with pytest.raises(DivergenceError, match=r"^dual update diverged at iteration 3$"):
-        iterate(*spoil.model(*model), start, channel_ndim, 1.0 / 6, 12, 0.0, channels)
+        iterate(*spoil.model(*model), start, 1.0 / 6, 12, 0.0, channels)
     assert len(spoil.written) == 2 and spoil.spot is not None
 
 

@@ -22,7 +22,7 @@ from tvstokes import (
 )
 from tvstokes.reconstruction import dual_step
 
-from oracles import feasible_vector, rand_scalar, rand_vector
+from oracles import constant_cases, feasible_vector, rand_scalar, rand_vector
 
 
 def test_matching_field_zero():
@@ -79,10 +79,12 @@ def test_reconstruct_degenerates_to_identity_for_small_lam():
 
 
 def test_reconstruct_constant_input_exact():
-    u0 = np.full((4, 5), 1.25)
-    res = reconstruct(u0, np.zeros((2, 4, 5)), ReconstructionConfig(lam=0.3))
-    np.testing.assert_array_equal(res.u, u0)
-    assert np.all(res.p == 0.0)
+    """The image is recovered as ``u0 - lam*(y + u0/lam)``, exact here; ``-lam*y`` is not."""
+    for value, lam in [(1.25, 0.3)] + constant_cases(seed=2):
+        u0 = np.full((4, 5), value)
+        res = reconstruct(u0, np.zeros((2, 4, 5)), ReconstructionConfig(lam=lam))
+        np.testing.assert_array_equal(res.u, u0, err_msg=f"value={value!r}, lam={lam!r}")
+        assert np.all(res.p == 0.0)
 
 
 def test_endpoint_beats_zero_dual_candidate():
@@ -232,6 +234,19 @@ def test_non_finite_field_rejected(bad):
     g[1, 2, 3] = bad
     with pytest.raises(ParameterError):
         reconstruct(np.zeros((4, 4)), g, ReconstructionConfig())
+
+
+@pytest.mark.parametrize("dims", [(9,), (6, 5), (5, 4, 3), (3, 3, 2, 3), (70, 3)], ids=str)
+def test_image_read_off_the_potential_equals_the_dual_recovery(dims):
+    """``u0 - lam*(y + u0/lam)`` is ``u0 - lam*(adjoint_grad(p) + m)`` up to roundoff, and the
+    KKT value taken from ``y`` is the public function's, bit for bit."""
+    u0, g = rand_scalar(dims, 24), rand_vector(dims, 25)
+    cfg = ReconstructionConfig(lam=0.2, max_iters=20, tol=0.0)
+    res = reconstruct(u0, g, cfg)
+    m = matching_field(g, cfg.eps)
+    want = u0 - cfg.lam * (adjoint_grad(res.p) + m)
+    assert np.max(np.abs(res.u - want)) <= 1e-12 * np.max(np.abs(want))
+    assert res.kkt_residual == matching_kkt_residual(res.p, u0, m, cfg.lam)
 
 
 def test_dual_step_matches_driver():

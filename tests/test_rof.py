@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from tvstokes import RofConfig, grad, iso_l1_norm, rof_denoise
+from tvstokes import RofConfig, adjoint_grad, grad, iso_l1_norm, matching_kkt_residual, rof_denoise
 from tvstokes import ReconstructionConfig, reconstruct
 
-from oracles import dense_diff, rand_scalar
+from oracles import constant_cases, dense_diff, rand_scalar
 
 
 def rof_1d_dual_oracle(f, lam, gap_tol=1e-8, max_iters=2_000_000):
@@ -37,10 +37,12 @@ def rof_1d_dual_oracle(f, lam, gap_tol=1e-8, max_iters=2_000_000):
 
 
 def test_constant_input_exact():
-    u0 = np.full((5, 5), 0.8)
-    res = rof_denoise(u0, RofConfig(lam=0.5))
-    np.testing.assert_array_equal(res.u, u0)
-    assert res.iters == 1
+    """The image is recovered as ``u0 - lam*(y + u0/lam)``, exact here; ``-lam*y`` is not."""
+    for value, lam in [(0.8, 0.5)] + constant_cases(seed=1):
+        u0 = np.full((5, 5), value)
+        res = rof_denoise(u0, RofConfig(lam=lam))
+        np.testing.assert_array_equal(res.u, u0, err_msg=f"value={value!r}, lam={lam!r}")
+        assert res.iters == 1
 
 
 def test_small_lam_near_identity():
@@ -82,6 +84,18 @@ def test_objective_reported():
     res = rof_denoise(u0, cfg)
     want = iso_l1_norm(grad(res.u)) + 0.5 / cfg.lam * float(np.sum((res.u - u0) ** 2))
     assert res.objective == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(9,), (6, 5), (5, 4, 3), (3, 3, 2, 3), (70, 3)], ids=str)
+def test_image_read_off_the_potential_equals_the_dual_recovery(dims):
+    """``u0 - lam*(y + u0/lam)`` is ``u0 - lam*adjoint_grad(p)`` up to roundoff, and the KKT
+    value taken from ``y`` is the public function's, bit for bit."""
+    u0 = rand_scalar(dims, 6)
+    cfg = RofConfig(lam=0.2, max_iters=20, tol=0.0)
+    res = rof_denoise(u0, cfg)
+    want = u0 - cfg.lam * adjoint_grad(res.p)
+    assert np.max(np.abs(res.u - want)) <= 1e-12 * np.max(np.abs(want))
+    assert res.kkt_residual == matching_kkt_residual(res.p, u0, np.zeros(dims), cfg.lam)
 
 
 def test_equals_reconstruction_with_zero_field():

@@ -27,8 +27,8 @@ from tvstokes.fields import adjoint_hessian, hessian
 from tvstokes.smoothing import dual_step
 
 from oracles import (
-    feasible_tensor, full_tensor_residual, rand_scalar, rand_tensor, reference_iterate,
-    symmetric_packing,
+    constant_cases, feasible_tensor, full_tensor_residual, rand_scalar, rand_tensor,
+    reference_iterate, symmetric_packing,
 )
 
 
@@ -77,10 +77,11 @@ def test_dual_step_rejects_mismatched_shapes():
 
 
 def test_constant_input_converges_immediately():
-    res = smooth_gradient_field(np.full((4, 4, 4), 3.0), SmoothingConfig())
-    assert res.iters == 1
-    assert np.all(res.g == 0.0)
-    assert res.final_change == 0.0
+    for value, lam in [(3.0, 0.1)] + constant_cases(seed=3):
+        res = smooth_gradient_field(np.full((4, 4, 4), value), SmoothingConfig(lam=lam))
+        assert res.iters == 1
+        assert np.all(res.g == 0.0)
+        assert res.final_change == 0.0
 
 
 def test_small_lam_keeps_input_field():
@@ -249,8 +250,19 @@ def test_residual_borrowing_its_output_equals_fresh_arrays(dims):
     assert out.tobytes() == fresh.tobytes()
     slabs = [hessian(y, rows=(a, min(a + 2, dims[0]))) for a in range(0, dims[0], 2)]
     assert np.concatenate(slabs, axis=1).tobytes() == fresh.tobytes()
-    assert smoothing._potential(q, plan).tobytes() == plan.solve(adjoint_hessian(q)).tobytes()
     assert q.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("dims", GRIDS[:4] + [(70, 3)], ids=str)
+def test_field_read_off_the_potential_equals_the_poisson_recovery(dims):
+    """``-lam*grad(y)`` is ``grad(u0 - lam*solve(adjoint_hessian(p)))``: ``-lam*y`` and
+    ``u0 - lam*solve(adjoint_hessian(p))`` differ by ``mean(u0)``, since
+    ``solve(adjoint_grad(grad(u0)))`` is ``u0 - mean(u0)``, and ``grad`` drops the constant."""
+    u = rand_scalar(dims, 26)
+    cfg = SmoothingConfig(lam=0.3, max_iters=20, tol=0.0)
+    res = smooth_gradient_field(u, cfg)
+    want = grad(u - cfg.lam * PoissonPlan(dims).solve(adjoint_hessian(res.packed)))
+    assert np.max(np.abs(res.g - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("dims", GRIDS, ids=str)
