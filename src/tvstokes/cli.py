@@ -20,9 +20,9 @@ from .errors import (
     ParameterError,
     VolumeFormatError,
 )
-from .metrics import psnr, staircase_metric
+from .metrics import psnr
 from .noise import add_gaussian_noise
-from .pipeline import run_denoise, run_project
+from .pipeline import _safe_staircase, run_denoise, run_project
 from .volume_io import _read_volume, export_slice, load_volume, save_volume
 
 EXIT_OK = 0
@@ -129,12 +129,9 @@ def _cmd_metrics(args) -> int:
     if peak is None:
         peak = 1.0 if header.value_range is None else header.value_range[1] - header.value_range[0]
     value = psnr(ref, test, peak)
-    stair = None
-    if all(n >= 3 for n in test.shape):
-        stair = staircase_metric(test)
     payload = {
         "psnr_db": None if math.isinf(value) else value,
-        "staircase": stair,
+        "staircase": _safe_staircase(test),
     }
     print(json.dumps(payload, sort_keys=True))
     return EXIT_OK

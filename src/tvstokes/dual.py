@@ -7,10 +7,14 @@ nonexpansive for ``tau <= 1/(2d)``.  Every model's residual is a
 forward-difference operator ``K`` of one potential computed from the whole
 dual, ``A(p) = K(y)`` with ``y = potential(p)``: :func:`.fields.hessian` in
 the smoothing, :func:`.fields.grad` in reconstruction and ROF.  A model
-supplies the potential, ``K`` as a kernel that writes any rows ``[a, b)`` of
-the first grid axis, and its objective.  Each driver ends at one potential:
-it computes ``y`` of the final dual once, takes :func:`kkt_residual` from it
-and recovers its primal solution from ``y``.
+supplies the potential and ``K`` as a kernel that writes any rows ``[a, b)``
+of the first grid axis.  Each driver ends at one potential: it computes ``y``
+of the final dual once, takes :func:`kkt_residual` from it and recovers its
+primal solution from ``y``.  Every function here takes one layout, channels
+stacked along axis 0.  ``_objective`` is every model's primal objective,
+``TV(x) + 1/(2*lam)*||x - x0||^2 + <x[0], m>``: the smoothing has no shift,
+reconstruction's is ``m = divergence(g/|g|)``, as ``-<grad(u), g/|g|> = <u, m>``,
+and ROF's is zero.
 
 A dual may be stored packed: ``channels`` then lists, in the order the tuple
 norm adds their squares, the stored channel of every entry of the tuple, so
@@ -59,7 +63,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DivergenceError, ParameterError
-from .fields import max_tuple_norm
+from .fields import _total_variation, max_tuple_norm
 from .spectral import dual_step_bound
 
 __all__ = [
@@ -126,9 +130,9 @@ def _check_lam(lam) -> None:
         raise ParameterError(f"lam must be positive and finite, got {lam!r}")
 
 
-def require_feasible(p, channel_ndim: int) -> None:
+def require_feasible(p) -> None:
     """Raise unless ``p`` is finite with pointwise tuple norms at most 1."""
-    if not max_tuple_norm(p, channel_ndim=channel_ndim) <= 1.0 + 1e-12:  # NaN fails too
+    if not max_tuple_norm(p) <= 1.0 + 1e-12:  # NaN fails too
         raise ParameterError("dual field violates the pointwise unit bound or is not finite")
 
 
@@ -246,21 +250,20 @@ def _sum_squares(grids, out: np.ndarray, scratch: np.ndarray) -> None:
 def stationarity_residual(w: np.ndarray, p: np.ndarray, channels=None) -> float:
     """Max-abs of ``w + |w| * p`` for ``w = A(p)`` and ``|w|`` the pointwise tuple norm.
 
-    ``channels`` lists the stored channel of ``w`` for each tuple entry, as
-    for :func:`iterate`; by default every channel of ``p``, in order.  ``p``
-    is either stored like ``w`` or holds one channel per tuple entry.  The
-    result is zero exactly at fixed points of the update, and NaN if ``w``
-    or ``p`` holds a NaN.  Computed channel by channel in two grid scratches.
+    ``p`` is stored like ``w``, and ``channels`` lists the stored channel of
+    each tuple entry, as for :func:`iterate`; by default every channel, in
+    order.  The result is zero exactly at fixed points of the update, and NaN
+    if ``w`` or ``p`` holds a NaN.  Computed channel by channel in two grid
+    scratches.
     """
-    entries = range(len(p))
     if channels is None:
-        channels = entries
+        channels = range(len(p))
     norm, term = np.empty((2,) + p.shape[1:])
     _sum_squares((w[c] for c in channels), norm, term)
     np.sqrt(norm, out=norm)
     worst = []
-    for e, c in zip(entries, entries if p.shape == w.shape else channels):
-        np.multiply(norm, p[e], out=term)
+    for c in range(len(p)):
+        np.multiply(norm, p[c], out=term)
         term += w[c]
         worst.append(np.abs(term, out=term).max())
     return float(np.max(worst))  # np.max keeps a NaN that Python's max may drop
@@ -277,3 +280,22 @@ def kkt_residual(kernel, y, p: np.ndarray, channels=None) -> float:
         stationarity_residual(kernel(y, None, span), p[:, slice(*span)], channels)
         for span in _spans(p.shape[1:])
     ]))
+
+
+def _objective(x: np.ndarray, data, lam: float, m=None) -> float:
+    """``TV(x) + 1/(2*lam) * sum_k ||x[k] - x0[k]||^2``, plus ``<x[0], m>`` given a shift ``m``.
+
+    ``data(k, out)`` returns channel ``k`` of ``x0``, which it may write into
+    the grid ``out``.  The objective holds at most two grids.
+    """
+    value = _total_variation(x)
+    diff = np.empty(x.shape[1:])
+
+    def squared_norm(k):  # channel k's term of inner(x - x0, x - x0)
+        np.subtract(x[k], data(k, diff), out=diff)
+        return float(np.sum(np.square(diff, out=diff)))
+
+    value += 0.5 / lam * sum(squared_norm(k) for k in range(len(x)))
+    if m is not None:  # inner(x[0], m) in diff
+        value += float(np.sum(np.multiply(x[0], m, out=diff)))
+    return value

@@ -338,17 +338,15 @@ def inner(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sum(x * y))
 
 
-def _total_variation(u: np.ndarray, lead: int) -> float:
-    """``iso_l1_norm(_grad(u, lead), lead + 1)`` bit for bit, in two grids.
+def _total_variation(u: np.ndarray) -> float:
+    """``iso_l1_norm`` of the gradient of every channel ``u[c]`` bit for bit, in two grids.
 
-    The squares are added one difference at a time, channels of ``u`` over
-    its first ``lead`` axes outer and axes inner, the C order of the
-    gradient's channels.
+    The squares are added one difference at a time, channels outer and axes
+    inner, the C order of the gradient's channels.
     """
-    dims = u.shape[lead:]
+    dims = u.shape[1:]
     squares, step = np.zeros(dims), np.empty(dims)  # an exact start: squares are never -0.0
-    for c in np.ndindex(u.shape[:lead]):
+    for c in range(len(u)):
         for axis in range(len(dims)):
             squares += np.square(_diff(u[c], axis, step), out=step)
     return float(np.sum(np.sqrt(squares, out=squares)))
-

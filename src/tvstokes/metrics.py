@@ -17,7 +17,7 @@ def psnr(reference: np.ndarray, test: np.ndarray, peak: float = 1.0) -> float:
     test = np.asarray(test, dtype=np.float64)
     if reference.shape != test.shape:
         raise DimensionError(f"shape mismatch: {reference.shape} vs {test.shape}")
-    if not 0 < peak < math.inf:
+    if isinstance(peak, bool) or not 0 < peak < math.inf:  # True would score with peak 1
         raise ParameterError(f"peak must be positive and finite, got {peak}")
     mse = float(np.mean((reference - test) ** 2))
     if mse == 0.0:

@@ -14,7 +14,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DimensionError, ParameterError
 
 __all__ = ["add_gaussian_noise", "standard_normal_field"]
 
@@ -28,6 +28,9 @@ def _check_seed(seed) -> None:
 def standard_normal_field(shape, seed: int) -> np.ndarray:
     """Deterministic standard normal samples of the given shape."""
     _check_seed(seed)
+    shape = tuple(shape)
+    if any(isinstance(n, bool) or not isinstance(n, Integral) or n < 0 for n in shape):
+        raise DimensionError(f"shape must hold nonnegative integers, got {shape!r}")
     shape = tuple(int(n) for n in shape)
     size = 1
     for n in shape:

@@ -23,7 +23,7 @@ from .reconstruction import ReconstructionConfig, reconstruct
 from .rof import RofConfig, rof_denoise
 from .smoothing import SmoothingConfig, smooth_gradient_field
 from .spectral import PoissonPlan, grad_operator_norm, project_gradient_field
-from .volume_io import VolumeHeader, _read_volume, load_volume, save_volume, write_atomic
+from .volume_io import VolumeHeader, _read_volume, _volume_files, load_volume, write_atomic
 
 __all__ = ["StepStats", "RunReport", "run_denoise", "run_project"]
 
@@ -90,6 +90,7 @@ def _denormalize(u: np.ndarray, info: dict | None) -> np.ndarray:
 
 
 def _safe_staircase(u: np.ndarray) -> float | None:
+    """:func:`.staircase_metric` of ``u``, or ``None`` where an axis is shorter than 3."""
     if any(n < 3 for n in u.shape):
         return None
     return staircase_metric(u)
@@ -114,7 +115,7 @@ def run_denoise(
 
     ``tau=None`` resolves to the guaranteed step bound for the input's
     dimensionality.  When ``output_path``/``report_path`` are given the
-    denoised volume and JSON report are written there.
+    denoised volume and JSON report are written there, all files or none.
     """
     if model not in MODELS:
         raise ParameterError(f"unknown model {model!r}; expected one of {MODELS}")
@@ -171,10 +172,11 @@ def run_denoise(
         wall_time_seconds=time.perf_counter() - t_start,
     )
 
-    if output_path is not None:
-        save_volume(out_raw, output_path, dtype=header.dtype, value_range=header.value_range)
+    files = [] if output_path is None else _volume_files(
+        out_raw, output_path, dtype=header.dtype, value_range=header.value_range)[1]
     if report_path is not None:
-        write_atomic((report_path, (report.to_json() + "\n").encode("utf-8")))
+        files.append((report_path, (report.to_json() + "\n").encode("utf-8")))
+    write_atomic(*files)
     return out_raw, report
 
 
@@ -182,16 +184,17 @@ def run_project(data_path, header_path=None, output_path=None) -> list[Path]:
     """Project the input's gradient field and write one raw file per channel.
 
     Channel ``l`` of ``project_gradient_field(grad(u))`` goes to
-    ``<output stem>_c<l>.raw`` with a matching header.  Returns the payload
-    paths.
+    ``<output stem>_c<l>.raw`` with a matching header, all files or none.
+    Returns the payload paths.
     """
     u = validate_field(load_volume(data_path, header_path), "input volume")
     plan = PoissonPlan(u.shape)
     projected = project_gradient_field(grad(u), plan)
     out = Path(output_path if output_path is not None else data_path)
-    written = []
-    for channel in range(projected.shape[0]):
+    written, files = [], []
+    for channel, field in enumerate(projected):
         path = out.with_name(f"{out.stem}_c{channel}.raw")
-        save_volume(projected[channel], path, dtype="f64")
+        files += _volume_files(field, path)[1]
         written.append(path)
+    write_atomic(*files)
     return written

@@ -17,8 +17,9 @@ whose potential ``y = m + adjoint_grad(p) - u0/lam`` the loop differentiates
 one slab of rows at a time.  :func:`solve_shifted` computes ``y`` of the final
 dual once, takes the KKT value from it and recovers the image in place as
 ``u = u0 - lam*(y + u0/lam)``, which reproduces a constant ``u0`` exactly
-where ``-lam*y`` may round.  With ``m = 0`` this is plain isotropic TV
-denoising, which :mod:`.rof` solves through :func:`solve_shifted`.
+where ``-lam*y`` may round.  The objective is :mod:`.dual`'s, shifted by ``m``.
+With ``m = 0`` this is plain isotropic TV denoising, which :mod:`.rof` solves
+through :func:`solve_shifted`.
 
 :func:`dual_step` and :func:`solve_shifted` are public at module level only,
 not in ``__all__``.
@@ -31,12 +32,10 @@ from functools import partial
 
 import numpy as np
 
-from .dual import DualConfig, DualResult, _check_lam, iterate, kkt_residual, require_feasible
+from .dual import DualConfig, DualResult, _check_lam, _objective, iterate, kkt_residual
+from .dual import require_feasible
 from .errors import DimensionError, ParameterError
-from .fields import (
-    _diff, _guarded_norm, _total_variation, adjoint_grad, divergence, grad, inner,
-    pointwise_normalize, validate_field,
-)
+from .fields import adjoint_grad, divergence, grad, pointwise_normalize, validate_field
 
 __all__ = [
     "ReconstructionConfig", "ReconstructionResult", "matching_field", "reconstruct",
@@ -111,15 +110,14 @@ def dual_step(
     """Apply one semi-implicit dual update to a feasible vector dual."""
     potential, p = _bind(p, u0, m, cfg.lam)
     tau = cfg.validate(len(p))
-    require_feasible(p, channel_ndim=1)
+    require_feasible(p)
     return iterate(potential, grad, p, tau, 1, 0.0)[0]
 
 
-def solve_shifted(u0, m, cfg: DualConfig, tau: float, objective) -> ReconstructionResult:
+def solve_shifted(u0, m, cfg: DualConfig, tau: float) -> ReconstructionResult:
     """Run the dual solve for data ``u0`` and shift ``m`` and recover the image.
 
-    ``u0`` must be a validated field; ``objective(u)`` is the value reported
-    for the recovered image.
+    ``u0`` must be a validated field; the objective is :mod:`.dual`'s, shifted by ``m``.
     """
     u0, p, m = _checked(cfg.lam, u0, np.broadcast_to(0.0, (u0.ndim,) + u0.shape), m)
     u0_scaled = u0 / cfg.lam
@@ -132,7 +130,8 @@ def solve_shifted(u0, m, cfg: DualConfig, tau: float, objective) -> Reconstructi
     u *= cfg.lam
     np.subtract(u0, u, out=u)
     return ReconstructionResult(
-        u=u, p=p, iters=iters, final_change=change, kkt_residual=kkt, objective=objective(u)
+        u=u, p=p, iters=iters, final_change=change, kkt_residual=kkt,
+        objective=_objective(u[None], lambda k, out: u0, cfg.lam, m),
     )
 
 
@@ -145,30 +144,18 @@ def reconstruct(
     if not np.isfinite(g).all():
         raise ParameterError("g contains non-finite values")
     tau = cfg.validate(u_noisy.ndim)
-    m = matching_field(g, cfg.eps)  # frozen across iterations
-    return solve_shifted(
-        u_noisy, m, cfg, tau, lambda u: matching_objective(u, u_noisy, g, cfg.lam, cfg.eps)
-    )
+    return solve_shifted(u_noisy, matching_field(g, cfg.eps), cfg, tau)
 
 
 def matching_objective(
     u: np.ndarray, u0: np.ndarray, g: np.ndarray, lam: float, eps: float
 ) -> float:
-    """Value of the vector-matching functional at a candidate image."""
+    """Value of the vector-matching functional at a candidate image.
+
+    Its last term, ``-inner(grad(u), g/|g|)``, is ``inner(u, matching_field(g, eps))``.
+    """
     u0, g, u = _checked(lam, u0, g, u)
-    diff = u - u0
-    fidelity = 0.5 / lam * inner(diff, diff)
-    del diff
-    tv = _total_variation(u, 0)  # iso_l1_norm(grad(u))
-    # inner(grad(u), g/|g|), one channel at a time
-    norm = _guarded_norm(g, eps)
-    du, term = np.empty(u.shape), np.empty(u.shape)
-
-    def matched(k):  # channel k's term of inner(grad(u), g/|g|)
-        np.divide(g[k], norm, out=term)
-        return float(np.sum(np.multiply(term, _diff(u, k, du), out=term)))
-
-    return tv + fidelity - sum(matched(k) for k in range(len(g)))
+    return _objective(u[None], lambda k, out: u0, lam, matching_field(g, eps))
 
 
 def matching_kkt_residual(

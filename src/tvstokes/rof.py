@@ -3,8 +3,9 @@
 Minimizes ``iso_l1(grad(u)) + 1/(2*lam) * ||u - u0||_2^2``: the
 reconstruction model with a zero matching field, solved by
 :func:`.reconstruction.solve_shifted` with its residual and its recovery
-``u = u0 - lam*(y + u0/lam)`` from the final dual's potential ``y``, so both
-models run one iteration kernel and their outputs are directly comparable.
+``u = u0 - lam*(y + u0/lam)`` from the final dual's potential ``y`` and its
+objective, so both models run one iteration kernel and their outputs are
+directly comparable.
 """
 
 from __future__ import annotations
@@ -12,16 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from .dual import DualConfig
-from .fields import _total_variation, inner, validate_field
+from .fields import validate_field
 from .reconstruction import ReconstructionResult, solve_shifted
 
 __all__ = ["RofConfig", "RofResult", "rof_denoise"]
 
 
-class RofConfig(DualConfig):
-    """Iteration parameters for the TV baseline."""
-
-
+RofConfig = DualConfig  # the iteration parameters of the TV baseline
 RofResult = ReconstructionResult
 
 
@@ -29,11 +27,5 @@ def rof_denoise(u_noisy: np.ndarray, cfg: RofConfig) -> RofResult:
     """Classical isotropic TV denoising via the dual projection iteration."""
     u_noisy = validate_field(u_noisy, "u_noisy")
     tau = cfg.validate(u_noisy.ndim)
-
-    def objective(u):
-        tv = _total_variation(u, 0)  # iso_l1_norm(grad(u)), in two grids
-        diff = u - u_noisy
-        return tv + 0.5 / cfg.lam * inner(diff, diff)
-
     # a read-only zero view: no grid is stored for the shift
-    return solve_shifted(u_noisy, np.broadcast_to(0.0, u_noisy.shape), cfg, tau, objective)
+    return solve_shifted(u_noisy, np.broadcast_to(0.0, u_noisy.shape), cfg, tau)

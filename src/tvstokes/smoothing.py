@@ -31,15 +31,15 @@ final dual's potential ``y``, computed once, gives the KKT value, slab by
 slab, and the smoothed field ``g = -lam*grad(y)``, a gradient by construction
 with ``grad_vec(g) = -lam*A(p)``: ``y`` differs from the primal potential
 ``(u0 - lam*solve(adjoint_hessian(p)))/(-lam)`` by a constant.  The objective
-takes one channel at a time.  The result keeps the dual packed, as ``packed``;
+is :mod:`.dual`'s, unshifted.  The result keeps the dual packed, as ``packed``;
 its ``p``, the full ``(d, d)`` tensor, is unpacked afresh on each access.
 
 :func:`dual_step` takes and returns full tensors.  It acts on the symmetric
 part ``(p + p^T)/2`` of its input, which it checks for feasibility as given;
 ``A`` ignores the antisymmetric part, so a non-symmetric dual steps to the
 symmetric dual its symmetric part steps to.  :func:`smoothing_kkt_residual`
-likewise evaluates ``w = A(p)`` on the symmetric part and checks
-``w + |w|*p`` on every entry of the given ``p``.
+likewise evaluates ``w = A(p)`` on the symmetric part, unpacked slab by slab,
+and checks ``w + |w|*p`` on every entry of the given ``p``.
 
 :func:`dual_step` is public at module level only: in ``__all__`` it would
 collide with the reconstruction step.
@@ -52,11 +52,10 @@ from functools import partial
 
 import numpy as np
 
-from .dual import DualConfig, DualResult, _check_lam, iterate, kkt_residual, require_feasible
+from .dual import DualConfig, DualResult, _check_lam, _objective, iterate, kkt_residual
+from .dual import require_feasible
 from .errors import DimensionError
-from .fields import (
-    _diff, _total_variation, adjoint_grad, adjoint_hessian, grad, hessian, validate_field,
-)
+from .fields import _diff, adjoint_grad, adjoint_hessian, grad, hessian, validate_field
 from .spectral import PoissonPlan
 
 __all__ = [
@@ -65,8 +64,7 @@ __all__ = [
 ]
 
 
-class SmoothingConfig(DualConfig):
-    """Iteration parameters for the gradient-field smoothing solve."""
+SmoothingConfig = DualConfig  # the iteration parameters of the smoothing solve
 
 
 @dataclass(frozen=True)
@@ -154,7 +152,7 @@ def dual_step(p: np.ndarray, g0: np.ndarray, cfg: SmoothingConfig) -> np.ndarray
     """
     g0, p = _checked(cfg.lam, g0, p, 1)
     tau = cfg.validate(len(p))
-    require_feasible(p, channel_ndim=2)
+    require_feasible(p.reshape((-1,) + p.shape[2:]))
     index, channels = _layout(len(p))
     potential = _bind(g0, cfg.lam, PoissonPlan(g0.shape[1:]))
     return iterate(potential, hessian, _pack(p), tau, 1, 0.0, channels)[0][index]
@@ -201,35 +199,17 @@ def smoothing_objective(g: np.ndarray, g0: np.ndarray, lam: float) -> float:
     return _objective(g, lambda k, out: g0[k], lam)
 
 
-def _objective(g: np.ndarray, data, lam: float) -> float:
-    """:func:`smoothing_objective` with channel ``k`` of ``g0`` from ``data(k, out)``.
-
-    ``data`` may write the channel into the grid ``out`` and return it.  The
-    objective holds at most two grids.
-    """
-    tv = _total_variation(g, 1)  # iso_l1_norm(grad_vec(g), channel_ndim=2)
-    diff = np.empty(g.shape[1:])
-
-    def squared_norm(k):  # channel k's term of inner(g - g0, g - g0)
-        np.subtract(g[k], data(k, diff), out=diff)
-        return float(np.sum(np.square(diff, out=diff)))
-
-    return tv + 0.5 / lam * sum(squared_norm(k) for k in range(len(g)))
-
-
-def smoothing_kkt_residual(
-    p: np.ndarray, g0: np.ndarray, lam: float, plan: PoissonPlan | None = None
-) -> float:
+def smoothing_kkt_residual(p: np.ndarray, g0: np.ndarray, lam: float) -> float:
     """Max-abs residual of the dual stationarity conditions.
 
     With ``w = grad_vec(project(adjoint_grad_tensor(p)) - g0/lam)`` the
     fixed points satisfy ``w + |w| * p = 0`` entrywise, ``|w|`` being the
-    pointwise tuple norm.  ``w`` is computed packed, from the symmetric part
-    of ``p``.
+    pointwise tuple norm.  ``w`` is computed from the symmetric part of
+    ``p``, one slab at a time, and unpacked slab by slab.
     """
     g0, p = _checked(lam, g0, p, 1)
-    if plan is None:
-        plan = PoissonPlan(g0.shape[1:])
     d = len(p)
-    y = _potential(_pack(p), plan, _data(g0, lam))
-    return kkt_residual(hessian, y, p.reshape((d * d,) + p.shape[2:]), _layout(d)[1])
+    y = _potential(_pack(p), PoissonPlan(g0.shape[1:]), _data(g0, lam))
+    unpack = _layout(d)[0].ravel()
+    return kkt_residual(lambda y, out, rows: hessian(y, None, rows)[unpack], y,
+                        p.reshape((d * d,) + p.shape[2:]))

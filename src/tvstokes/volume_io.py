@@ -134,9 +134,10 @@ def write_atomic(*files) -> None:
 
     Every file is first written in full to a temporary file beside its
     target; only then does ``os.replace`` rename each over its target.  A
-    failed write leaves the earlier files untouched and removes the
-    temporaries, so a payload never disagrees with its header.  This guards
-    against a failing process, not against power loss: there is no fsync.
+    failure while writing leaves every target untouched and removes the
+    temporaries, so a payload never disagrees with its header or report.
+    The renames are atomic one by one, not together.  This guards against a
+    failing process, not against power loss: there is no fsync.
     """
     renames = []
     try:
@@ -206,19 +207,22 @@ def save_volume(
 
     Refuses values that are not finite in ``dtype`` before writing any file.
     """
+    header, files = _volume_files(field, data_path, header_path, dtype, value_range)
+    write_atomic(*files)
+    return header
+
+
+def _volume_files(field, data_path, header_path=None, dtype="f64", value_range=None):
+    """:func:`save_volume`'s header and ``(path, data)`` pairs for :func:`write_atomic`."""
     field = np.asarray(field, dtype=np.float64)
     header = VolumeHeader(dims=tuple(field.shape), dtype=dtype, value_range=value_range)
     header.validate()
     with np.errstate(over="ignore"):
-        payload = np.ascontiguousarray(field.astype(_DTYPES[dtype]))
+        payload = np.ascontiguousarray(field.astype(_DTYPES[dtype], copy=False))
     if not np.isfinite(payload).all():
         raise VolumeFormatError(f"volume for {data_path} has values not finite as {dtype}")
-    write_atomic(
-        (data_path, payload),
-        (default_header_path(data_path) if header_path is None else header_path,
-         _header_bytes(header)),
-    )
-    return header
+    header_path = default_header_path(data_path) if header_path is None else header_path
+    return header, [(data_path, payload), (header_path, _header_bytes(header))]
 
 
 def stack_frames(frames) -> np.ndarray:

@@ -16,6 +16,7 @@ from tvstokes import (
     load_volume,
     reconstruct,
     run_denoise,
+    run_project,
     save_volume,
     smooth_gradient_field,
 )
@@ -246,6 +247,32 @@ def test_project_writes_gradient_channels(tmp_path):
         np.testing.assert_allclose(stored, g[channel], atol=1e-10)
 
 
+def test_failed_project_write_leaves_no_channel_file(tmp_path, monkeypatch):
+    """The third temporary write, channel 1's payload, fails: channel 0 is not kept either."""
+    import builtins
+    import errno
+
+    from tvstokes import volume_io
+
+    inp = write_volume(tmp_path, rand_scalar((5, 6, 4), 8))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    opened = []
+
+    def open_failing(file, mode="r", *args, **kwargs):
+        if "x" in mode:
+            opened.append(file)
+            if len(opened) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+        return builtins.open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(volume_io, "open", open_failing, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        run_project(inp, output_path=tmp_path / "g.raw")
+    monkeypatch.undo()
+    assert len(opened) == 3
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 # -------------------------------------------------------------------- slice
 
 def test_slice_command(tmp_path):
@@ -412,6 +439,17 @@ def test_failed_report_write_keeps_previous_report(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="No space"):
         run_denoise("rof", inp, report_path=rep, max_iters=5)
     monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_missing_report_directory_exits_3_and_writes_no_output(tmp_path):
+    inp = make_noisy(tmp_path, dims=(6, 6))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    code = main([
+        "denoise", "--model", "rof", "--input", str(inp), "--max-iters", "3",
+        "--output", str(tmp_path / "out.raw"), "--report", str(tmp_path / "nodir" / "r.json"),
+    ])
+    assert code == 3
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 

@@ -323,15 +323,12 @@ def test_packed_iterate_matches_full_tensor_loop_bitwise(dims):
     assert stopped[1] < 40
     got = iterate(*packed, p0[rows, cols], tau, 40, tol, index.ravel().tolist())
     _assert_same_run((got[0][index],) + got[1:], stopped)
-    w, full = residual(want[0]), _stacked(want[0], 2)
-    packed_kkt = stationarity_residual(w[rows, cols], full, index.ravel().tolist())
-    assert packed_kkt == stationarity_residual(_stacked(w, 2), full)
+    w, q, channels = residual(want[0]), want[0][rows, cols], index.ravel().tolist()
+    full_kkt = stationarity_residual(_stacked(w, 2), _stacked(want[0], 2))
     # a dual stored packed like w: duplicated entries give identical terms
-    assert packed_kkt == stationarity_residual(w[rows, cols], want[0][rows, cols],
-                                               index.ravel().tolist())
+    assert full_kkt == stationarity_residual(w[rows, cols], q, channels)
     # and slab by slab, through the kernel
-    assert packed_kkt == kkt_residual(packed[1], packed[0](want[0][rows, cols]), full,
-                                      index.ravel().tolist())
+    assert full_kkt == kkt_residual(packed[1], packed[0](q), q, channels)
 
 
 # ------------------------------------------- the increment, computed only when it decides

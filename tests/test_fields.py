@@ -360,8 +360,8 @@ def test_forward_operators_reject_rows_outside_the_first_axis(op, rows):
 @pytest.mark.parametrize("dims", [(5,), (4, 6), (3, 4, 8), (2, 3, 2, 4)], ids=str)
 def test_total_variation_equals_iso_l1_norm_of_the_gradient_bitwise(dims):
     u, g = _signed_grid(dims, 40), _signed_grid((len(dims),) + dims, 41)
-    assert _total_variation(u, 0) == iso_l1_norm(grad(u))
-    assert _total_variation(g, 1) == iso_l1_norm(grad_vec(g), channel_ndim=2)
+    assert _total_variation(u[None]) == iso_l1_norm(grad(u))
+    assert _total_variation(g) == iso_l1_norm(grad_vec(g), channel_ndim=2)
 
 
 def test_validate_field_widens_f32():

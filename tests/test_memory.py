@@ -58,7 +58,7 @@ def test_solver_peak_memory_per_input_byte(solve, bound):
 
 @pytest.mark.parametrize("solve, bound", [
     (lambda u: smooth_gradient_field(u, SmoothingConfig(lam=0.1, max_iters=2)), 13.5),
-    (lambda u: reconstruct(u, grad(u), ReconstructionConfig(lam=0.1, max_iters=2)), 12.0),
+    (lambda u: reconstruct(u, grad(u), ReconstructionConfig(lam=0.1, max_iters=2)), 10.75),
 ], ids=["smoothing", "reconstruction"])
 def test_solver_peak_memory_at_one_dual_at_64(solve, bound):
     """One dual per solve: the loop writes each slab's step straight back into the

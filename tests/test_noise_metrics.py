@@ -73,6 +73,15 @@ def test_standard_normal_field_is_finite_and_shaped():
     z = standard_normal_field((7, 5), seed=3)
     assert z.shape == (7, 5)
     assert np.isfinite(z).all()
+    assert standard_normal_field((np.int64(7), np.uint8(5)), seed=3).tobytes() == z.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3.7, 2), (True, 2), (-1, 2)], ids=str)
+def test_standard_normal_field_rejects_a_bad_shape(shape):
+    """A non-integral entry would be truncated, ``True`` read as 1, and a negative one
+    would reach numpy."""
+    with pytest.raises(DimensionError):
+        standard_normal_field(shape, seed=3)
 
 
 # -------------------------------------------------------------------- psnr
@@ -105,6 +114,11 @@ def test_psnr_validation():
 def test_psnr_rejects_non_finite_peak(peak):
     with pytest.raises(ParameterError):
         psnr(np.zeros((4, 4)), np.ones((4, 4)), peak=peak)
+
+
+def test_psnr_rejects_boolean_peak():
+    with pytest.raises(ParameterError):  # True would score with peak 1
+        psnr(np.zeros((4, 4)), np.ones((4, 4)), True)
 
 
 # --------------------------------------------------------------- staircase

@@ -97,19 +97,21 @@ def test_endpoint_beats_zero_dual_candidate():
     assert res.objective <= matching_objective(candidate, u0, g, cfg.lam, cfg.eps) + 1e-9
 
 
-def test_objective_examples():
-    u0 = rand_scalar((5, 5), 8)
-    g = rand_vector((5, 5), 9)
+@pytest.mark.parametrize("dims", [(9,), (5, 5), (5, 4, 3), (3, 3, 2, 3), (70, 9)], ids=str)
+def test_objective_examples(dims):
+    u0 = rand_scalar(dims, 8)
+    g = rand_vector(dims, 9)
+    g[(slice(None),) + (0,) * len(dims)] = 1e-10  # a tuple below eps: g/eps, not g/|g|
     lam = 0.4
-    u_const = np.full((5, 5), 0.7)
+    u_const = np.full(dims, 0.7)
     want = 0.5 / lam * l2_norm(u_const - u0) ** 2
     assert matching_objective(u_const, u0, g, lam, 1e-8) == pytest.approx(want, rel=1e-12)
-    assert matching_objective(u0, u0, np.zeros((2, 5, 5)), lam, 1e-8) == pytest.approx(
+    assert matching_objective(u0, u0, np.zeros_like(g), lam, 1e-8) == pytest.approx(
         iso_l1_norm(grad(u0))
     )
     # a Python float, near the whole-field formula; the driver's value too
     res = reconstruct(u0, g, ReconstructionConfig(lam=lam, max_iters=3))
-    for u in (rand_scalar((5, 5), 10), res.u):
+    for u in (rand_scalar(dims, 10), res.u):
         got = matching_objective(u, u0, g, lam, 1e-8)
         assert type(got) is float and got == pytest.approx(
             iso_l1_norm(grad(u)) + 0.5 / lam * inner(u - u0, u - u0)

@@ -106,3 +106,4 @@ def test_equals_reconstruction_with_zero_field():
     assert res.iters == rec.iters
     assert res.u.tobytes() == rec.u.tobytes()
     assert res.p.tobytes() == rec.p.tobytes()
+    assert res.objective == rec.objective

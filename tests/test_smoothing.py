@@ -291,7 +291,7 @@ def test_driver_matches_reference_loop_on_full_tensor_oracle(dims):
     assert np.max(np.abs(res.g - want)) <= 1e-10
     assert np.max(np.abs(res.p - p)) <= 1e-10
     # the driver's diagnostics, taken on the packed dual, equal the public functions'
-    assert res.kkt_residual == smoothing_kkt_residual(res.p, g0, cfg.lam, plan)
+    assert res.kkt_residual == smoothing_kkt_residual(res.p, g0, cfg.lam)
     assert res.objective == smoothing_objective(res.g, g0, cfg.lam)
 
 
@@ -334,8 +334,9 @@ def test_driver_runs_under_a_trace_or_profile_function(install):
         want.iters, want.final_change, want.kkt_residual, want.objective)
 
 
-def test_kkt_residual_checks_the_given_dual_against_the_symmetric_residual():
-    dims = (5, 4)
+# the original (5, 4) case, then GRIDS and two slabs
+@pytest.mark.parametrize("dims", [(5, 4)] + GRIDS + [(70, 33, 16)], ids=str)
+def test_kkt_residual_checks_the_given_dual_against_the_symmetric_residual(dims):
     g0 = grad(rand_scalar(dims, 25))
     lam = 0.2
     p = feasible_tensor(dims, 26, scale=0.5)
