@@ -2,9 +2,9 @@
 
 The model first smooths the gradient field of a noisy image under the
 constraint that it stays a gradient field, then rebuilds the image by
-matching its gradient direction to the smoothed field.  Both steps run the
-same family of semi-implicit dual projection iterations; a classical
-isotropic TV baseline shares the iteration kernel for comparison.
+matching its gradient direction to the smoothed field.  Both steps run one
+projected dual step, ``p <- unit_clip(p - tau*A(p))``; a classical isotropic
+TV baseline shares the iteration kernel for comparison.
 
 Each module's ``__all__`` is the one declaration of its public names.
 """

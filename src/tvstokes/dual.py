@@ -1,9 +1,12 @@
-"""The semi-implicit dual projection core shared by every solver.
+"""The projected dual step shared by every solver.
 
 Each model solves its dual, a stack of channel grids along axis 0 with
-pointwise tuple norms at most 1, by the iteration
-``p <- unit_clip(p - tau * A(p))`` (Chambolle, JMIV 2004), which is
-nonexpansive for ``tau <= 1/(2d)``.  Every model's residual is a
+pointwise tuple norms at most 1, by the projected step
+``p <- unit_clip(p - tau * A(p))`` (Chambolle's variant, EMMCVPR 2005), which
+is nonexpansive for ``tau <= 1/(2d)``.  It is not the semi-implicit division
+``p <- (p - tau*w) / (1 + tau*|w|)``, ``w = A(p)``, of Chambolle's JMIV 2004
+paper; both rules have the fixed points ``w + |w|*p = 0``, which
+:func:`stationarity_residual` checks.  Every model's residual is a
 forward-difference operator ``K`` of one potential computed from the whole
 dual, ``A(p) = K(y)`` with ``y = potential(p)``: :func:`.fields.hessian` in
 the smoothing, :func:`.fields.grad` in reconstruction and ROF.  A model
@@ -63,7 +66,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DivergenceError, ParameterError
-from .fields import _total_variation, max_tuple_norm
+from .fields import _sum_squares, _total_variation, max_tuple_norm
 from .spectral import dual_step_bound
 
 __all__ = [
@@ -230,21 +233,15 @@ def _increment(ps, qs, norm: np.ndarray, scratch: np.ndarray, channels):
 
 
 def _norm_at(ps, qs, norm: np.ndarray, at: tuple, channels) -> float:
-    """Tuple norm of ``ps - qs/norm`` at the slab point ``at``, added as in :func:`_sum_squares`."""
+    """Tuple norm of ``ps - qs/norm`` at the slab point ``at``, added as a slab's norms are.
+
+    In Python floats: a ufunc per single value takes several times as long, every lazy step.
+    """
     d = ps[(slice(None), *at)] - qs[(slice(None), *at)] / norm[at]
     total = 0.0
     for c in channels:  # in order: np.sum adds 8 or more terms pairwise
         total += d[c] * d[c]
     return math.sqrt(total)
-
-
-def _sum_squares(grids, out: np.ndarray, scratch: np.ndarray) -> None:
-    """``out = sum(g*g for g in grids)`` in order; a grid may be ``scratch`` itself."""
-    for i, g in enumerate(grids):
-        if i:
-            out += np.multiply(g, g, out=scratch)
-        else:
-            np.multiply(g, g, out=out)
 
 
 def stationarity_residual(w: np.ndarray, p: np.ndarray, channels=None) -> float:

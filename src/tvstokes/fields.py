@@ -37,9 +37,12 @@ while the product is exact, signed zeros included.
 ``grad`` and ``hessian`` also compute any rows ``[a, b)`` of the first grid
 axis alone, bit for bit those rows of the whole result: the first-axis
 difference reads one row past the range, and the Hessian two, so the dual
-loop can evaluate its residual one slab at a time.  For the objectives, which
-work one channel at a time, ``_total_variation`` adds the squares of a
-gradient one difference at a time, bit for bit those of ``iso_l1_norm``.
+loop can evaluate its residual one slab at a time.
+
+Every grid of tuple norms adds its squares through :func:`_sum_squares`, one
+channel at a time in C order, the order of ``np.sum`` over the channels; the
+dual loop's bit-for-bit claims rest on that one order.  ``_total_variation``
+feeds it a gradient one difference at a time, so the objectives hold two grids.
 
 Operators in this module assume finite float inputs (see
 :func:`validate_field`); only cheap structural checks are performed here.
@@ -60,11 +63,9 @@ __all__ = [
     "adjoint_grad",
     "adjoint_grad_tensor",
     "divergence",
-    "tuple_norm",
     "unit_clip",
     "pointwise_normalize",
     "l2_norm",
-    "iso_l1_norm",
     "max_tuple_norm",
     "inner",
 ]
@@ -189,12 +190,12 @@ def grad(u: np.ndarray, out: np.ndarray | None = None, rows=None) -> np.ndarray:
     return _grad(u, 0, out, rows)
 
 
-def grad_vec(g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def grad_vec(g: np.ndarray) -> np.ndarray:
     """Channel-wise gradient of a vector field, shape ``(d, d, *dims)``.
 
     Output channel ``(l, m)`` is the axis-``m`` difference of channel ``l``.
     """
-    return _grad(g, 1, out)
+    return _grad(g, 1)
 
 
 def adjoint_grad(p: np.ndarray) -> np.ndarray:
@@ -269,19 +270,25 @@ def divergence(v: np.ndarray) -> np.ndarray:
     return -adjoint_grad(v)
 
 
-def tuple_norm(q: np.ndarray, channel_ndim: int = 1) -> np.ndarray:
-    """Pointwise Euclidean norm over the leading ``channel_ndim`` axes.
+def _sum_squares(grids, out: np.ndarray, scratch: np.ndarray) -> None:
+    """``out = sum(g*g for g in grids)`` in order; a grid may be ``scratch`` itself."""
+    for i, g in enumerate(grids):
+        if i:
+            out += np.multiply(g, g, out=scratch)
+        else:
+            np.multiply(g, g, out=out)
 
-    Adds the squares channel by channel in C order, as ``np.sum`` over them would.
-    """
+
+def _tuple_norm(q: np.ndarray, channel_ndim: int = 1) -> np.ndarray:
+    """Pointwise Euclidean norm over the leading ``channel_ndim`` axes."""
     if channel_ndim < 1 or channel_ndim >= q.ndim:
         raise DimensionError(
             f"channel_ndim {channel_ndim} invalid for array of ndim {q.ndim}"
         )
-    total = np.zeros_like(q, shape=q.shape[channel_ndim:])  # exact: squares are never -0.0
-    for c in np.ndindex(q.shape[:channel_ndim]):
-        total += q[c] * q[c]
-    return np.sqrt(total)
+    shape, dtype = q.shape[channel_ndim:], np.result_type(q, 0.0)
+    norm, scratch = np.zeros(shape, dtype), np.empty(shape, dtype)  # no channels: zero norms
+    _sum_squares((q[c] for c in np.ndindex(q.shape[:channel_ndim])), norm, scratch)
+    return np.sqrt(norm, out=norm)
 
 
 def unit_clip(q: np.ndarray, channel_ndim: int = 1) -> np.ndarray:
@@ -292,7 +299,7 @@ def unit_clip(q: np.ndarray, channel_ndim: int = 1) -> np.ndarray:
     idempotent and 1-Lipschitz.
     """
     q = np.asarray(q, dtype=np.float64)
-    return q / np.maximum(1.0, tuple_norm(q, channel_ndim))
+    return q / np.maximum(1.0, _tuple_norm(q, channel_ndim))
 
 
 def pointwise_normalize(g: np.ndarray, eps: float) -> np.ndarray:
@@ -305,11 +312,16 @@ def pointwise_normalize(g: np.ndarray, eps: float) -> np.ndarray:
     return g / _guarded_norm(g, eps)
 
 
+def _check_eps(eps) -> None:
+    """Raise unless ``eps`` is a positive finite number; ``True`` would pass as 1.0."""
+    if isinstance(eps, bool) or not 0 < eps < np.inf:  # NaN fails every comparison
+        raise ParameterError(f"eps must be positive and finite, got {eps!r}")
+
+
 def _guarded_norm(g: np.ndarray, eps: float) -> np.ndarray:
     """``max(|g|, eps)`` pointwise over the vector field ``g``, after checking ``eps``."""
-    if not 0 < eps < np.inf:
-        raise ParameterError(f"eps must be positive and finite, got {eps}")
-    norm = tuple_norm(g, 1)
+    _check_eps(eps)
+    norm = _tuple_norm(g, 1)
     return np.maximum(norm, eps, out=norm)
 
 
@@ -319,14 +331,9 @@ def l2_norm(x: np.ndarray) -> float:
     return float(np.sqrt(np.sum(x * x)))
 
 
-def iso_l1_norm(q: np.ndarray, channel_ndim: int = 1) -> float:
-    """Isotropic l1 norm: grid sum of pointwise tuple norms."""
-    return float(np.sum(tuple_norm(q, channel_ndim)))
-
-
 def max_tuple_norm(q: np.ndarray, channel_ndim: int = 1) -> float:
     """Largest pointwise tuple norm; the dual-feasibility max norm."""
-    return float(np.max(tuple_norm(q, channel_ndim)))
+    return float(np.max(_tuple_norm(q, channel_ndim)))
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> float:
@@ -339,14 +346,13 @@ def inner(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _total_variation(u: np.ndarray) -> float:
-    """``iso_l1_norm`` of the gradient of every channel ``u[c]`` bit for bit, in two grids.
+    """Grid sum of the tuple norms of the gradient of every channel ``u[c]``, in two grids.
 
     The squares are added one difference at a time, channels outer and axes
     inner, the C order of the gradient's channels.
     """
     dims = u.shape[1:]
-    squares, step = np.zeros(dims), np.empty(dims)  # an exact start: squares are never -0.0
-    for c in range(len(u)):
-        for axis in range(len(dims)):
-            squares += np.square(_diff(u[c], axis, step), out=step)
+    squares, step = np.empty(dims), np.empty(dims)
+    diffs = (_diff(u[c], axis, step) for c in range(len(u)) for axis in range(len(dims)))
+    _sum_squares(diffs, squares, step)
     return float(np.sum(np.sqrt(squares, out=squares)))

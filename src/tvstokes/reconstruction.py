@@ -35,7 +35,7 @@ import numpy as np
 from .dual import DualConfig, DualResult, _check_lam, _objective, iterate, kkt_residual
 from .dual import require_feasible
 from .errors import DimensionError, ParameterError
-from .fields import adjoint_grad, divergence, grad, pointwise_normalize, validate_field
+from .fields import _check_eps, adjoint_grad, divergence, grad, pointwise_normalize, validate_field
 
 __all__ = [
     "ReconstructionConfig", "ReconstructionResult", "matching_field", "reconstruct",
@@ -55,8 +55,7 @@ class ReconstructionConfig(DualConfig):
 
     def validate(self, ndim: int) -> float:
         tau = super().validate(ndim)
-        if not 0 < self.eps < np.inf:
-            raise ParameterError(f"eps must be positive and finite, got {self.eps}")
+        _check_eps(self.eps)
         return tau
 
 
@@ -107,7 +106,7 @@ def _bind(p, u0, m, lam):
 def dual_step(
     p: np.ndarray, u0: np.ndarray, m: np.ndarray, cfg: ReconstructionConfig
 ) -> np.ndarray:
-    """Apply one semi-implicit dual update to a feasible vector dual."""
+    """Apply one projected dual step ``unit_clip(p - tau*A(p))`` to a feasible vector dual."""
     potential, p = _bind(p, u0, m, cfg.lam)
     tau = cfg.validate(len(p))
     require_feasible(p)

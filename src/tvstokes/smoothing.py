@@ -144,7 +144,7 @@ def _checked(lam, g0, f, lead: int):
 
 
 def dual_step(p: np.ndarray, g0: np.ndarray, cfg: SmoothingConfig) -> np.ndarray:
-    """Apply one semi-implicit dual update to a feasible tensor dual.
+    """Apply one projected dual step ``unit_clip(p - tau*A(p))`` to a feasible tensor dual.
 
     Inputs must be finite with pointwise tuple norms of ``p`` at most 1;
     the output is feasible again by construction.  The step acts on the

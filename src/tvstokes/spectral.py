@@ -37,7 +37,6 @@ from .errors import DimensionError, ParameterError
 from .fields import _output, adjoint_grad, grad
 
 __all__ = [
-    "singular_values",
     "DiffFactors",
     "diff_factors",
     "grad_operator_norm",
@@ -54,7 +53,7 @@ __all__ = [
 _DENSE_MAX = 64
 
 
-def singular_values(n: int) -> np.ndarray:
+def _singular_values(n: int) -> np.ndarray:
     """Singular values of the difference matrix: ``2 sin(pi*i/(2n))``."""
     if n < 2:
         raise DimensionError(f"need n >= 2, got {n}")
@@ -90,7 +89,7 @@ class DiffFactors:
 
 def diff_factors(n: int) -> DiffFactors:
     """Compute the spectral factors of the difference matrix of size ``n``."""
-    sigma = singular_values(n)
+    sigma = _singular_values(n)
     j = np.arange(n)
     cosine = np.sqrt(2.0 / n) * np.cos(np.pi * np.outer(j, 2 * j + 1) / (2.0 * n))
     cosine[0, :] = np.sqrt(1.0 / n)
@@ -148,7 +147,7 @@ class PoissonPlan:
     @property
     def denominator(self) -> np.ndarray:
         """Eigenvalues ``sum_k sigma_k[i_k]^2``, computed afresh on access."""
-        return reduce(np.add.outer, [singular_values(n) ** 2 for n in self.dims])
+        return reduce(np.add.outer, [_singular_values(n) ** 2 for n in self.dims])
 
     def solve(self, f: np.ndarray, overwrite_x: bool = False, work=None) -> np.ndarray:
         """Pseudoinverse solve of ``adjoint_grad(grad(u)) = f``.

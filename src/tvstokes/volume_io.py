@@ -1,10 +1,11 @@
 """Raw volume IO: `<name>.raw` payloads described by `<name>.json` headers.
 
 A header declares ``dims`` (grid shape, every axis >= 2), ``dtype`` ("f32" or
-"f64"), ``byte_order`` ("little"), ``layout`` ("last-fastest", i.e. C order)
-and an optional ``value_range`` ``[min, max]``.  Payloads are plain
-little-endian IEEE floats; f64 volumes round-trip bit-exactly, f32 volumes
-are widened to f64 on load and narrowed with round-to-nearest-even on save.
+"f64"), ``byte_order`` and ``layout``, whose one legal values "little" and
+"last-fastest" (C order) every header states, and an optional ``value_range``
+``[min, max]``.  Payloads are plain little-endian IEEE floats; f64 volumes
+round-trip bit-exactly, f32 volumes are widened to f64 on load and narrowed
+with round-to-nearest-even on save.
 Payloads and headers are written atomically (temp file, then rename) by
 :func:`write_atomic`, public at module level only, not in ``__all__``.
 """
@@ -22,12 +23,11 @@ import numpy as np
 
 from .errors import DimensionError, VolumeFormatError
 
-__all__ = [
-    "VolumeHeader", "default_header_path", "read_header", "write_header", "load_volume",
-    "save_volume", "stack_frames", "export_slice",
-]
+__all__ = ["VolumeHeader", "load_volume", "save_volume", "stack_frames", "export_slice"]
 
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+# the one byte order and layout a header may declare; written to every header
+_BYTE_ORDER, _LAYOUT = "little", "last-fastest"
 
 
 @dataclass
@@ -36,8 +36,6 @@ class VolumeHeader:
 
     dims: tuple[int, ...]
     dtype: str = "f64"
-    byte_order: str = "little"
-    layout: str = "last-fastest"
     value_range: tuple[float, float] | None = None
 
     def validate(self) -> None:
@@ -48,10 +46,6 @@ class VolumeHeader:
             )
         if self.dtype not in _DTYPES:
             raise VolumeFormatError(f"unknown dtype {self.dtype!r}; expected f32 or f64")
-        if self.byte_order != "little":
-            raise VolumeFormatError(f"unsupported byte_order {self.byte_order!r}")
-        if self.layout != "last-fastest":
-            raise VolumeFormatError(f"unsupported layout {self.layout!r}")
         if self.value_range is not None:
             lo, hi = self.value_range
             # NaN fails lo < hi, and a finite width implies finite ends
@@ -70,8 +64,8 @@ class VolumeHeader:
         return {
             "dims": [int(n) for n in self.dims],
             "dtype": self.dtype,
-            "byte_order": self.byte_order,
-            "layout": self.layout,
+            "byte_order": _BYTE_ORDER,
+            "layout": _LAYOUT,
             "value_range": None if self.value_range is None else [float(v) for v in self.value_range],
         }
 
@@ -81,8 +75,12 @@ class VolumeHeader:
 
         ``dims`` must be a list of integers and ``value_range`` either
         ``null`` or a list of two numbers; anything else is rejected with
-        :class:`VolumeFormatError` rather than coerced.
+        :class:`VolumeFormatError` rather than coerced.  ``byte_order`` and
+        ``layout``, when given, must be ``"little"`` and ``"last-fastest"``.
         """
+        for key, value in (("byte_order", _BYTE_ORDER), ("layout", _LAYOUT)):
+            if str(data.get(key, value)) != value:
+                raise VolumeFormatError(f"unsupported {key} {data[key]!r}")
         dims = data.get("dims")
         if not isinstance(dims, list) or not all(isinstance(n, int) for n in dims):
             raise VolumeFormatError(f"header 'dims' must be a list of integers, got {dims!r}")
@@ -98,23 +96,17 @@ class VolumeHeader:
             value_range = None if vr is None else (float(vr[0]), float(vr[1]))
         except OverflowError as exc:
             raise VolumeFormatError(f"header 'value_range' {vr!r} exceeds float range") from exc
-        header = cls(
-            dims=tuple(dims),
-            dtype=str(data.get("dtype", "f64")),
-            byte_order=str(data.get("byte_order", "little")),
-            layout=str(data.get("layout", "last-fastest")),
-            value_range=value_range,
-        )
+        header = cls(dims=tuple(dims), dtype=str(data.get("dtype", "f64")), value_range=value_range)
         header.validate()
         return header
 
 
-def default_header_path(data_path) -> Path:
+def _default_header_path(data_path) -> Path:
     """Sidecar header path for a payload: same stem, ``.json`` suffix."""
     return Path(data_path).with_suffix(".json")
 
 
-def read_header(header_path) -> VolumeHeader:
+def _read_header(header_path) -> VolumeHeader:
     path = Path(header_path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -160,10 +152,6 @@ def _header_bytes(header: VolumeHeader) -> bytes:
     return (json.dumps(header.to_dict(), indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def write_header(header: VolumeHeader, header_path) -> None:
-    write_atomic((header_path, _header_bytes(header)))
-
-
 def load_volume(data_path, header_path=None) -> np.ndarray:
     """Load a raw volume as float64, checking payload size and finiteness."""
     return _read_volume(data_path, header_path)[1]
@@ -176,7 +164,7 @@ def _read_volume(data_path, header_path=None) -> tuple[VolumeHeader, np.ndarray]
     here, so a header replaced on disk cannot pair the payload with another.
     """
     data_path = Path(data_path)
-    header = read_header(default_header_path(data_path) if header_path is None else header_path)
+    header = _read_header(_default_header_path(data_path) if header_path is None else header_path)
     dtype = _DTYPES[header.dtype]
     expected = header.payload_bytes()
     try:
@@ -221,7 +209,7 @@ def _volume_files(field, data_path, header_path=None, dtype="f64", value_range=N
         payload = np.ascontiguousarray(field.astype(_DTYPES[dtype], copy=False))
     if not np.isfinite(payload).all():
         raise VolumeFormatError(f"volume for {data_path} has values not finite as {dtype}")
-    header_path = default_header_path(data_path) if header_path is None else header_path
+    header_path = _default_header_path(data_path) if header_path is None else header_path
     return header, [(data_path, payload), (header_path, _header_bytes(header))]
 
 

@@ -3,8 +3,8 @@
 The dense oracles are built from first principles (explicit stencils,
 Kronecker products, SVD pseudoinverses) so they exercise none of the fast
 paths they are used to check.  The reference implementations, ``mode_apply``,
-the naive dual loop and the full-tensor step-1 residual, are the simple forms
-that the library's paths replaced; tests compare the two.
+``iso_l1_norm``, the naive dual loop and the full-tensor step-1 residual, are
+the simple forms that the library's paths replaced; tests compare the two.
 """
 
 import numpy as np
@@ -119,6 +119,15 @@ def feasible_tensor(dims, seed, scale=1.0):
     q = rand_tensor(dims, seed)
     norms = np.sqrt(np.sum(q * q, axis=(0, 1)))
     return scale * q / np.maximum(1.0, norms)
+
+
+def iso_l1_norm(q, channel_ndim=1):
+    """Isotropic l1 norm: grid sum of the tuple norms over the leading ``channel_ndim`` axes.
+
+    Adds the squares one channel at a time in C order, as the library does.
+    """
+    squares = sum(q[c] * q[c] for c in np.ndindex(q.shape[:channel_ndim]))
+    return float(np.sum(np.sqrt(squares)))
 
 
 def brute_inner(x, y):

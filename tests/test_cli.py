@@ -333,9 +333,9 @@ def test_metrics_non_finite_peak_exits_2(tmp_path, capsys, peak):
 def test_payload_size_mismatch_exits_3(tmp_path):
     raw = tmp_path / "vol.raw"
     raw.write_bytes(b"\x00" * 8)
-    from tvstokes import write_header
+    from tvstokes.volume_io import _header_bytes, write_atomic
 
-    write_header(VolumeHeader(dims=(4, 4)), tmp_path / "vol.json")
+    write_atomic((tmp_path / "vol.json", _header_bytes(VolumeHeader(dims=(4, 4)))))
     code = main(["denoise", "--input", str(raw), "--output", str(tmp_path / "o.raw")])
     assert code == 3
 
@@ -474,14 +474,14 @@ def test_input_header_is_read_once(tmp_path, monkeypatch, call):
 
     inp = make_noisy(tmp_path, dims=(4, 5, 6))
     reads = []
-    original = tvstokes.volume_io.read_header
+    original = tvstokes.volume_io._read_header
 
     def counting(path):
         reads.append(path)
         return original(path)
 
     for module in (tvstokes.volume_io, tvstokes.pipeline, tvstokes.cli):
-        if hasattr(module, "read_header"):
-            monkeypatch.setattr(module, "read_header", counting)
+        if hasattr(module, "_read_header"):
+            monkeypatch.setattr(module, "_read_header", counting)
     READERS[call](inp, tmp_path)
     assert len(reads) == 1

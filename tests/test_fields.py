@@ -12,16 +12,16 @@ from tvstokes import (
     grad,
     grad_vec,
     inner,
-    iso_l1_norm,
     l2_norm,
     max_tuple_norm,
     pointwise_normalize,
-    tuple_norm,
     unit_clip,
     validate_field,
 )
 from tvstokes.fields import _diff, _diff_t, _total_variation, adjoint_hessian, hessian
-from oracles import brute_inner, dense_diff, mode_apply, rand_scalar, rand_vector, rand_tensor
+from oracles import (
+    brute_inner, dense_diff, iso_l1_norm, mode_apply, rand_scalar, rand_tensor, rand_vector,
+)
 
 
 # ---------------------------------------------------------------- mode_apply
@@ -211,8 +211,9 @@ def test_pointwise_normalize_examples():
 
 
 def test_pointwise_normalize_bad_eps():
-    with pytest.raises(ParameterError):
-        pointwise_normalize(np.zeros((1, 4)), 0.0)
+    for eps in (0.0, True, float("nan"), float("inf")):  # True would pass as 1.0
+        with pytest.raises(ParameterError):
+            pointwise_normalize(np.zeros((1, 4)), eps)
 
 
 # ---------------------------------------------------------------- norms
@@ -242,7 +243,7 @@ def test_inner_shape_mismatch():
 
 def test_tuple_norm_bad_channel_ndim():
     with pytest.raises(DimensionError):
-        tuple_norm(np.zeros((2, 3)), channel_ndim=2)
+        max_tuple_norm(np.zeros((2, 3)), channel_ndim=2)
 
 
 # ---------------------------------------------------------------- validation

@@ -10,7 +10,6 @@ from tvstokes import (
     adjoint_grad,
     grad,
     inner,
-    iso_l1_norm,
     l2_norm,
     matching_field,
     matching_kkt_residual,
@@ -22,7 +21,7 @@ from tvstokes import (
 )
 from tvstokes.reconstruction import dual_step
 
-from oracles import constant_cases, feasible_vector, rand_scalar, rand_vector
+from oracles import constant_cases, feasible_vector, iso_l1_norm, rand_scalar, rand_vector
 
 
 def test_matching_field_zero():
@@ -220,6 +219,16 @@ def test_shape_mismatch_rejected():
 def test_bad_eps_rejected():
     with pytest.raises(ParameterError):
         reconstruct(np.zeros((4, 4)), np.zeros((2, 4, 4)), ReconstructionConfig(eps=0.0))
+
+
+def test_boolean_eps_rejected():
+    """``True`` would pass as 1.0, as it would for ``lam``, ``tau`` or ``tol``."""
+    with pytest.raises(ParameterError):
+        reconstruct(np.zeros((4, 4)), np.zeros((2, 4, 4)), ReconstructionConfig(eps=True))
+    with pytest.raises(ParameterError):
+        ReconstructionConfig(eps=True).validate(2)
+    with pytest.raises(ParameterError):
+        matching_field(np.zeros((2, 4, 4)), True)
 
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf")])

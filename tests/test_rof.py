@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from tvstokes import RofConfig, adjoint_grad, grad, iso_l1_norm, matching_kkt_residual, rof_denoise
+from tvstokes import RofConfig, adjoint_grad, grad, matching_kkt_residual, rof_denoise
 from tvstokes import ReconstructionConfig, reconstruct
 
-from oracles import constant_cases, dense_diff, rand_scalar
+from oracles import constant_cases, dense_diff, iso_l1_norm, rand_scalar
 
 
 def rof_1d_dual_oracle(f, lam, gap_tol=1e-8, max_iters=2_000_000):

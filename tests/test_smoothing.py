@@ -13,7 +13,6 @@ from tvstokes import (
     grad,
     grad_vec,
     inner,
-    iso_l1_norm,
     l2_norm,
     max_tuple_norm,
     project_gradient_field,
@@ -27,8 +26,8 @@ from tvstokes.fields import adjoint_hessian, hessian
 from tvstokes.smoothing import dual_step
 
 from oracles import (
-    constant_cases, feasible_tensor, full_tensor_residual, rand_scalar, rand_tensor,
-    reference_iterate, symmetric_packing,
+    constant_cases, feasible_tensor, full_tensor_residual, iso_l1_norm, rand_scalar,
+    rand_tensor, reference_iterate, symmetric_packing,
 )
 
 

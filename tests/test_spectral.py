@@ -20,9 +20,8 @@ from tvstokes import (
     grad_operator_norm,
     inner,
     project_gradient_field,
-    singular_values,
 )
-from tvstokes.spectral import _DENSE_MAX
+from tvstokes.spectral import _DENSE_MAX, _singular_values
 
 from oracles import (
     dense_diff,
@@ -69,12 +68,12 @@ def test_factors_n4_sigma():
 def test_sigma_formula_exact():
     for n in range(2, 65):
         expected = 2.0 * np.sin(np.pi * np.arange(n) / (2.0 * n))
-        np.testing.assert_array_equal(singular_values(n), expected)
+        np.testing.assert_array_equal(_singular_values(n), expected)
 
 
 def test_sigma_monotone_and_bounded():
     for n in (2, 5, 16, 64):
-        s = singular_values(n)
+        s = _singular_values(n)
         assert s[0] == 0.0
         assert np.all(np.diff(s) > 0.0)
         assert s[-1] < 2.0

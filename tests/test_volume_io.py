@@ -1,5 +1,6 @@
 """Raw volume format: headers, round trips, frame stacking, PGM export."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,16 +10,18 @@ from tvstokes import (
     DimensionError,
     VolumeFormatError,
     VolumeHeader,
-    default_header_path,
     export_slice,
     load_volume,
-    read_header,
     save_volume,
     stack_frames,
-    write_header,
 )
+from tvstokes.volume_io import _default_header_path, _header_bytes, _read_header, write_atomic
 
 from oracles import rand_scalar
+
+
+def write_sidecar(header, path):
+    write_atomic((path, _header_bytes(header)))
 
 
 def read_pgm(path):
@@ -39,22 +42,32 @@ def read_pgm(path):
 def test_header_round_trip(tmp_path):
     header = VolumeHeader(dims=(4, 5, 6), dtype="f32", value_range=(0.0, 2.5))
     path = tmp_path / "vol.json"
-    write_header(header, path)
-    assert read_header(path) == header
+    write_sidecar(header, path)
+    assert _read_header(path) == header
+
+
+def test_header_file_states_the_one_byte_order_and_layout(tmp_path):
+    header = save_volume(np.zeros((2, 3)), tmp_path / "vol.raw")
+    data = json.loads((tmp_path / "vol.json").read_text())
+    assert data == {"dims": [2, 3], "dtype": "f64", "byte_order": "little",
+                    "layout": "last-fastest", "value_range": None}
+    assert [f.name for f in dataclasses.fields(VolumeHeader)] == ["dims", "dtype", "value_range"]
+    del data["byte_order"], data["layout"]
+    assert VolumeHeader.from_dict(data) == header
 
 
 def test_header_missing_dims(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dtype": "f64"}))
     with pytest.raises(VolumeFormatError):
-        read_header(path)
+        _read_header(path)
 
 
 def test_header_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(VolumeFormatError):
-        read_header(path)
+        _read_header(path)
 
 
 def test_header_rejects_bad_fields():
@@ -63,15 +76,15 @@ def test_header_rejects_bad_fields():
     with pytest.raises(VolumeFormatError):
         VolumeHeader(dims=(4, 4), dtype="i16").validate()
     with pytest.raises(VolumeFormatError):
-        VolumeHeader(dims=(4, 4), byte_order="big").validate()
+        VolumeHeader.from_dict({"dims": [4, 4], "byte_order": "big"})
     with pytest.raises(VolumeFormatError):
-        VolumeHeader(dims=(4, 4), layout="first-fastest").validate()
+        VolumeHeader.from_dict({"dims": [4, 4], "layout": "first-fastest"})
     with pytest.raises(VolumeFormatError):
         VolumeHeader(dims=(4, 4), value_range=(1.0, 1.0)).validate()
 
 
 def test_default_header_path():
-    assert default_header_path("data/vol.raw").name == "vol.json"
+    assert _default_header_path("data/vol.raw").name == "vol.json"
 
 
 # ------------------------------------------------------------------ volumes
@@ -90,13 +103,13 @@ def test_f32_widen_and_narrow(tmp_path):
     save_volume(u, path, dtype="f32")
     back = load_volume(path)
     np.testing.assert_array_equal(back, u.astype(np.float32).astype(np.float64))
-    assert read_header(default_header_path(path)).dtype == "f32"
+    assert _read_header(_default_header_path(path)).dtype == "f32"
 
 
 def test_payload_size_mismatch(tmp_path):
     path = tmp_path / "vol.raw"
     path.write_bytes(b"\x00" * 15 * 8)
-    write_header(VolumeHeader(dims=(4, 4)), default_header_path(path))
+    write_sidecar(VolumeHeader(dims=(4, 4)), _default_header_path(path))
     with pytest.raises(VolumeFormatError, match="120 bytes"):
         load_volume(path)
 
@@ -104,7 +117,7 @@ def test_payload_size_mismatch(tmp_path):
 def test_payload_with_partial_trailing_item_rejected(tmp_path):
     path = tmp_path / "vol.raw"
     path.write_bytes(b"\x00" * (16 * 8 + 3))
-    write_header(VolumeHeader(dims=(4, 4)), default_header_path(path))
+    write_sidecar(VolumeHeader(dims=(4, 4)), _default_header_path(path))
     with pytest.raises(VolumeFormatError, match="131 bytes"):
         load_volume(path)
 
@@ -113,11 +126,11 @@ def test_header_with_overlong_integer_rejected(tmp_path):
     path = tmp_path / "vol.json"
     path.write_text('{"dims": [4, ' + "9" * 5000 + "]}")
     with pytest.raises(VolumeFormatError):
-        read_header(path)
+        _read_header(path)
 
 
 def test_missing_payload(tmp_path):
-    write_header(VolumeHeader(dims=(4, 4)), tmp_path / "vol.json")
+    write_sidecar(VolumeHeader(dims=(4, 4)), tmp_path / "vol.json")
     with pytest.raises(VolumeFormatError):
         load_volume(tmp_path / "vol.raw")
 
@@ -127,7 +140,7 @@ def test_non_finite_payload_rejected(tmp_path):
     u[0, 0] = np.inf
     path = tmp_path / "vol.raw"
     path.write_bytes(u.astype("<f8").tobytes())
-    write_header(VolumeHeader(dims=(4, 4)), default_header_path(path))
+    write_sidecar(VolumeHeader(dims=(4, 4)), _default_header_path(path))
     with pytest.raises(VolumeFormatError):
         load_volume(path)
 
