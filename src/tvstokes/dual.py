@@ -66,20 +66,13 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DivergenceError, ParameterError
-from .fields import _sum_squares, _total_variation, max_tuple_norm
+from .fields import _spans, _sum_squares, _total_variation, max_tuple_norm
 from .spectral import dual_step_bound
 
 __all__ = [
     "DualConfig", "DualResult", "require_feasible", "iterate", "stationarity_residual",
     "kkt_residual",
 ]
-
-# Grid entries per slab of the pointwise update: few enough that a slab's
-# channels stay in L2 cache across the 17-67 passes of one step.  On a Xeon
-# with 4 MiB L2 and one thread, 16K-32K entries timed best for the packed 64^3
-# and the vector 160x160x16 dual; whole grids took 25-35% longer per update.
-_SLAB = 1 << 15
-
 
 @dataclass(frozen=True)
 class DualConfig:
@@ -137,12 +130,6 @@ def require_feasible(p) -> None:
     """Raise unless ``p`` is finite with pointwise tuple norms at most 1."""
     if not max_tuple_norm(p) <= 1.0 + 1e-12:  # NaN fails too
         raise ParameterError("dual field violates the pointwise unit bound or is not finite")
-
-
-def _spans(grid) -> list:
-    """The slabs of ``grid``: rows ``[a, b)`` of its first axis, about ``_SLAB`` entries each."""
-    rows = max(1, _SLAB // math.prod(grid[1:]))
-    return [(a, min(a + rows, grid[0])) for a in range(0, grid[0], rows)]
 
 
 def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channels=None):
@@ -283,7 +270,7 @@ def _objective(x: np.ndarray, data, lam: float, m=None) -> float:
     """``TV(x) + 1/(2*lam) * sum_k ||x[k] - x0[k]||^2``, plus ``<x[0], m>`` given a shift ``m``.
 
     ``data(k, out)`` returns channel ``k`` of ``x0``, which it may write into
-    the grid ``out``.  The objective holds at most two grids.
+    the grid ``out``.  The objective holds at most one grid and a slab.
     """
     value = _total_variation(x)
     diff = np.empty(x.shape[1:])

@@ -39,12 +39,16 @@ def staircase_metric(u: np.ndarray) -> float:
             f"staircase metric needs every axis >= 3, got shape {u.shape}"
         )
     core = tuple(slice(1, -1) for _ in range(u.ndim))
-    acc = np.zeros(tuple(n - 2 for n in u.shape))
+    shape = tuple(n - 2 for n in u.shape)
+    acc, dd = np.zeros(shape), np.empty(shape)
     for axis in range(u.ndim):
         lo = list(core)
         lo[axis] = slice(None, -2)
         hi = list(core)
         hi[axis] = slice(2, None)
-        dd = u[tuple(hi)] - 2.0 * u[core] + u[tuple(lo)]
-        acc += dd * dd
-    return float(np.mean(np.sqrt(acc)))
+        # u[hi] - 2.0*u[core] + u[lo], rounded as written, in the one scratch grid
+        np.multiply(u[core], 2.0, out=dd)
+        np.subtract(u[tuple(hi)], dd, out=dd)
+        dd += u[tuple(lo)]
+        acc += np.multiply(dd, dd, out=dd)
+    return float(np.mean(np.sqrt(acc, out=acc)))

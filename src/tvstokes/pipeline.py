@@ -83,10 +83,11 @@ def _normalize(u: np.ndarray, header: VolumeHeader) -> dict | None:
     return {"applied": True, "offset": float(lo), "scale": float(hi - lo)}
 
 
-def _denormalize(u: np.ndarray, info: dict | None) -> np.ndarray:
-    if info is None:
-        return u
-    return u * info["scale"] + info["offset"]
+def _denormalize(u: np.ndarray, info: dict | None) -> None:
+    """Undo :func:`_normalize` on ``u`` in place."""
+    if info is not None:
+        u *= info["scale"]
+        u += info["offset"]
 
 
 def _safe_staircase(u: np.ndarray) -> float | None:
@@ -145,6 +146,8 @@ def run_denoise(
         result = rof_denoise(u, cfg)
         steps = {"rof": _stats(result)}
         config = {"model": model, "lambda": float(lam)}
+    out_raw = result.u
+    del result  # and with it the final dual, before the metrics
 
     config.update(
         {
@@ -159,7 +162,7 @@ def run_denoise(
         }
     )
 
-    out_raw = _denormalize(result.u, norm_info)
+    _denormalize(out_raw, norm_info)
     metrics = {"psnr_db": None, "staircase": _safe_staircase(out_raw)}
 
     report = RunReport(

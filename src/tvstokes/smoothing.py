@@ -23,13 +23,13 @@ stores it packed: the ``d(d+1)/2`` channels ``l <= m`` of the layout of
 :func:`.fields.hessian` (6 of 9 at d = 3), each off-diagonal channel counted
 twice in the tuple norm; :func:`.fields.adjoint_hessian` takes it to the
 potential's right-hand side and :func:`.fields.hessian` back, a slab of rows
-at a time.  The potential holds three grids while it is computed, the
-right-hand side and the adjoint's two work grids, and the in-place solve
-takes one of those, dead by then, as its second buffer; :func:`.dual.iterate`
-then writes each slab's step straight back into the one packed dual.  The
-final dual's potential ``y``, computed once, gives the KKT value, slab by
-slab, and the smoothed field ``g = -lam*grad(y)``, a gradient by construction
-with ``grad_vec(g) = -lam*A(p)``: ``y`` differs from the primal potential
+at a time.  The adjoint works slab by slab in slab-sized scratch, so the
+potential holds two grids while it is computed, the right-hand side and the
+in-place solve's work grid; :func:`.dual.iterate` then writes each slab's
+step straight back into the one packed dual.  The final dual's potential
+``y``, computed once, gives the KKT value, slab by slab, and the smoothed
+field ``g = -lam*grad(y)``, a gradient by construction with
+``grad_vec(g) = -lam*A(p)``: ``y`` differs from the primal potential
 ``(u0 - lam*solve(adjoint_hessian(p)))/(-lam)`` by a constant.  The objective
 is :mod:`.dual`'s, unshifted.  The result keeps the dual packed, as ``packed``;
 its ``p``, the full ``(d, d)`` tensor, is unpacked afresh on each access.
@@ -116,14 +116,12 @@ def _data(g0: np.ndarray, lam: float) -> np.ndarray:
 def _potential(q, plan, f0):
     """``solve(adjoint_hessian(q) - f0)``, the potential whose :func:`.fields.hessian` is ``A(q)``.
 
-    The solve runs in place and takes a work grid of the adjoint, dead by
-    then, as its second buffer, so the potential holds three grids while it
-    is computed and one after.
+    The adjoint works in slab-sized scratch and the solve in place, so the
+    potential holds its own grid and the solve's one work grid.
     """
-    y, work = np.empty(q.shape[1:]), np.empty((2,) + q.shape[1:])
-    adjoint_hessian(q, y, (work[0], work[1]))
+    y = adjoint_hessian(q)
     y -= f0
-    return plan.solve(y, overwrite_x=True, work=work[0])
+    return plan.solve(y, overwrite_x=True)
 
 
 def _bind(g0, lam, plan):
@@ -181,7 +179,7 @@ def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> Smoothin
     kkt = kkt_residual(hessian, y, q, channels)
     del potential, plan  # and with them the data term
     g = grad(y)  # then -lam*grad(y), in place
-    del y  # before the objective's two work grids
+    del y  # before the objective's work grid
     g *= -cfg.lam
     return SmoothingResult(
         g=g,

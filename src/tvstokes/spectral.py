@@ -21,7 +21,8 @@ which is the pseudoinverse nullspace; its coefficient is forced to zero.
 The solve applies ``C`` along each axis, and ``C^T`` to go back.  On grids
 whose axes are all at most ``_DENSE_MAX`` long it multiplies by the dense
 matrices, one BLAS product per axis; on longer grids it calls scipy.fft's
-orthonormal DCT pair.  The two agree to within 5e-15 relative.
+orthonormal DCT pair, imported on the first such solve.  The two agree to
+within 5e-15 relative.
 """
 
 from __future__ import annotations
@@ -31,10 +32,9 @@ from functools import reduce
 from math import prod
 
 import numpy as np
-from scipy import fft as _fft
 
 from .errors import DimensionError, ParameterError
-from .fields import _output, adjoint_grad, grad
+from .fields import adjoint_grad, grad
 
 __all__ = [
     "DiffFactors",
@@ -149,27 +149,29 @@ class PoissonPlan:
         """Eigenvalues ``sum_k sigma_k[i_k]^2``, computed afresh on access."""
         return reduce(np.add.outer, [_singular_values(n) ** 2 for n in self.dims])
 
-    def solve(self, f: np.ndarray, overwrite_x: bool = False, work=None) -> np.ndarray:
+    def solve(self, f: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
         """Pseudoinverse solve of ``adjoint_grad(grad(u)) = f``.
 
         The first spectral coefficient of the result is zero; exactness
         requires ``f`` in the operator's range (arbitrary input is accepted
         and its constant-mode coefficient discarded).  As in scipy.fft,
         ``overwrite_x=True`` lets the solve destroy ``f`` and return its
-        buffer.  ``work``, a C-ordered grid apart from ``f``, is the dense
-        solve's second buffer, allocated when ``None``; its contents are
-        destroyed.
+        buffer.  The dense solve allocates one more grid, its second buffer.
         """
         f = np.asarray(f, dtype=np.float64)
         if f.shape != self.dims:
             raise DimensionError(f"field shape {f.shape} does not match plan {self.dims}")
         if self._cosine is None:
-            fhat = _fft.dctn(f, type=2, norm="ortho", overwrite_x=overwrite_x)
+            # imported here alone: it is most of the package's import time, and
+            # a grid whose axes are all short never needs it
+            from scipy import fft
+
+            fhat = fft.dctn(f, type=2, norm="ortho", overwrite_x=overwrite_x)
             fhat *= self._inverse
-            return _fft.idctn(fhat, type=2, norm="ortho", overwrite_x=True)  # fhat is ours
+            return fft.idctn(fhat, type=2, norm="ortho", overwrite_x=True)  # fhat is ours
         writable = overwrite_x and f.flags.c_contiguous and f.flags.writeable
         x = f if writable else np.array(f, order="C")
-        y = _output(work, self.dims)
+        y = np.empty(self.dims)
         for transpose in (False, True):
             # one product per axis, ping-ponging between x and y; the 2d
             # passes in all leave the result in x

@@ -3,14 +3,18 @@
 The dense oracles are built from first principles (explicit stencils,
 Kronecker products, SVD pseudoinverses) so they exercise none of the fast
 paths they are used to check.  The reference implementations, ``mode_apply``,
-``iso_l1_norm``, the naive dual loop and the full-tensor step-1 residual, are
-the simple forms that the library's paths replaced; tests compare the two.
+``iso_l1_norm``, the naive dual loop, the full-tensor step-1 residual, the
+whole-grid transposed operators and total variation, and the staircase
+expression, are the simple forms that the library's paths replaced; tests
+compare the two.
 """
+
+import math
 
 import numpy as np
 
 from tvstokes.errors import DimensionError
-from tvstokes.fields import adjoint_grad_tensor, grad_vec
+from tvstokes.fields import _diff, _sum_squares, adjoint_grad_tensor, grad_vec
 from tvstokes.spectral import project_gradient_field
 
 
@@ -174,3 +178,69 @@ def full_tensor_residual(p, g0, lam, plan=None):
     v = project_gradient_field(adjoint_grad_tensor(p), plan)
     v -= g0 / lam
     return grad_vec(v)
+
+
+def whole_diff_t(v, axis, out, scratch=None):
+    """The transposed difference over a whole C-ordered grid, into ``out`` or added to it."""
+    if scratch is not None:
+        out += whole_diff_t(v, axis, scratch)
+        return out
+    stride = math.prod(v.shape[axis + 1:])
+    src = v.reshape(-1)
+    np.subtract(src[:-stride], src[stride:], out=out.reshape(-1)[stride:])
+    dst, v = out.swapaxes(0, axis), v.swapaxes(0, axis)
+    np.multiply(v[:1], -1.0, out=dst[:1])
+    dst[-1:] = v[-2:-1]
+    return out
+
+
+def whole_adjoint(p, lead):
+    """``adjoint_grad`` (``lead=0``) or ``adjoint_grad_tensor`` (``lead=1``) in whole grids."""
+    p = np.asarray(p, dtype=np.float64, order="C")
+    dims = p.shape[lead + 1:]
+    out = np.empty(p.shape[:lead] + dims)
+    scratch = np.empty(dims)
+    for c in np.ndindex(p.shape[:lead]):
+        for axis, v in enumerate(p[c]):
+            whole_diff_t(v, axis, out[c], scratch if axis else None)
+    return out
+
+
+def whole_adjoint_hessian(q):
+    """``adjoint_hessian`` in whole grids: each ``row_l`` in full, then its transpose."""
+    q = np.asarray(q, dtype=np.float64, order="C")
+    dims = q.shape[1:]
+    d = len(dims)
+    out, row, scratch = (np.empty(dims) for _ in range(3))
+    for l in reversed(range(d)):
+        first = l * (2 * d - l + 1) // 2
+        for i, m in enumerate(range(d - 1, l - 1, -1)):
+            if m == l and i:
+                row *= 2.0
+            whole_diff_t(q[first + m - l], m, row, scratch if i else None)
+        whole_diff_t(row, l, out, scratch if l < d - 1 else None)
+    return out
+
+
+def whole_total_variation(u):
+    """``_total_variation`` in whole grids: the squares of every difference, then one sum."""
+    dims = u.shape[1:]
+    squares, step = np.empty(dims), np.empty(dims)
+    diffs = (_diff(u[c], axis, step) for c in range(len(u)) for axis in range(len(dims)))
+    _sum_squares(diffs, squares, step)
+    return float(np.sum(np.sqrt(squares, out=squares)))
+
+
+def reference_staircase(u):
+    """``staircase_metric`` as one array expression per axis, fresh temporaries each time."""
+    u = np.asarray(u, dtype=np.float64)
+    core = tuple(slice(1, -1) for _ in range(u.ndim))
+    acc = np.zeros(tuple(n - 2 for n in u.shape))
+    for axis in range(u.ndim):
+        lo = list(core)
+        lo[axis] = slice(None, -2)
+        hi = list(core)
+        hi[axis] = slice(2, None)
+        dd = u[tuple(hi)] - 2.0 * u[core] + u[tuple(lo)]
+        acc += dd * dd
+    return float(np.mean(np.sqrt(acc)))

@@ -26,7 +26,7 @@ from tvstokes import (
     smoothing_kkt_residual,
     smoothing_objective,
 )
-from tvstokes import dual
+from tvstokes import dual, fields
 from tvstokes.dual import iterate, kkt_residual, stationarity_residual
 from tvstokes.reconstruction import dual_step as reconstruction_step
 from tvstokes.smoothing import dual_step as smoothing_step
@@ -149,7 +149,7 @@ def test_iterate_matches_reference_loop_bitwise(dims, channel_ndim):
 
 def test_iterate_raises_on_a_nan_in_a_later_slab():
     dims = (70, 33, 16)
-    assert dual._SLAB < 33 * 16 * 70
+    assert fields._SLAB < 33 * 16 * 70
 
     def kernel(y, out, rows):
         out[...] = 0.0
@@ -183,7 +183,7 @@ def test_iterate_holds_one_dual_and_slab_sized_scratch():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    slab = (dual._SLAB // (33 * 16)) * 33 * 16 * 8  # bytes of one slab-sized grid
+    slab = (fields._SLAB // (33 * 16)) * 33 * 16 * 8  # bytes of one slab-sized grid
     # the slab's residual (3 channels) and the two norm grids; 16 KiB for Python objects
     assert peak <= 3 * y.nbytes + (3 + 2) * slab + (1 << 14)
 
@@ -482,5 +482,5 @@ def test_a_capped_solve_computes_the_full_increment_twice(kind, monkeypatch):
     got, want = _run_both(kind, dims, 40, 1e-9)
     _assert_same_run(got, want)
     assert got[1] == 40
-    slabs = -(-dims[0] // (dual._SLAB // (dims[1] * dims[2])))
+    slabs = -(-dims[0] // (fields._SLAB // (dims[1] * dims[2])))
     assert slabs == 2 and len(calls) <= 2 * slabs

@@ -1,11 +1,16 @@
 """Discrete calculus: stencils, adjoints, pointwise projections, norms."""
 
+import math
+
 import numpy as np
 import pytest
 
 from tvstokes import (
     DimensionError,
     ParameterError,
+    ReconstructionConfig,
+    RofConfig,
+    SmoothingConfig,
     adjoint_grad,
     adjoint_grad_tensor,
     divergence,
@@ -15,12 +20,17 @@ from tvstokes import (
     l2_norm,
     max_tuple_norm,
     pointwise_normalize,
+    reconstruct,
+    rof_denoise,
+    smooth_gradient_field,
     unit_clip,
     validate_field,
 )
+from tvstokes import fields
 from tvstokes.fields import _diff, _diff_t, _total_variation, adjoint_hessian, hessian
 from oracles import (
     brute_inner, dense_diff, iso_l1_norm, mode_apply, rand_scalar, rand_tensor, rand_vector,
+    whole_adjoint, whole_adjoint_hessian, whole_total_variation,
 )
 
 
@@ -365,6 +375,50 @@ def test_total_variation_equals_iso_l1_norm_of_the_gradient_bitwise(dims):
     assert _total_variation(g) == iso_l1_norm(grad_vec(g), channel_ndim=2)
 
 
+# 1-d to 4-d, first axes that 4 does not divide; a last axis of 8 strides by 64 bytes
+BLOCK_GRIDS = [(9,), (13, 8), (7, 5), (5, 4, 3), (70, 33, 16), (11, 3, 8), (6, 3, 2, 8),
+               (5, 2, 2, 3)]
+# slab rows: 1, a ragged 4, one slab spanning the grid, and the package default
+SLAB_ROWS = {"rows-1": lambda n: 1, "rows-4": lambda n: 4, "one-slab": lambda n: n,
+             "default": None}
+
+
+@pytest.mark.parametrize("rows", SLAB_ROWS, ids=str)
+@pytest.mark.parametrize("dims", BLOCK_GRIDS, ids=str)
+def test_slab_blocked_operators_equal_the_whole_grid_bitwise(dims, rows, monkeypatch):
+    """The transposed operators and the TV sum give the whole-grid bytes at any slab size."""
+    if SLAB_ROWS[rows] is not None:
+        monkeypatch.setattr(fields, "_SLAB", SLAB_ROWS[rows](dims[0]) * math.prod(dims[1:]))
+        spans = fields._spans(dims)
+        assert len(spans) == -(-dims[0] // SLAB_ROWS[rows](dims[0]))
+        assert rows != "rows-4" or spans[-1][1] - spans[-1][0] < 4  # a ragged last slab
+    d = len(dims)
+    p, t = _signed_grid((d,) + dims, 42), _signed_grid((d, d) + dims, 43)
+    q, u = _signed_grid((d * (d + 1) // 2,) + dims, 44), _signed_grid(dims, 45)
+    assert fields.adjoint_grad(p).tobytes() == whole_adjoint(p, 0).tobytes()
+    assert fields.adjoint_grad_tensor(t).tobytes() == whole_adjoint(t, 1).tobytes()
+    assert adjoint_hessian(q).tobytes() == whole_adjoint_hessian(q).tobytes()
+    assert _total_variation(p) == whole_total_variation(p)
+    assert _total_variation(u[None]) == whole_total_variation(u[None])
+
+
+@pytest.mark.parametrize("dims", [(13, 8), (7, 5, 3)], ids=str)
+def test_solver_outputs_do_not_depend_on_the_slab_size(dims, monkeypatch):
+    u = _signed_grid(dims, 46)
+
+    def run():
+        r1 = smooth_gradient_field(u, SmoothingConfig(lam=0.3, max_iters=6))
+        r2 = reconstruct(u, r1.g, ReconstructionConfig(lam=0.3, max_iters=6))
+        r3 = rof_denoise(u, RofConfig(lam=0.3, max_iters=6))
+        return [r1.g.tobytes(), r1.packed.tobytes(), r2.u.tobytes(), r2.p.tobytes(),
+                r3.u.tobytes()] + [(r.kkt_residual, r.objective) for r in (r1, r2, r3)]
+
+    want = run()
+    for rows in (1, 2):
+        monkeypatch.setattr(fields, "_SLAB", rows * math.prod(dims[1:]))
+        assert run() == want
+
+
 def test_validate_field_widens_f32():
     u = validate_field(np.zeros((3, 3), dtype=np.float32))
     assert u.dtype == np.float64
@@ -419,16 +473,14 @@ def test_adjoint_hessian_rejects_unpacked_shapes(shape):
 def test_adjoint_hessian_into_caller_grids_equals_fresh(dims):
     d = len(dims)
     q = np.random.default_rng(36).standard_normal((d * (d + 1) // 2,) + dims)
-    out, row, scratch = (np.full(dims, np.nan) for _ in range(3))  # stale contents must not leak
-    assert adjoint_hessian(q, out, (row, scratch)) is out
+    out = np.full(dims, np.nan)  # stale contents must not leak
+    assert adjoint_hessian(q, out) is out
     assert out.tobytes() == adjoint_hessian(q).tobytes()
 
 
-@pytest.mark.parametrize("at", [0, 1, 2], ids=["out", "row", "scratch"])
+@pytest.mark.parametrize("at", ["out"])  # the one grid a caller can pass
 @pytest.mark.parametrize("grid", [np.empty((5, 6), order="F"), np.empty((5, 12))[:, ::2],
                                   np.empty((6, 5))], ids=["fortran", "strided", "shape"])
 def test_adjoint_hessian_rejects_a_grid_it_cannot_write(at, grid):
-    grids = [np.empty((5, 6)) for _ in range(3)]
-    grids[at] = grid
     with pytest.raises(DimensionError):
-        adjoint_hessian(rand_scalar((3, 5, 6), 37), grids[0], tuple(grids[1:]))
+        adjoint_hessian(rand_scalar((3, 5, 6), 37), **{at: grid})

@@ -14,7 +14,7 @@ from tvstokes import (
     standard_normal_field,
 )
 
-from oracles import rand_scalar
+from oracles import rand_scalar, reference_staircase
 
 
 # ------------------------------------------------------------------- noise
@@ -149,3 +149,18 @@ def test_staircase_prefers_smooth_ramp_over_stairs():
     ramp = i / 11.0
     stairs = np.floor(i / 3.0) * (3.0 / 11.0)
     assert staircase_metric(ramp) < staircase_metric(stairs)
+
+
+@pytest.mark.parametrize("dims", [(9,), (6, 7), (5, 4, 8), (3, 4, 3, 5), (16, 40, 40)], ids=str)
+@pytest.mark.parametrize("kind", ["random", "integer", "f32"])
+def test_staircase_equals_the_array_expression_bitwise(dims, kind):
+    """Evaluated in one scratch grid, the metric keeps the expression's roundings;
+    integer values give exact zeros, and the input is left as it was."""
+    u = rand_scalar(dims, 11)
+    if kind == "integer":
+        u = np.round(3.0 * u)
+    elif kind == "f32":
+        u = (255.0 * u).astype(np.float32)
+    before = u.copy()
+    assert staircase_metric(u) == reference_staircase(u)
+    assert u.tobytes() == before.tobytes()

@@ -236,6 +236,30 @@ def test_smoothing_bytes_do_not_depend_on_blas_threads():
     assert digests[0] == digests[1]
 
 
+def test_scipy_fft_is_imported_by_the_first_long_axis_solve_only():
+    """``import tvstokes.cli`` and dense solves leave scipy.fft unimported; a
+    ``(70, 3)`` plan imports it and solves to the same bytes as with it preloaded."""
+    script = (
+        "import sys, numpy as np\n"
+        "import tvstokes.cli\n"
+        "from tvstokes import PoissonPlan\n"
+        "assert 'scipy.fft' not in sys.modules\n"
+        "f = np.random.default_rng(3).standard_normal((70, 3))\n"
+        "PoissonPlan((64, 3)).solve(f[:64])\n"
+        "assert 'scipy.fft' not in sys.modules\n"
+        "x = PoissonPlan((70, 3)).solve(f)\n"
+        "assert 'scipy.fft' in sys.modules\n"
+        "sys.stdout.write(x.tobytes().hex())\n"
+    )
+    src = str(Path(tvstokes.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    f = np.random.default_rng(3).standard_normal((70, 3))
+    assert proc.stdout == PoissonPlan((70, 3)).solve(f).tobytes().hex()
+
+
 # ------------------------------------------------------------- projector
 
 def test_projector_fixes_gradient_fields():
