@@ -14,15 +14,12 @@ import json
 import math
 import sys
 
-from .errors import (
-    DimensionError,
-    DivergenceError,
-    ParameterError,
-    VolumeFormatError,
-)
+from .dual import DualConfig
+from .errors import DimensionError, DivergenceError, ParameterError, VolumeFormatError
 from .metrics import psnr
 from .noise import add_gaussian_noise
-from .pipeline import _safe_staircase, run_denoise, run_project
+from .pipeline import MODELS, _safe_staircase, run_denoise, run_project
+from .reconstruction import ReconstructionConfig
 from .volume_io import _read_volume, export_slice, load_volume, save_volume
 
 EXIT_OK = 0
@@ -49,20 +46,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     den = sub.add_parser("denoise", help="denoise one volume")
-    den.add_argument("--model", choices=("tvstokes", "rof"), default="tvstokes")
+    den.add_argument("--model", choices=MODELS, default="tvstokes")
     den.add_argument("--input", required=True, help="raw payload path")
     den.add_argument("--meta", default=None, help="JSON header path (default: input with .json)")
-    den.add_argument("--lambda1", type=float, default=0.1, dest="lambda1",
+    den.add_argument("--lambda1", type=float, default=DualConfig.lam, dest="lambda1",
                      help="smoothing fidelity weight (tvstokes)")
-    den.add_argument("--lambda2", type=float, default=0.1, dest="lambda2",
+    den.add_argument("--lambda2", type=float, default=DualConfig.lam, dest="lambda2",
                      help="reconstruction fidelity weight (tvstokes)")
-    den.add_argument("--lambda", type=float, default=0.1, dest="lam",
+    den.add_argument("--lambda", type=float, default=DualConfig.lam, dest="lam",
                      help="fidelity weight (rof)")
-    den.add_argument("--tau", type=_tau_arg, default=None,
+    den.add_argument("--tau", type=_tau_arg, default=DualConfig.tau,
                      help="dual step size, or 'auto' for 1/(2d)")
-    den.add_argument("--max-iters", type=int, default=200)
-    den.add_argument("--tol", type=float, default=1e-6)
-    den.add_argument("--eps", type=float, default=1e-8,
+    den.add_argument("--max-iters", type=int, default=DualConfig.max_iters)
+    den.add_argument("--tol", type=float, default=DualConfig.tol)
+    den.add_argument("--eps", type=float, default=ReconstructionConfig.eps,
                      help="direction-field guard (tvstokes)")
     den.add_argument("--output", required=True, help="output raw payload path")
     den.add_argument("--report", default=None, help="output JSON report path")

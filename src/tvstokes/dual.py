@@ -65,7 +65,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterError
+from .errors import _BOOLS, DivergenceError, ParameterError, _check_positive
 from .fields import _spans, _sum_squares, _total_variation, max_tuple_norm
 from .spectral import dual_step_bound
 
@@ -76,10 +76,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DualConfig:
-    """Iteration parameters of one dual solve.
+    """Iteration parameters of one dual solve, and the home of their defaults.
 
     ``tau=None`` resolves to the guaranteed step ``1/(2d)``.  Larger values
-    are accepted but flagged by :meth:`tau_exceeds_bound`.
+    are accepted but flagged by :meth:`tau_exceeds_bound`.  :func:`.run_denoise`
+    and the CLI read their defaults from these fields.
     """
 
     lam: float = 0.1
@@ -95,19 +96,16 @@ class DualConfig:
 
     def validate(self, ndim: int) -> float:
         """Check parameter ranges and return the resolved step size."""
-        _check_lam(self.lam)
-        for name in ("tau", "tol"):  # True would pass as 1.0
-            if isinstance(getattr(self, name), bool):
-                raise ParameterError(f"{name} must be a number, got {getattr(self, name)!r}")
+        _check_positive("lam", self.lam)
+        if self.tau is not None:
+            _check_positive("tau", self.tau)
         if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, Integral)
                 or self.max_iters < 1):
             raise ParameterError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not self.tol >= 0:  # a NaN tol would disable the stop rule
-            raise ParameterError(f"tol must be nonnegative, got {self.tol}")
-        tau = self.resolve_tau(ndim)
-        if not 0 < tau < math.inf:
-            raise ParameterError(f"tau must be positive and finite, got {tau}")
-        return tau
+        # a NaN tol would disable the stop rule, and True would pass as 1.0
+        if isinstance(self.tol, _BOOLS) or not self.tol >= 0:
+            raise ParameterError(f"tol must be nonnegative, got {self.tol!r}")
+        return self.resolve_tau(ndim)
 
 
 @dataclass(frozen=True)
@@ -118,12 +116,6 @@ class DualResult:
     final_change: float
     kkt_residual: float
     objective: float
-
-
-def _check_lam(lam) -> None:
-    """Raise unless ``lam`` is a positive finite number; ``True`` would pass as 1.0."""
-    if isinstance(lam, bool) or not 0 < lam < math.inf:  # NaN fails every comparison
-        raise ParameterError(f"lam must be positive and finite, got {lam!r}")
 
 
 def require_feasible(p) -> None:

@@ -1,4 +1,8 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the one positive-number check."""
+
+import math
+
+import numpy as np
 
 __all__ = [
     "TvStokesError",
@@ -7,6 +11,9 @@ __all__ = [
     "VolumeFormatError",
     "DivergenceError",
 ]
+
+# True and np.True_ would pass every numeric range check as 1
+_BOOLS = (bool, np.bool_)
 
 
 class TvStokesError(Exception):
@@ -27,3 +34,9 @@ class VolumeFormatError(TvStokesError, RuntimeError):
 
 class DivergenceError(TvStokesError, ArithmeticError):
     """Non-finite values appeared during an iterative solve."""
+
+
+def _check_positive(name: str, value) -> None:
+    """Raise :class:`ParameterError` unless ``value`` is a positive finite number, not a bool."""
+    if isinstance(value, _BOOLS) or not 0 < value < math.inf:  # NaN fails every comparison
+        raise ParameterError(f"{name} must be positive and finite, got {value!r}")

@@ -62,7 +62,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, _check_positive
 
 __all__ = [
     "validate_field",
@@ -272,17 +272,16 @@ def hessian(u: np.ndarray, out: np.ndarray | None = None, rows=None) -> np.ndarr
     return out
 
 
-def adjoint_hessian(q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def adjoint_hessian(q: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`hessian` when off-diagonal channels count twice.
 
     Equals ``adjoint_grad(adjoint_grad_tensor(p))`` for the symmetric tensor
     ``p`` that ``q`` packs, up to roundoff, as
     ``sum_l D_l^T (D_l^T q_ll + 2 sum_{m>l} D_m^T q_lm)``: transposed
-    differences along distinct axes commute.  ``out``, allocated when
-    ``None``, must be a C-ordered grid that does not overlap ``q``.
+    differences along distinct axes commute.
 
     Works slab by slab in two slab-sized grids: each ``row_l`` term above,
-    then its transpose added into ``out``.  ``D_0^T row_0`` reads ``row_0``
+    then its transpose added into the output.  ``D_0^T row_0`` reads ``row_0``
     one row before the slab, so that row is carried over from the slab
     before, in a halo row that a grid of one slab does without.
     """
@@ -291,7 +290,7 @@ def adjoint_hessian(q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     d = len(dims)
     if d < 1 or len(q) != d * (d + 1) // 2:
         raise DimensionError(f"not a packed symmetric tensor field: shape {q.shape}")
-    out = _output(out, dims)
+    out = np.empty(dims)
     spans = _spans(dims)
     halo = len(spans) > 1
     row = np.empty((halo + spans[0][1],) + dims[1:])  # the halo row, then a slab of row_l
@@ -362,15 +361,9 @@ def pointwise_normalize(g: np.ndarray, eps: float) -> np.ndarray:
     return g / _guarded_norm(g, eps)
 
 
-def _check_eps(eps) -> None:
-    """Raise unless ``eps`` is a positive finite number; ``True`` would pass as 1.0."""
-    if isinstance(eps, bool) or not 0 < eps < np.inf:  # NaN fails every comparison
-        raise ParameterError(f"eps must be positive and finite, got {eps!r}")
-
-
 def _guarded_norm(g: np.ndarray, eps: float) -> np.ndarray:
     """``max(|g|, eps)`` pointwise over the vector field ``g``, after checking ``eps``."""
-    _check_eps(eps)
+    _check_positive("eps", eps)
     norm = _tuple_norm(g, 1)
     return np.maximum(norm, eps, out=norm)
 

@@ -6,23 +6,30 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, _check_positive
 
 __all__ = ["psnr", "staircase_metric"]
 
 
 def psnr(reference: np.ndarray, test: np.ndarray, peak: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB; ``inf`` for identical inputs."""
+    """Peak signal-to-noise ratio in dB; ``inf`` for identical inputs only.
+
+    ``10*log10(peak*peak/mse)``, or ``20*log10(peak) - 10*log10(mse)`` where
+    the ratio leaves the float range, so distinct inputs score finite.
+    """
     reference = np.asarray(reference, dtype=np.float64)
     test = np.asarray(test, dtype=np.float64)
     if reference.shape != test.shape:
         raise DimensionError(f"shape mismatch: {reference.shape} vs {test.shape}")
-    if isinstance(peak, bool) or not 0 < peak < math.inf:  # True would score with peak 1
-        raise ParameterError(f"peak must be positive and finite, got {peak}")
+    _check_positive("peak", peak)
     mse = float(np.mean((reference - test) ** 2))
     if mse == 0.0:
         return math.inf
-    return float(10.0 * np.log10(peak * peak / mse))
+    peak = float(peak)
+    ratio = peak * peak / mse  # Python floats: an overflow is inf, an underflow 0, no warning
+    if 0.0 < ratio < math.inf:
+        return float(10.0 * np.log10(ratio))
+    return 20.0 * math.log10(peak) - 10.0 * math.log10(mse)
 
 
 def staircase_metric(u: np.ndarray) -> float:

@@ -10,11 +10,12 @@ the sine halves, truncated to the field size.
 
 from __future__ import annotations
 
+import math
 from numbers import Integral
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import _BOOLS, DimensionError, ParameterError
 
 __all__ = ["add_gaussian_noise", "standard_normal_field"]
 
@@ -32,9 +33,7 @@ def standard_normal_field(shape, seed: int) -> np.ndarray:
     if any(isinstance(n, bool) or not isinstance(n, Integral) or n < 0 for n in shape):
         raise DimensionError(f"shape must hold nonnegative integers, got {shape!r}")
     shape = tuple(int(n) for n in shape)
-    size = 1
-    for n in shape:
-        size *= n
+    size = math.prod(shape)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     pairs = (size + 1) // 2
     u1 = 1.0 - rng.random(pairs)  # in (0, 1]: keeps the log finite
@@ -50,7 +49,7 @@ def add_gaussian_noise(u: np.ndarray, sigma: float, seed: int) -> np.ndarray:
 
     Identical ``(u, sigma, seed)`` triples produce bitwise identical output.
     """
-    if isinstance(sigma, bool) or not 0 <= sigma < np.inf:  # True would pass as 1.0
+    if isinstance(sigma, _BOOLS) or not 0 <= sigma < np.inf:  # True would pass as 1.0
         raise ParameterError(f"sigma must be nonnegative and finite, got {sigma!r}")
     _check_seed(seed)  # checked here too: sigma == 0 never draws
     u = np.asarray(u, dtype=np.float64)

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .dual import DualResult
+from .dual import DualConfig, DualResult
 from .errors import ParameterError
 from .fields import grad, validate_field
 from .metrics import staircase_metric
@@ -70,7 +70,8 @@ class RunReport:
 
 
 def _stats(result) -> DualResult:
-    return DualResult(result.iters, result.final_change, result.kkt_residual, result.objective)
+    """The :class:`.DualResult` fields of a model's result, without its arrays."""
+    return DualResult(**{f.name: getattr(result, f.name) for f in fields(DualResult)})
 
 
 def _normalize(u: np.ndarray, header: VolumeHeader) -> dict | None:
@@ -104,16 +105,17 @@ def run_denoise(
     output_path=None,
     report_path=None,
     *,
-    lam1: float = 0.1,
-    lam2: float = 0.1,
-    lam: float = 0.1,
-    tau: float | None = None,
-    max_iters: int = 200,
-    tol: float = 1e-6,
-    eps: float = 1e-8,
+    lam1: float = DualConfig.lam,
+    lam2: float = DualConfig.lam,
+    lam: float = DualConfig.lam,
+    tau: float | None = DualConfig.tau,
+    max_iters: int = DualConfig.max_iters,
+    tol: float = DualConfig.tol,
+    eps: float = ReconstructionConfig.eps,
 ) -> tuple[np.ndarray, RunReport]:
     """Denoise one volume end to end and return the output with its report.
 
+    The defaults are :class:`.DualConfig`'s and ``ReconstructionConfig.eps``;
     ``tau=None`` resolves to the guaranteed step bound for the input's
     dimensionality.  When ``output_path``/``report_path`` are given the
     denoised volume and JSON report are written there, all files or none.

@@ -28,14 +28,12 @@ not in ``__all__``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .dual import DualConfig, DualResult, _check_lam, _objective, iterate, kkt_residual
-from .dual import require_feasible
-from .errors import DimensionError, ParameterError
-from .fields import _check_eps, adjoint_grad, divergence, grad, pointwise_normalize, validate_field
+from .dual import DualConfig, DualResult, _objective, iterate, kkt_residual, require_feasible
+from .errors import DimensionError, ParameterError, _check_positive
+from .fields import adjoint_grad, divergence, grad, pointwise_normalize, validate_field
 
 __all__ = [
     "ReconstructionConfig", "ReconstructionResult", "matching_field", "reconstruct",
@@ -55,7 +53,7 @@ class ReconstructionConfig(DualConfig):
 
     def validate(self, ndim: int) -> float:
         tau = super().validate(ndim)
-        _check_eps(self.eps)
+        _check_positive("eps", self.eps)
         return tau
 
 
@@ -77,18 +75,10 @@ def matching_field(g: np.ndarray, eps: float) -> np.ndarray:
     return divergence(pointwise_normalize(g, eps))
 
 
-def _potential(p, m, u0_scaled):
-    """``adjoint_grad(p) + m - u0/lam``, the potential whose :func:`.fields.grad` is ``A(p)``."""
-    a = adjoint_grad(p)
-    a += m
-    a -= u0_scaled
-    return a
-
-
 def _checked(lam, u0, v, s):
     """``(u0, v, s)`` as float64 after checking ``lam`` and that the vector
     field ``v`` and the scalar field ``s`` lie on the grid of ``u0``."""
-    _check_lam(lam)
+    _check_positive("lam", lam)
     u0, v, s = (np.asarray(a, dtype=np.float64) for a in (u0, v, s))
     if v.shape != (u0.ndim,) + u0.shape or s.shape != u0.shape:
         raise DimensionError(
@@ -98,9 +88,20 @@ def _checked(lam, u0, v, s):
 
 
 def _bind(p, u0, m, lam):
-    """Check the dual ``p`` against the data; return ``(potential, p)`` for :func:`iterate`."""
+    """Check the dual ``p`` against the data; return ``(potential, p)`` for :func:`iterate`.
+
+    ``potential(q)`` is ``adjoint_grad(q) + m - u0/lam``, whose :func:`.fields.grad` is ``A(q)``.
+    """
     u0, p, m = _checked(lam, u0, p, m)
-    return partial(_potential, m=m, u0_scaled=u0 / lam), p
+    u0_scaled = u0 / lam
+
+    def potential(q):
+        y = adjoint_grad(q)
+        y += m
+        y -= u0_scaled
+        return y
+
+    return potential, p
 
 
 def dual_step(
@@ -118,14 +119,12 @@ def solve_shifted(u0, m, cfg: DualConfig, tau: float) -> ReconstructionResult:
 
     ``u0`` must be a validated field; the objective is :mod:`.dual`'s, shifted by ``m``.
     """
-    u0, p, m = _checked(cfg.lam, u0, np.broadcast_to(0.0, (u0.ndim,) + u0.shape), m)
-    u0_scaled = u0 / cfg.lam
-    potential = partial(_potential, m=m, u0_scaled=u0_scaled)
+    potential, p = _bind(np.broadcast_to(0.0, (u0.ndim,) + u0.shape), u0, m, cfg.lam)
     p, iters, change = iterate(potential, grad, p, tau, cfg.max_iters, cfg.tol)  # copies p
     u = potential(p)  # the final dual's potential y
     kkt = kkt_residual(grad, u, p)
-    u += u0_scaled  # then u0 - lam*(y + u0/lam), in place
-    del potential, u0_scaled  # before the objective runs
+    del potential  # and with it u0/lam, before the recovery's quotient and the objective
+    u += u0 / cfg.lam  # then u0 - lam*(y + u0/lam), in place
     u *= cfg.lam
     np.subtract(u0, u, out=u)
     return ReconstructionResult(

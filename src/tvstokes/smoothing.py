@@ -52,9 +52,8 @@ from functools import partial
 
 import numpy as np
 
-from .dual import DualConfig, DualResult, _check_lam, _objective, iterate, kkt_residual
-from .dual import require_feasible
-from .errors import DimensionError
+from .dual import DualConfig, DualResult, _objective, iterate, kkt_residual, require_feasible
+from .errors import DimensionError, _check_positive
 from .fields import _diff, adjoint_grad, adjoint_hessian, grad, hessian, validate_field
 from .spectral import PoissonPlan
 
@@ -106,33 +105,28 @@ def _pack(p: np.ndarray) -> np.ndarray:
     return q
 
 
-def _data(g0: np.ndarray, lam: float) -> np.ndarray:
-    """``adjoint_grad(g0)/lam``, the data term of the potential's Poisson equation."""
+def _bind(g0, lam, plan):
+    """``potential(q) = solve(adjoint_hessian(q) - adjoint_grad(g0)/lam)`` for :func:`iterate`.
+
+    Its :func:`.fields.hessian` is ``A(q)``.  The data term is computed once, the
+    adjoint in slab-sized scratch and the solve in place, so a call holds its
+    own grid and the solve's one work grid.
+    """
     f0 = adjoint_grad(g0)
     f0 /= lam
-    return f0
 
+    def potential(q):
+        y = adjoint_hessian(q)
+        y -= f0
+        return plan.solve(y, overwrite_x=True)
 
-def _potential(q, plan, f0):
-    """``solve(adjoint_hessian(q) - f0)``, the potential whose :func:`.fields.hessian` is ``A(q)``.
-
-    The adjoint works in slab-sized scratch and the solve in place, so the
-    potential holds its own grid and the solve's one work grid.
-    """
-    y = adjoint_hessian(q)
-    y -= f0
-    return plan.solve(y, overwrite_x=True)
-
-
-def _bind(g0, lam, plan):
-    """The potential ``potential(q)`` of the data ``g0``, for :func:`iterate`."""
-    return partial(_potential, plan=plan, f0=_data(g0, lam))
+    return potential
 
 
 def _checked(lam, g0, f, lead: int):
     """``(g0, f)`` as float64 after checking ``lam``, that ``g0`` is a vector
     field and that ``f`` has shape ``g0.shape[:lead] + g0.shape``."""
-    _check_lam(lam)
+    _check_positive("lam", lam)
     g0, f = np.asarray(g0, dtype=np.float64), np.asarray(f, dtype=np.float64)
     if g0.ndim < 2 or g0.ndim != g0.shape[0] + 1:
         raise DimensionError(f"not a vector field: shape {g0.shape}")
@@ -207,7 +201,7 @@ def smoothing_kkt_residual(p: np.ndarray, g0: np.ndarray, lam: float) -> float:
     """
     g0, p = _checked(lam, g0, p, 1)
     d = len(p)
-    y = _potential(_pack(p), PoissonPlan(g0.shape[1:]), _data(g0, lam))
+    y = _bind(g0, lam, PoissonPlan(g0.shape[1:]))(_pack(p))
     unpack = _layout(d)[0].ravel()
     return kkt_residual(lambda y, out, rows: hessian(y, None, rows)[unpack], y,
                         p.reshape((d * d,) + p.shape[2:]))

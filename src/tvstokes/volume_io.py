@@ -30,15 +30,15 @@ _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 _BYTE_ORDER, _LAYOUT = "little", "last-fastest"
 
 
-@dataclass
+@dataclass(frozen=True)
 class VolumeHeader:
-    """Metadata sidecar for a raw volume payload."""
+    """Metadata sidecar for a raw volume payload, checked when it is built."""
 
     dims: tuple[int, ...]
     dtype: str = "f64"
     value_range: tuple[float, float] | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.dims or any(int(n) < 2 for n in self.dims):
             raise VolumeFormatError(
                 f"header dims {list(self.dims)} invalid: need a nonempty list "
@@ -55,10 +55,7 @@ class VolumeHeader:
                 )
 
     def payload_bytes(self) -> int:
-        count = 1
-        for n in self.dims:
-            count *= int(n)
-        return count * _DTYPES[self.dtype].itemsize
+        return math.prod(int(n) for n in self.dims) * _DTYPES[self.dtype].itemsize
 
     def to_dict(self) -> dict:
         return {
@@ -71,7 +68,7 @@ class VolumeHeader:
 
     @classmethod
     def from_dict(cls, data: dict) -> "VolumeHeader":
-        """Build and validate a header from its decoded JSON object.
+        """Build a header from its decoded JSON object.
 
         ``dims`` must be a list of integers and ``value_range`` either
         ``null`` or a list of two numbers; anything else is rejected with
@@ -96,9 +93,7 @@ class VolumeHeader:
             value_range = None if vr is None else (float(vr[0]), float(vr[1]))
         except OverflowError as exc:
             raise VolumeFormatError(f"header 'value_range' {vr!r} exceeds float range") from exc
-        header = cls(dims=tuple(dims), dtype=str(data.get("dtype", "f64")), value_range=value_range)
-        header.validate()
-        return header
+        return cls(dims=tuple(dims), dtype=str(data.get("dtype", "f64")), value_range=value_range)
 
 
 def _default_header_path(data_path) -> Path:
@@ -148,7 +143,6 @@ def write_atomic(*files) -> None:
 
 
 def _header_bytes(header: VolumeHeader) -> bytes:
-    header.validate()
     return (json.dumps(header.to_dict(), indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
@@ -204,7 +198,6 @@ def _volume_files(field, data_path, header_path=None, dtype="f64", value_range=N
     """:func:`save_volume`'s header and ``(path, data)`` pairs for :func:`write_atomic`."""
     field = np.asarray(field, dtype=np.float64)
     header = VolumeHeader(dims=tuple(field.shape), dtype=dtype, value_range=value_range)
-    header.validate()
     with np.errstate(over="ignore"):
         payload = np.ascontiguousarray(field.astype(_DTYPES[dtype], copy=False))
     if not np.isfinite(payload).all():

@@ -1,6 +1,8 @@
 """Command line pipeline: end-to-end runs, reports, determinism, exit codes."""
 
+import argparse
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +22,9 @@ from tvstokes import (
     save_volume,
     smooth_gradient_field,
 )
-from tvstokes.cli import main
+from tvstokes.cli import _build_parser, main
+from tvstokes.dual import DualConfig
+from tvstokes.pipeline import MODELS
 
 from oracles import rand_scalar
 
@@ -181,6 +185,32 @@ def test_run_denoise_equals_the_public_two_step_path(tmp_path):
         assert report.steps[name] == StepStats(r.iters, r.final_change, r.kkt_residual, r.objective)
 
 
+@pytest.mark.parametrize("model", MODELS)
+def test_denoise_defaults_are_the_configs_defaults(tmp_path, model):
+    """With no solver flag, and with no keyword, a run uses ``DualConfig()``'s
+    parameters and ``ReconstructionConfig().eps``."""
+    inp = make_noisy(tmp_path, dims=(6, 7))
+    rep = tmp_path / "report.json"
+    assert main(["denoise", "--model", model, "--input", str(inp),
+                 "--output", str(tmp_path / "out.raw"), "--report", str(rep)]) == 0
+    config = RunReport.from_json(rep.read_text()).config
+    defaults = DualConfig()
+    assert config["max_iters"] == defaults.max_iters and config["tol"] == defaults.tol
+    assert defaults.tau is None and config["tau_was_auto"] is True
+    assert config["tau"] == defaults.resolve_tau(2)
+    lambdas = ("lambda1", "lambda2") if model == "tvstokes" else ("lambda",)
+    assert [config[name] for name in lambdas] == [defaults.lam] * len(lambdas)
+    assert config.get("eps", ReconstructionConfig().eps) == ReconstructionConfig().eps
+    assert ("eps" in config) == (model == "tvstokes")
+    assert run_denoise(model, inp)[1].config == config
+
+
+def test_model_choices_are_the_pipelines_models():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    model = next(a for a in sub.choices["denoise"]._actions if a.dest == "model")
+    assert tuple(model.choices) == MODELS
+
+
 # ---------------------------------------------------------------- add-noise
 
 def test_add_noise_deterministic(tmp_path):
@@ -219,6 +249,17 @@ def test_metrics_identical_reports_null_psnr(tmp_path, capsys):
     assert main(["metrics", "--ref", str(ref), "--test", str(test)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["psnr_db"] is None
+
+
+def test_metrics_overflowing_peak_reports_a_finite_psnr(tmp_path, capsys):
+    """``peak*peak/mse`` overflows at a peak of 1e160; only identical volumes print null."""
+    u = rand_scalar((6, 6), 9)
+    ref = write_volume(tmp_path, u, name="ref.raw")
+    test = write_volume(tmp_path, u + 1e-3, name="test.raw")
+    assert main(["metrics", "--ref", str(ref), "--test", str(test), "--peak", "1e160"]) == 0
+    psnr_db = json.loads(capsys.readouterr().out)["psnr_db"]
+    assert psnr_db is not None and math.isfinite(psnr_db)
+    assert psnr_db == pytest.approx(3260.0, abs=0.1)
 
 
 def test_metrics_peak_defaults_to_the_reference_value_range(tmp_path, capsys):

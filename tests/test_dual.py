@@ -59,6 +59,9 @@ BAD = {
     "lam=True": {"lam": True},
     "tau=True": {"tau": True},
     "tol=True": {"tol": True},
+    "lam=np.True_": {"lam": np.True_},
+    "tau=np.True_": {"tau": np.True_},  # a step of 1.0 at d = 2, four times the bound
+    "tol=np.True_": {"tol": np.True_},
 }
 
 
@@ -253,7 +256,8 @@ LAM_CALLS = {
 }
 
 
-@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf"), True], ids=str)
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf"), True,
+                                 pytest.param(np.True_, id="np.True_")], ids=str)
 @pytest.mark.parametrize("call", LAM_CALLS)
 def test_diagnostics_reject_non_finite_lam(call, lam):
     with pytest.raises(ParameterError):

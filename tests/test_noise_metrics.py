@@ -1,6 +1,7 @@
 """Noise generator determinism and quality metrics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,7 +48,8 @@ def test_negative_sigma_rejected():
         add_gaussian_noise(np.zeros((4, 4)), -0.1, seed=0)
 
 
-@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), True])
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), True,
+                                   pytest.param(np.True_, id="np.True_")])
 def test_non_finite_sigma_rejected(sigma):
     with pytest.raises(ParameterError):
         add_gaussian_noise(np.zeros((4, 4)), sigma, seed=0)
@@ -95,6 +97,7 @@ def test_psnr_closed_form():
     ref = np.zeros((8, 8))
     test = np.full((8, 8), 0.5)
     assert psnr(ref, test, peak=1.0) == pytest.approx(6.0206, abs=1e-4)
+    assert psnr(ref, test, peak=1.0) == float(10.0 * np.log10(1.0 / 0.25))  # bit for bit
 
 
 def test_psnr_symmetric():
@@ -117,8 +120,22 @@ def test_psnr_rejects_non_finite_peak(peak):
 
 
 def test_psnr_rejects_boolean_peak():
-    with pytest.raises(ParameterError):  # True would score with peak 1
-        psnr(np.zeros((4, 4)), np.ones((4, 4)), True)
+    for peak in (True, np.True_):  # either would score with peak 1
+        with pytest.raises(ParameterError):
+            psnr(np.zeros((4, 4)), np.ones((4, 4)), peak)
+
+
+@pytest.mark.parametrize("peak, mse", [(1e160, 1e-6), (1e-170, 1.0), (1.0, 1e-320)],
+                         ids=["square-overflows", "square-underflows", "quotient-overflows"])
+def test_psnr_of_distinct_inputs_is_finite_where_the_ratio_is_not(peak, mse):
+    """``peak*peak/mse`` leaves the float range; ``20*log10(peak) - 10*log10(mse)`` does not."""
+    z = np.zeros((4, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning either
+        got = psnr(z, z + math.sqrt(mse), peak=peak)
+        assert psnr(z, z.copy(), peak=peak) == math.inf  # identical inputs only
+    want = 20.0 * math.log10(peak) - 10.0 * math.log10(float(np.mean((z + math.sqrt(mse)) ** 2)))
+    assert math.isfinite(got) and got == pytest.approx(want, rel=1e-12)
 
 
 # --------------------------------------------------------------- staircase

@@ -222,13 +222,14 @@ def test_bad_eps_rejected():
 
 
 def test_boolean_eps_rejected():
-    """``True`` would pass as 1.0, as it would for ``lam``, ``tau`` or ``tol``."""
-    with pytest.raises(ParameterError):
-        reconstruct(np.zeros((4, 4)), np.zeros((2, 4, 4)), ReconstructionConfig(eps=True))
-    with pytest.raises(ParameterError):
-        ReconstructionConfig(eps=True).validate(2)
-    with pytest.raises(ParameterError):
-        matching_field(np.zeros((2, 4, 4)), True)
+    """``True`` or ``np.True_`` would pass as 1.0, as it would for ``lam``, ``tau`` or ``tol``."""
+    for eps in (True, np.True_):
+        with pytest.raises(ParameterError):
+            reconstruct(np.zeros((4, 4)), np.zeros((2, 4, 4)), ReconstructionConfig(eps=eps))
+        with pytest.raises(ParameterError):
+            ReconstructionConfig(eps=eps).validate(2)
+        with pytest.raises(ParameterError):
+            matching_field(np.zeros((2, 4, 4)), eps)
 
 
 @pytest.mark.parametrize("eps", [float("nan"), float("inf")])

@@ -9,6 +9,7 @@ from tvstokes import (
     ParameterError,
     PoissonPlan,
     SmoothingConfig,
+    adjoint_grad,
     adjoint_grad_tensor,
     grad,
     grad_vec,
@@ -240,10 +241,9 @@ def test_residual_borrowing_its_output_equals_fresh_arrays(dims):
     q = np.random.default_rng(23).standard_normal((d * (d + 1) // 2,) + dims)
     g0 = grad(rand_scalar(dims, 24))
     plan = PoissonPlan(dims)
-    f0 = smoothing._data(g0, 0.3)
-    fresh = hessian(plan.solve(adjoint_hessian(q) - f0))
+    fresh = hessian(plan.solve(adjoint_hessian(q) - adjoint_grad(g0) / 0.3))
     before = q.copy()
-    y = smoothing._potential(q, plan, f0)
+    y = smoothing._bind(g0, 0.3, plan)(q)
     out = np.full_like(q, np.nan)  # stale contents must not leak into the result
     assert hessian(y, out) is out
     assert out.tobytes() == fresh.tobytes()

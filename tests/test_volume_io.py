@@ -72,15 +72,25 @@ def test_header_malformed_json(tmp_path):
 
 def test_header_rejects_bad_fields():
     with pytest.raises(VolumeFormatError):
-        VolumeHeader(dims=(1, 4)).validate()
+        VolumeHeader(dims=(1, 4))
     with pytest.raises(VolumeFormatError):
-        VolumeHeader(dims=(4, 4), dtype="i16").validate()
+        VolumeHeader(dims=(4, 4), dtype="i16")
     with pytest.raises(VolumeFormatError):
         VolumeHeader.from_dict({"dims": [4, 4], "byte_order": "big"})
     with pytest.raises(VolumeFormatError):
         VolumeHeader.from_dict({"dims": [4, 4], "layout": "first-fastest"})
     with pytest.raises(VolumeFormatError):
-        VolumeHeader(dims=(4, 4), value_range=(1.0, 1.0)).validate()
+        VolumeHeader(dims=(4, 4), value_range=(1.0, 1.0))
+
+
+def test_header_is_valid_by_construction_and_frozen():
+    """A header is checked when it is built and cannot be made invalid afterwards."""
+    with pytest.raises(VolumeFormatError):
+        VolumeHeader(dims=(1, 4))
+    header = VolumeHeader(dims=(4, 4))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        header.dims = (1, 4)
+    assert header == VolumeHeader(dims=(4, 4))
 
 
 def test_default_header_path():
