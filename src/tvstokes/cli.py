@@ -28,6 +28,9 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 EXIT_MEMORY = 5
 
+# run_denoise's keyword-only parameters, each the dest of one denoise flag
+_SOLVER_KEYWORDS = ("lam1", "lam2", "lam", "tau", "max_iters", "tol", "eps")
+
 
 def _tau_arg(text: str):
     if text == "auto":
@@ -49,9 +52,9 @@ def _build_parser() -> argparse.ArgumentParser:
     den.add_argument("--model", choices=MODELS, default="tvstokes")
     den.add_argument("--input", required=True, help="raw payload path")
     den.add_argument("--meta", default=None, help="JSON header path (default: input with .json)")
-    den.add_argument("--lambda1", type=float, default=DualConfig.lam, dest="lambda1",
+    den.add_argument("--lambda1", type=float, default=DualConfig.lam, dest="lam1",
                      help="smoothing fidelity weight (tvstokes)")
-    den.add_argument("--lambda2", type=float, default=DualConfig.lam, dest="lambda2",
+    den.add_argument("--lambda2", type=float, default=DualConfig.lam, dest="lam2",
                      help="reconstruction fidelity weight (tvstokes)")
     den.add_argument("--lambda", type=float, default=DualConfig.lam, dest="lam",
                      help="fidelity weight (rof)")
@@ -95,20 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_denoise(args) -> int:
-    run_denoise(
-        args.model,
-        args.input,
-        args.meta,
-        args.output,
-        args.report,
-        lam1=args.lambda1,
-        lam2=args.lambda2,
-        lam=args.lam,
-        tau=args.tau,
-        max_iters=args.max_iters,
-        tol=args.tol,
-        eps=args.eps,
-    )
+    run_denoise(args.model, args.input, args.meta, args.output, args.report,
+                **{name: getattr(args, name) for name in _SOLVER_KEYWORDS})
     return EXIT_OK
 
 

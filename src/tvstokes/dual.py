@@ -65,7 +65,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import _BOOLS, DivergenceError, ParameterError, _check_positive
+from .errors import DivergenceError, ParameterError, _check_positive, _is_number
 from .fields import _spans, _sum_squares, _total_variation, max_tuple_norm
 from .spectral import dual_step_bound
 
@@ -99,11 +99,9 @@ class DualConfig:
         _check_positive("lam", self.lam)
         if self.tau is not None:
             _check_positive("tau", self.tau)
-        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, Integral)
-                or self.max_iters < 1):
+        if not _is_number(self.max_iters, Integral) or self.max_iters < 1:
             raise ParameterError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        # a NaN tol would disable the stop rule, and True would pass as 1.0
-        if isinstance(self.tol, _BOOLS) or not self.tol >= 0:
+        if not (_is_number(self.tol) and self.tol >= 0):  # a NaN tol would disable the stop rule
             raise ParameterError(f"tol must be nonnegative, got {self.tol!r}")
         return self.resolve_tau(ndim)
 

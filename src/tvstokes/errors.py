@@ -1,8 +1,7 @@
-"""Exception hierarchy shared by all modules, and the one positive-number check."""
+"""Exception hierarchy shared by all modules, the one number predicate and positive-number check."""
 
 import math
-
-import numpy as np
+from numbers import Real
 
 __all__ = [
     "TvStokesError",
@@ -11,9 +10,6 @@ __all__ = [
     "VolumeFormatError",
     "DivergenceError",
 ]
-
-# True and np.True_ would pass every numeric range check as 1
-_BOOLS = (bool, np.bool_)
 
 
 class TvStokesError(Exception):
@@ -36,7 +32,12 @@ class DivergenceError(TvStokesError, ArithmeticError):
     """Non-finite values appeared during an iterative solve."""
 
 
+def _is_number(value, kind=Real) -> bool:
+    """Whether ``value`` is a ``kind`` (``Real`` or ``Integral``) but no bool, which passes as 1."""
+    return isinstance(value, kind) and not isinstance(value, bool)  # np.True_ is not Real
+
+
 def _check_positive(name: str, value) -> None:
     """Raise :class:`ParameterError` unless ``value`` is a positive finite number, not a bool."""
-    if isinstance(value, _BOOLS) or not 0 < value < math.inf:  # NaN fails every comparison
+    if not (_is_number(value) and 0 < value < math.inf):  # NaN fails every comparison
         raise ParameterError(f"{name} must be positive and finite, got {value!r}")

@@ -18,10 +18,12 @@ Neumann boundaries; consequently a differentiated field always vanishes on
 the final slice of its own axis.
 
 Two private one-axis kernels, the difference ``_diff`` and its transpose
-``_diff_t``, carry every operator: ``grad`` and ``grad_vec``, the two
-adjoints, and the packed Hessian pair :func:`hessian` / :func:`adjoint_hessian`
-that the gradient-field smoothing iterates on (public at module level only,
-not in ``__all__``).  The kernels work on one C-ordered channel grid at a
+``_diff_t``, carry every operator: ``grad`` and ``adjoint_grad``, and the
+packed Hessian pair :func:`hessian` / :func:`adjoint_hessian` that the
+gradient-field smoothing iterates on (public at module level only, not in
+``__all__``).  The vector and tensor operators ``grad_vec`` and
+``adjoint_grad_tensor`` are the scalar ``grad`` and ``adjoint_grad`` applied
+channel by channel.  The kernels work on one C-ordered channel grid at a
 time, since a ufunc over a whole stacked field makes numpy allocate iterator
 buffers of several grids.  Along every axis they run one ufunc over the
 flattened grids, offset by the axis stride (the product of the later axis
@@ -41,7 +43,7 @@ of the whole result: the first-axis difference reads one row past the range,
 and the Hessian two, so the dual loop can evaluate its residual one slab at a
 time.  The transposed operators run slab by slab themselves, with slab-sized
 scratch: the first-axis transposed stencil reads one row before the range.
-The two adjoints write each slab's first-axis term and add every later one;
+``adjoint_grad`` writes each slab's first-axis term and adds every later one;
 :func:`adjoint_hessian` carries the one row of its inner term that the next
 slab reads.  Every output entry sees the same operations in the same order
 as over the whole grid, so the results do not depend on the slab size.
@@ -179,75 +181,64 @@ def _span(rows, n: int) -> tuple:
     return a, b
 
 
-def _grad(u, lead: int, out=None, rows=None) -> np.ndarray:
-    """Forward differences of each channel ``u[c]``, ``c`` over the first ``lead`` axes.
-
-    Output ``[c][axis]`` is the axis-``axis`` difference, zero on the last
-    slice, over the rows ``rows`` of the first grid axis.
-    """
-    u = np.asarray(u, dtype=np.float64, order="C")
-    dims = u.shape[lead:]
-    a, b = _span(rows, dims[0])
-    out = _output(out, u.shape[:lead] + (len(dims), b - a) + dims[1:])
-    for c in np.ndindex(u.shape[:lead]):
-        block = u[c][a:b + 1]  # one halo row for the first-axis difference
-        for axis, dst in enumerate(out[c]):
-            _diff(block, axis, dst)
-    return out
-
-
-def _adjoint(p, lead: int) -> np.ndarray:
-    """Transpose of :func:`_grad`: per channel, the axis-summed transpose stencil.
-
-    Slab by slab, the first axis writes its stencil directly; every later
-    axis term is rounded into slab-sized scratch before it is added.  The
-    result matches a term-wise sum started at ``-0.0``, the exact additive
-    identity, bit for bit, signed zeros included.
-    """
-    p = np.asarray(p, dtype=np.float64, order="C")
-    dims = p.shape[lead + 1:]
-    out = np.empty(p.shape[:lead] + dims)
-    spans = _spans(dims)
-    scratch = np.empty((spans[0][1],) + dims[1:])
-    terms, grids = p.reshape((-1, len(dims)) + dims), out.reshape((-1,) + dims)  # per channel
-    for a, b in spans:
-        # the slab's rows of each channel, its terms from row a - 1, which the first axis reads
-        for ps, rows in zip(terms[:, :, max(a - 1, 0):b], grids[:, a:b]):
-            for axis, v in enumerate(ps):
-                _diff_t(v, axis, rows, scratch[:b - a] if axis else None, b == dims[0])
-    return out
-
-
 def grad(u: np.ndarray, out: np.ndarray | None = None, rows=None) -> np.ndarray:
     """Forward-difference gradient of a scalar field, shape ``(d, *dims)``.
 
+    Channel ``axis`` is the axis-``axis`` difference, zero on the last slice.
     ``rows=(a, b)`` computes rows ``[a, b)`` of the first grid axis only,
     shape ``(d, b - a, *dims[1:])``, bit for bit those of the whole gradient;
     they read ``u`` up to row ``b``.
     """
-    return _grad(u, 0, out, rows)
+    u = np.asarray(u, dtype=np.float64, order="C")
+    a, b = _span(rows, len(u))
+    out = _output(out, (u.ndim, b - a) + u.shape[1:])
+    block = u[a:b + 1]  # one halo row for the first-axis difference
+    for axis, dst in enumerate(out):
+        _diff(block, axis, dst)
+    return out
 
 
 def grad_vec(g: np.ndarray) -> np.ndarray:
     """Channel-wise gradient of a vector field, shape ``(d, d, *dims)``.
 
-    Output channel ``(l, m)`` is the axis-``m`` difference of channel ``l``.
+    Output channel ``(l, m)`` is the axis-``m`` difference of channel ``l``:
+    ``grad_vec(g)[l]`` is ``grad(g[l])``.
     """
-    return _grad(g, 1)
+    g = np.asarray(g, dtype=np.float64, order="C")
+    out = np.empty(g.shape[:1] + (g.ndim - 1,) + g.shape[1:])
+    for gl, dst in zip(g, out):
+        grad(gl, dst)
+    return out
 
 
 def adjoint_grad(p: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`grad`: channel-summed transpose stencil.
 
     Satisfies ``inner(grad(u), p) == inner(u, adjoint_grad(p))`` up to
-    roundoff.
+    roundoff.  Slab by slab, the first axis writes its stencil directly;
+    every later axis term is rounded into slab-sized scratch before it is
+    added.  The result matches a term-wise sum started at ``-0.0``, the exact
+    additive identity, bit for bit, signed zeros included.
     """
-    return _adjoint(p, 0)
+    p = np.asarray(p, dtype=np.float64, order="C")
+    dims = p.shape[1:]
+    out = np.empty(dims)
+    spans = _spans(dims)
+    scratch = np.empty((spans[0][1],) + dims[1:])
+    for a, b in spans:
+        # the slab's terms from row a - 1, which the first axis reads
+        for axis, v in enumerate(p[:, max(a - 1, 0):b]):
+            _diff_t(v, axis, out[a:b], scratch[:b - a] if axis else None, b == dims[0])
+    return out
 
 
 def adjoint_grad_tensor(p: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`grad_vec`; output channel ``l`` sums over ``m``."""
-    return _adjoint(p, 1)
+    """Adjoint of :func:`grad_vec`: output channel ``l`` is ``adjoint_grad(p[l])``."""
+    p = np.asarray(p, dtype=np.float64)
+    out = np.empty(p.shape[:1] + p.shape[2:])
+    for pl, dst in zip(p, out):
+        dst[...] = adjoint_grad(pl)
+    return out
 
 
 def hessian(u: np.ndarray, out: np.ndarray | None = None, rows=None) -> np.ndarray:
@@ -358,14 +349,9 @@ def pointwise_normalize(g: np.ndarray, eps: float) -> np.ndarray:
     so the output is always finite with tuple norms <= 1.
     """
     g = np.asarray(g, dtype=np.float64)
-    return g / _guarded_norm(g, eps)
-
-
-def _guarded_norm(g: np.ndarray, eps: float) -> np.ndarray:
-    """``max(|g|, eps)`` pointwise over the vector field ``g``, after checking ``eps``."""
     _check_positive("eps", eps)
     norm = _tuple_norm(g, 1)
-    return np.maximum(norm, eps, out=norm)
+    return g / np.maximum(norm, eps, out=norm)
 
 
 def l2_norm(x: np.ndarray) -> float:
@@ -400,7 +386,7 @@ def _total_variation(u: np.ndarray) -> float:
     squares, step = np.empty(dims), np.empty((spans[0][1],) + dims[1:])
     for a, b in spans:
         rows = step[:b - a]
-        diffs = (_diff(uc, axis, rows)  # one halo row, as in _grad
+        diffs = (_diff(uc, axis, rows)  # one halo row, as in grad
                  for uc in u[:, a:b + 1] for axis in range(len(dims)))
         _sum_squares(diffs, squares[a:b], rows)
     return float(np.sum(np.sqrt(squares, out=squares)))

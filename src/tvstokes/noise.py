@@ -15,14 +15,14 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import _BOOLS, DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, _is_number
 
 __all__ = ["add_gaussian_noise", "standard_normal_field"]
 
 
 def _check_seed(seed) -> None:
     """Raise unless ``seed`` is a nonnegative integer; 1.7 and ``True`` would seed as 1."""
-    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+    if not _is_number(seed, Integral) or seed < 0:
         raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
@@ -30,7 +30,7 @@ def standard_normal_field(shape, seed: int) -> np.ndarray:
     """Deterministic standard normal samples of the given shape."""
     _check_seed(seed)
     shape = tuple(shape)
-    if any(isinstance(n, bool) or not isinstance(n, Integral) or n < 0 for n in shape):
+    if any(not _is_number(n, Integral) or n < 0 for n in shape):
         raise DimensionError(f"shape must hold nonnegative integers, got {shape!r}")
     shape = tuple(int(n) for n in shape)
     size = math.prod(shape)
@@ -49,7 +49,7 @@ def add_gaussian_noise(u: np.ndarray, sigma: float, seed: int) -> np.ndarray:
 
     Identical ``(u, sigma, seed)`` triples produce bitwise identical output.
     """
-    if isinstance(sigma, _BOOLS) or not 0 <= sigma < np.inf:  # True would pass as 1.0
+    if not (_is_number(sigma) and 0 <= sigma < np.inf):
         raise ParameterError(f"sigma must be nonnegative and finite, got {sigma!r}")
     _check_seed(seed)  # checked here too: sigma == 0 never draws
     u = np.asarray(u, dtype=np.float64)

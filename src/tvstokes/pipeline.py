@@ -41,25 +41,19 @@ class RunReport:
     dims: list[int]
     config: dict
     steps: dict[str, StepStats]
-    normalization: dict | None
-    metrics: dict | None
     wall_time_seconds: float
+    normalization: dict | None = None
+    metrics: dict | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
-        steps = {name: StepStats(**stats) for name, stats in data["steps"].items()}
-        return cls(
-            model=data["model"],
-            dims=list(data["dims"]),
-            config=dict(data["config"]),
-            steps=steps,
-            normalization=data.get("normalization"),
-            metrics=data.get("metrics"),
-            wall_time_seconds=float(data["wall_time_seconds"]),
-        )
+        """Read back :meth:`to_dict`'s fields by name; a field with a default may be absent."""
+        values = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+        values["steps"] = {name: StepStats(**stats) for name, stats in data["steps"].items()}
+        return cls(**values)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

@@ -17,11 +17,12 @@ import math
 import os
 import uuid
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, VolumeFormatError
+from .errors import DimensionError, VolumeFormatError, _is_number
 
 __all__ = ["VolumeHeader", "load_volume", "save_volume", "stack_frames", "export_slice"]
 
@@ -39,20 +40,22 @@ class VolumeHeader:
     value_range: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if not self.dims or any(int(n) < 2 for n in self.dims):
-            raise VolumeFormatError(
-                f"header dims {list(self.dims)} invalid: need a nonempty list "
-                "with every entry >= 2"
-            )
+        """Check every field; ``value_range`` is then stored as a pair of floats."""
+        if not self.dims or not all(_is_number(n, Integral) and n >= 2 for n in self.dims):
+            raise VolumeFormatError(f"header dims {self.dims!r} invalid: need a nonempty "
+                                    "list of integers, every one >= 2")
         if self.dtype not in _DTYPES:
             raise VolumeFormatError(f"unknown dtype {self.dtype!r}; expected f32 or f64")
         if self.value_range is not None:
-            lo, hi = self.value_range
+            try:  # a non-number is dropped, so the pair fails to unpack
+                lo, hi = (float(v) for v in self.value_range if _is_number(v))
+            except (TypeError, ValueError, OverflowError):  # no pair, or an end past the floats
+                lo = hi = math.nan
             # NaN fails lo < hi, and a finite width implies finite ends
-            if not (lo < hi and math.isfinite(float(hi) - float(lo))):
-                raise VolumeFormatError(
-                    f"value_range {self.value_range} is not an increasing pair of finite width"
-                )
+            if not (lo < hi and math.isfinite(hi - lo)):
+                raise VolumeFormatError(f"value_range {self.value_range!r} is not an "
+                                        "increasing pair of numbers of finite width")
+            object.__setattr__(self, "value_range", (lo, hi))
 
     def payload_bytes(self) -> int:
         return math.prod(int(n) for n in self.dims) * _DTYPES[self.dtype].itemsize
@@ -70,30 +73,22 @@ class VolumeHeader:
     def from_dict(cls, data: dict) -> "VolumeHeader":
         """Build a header from its decoded JSON object.
 
-        ``dims`` must be a list of integers and ``value_range`` either
-        ``null`` or a list of two numbers; anything else is rejected with
-        :class:`VolumeFormatError` rather than coerced.  ``byte_order`` and
-        ``layout``, when given, must be ``"little"`` and ``"last-fastest"``.
+        ``dims`` must be a list and ``value_range`` ``null`` or a list; the
+        constructor checks their entries.  ``byte_order`` and ``layout``, when
+        given, must be ``"little"`` and ``"last-fastest"``.
         """
         for key, value in (("byte_order", _BYTE_ORDER), ("layout", _LAYOUT)):
             if str(data.get(key, value)) != value:
                 raise VolumeFormatError(f"unsupported {key} {data[key]!r}")
-        dims = data.get("dims")
-        if not isinstance(dims, list) or not all(isinstance(n, int) for n in dims):
+        dims, vr = data.get("dims"), data.get("value_range")
+        if not isinstance(dims, list):
             raise VolumeFormatError(f"header 'dims' must be a list of integers, got {dims!r}")
-        vr = data.get("value_range")
-        if vr is not None and not (
-            isinstance(vr, list) and len(vr) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vr)
-        ):
+        if vr is not None and not isinstance(vr, list):
             raise VolumeFormatError(
                 f"header 'value_range' must be null or a list of two numbers, got {vr!r}"
             )
-        try:
-            value_range = None if vr is None else (float(vr[0]), float(vr[1]))
-        except OverflowError as exc:
-            raise VolumeFormatError(f"header 'value_range' {vr!r} exceeds float range") from exc
-        return cls(dims=tuple(dims), dtype=str(data.get("dtype", "f64")), value_range=value_range)
+        return cls(dims=tuple(dims), dtype=str(data.get("dtype", "f64")),
+                   value_range=None if vr is None else tuple(vr))
 
 
 def _default_header_path(data_path) -> Path:

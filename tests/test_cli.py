@@ -1,6 +1,7 @@
 """Command line pipeline: end-to-end runs, reports, determinism, exit codes."""
 
 import argparse
+import inspect
 import json
 import math
 
@@ -22,7 +23,7 @@ from tvstokes import (
     save_volume,
     smooth_gradient_field,
 )
-from tvstokes.cli import _build_parser, main
+from tvstokes.cli import _SOLVER_KEYWORDS, _build_parser, main
 from tvstokes.dual import DualConfig
 from tvstokes.pipeline import MODELS
 
@@ -209,6 +210,58 @@ def test_model_choices_are_the_pipelines_models():
     sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     model = next(a for a in sub.choices["denoise"]._actions if a.dest == "model")
     assert tuple(model.choices) == MODELS
+
+
+# each denoise solver flag by its dest: the flag, a value that is no default, and its report key
+SOLVER_FLAGS = {
+    "lam1": ("--lambda1", 0.15, "lambda1"),
+    "lam2": ("--lambda2", 0.25, "lambda2"),
+    "lam": ("--lambda", 0.3, "lambda"),
+    "tau": ("--tau", 0.2, "tau"),
+    "max_iters": ("--max-iters", 3, "max_iters"),
+    "tol": ("--tol", 1e-4, "tol"),
+    "eps": ("--eps", 0.02, "eps"),
+}
+
+
+def test_denoise_forwards_run_denoises_keywords_by_name():
+    """``_SOLVER_KEYWORDS`` is ``run_denoise``'s keyword-only parameters, each a denoise dest."""
+    params = inspect.signature(run_denoise).parameters.values()
+    assert _SOLVER_KEYWORDS == tuple(p.name for p in params if p.kind is p.KEYWORD_ONLY)
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(_SOLVER_KEYWORDS) <= {a.dest for a in sub.choices["denoise"]._actions}
+    assert set(SOLVER_FLAGS) == set(_SOLVER_KEYWORDS)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_every_denoise_solver_flag_reaches_the_report(tmp_path, model):
+    inp = make_noisy(tmp_path, dims=(6, 7))
+    rep = tmp_path / "report.json"
+    argv = ["denoise", "--model", model, "--input", str(inp),
+            "--output", str(tmp_path / "out.raw"), "--report", str(rep)]
+    defaults = inspect.signature(run_denoise).parameters
+    for name, (flag, value, _) in SOLVER_FLAGS.items():
+        assert value != defaults[name].default
+        argv += [flag, str(value)]
+    assert main(argv) == 0
+    config = RunReport.from_json(rep.read_text()).config
+    echoed = {"lam1", "lam2", "eps"} if model == "tvstokes" else {"lam"}
+    for name in echoed | {"tau", "max_iters", "tol"}:
+        flag, value, key = SOLVER_FLAGS[name]
+        assert config[key] == value, flag
+    assert config["tau_was_auto"] is False
+    keywords = {name: value for name, (_, value, _) in SOLVER_FLAGS.items()}
+    assert run_denoise(model, inp, **keywords)[1].config == config
+
+
+def test_report_reads_back_by_field_name_without_its_optional_fields(tmp_path):
+    report = run_denoise("rof", make_noisy(tmp_path, dims=(6, 7)), max_iters=3)[1]
+    data = report.to_dict()
+    assert RunReport.from_dict(data) == report
+    del data["normalization"], data["metrics"]
+    back = RunReport.from_dict(data)
+    assert back.normalization is None and back.metrics is None
+    assert back.steps == report.steps and back.config == report.config
 
 
 # ---------------------------------------------------------------- add-noise

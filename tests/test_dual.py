@@ -14,12 +14,14 @@ from tvstokes import (
     ReconstructionConfig,
     RofConfig,
     SmoothingConfig,
+    add_gaussian_noise,
     adjoint_grad,
     adjoint_grad_tensor,
     grad,
     grad_vec,
     matching_kkt_residual,
     matching_objective,
+    psnr,
     reconstruct,
     rof_denoise,
     smooth_gradient_field,
@@ -71,6 +73,27 @@ def test_solver_rejects_out_of_range_config(solver, bad):
     config_cls, solve = SOLVERS[solver]
     with pytest.raises(ParameterError):
         solve(config_cls(**BAD[bad]))
+
+
+# every real-number parameter's check; tau=None is the automatic step, so tau has no None case
+NOT_A_NUMBER = {
+    "lam": lambda v: RofConfig(lam=v).validate(2),
+    "tau": lambda v: RofConfig(tau=v).validate(2),
+    "tol": lambda v: RofConfig(tol=v).validate(2),
+    "eps": lambda v: ReconstructionConfig(eps=v).validate(2),
+    "peak": lambda v: psnr(U, U + 0.5, v),
+    "sigma": lambda v: add_gaussian_noise(U, v, 0),
+}
+
+
+@pytest.mark.parametrize("param, value", [
+    pytest.param(param, value, id=f"{param}={value!r}")
+    for param in NOT_A_NUMBER for value in ("1", None) if (param, value) != ("tau", None)
+])
+def test_a_parameter_that_is_not_a_number_raises_parameter_error(param, value):
+    """A string or ``None`` is rejected as a :class:`ParameterError`, not a bare ``TypeError``."""
+    with pytest.raises(ParameterError, match=param):
+        NOT_A_NUMBER[param](value)
 
 
 @pytest.mark.parametrize("solver", SOLVERS)

@@ -424,8 +424,10 @@ def test_validate_field_widens_f32():
     assert u.dtype == np.float64
 
 
-@pytest.mark.parametrize("dims", [(5,), (4, 6), (3, 4, 5), (2, 3, 2, 4)])
+# (70, 33, 16) spans two slabs of the default slab rule
+@pytest.mark.parametrize("dims", [(5,), (4, 6), (3, 4, 5), (2, 3, 2, 4), (70, 33, 16)])
 def test_vector_operators_act_channel_by_channel(dims):
+    assert len(fields._spans(dims)) == (2 if dims == (70, 33, 16) else 1)
     g = rand_vector(dims, 23)
     p = rand_tensor(dims, 24)
     gv = grad_vec(g)

@@ -93,6 +93,29 @@ def test_header_is_valid_by_construction_and_frozen():
     assert header == VolumeHeader(dims=(4, 4))
 
 
+@pytest.mark.parametrize("dims, value_range", [
+    pytest.param((2.5, 4), None, id="float-dims"),
+    pytest.param(("4", 4), None, id="str-dims"),
+    pytest.param((4, 4), ("a", "b"), id="str-range"),
+    pytest.param((4, 4), (0, 10**400), id="range-past-the-floats"),
+    pytest.param((4, 4), (np.False_, np.True_), id="np.bool_-range"),
+    pytest.param((4, 4), (False, True), id="bool-range"),
+    pytest.param((4, 4), (0.0, 1.0, 2.0), id="three-ends"),
+    pytest.param((4, 4), 5, id="no-pair"),
+])
+def test_header_checks_its_field_types_when_built(dims, value_range):
+    """A header built in code is held to the rules of one read from JSON."""
+    with pytest.raises(VolumeFormatError):
+        VolumeHeader(dims=dims, value_range=value_range)
+
+
+def test_header_holds_its_value_range_as_floats():
+    header = VolumeHeader(dims=(4, 4), value_range=(0, np.float32(255)))
+    assert header.value_range == (0.0, 255.0)
+    assert all(type(v) is float for v in header.value_range)
+    assert VolumeHeader.from_dict(header.to_dict()) == header
+
+
 def test_default_header_path():
     assert _default_header_path("data/vol.raw").name == "vol.json"
 
