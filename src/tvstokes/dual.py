@@ -11,13 +11,13 @@ forward-difference operator ``K`` of one potential computed from the whole
 dual, ``A(p) = K(y)`` with ``y = potential(p)``: :func:`.fields.hessian` in
 the smoothing, :func:`.fields.grad` in reconstruction and ROF.  A model
 supplies the potential and ``K`` as a kernel that writes any rows ``[a, b)``
-of the first grid axis.  Each driver ends at one potential: it computes ``y``
-of the final dual once, takes :func:`kkt_residual` from it and recovers its
-primal solution from ``y``.  Every function here takes one layout, channels
-stacked along axis 0.  ``_objective`` is every model's primal objective,
-``TV(x) + 1/(2*lam)*||x - x0||^2 + <x[0], m>``: the smoothing has no shift,
-reconstruction's is ``m = divergence(g/|g|)``, as ``-<grad(u), g/|g|> = <u, m>``,
-and ROF's is zero.
+of the first grid axis.  Every solve ends in :func:`solve`, which computes
+``y`` of the final dual once and takes :func:`kkt_residual` from it; the
+driver recovers its primal solution from ``y``.  Every function here takes
+one layout, channels stacked along axis 0.  ``_objective`` is every model's
+primal objective, ``TV(x) + 1/(2*lam)*||x - x0||^2 + <x[0], m>``: the
+smoothing has no shift, reconstruction's is ``m = divergence(g/|g|)``, as
+``-<grad(u), g/|g|> = <u, m>``, and ROF's is zero.
 
 A dual may be stored packed: ``channels`` then lists, in the order the tuple
 norm adds their squares, the stored channel of every entry of the tuple, so
@@ -27,7 +27,7 @@ of its symmetric tensor dual along one leading axis and lists each
 off-diagonal channel twice, in the C order of the ``(d, d)`` tensor, so its
 norms equal the full tensor's bit for bit.
 
-:func:`iterate` is the one loop: the drivers run it from a zero dual, and each
+:func:`iterate` is the one loop: :func:`solve` runs it from a zero dual, and each
 model's ``dual_step`` checks its input with :func:`require_feasible` and runs
 one step of it, so single steps retrace a driver.  A step computes the
 potential, then runs the update slab by slab over the first grid axis: the
@@ -71,7 +71,7 @@ from .spectral import dual_step_bound
 
 __all__ = [
     "DualConfig", "DualResult", "require_feasible", "iterate", "stationarity_residual",
-    "kkt_residual",
+    "kkt_residual", "solve",
 ]
 
 @dataclass(frozen=True)
@@ -254,6 +254,20 @@ def kkt_residual(kernel, y, p: np.ndarray, channels=None) -> float:
         stationarity_residual(kernel(y, None, span), p[:, slice(*span)], channels)
         for span in _spans(p.shape[1:])
     ]))
+
+
+def solve(potential, kernel, shape, tau: float, cfg: DualConfig, channels=None):
+    """Run :func:`iterate` from a zero dual of ``shape``; return ``(p, y, stats)``.
+
+    ``y = potential(p)`` of the final dual is computed once; ``stats`` holds
+    every :class:`DualResult` field but ``objective``.  A potential that the
+    caller holds no other reference to is freed, with its data, on return.
+    """
+    p, iters, change = iterate(potential, kernel, np.broadcast_to(0.0, shape), tau,  # copied
+                               cfg.max_iters, cfg.tol, channels)
+    y = potential(p)
+    return p, y, {"iters": iters, "final_change": change,
+                  "kkt_residual": kkt_residual(kernel, y, p, channels)}
 
 
 def _objective(x: np.ndarray, data, lam: float, m=None) -> float:

@@ -1,7 +1,8 @@
-"""Exception hierarchy shared by all modules, the one number predicate and positive-number check."""
+"""Exception hierarchy shared by all modules and the checks they share: the one number
+predicate, positive-number check and shape check."""
 
 import math
-from numbers import Real
+from numbers import Integral, Real
 
 __all__ = [
     "TvStokesError",
@@ -35,6 +36,23 @@ class DivergenceError(TvStokesError, ArithmeticError):
 def _is_number(value, kind=Real) -> bool:
     """Whether ``value`` is a ``kind`` (``Real`` or ``Integral``) but no bool, which passes as 1."""
     return isinstance(value, kind) and not isinstance(value, bool)  # np.True_ is not Real
+
+
+def _shape(dims, minimum: int, error) -> tuple:
+    """``dims`` as a tuple of ints, each an integer >= ``minimum``, or raise ``error``.
+
+    A bool is no integer here.  A positive ``minimum`` asks for a grid shape,
+    which also needs an axis; a shape with ``minimum`` 0 may be empty.
+    """
+    try:
+        shape = tuple(dims)
+    except TypeError:  # not a sequence
+        shape = None
+    if shape is None or (minimum > 0 and not shape) or not all(
+            _is_number(n, Integral) and n >= minimum for n in shape):
+        need = "a nonempty sequence" if minimum > 0 else "a sequence"
+        raise error(f"dims {dims!r} invalid: need {need} of integers, every one >= {minimum}")
+    return tuple(int(n) for n in shape)
 
 
 def _check_positive(name: str, value) -> None:

@@ -8,8 +8,9 @@ Field layout conventions used throughout the package:
 * tensor field   -- ``(d, d, N1, ..., Nd)``, channel ``(l, m)`` holds the
   axis-``m`` difference of vector channel ``l``
 * packed symmetric tensor field -- ``(d(d+1)/2, N1, ..., Nd)``, channel ``k``
-  holds the ``k``-th pair ``(l, m)`` with ``l <= m`` in row-major order (the
-  order of ``np.triu_indices(d)``), standing for both ``(l, m)`` and ``(m, l)``
+  holds the ``k``-th pair ``(l, m)`` with ``l <= m`` in row-major order,
+  standing for both ``(l, m)`` and ``(m, l)``; ``_layout`` is the one table
+  of this order, where every reader of a packed field looks its channels up
 
 Channels lead so that grid-shaped reductions broadcast against them and every
 axis-wise stencil streams the contiguous last axis.  The one-sided difference
@@ -61,6 +62,7 @@ Operators in this module assume finite float inputs (see
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -241,6 +243,31 @@ def adjoint_grad_tensor(p: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache  # hessian reads it on every call, and building it costs half a 64x64 hessian
+def _layout(d: int):
+    """``(index, channels)`` of the packed symmetric tensor field, read-only.
+
+    ``index[l, m]`` is the packed channel of tensor channel ``(l, m)``, so
+    ``q[index]`` unpacks ``q``; ``channels`` lists it in C order, the order of
+    the tuple norm's squares, in Python ints, which index faster than numpy's.
+    """
+    index = np.empty((d, d), dtype=np.intp)
+    upper = np.triu_indices(d)
+    index[upper] = index.T[upper] = np.arange(len(upper[0]))
+    index.flags.writeable = False
+    return index, tuple(index.ravel().tolist())
+
+
+def _pack(p: np.ndarray) -> np.ndarray:
+    """Packed symmetric part ``(p_lm + p_ml)/2`` of a tensor field; exact for a symmetric one."""
+    rows, cols = np.triu_indices(len(p))
+    q = np.empty((len(rows),) + p.shape[2:])
+    for k, (l, m) in enumerate(zip(rows, cols)):
+        np.add(p[l, m], p[m, l], out=q[k])
+        q[k] *= 0.5
+    return q
+
+
 def hessian(u: np.ndarray, out: np.ndarray | None = None, rows=None) -> np.ndarray:
     """Packed symmetric second differences of a scalar field, ``(d(d+1)/2, *dims)``.
 
@@ -255,11 +282,11 @@ def hessian(u: np.ndarray, out: np.ndarray | None = None, rows=None) -> np.ndarr
     a, b = _span(rows, len(u))
     out = _output(out, (d * (d + 1) // 2, b - a) + u.shape[1:])
     block = u[a:b + 2]  # two halo rows: the first-axis difference is differenced again
-    channels, du = iter(out), np.empty((min(b + 1, len(u)) - a,) + u.shape[1:])
+    channels, du = _layout(d)[1], np.empty((min(b + 1, len(u)) - a,) + u.shape[1:])
     for l in range(d):
         dl = _diff(block, l, du if l == 0 else du[:b - a])
         for m in range(l, d):
-            _diff(dl, m, next(channels))
+            _diff(dl, m, out[channels[l * d + m]])
     return out
 
 
@@ -281,7 +308,7 @@ def adjoint_hessian(q: np.ndarray) -> np.ndarray:
     d = len(dims)
     if d < 1 or len(q) != d * (d + 1) // 2:
         raise DimensionError(f"not a packed symmetric tensor field: shape {q.shape}")
-    out = np.empty(dims)
+    out, channels = np.empty(dims), _layout(d)[1]
     spans = _spans(dims)
     halo = len(spans) > 1
     row = np.empty((halo + spans[0][1],) + dims[1:])  # the halo row, then a slab of row_l
@@ -291,11 +318,10 @@ def adjoint_hessian(q: np.ndarray) -> np.ndarray:
         row_l, row_0 = row[halo:halo + b - a], row[halo - (a > 0):halo + b - a]  # row_0 from a - 1
         # the last axis, the slowest to stride along, is written rather than added where it can be
         for l in reversed(range(d)):
-            first = l * (2 * d - l + 1) // 2  # the packed channel of (l, l)
             for i, m in enumerate(range(d - 1, l - 1, -1)):
                 if m == l and i:
                     row_l *= 2.0
-                _diff_t(qs[first + m - l], m, row_l, term if i else None, last)
+                _diff_t(qs[channels[l * d + m]], m, row_l, term if i else None, last)
             _diff_t(row_l if l else row_0, l, rows, term if l < d - 1 else None, last)
         if halo:
             row[:1] = row[b - a:b - a + 1]  # row_0's last row: the next slab's halo

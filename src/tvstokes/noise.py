@@ -15,7 +15,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, _is_number
+from .errors import DimensionError, ParameterError, _is_number, _shape
 
 __all__ = ["add_gaussian_noise", "standard_normal_field"]
 
@@ -29,10 +29,7 @@ def _check_seed(seed) -> None:
 def standard_normal_field(shape, seed: int) -> np.ndarray:
     """Deterministic standard normal samples of the given shape."""
     _check_seed(seed)
-    shape = tuple(shape)
-    if any(not _is_number(n, Integral) or n < 0 for n in shape):
-        raise DimensionError(f"shape must hold nonnegative integers, got {shape!r}")
-    shape = tuple(int(n) for n in shape)
+    shape = _shape(shape, 0, DimensionError)
     size = math.prod(shape)
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     pairs = (size + 1) // 2

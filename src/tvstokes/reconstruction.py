@@ -14,12 +14,12 @@ with the residual
     A(p) = grad(m + adjoint_grad(p) - u0/lam)
 
 whose potential ``y = m + adjoint_grad(p) - u0/lam`` the loop differentiates
-one slab of rows at a time.  :func:`solve_shifted` computes ``y`` of the final
-dual once, takes the KKT value from it and recovers the image in place as
-``u = u0 - lam*(y + u0/lam)``, which reproduces a constant ``u0`` exactly
-where ``-lam*y`` may round.  The objective is :mod:`.dual`'s, shifted by ``m``.
-With ``m = 0`` this is plain isotropic TV denoising, which :mod:`.rof` solves
-through :func:`solve_shifted`.
+one slab of rows at a time.  :func:`solve_shifted` ends in :func:`.dual.solve`,
+which computes ``y`` of the final dual once and takes the KKT value from it;
+it recovers the image in place as ``u = u0 - lam*(y + u0/lam)``, which
+reproduces a constant ``u0`` exactly where ``-lam*y`` may round.  The
+objective is :mod:`.dual`'s, shifted by ``m``.  With ``m = 0`` this is plain
+isotropic TV denoising, which :mod:`.rof` solves through :func:`solve_shifted`.
 
 :func:`dual_step` and :func:`solve_shifted` are public at module level only,
 not in ``__all__``.
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualConfig, DualResult, _objective, iterate, kkt_residual, require_feasible
+from .dual import DualConfig, DualResult, _objective, iterate, kkt_residual, require_feasible, solve
 from .errors import DimensionError, ParameterError, _check_positive
 from .fields import adjoint_grad, divergence, grad, pointwise_normalize, validate_field
 
@@ -87,12 +87,8 @@ def _checked(lam, u0, v, s):
     return u0, v, s
 
 
-def _bind(p, u0, m, lam):
-    """Check the dual ``p`` against the data; return ``(potential, p)`` for :func:`iterate`.
-
-    ``potential(q)`` is ``adjoint_grad(q) + m - u0/lam``, whose :func:`.fields.grad` is ``A(q)``.
-    """
-    u0, p, m = _checked(lam, u0, p, m)
+def _bind(u0, m, lam):
+    """``potential(q) = adjoint_grad(q) + m - u0/lam``, whose :func:`.fields.grad` is ``A(q)``."""
     u0_scaled = u0 / lam
 
     def potential(q):
@@ -101,36 +97,32 @@ def _bind(p, u0, m, lam):
         y -= u0_scaled
         return y
 
-    return potential, p
+    return potential
 
 
 def dual_step(
     p: np.ndarray, u0: np.ndarray, m: np.ndarray, cfg: ReconstructionConfig
 ) -> np.ndarray:
     """Apply one projected dual step ``unit_clip(p - tau*A(p))`` to a feasible vector dual."""
-    potential, p = _bind(p, u0, m, cfg.lam)
+    u0, p, m = _checked(cfg.lam, u0, p, m)
     tau = cfg.validate(len(p))
     require_feasible(p)
-    return iterate(potential, grad, p, tau, 1, 0.0)[0]
+    return iterate(_bind(u0, m, cfg.lam), grad, p, tau, 1, 0.0)[0]
 
 
-def solve_shifted(u0, m, cfg: DualConfig, tau: float) -> ReconstructionResult:
+def solve_shifted(u0, m, cfg: DualConfig) -> ReconstructionResult:
     """Run the dual solve for data ``u0`` and shift ``m`` and recover the image.
 
     ``u0`` must be a validated field; the objective is :mod:`.dual`'s, shifted by ``m``.
     """
-    potential, p = _bind(np.broadcast_to(0.0, (u0.ndim,) + u0.shape), u0, m, cfg.lam)
-    p, iters, change = iterate(potential, grad, p, tau, cfg.max_iters, cfg.tol)  # copies p
-    u = potential(p)  # the final dual's potential y
-    kkt = kkt_residual(grad, u, p)
-    del potential  # and with it u0/lam, before the recovery's quotient and the objective
+    tau = cfg.validate(u0.ndim)  # before _bind divides by lam
+    # solve frees u0/lam before the recovery's quotient and the objective
+    p, u, stats = solve(_bind(u0, m, cfg.lam), grad, (u0.ndim,) + u0.shape, tau, cfg)
     u += u0 / cfg.lam  # then u0 - lam*(y + u0/lam), in place
     u *= cfg.lam
     np.subtract(u0, u, out=u)
-    return ReconstructionResult(
-        u=u, p=p, iters=iters, final_change=change, kkt_residual=kkt,
-        objective=_objective(u[None], lambda k, out: u0, cfg.lam, m),
-    )
+    return ReconstructionResult(u=u, p=p, **stats,
+                                objective=_objective(u[None], lambda k, out: u0, cfg.lam, m))
 
 
 def reconstruct(
@@ -141,8 +133,7 @@ def reconstruct(
     g = _checked(cfg.lam, u_noisy, g, u_noisy)[1]
     if not np.isfinite(g).all():
         raise ParameterError("g contains non-finite values")
-    tau = cfg.validate(u_noisy.ndim)
-    return solve_shifted(u_noisy, matching_field(g, cfg.eps), cfg, tau)
+    return solve_shifted(u_noisy, matching_field(g, cfg.eps), cfg)
 
 
 def matching_objective(
@@ -164,5 +155,5 @@ def matching_kkt_residual(
     With ``w = grad(m + adjoint_grad(p) - u0/lam)`` the fixed points satisfy
     ``w + |w| * p = 0`` entrywise.
     """
-    potential, p = _bind(p, u0, m, lam)
-    return kkt_residual(grad, potential(p), p)
+    u0, p, m = _checked(lam, u0, p, m)
+    return kkt_residual(grad, _bind(u0, m, lam)(p), p)

@@ -2,8 +2,7 @@
 
 Minimizes ``iso_l1(grad(u)) + 1/(2*lam) * ||u - u0||_2^2``: the
 reconstruction model with a zero matching field, solved by
-:func:`.reconstruction.solve_shifted` with its residual and its recovery
-``u = u0 - lam*(y + u0/lam)`` from the final dual's potential ``y`` and its
+:func:`.reconstruction.solve_shifted` with its residual, recovery and
 objective, so both models run one iteration kernel and their outputs are
 directly comparable.
 """
@@ -26,6 +25,5 @@ RofResult = ReconstructionResult
 def rof_denoise(u_noisy: np.ndarray, cfg: RofConfig) -> RofResult:
     """Classical isotropic TV denoising via the dual projection iteration."""
     u_noisy = validate_field(u_noisy, "u_noisy")
-    tau = cfg.validate(u_noisy.ndim)
     # a read-only zero view: no grid is stored for the shift
-    return solve_shifted(u_noisy, np.broadcast_to(0.0, u_noisy.shape), cfg, tau)
+    return solve_shifted(u_noisy, np.broadcast_to(0.0, u_noisy.shape), cfg)

@@ -19,16 +19,16 @@ Both terms are gradients, so the residual runs through one scalar potential:
 with ``solve`` the Poisson pseudo-solve of :class:`.PoissonPlan`.  That makes
 ``A(p)`` a discrete Hessian, symmetric because differences along distinct
 axes commute, and the iteration keeps the dual symmetric.  The loop therefore
-stores it packed: the ``d(d+1)/2`` channels ``l <= m`` of the layout of
-:func:`.fields.hessian` (6 of 9 at d = 3), each off-diagonal channel counted
+stores it packed: the ``d(d+1)/2`` channels ``l <= m`` in the order of
+``fields._layout`` (6 of 9 at d = 3), each off-diagonal channel counted
 twice in the tuple norm; :func:`.fields.adjoint_hessian` takes it to the
 potential's right-hand side and :func:`.fields.hessian` back, a slab of rows
 at a time.  The adjoint works slab by slab in slab-sized scratch, so the
 potential holds two grids while it is computed, the right-hand side and the
 in-place solve's work grid; :func:`.dual.iterate` then writes each slab's
-step straight back into the one packed dual.  The final dual's potential
-``y``, computed once, gives the KKT value, slab by slab, and the smoothed
-field ``g = -lam*grad(y)``, a gradient by construction with
+step straight back into the one packed dual.  The driver ends in
+:func:`.dual.solve`, whose final potential ``y`` gives the KKT value and the
+smoothed field ``g = -lam*grad(y)``, a gradient by construction with
 ``grad_vec(g) = -lam*A(p)``: ``y`` differs from the primal potential
 ``(u0 - lam*solve(adjoint_hessian(p)))/(-lam)`` by a constant.  The objective
 is :mod:`.dual`'s, unshifted.  The result keeps the dual packed, as ``packed``;
@@ -52,9 +52,10 @@ from functools import partial
 
 import numpy as np
 
-from .dual import DualConfig, DualResult, _objective, iterate, kkt_residual, require_feasible
+from .dual import DualConfig, DualResult, _objective, iterate, kkt_residual, require_feasible, solve
 from .errors import DimensionError, _check_positive
-from .fields import _diff, adjoint_grad, adjoint_hessian, grad, hessian, validate_field
+from .fields import (_diff, _layout, _pack, adjoint_grad, adjoint_hessian, grad, hessian,
+                     validate_field)
 from .spectral import PoissonPlan
 
 __all__ = [
@@ -70,7 +71,7 @@ SmoothingConfig = DualConfig  # the iteration parameters of the smoothing solve
 class SmoothingResult(DualResult):
     """Smoothed gradient field plus the final dual and solve diagnostics.
 
-    ``packed`` is the final dual as the loop stores it (see :func:`_layout`).
+    ``packed`` is the final dual as the loop stores it (see :func:`.fields._layout`).
     """
 
     g: np.ndarray
@@ -80,29 +81,6 @@ class SmoothingResult(DualResult):
     def p(self) -> np.ndarray:
         """The final dual as the full symmetric ``(d, d)`` tensor, a new array."""
         return self.packed[_layout(self.packed.ndim - 1)[0]]
-
-
-def _layout(d: int):
-    """``(index, channels)`` of the packed dual.
-
-    ``index[l, m]`` is the packed channel of tensor channel ``(l, m)``, so
-    ``q[index]`` unpacks ``q``; ``channels`` lists it in C order, the order in
-    which the tuple norm adds the squares.
-    """
-    index = np.empty((d, d), dtype=np.intp)
-    upper = np.triu_indices(d)
-    index[upper] = index.T[upper] = np.arange(len(upper[0]))
-    return index, index.ravel().tolist()
-
-
-def _pack(p: np.ndarray) -> np.ndarray:
-    """Packed symmetric part ``(p_lm + p_ml)/2`` of a tensor field; exact for a symmetric one."""
-    rows, cols = np.triu_indices(len(p))
-    q = np.empty((len(rows),) + p.shape[2:])
-    for k, (l, m) in enumerate(zip(rows, cols)):
-        np.add(p[l, m], p[m, l], out=q[k])
-        q[k] *= 0.5
-    return q
 
 
 def _bind(g0, lam, plan):
@@ -159,30 +137,14 @@ def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> Smoothin
     u_noisy = validate_field(u_noisy, "u_noisy")
     d = u_noisy.ndim
     tau = cfg.validate(d)
-    plan = PoissonPlan(u_noisy.shape)
-    channels = _layout(d)[1]
-    potential = _bind(grad(u_noisy), cfg.lam, plan)
-    # iterate copies the zero start
-    q, iters, change = iterate(
-        potential, hessian, np.broadcast_to(0.0, (d * (d + 1) // 2,) + u_noisy.shape),
-        tau, cfg.max_iters, cfg.tol, channels,
-    )
-    y = potential(q)
-    # the diagnostics read the packed dual: duplicated entries give identical
-    # terms, so the KKT value equals smoothing_kkt_residual(p, ...) bit for bit
-    kkt = kkt_residual(hessian, y, q, channels)
-    del potential, plan  # and with them the data term
+    # duplicated packed entries give identical terms: the KKT value is smoothing_kkt_residual's
+    q, y, stats = solve(_bind(grad(u_noisy), cfg.lam, PoissonPlan(u_noisy.shape)), hessian,
+                        (d * (d + 1) // 2,) + u_noisy.shape, tau, cfg, _layout(d)[1])
     g = grad(y)  # then -lam*grad(y), in place
     del y  # before the objective's work grid
     g *= -cfg.lam
-    return SmoothingResult(
-        g=g,
-        packed=q,
-        iters=iters,
-        final_change=change,
-        kkt_residual=kkt,
-        objective=_objective(g, partial(_diff, u_noisy), cfg.lam),
-    )
+    return SmoothingResult(g=g, packed=q, **stats,
+                           objective=_objective(g, partial(_diff, u_noisy), cfg.lam))
 
 
 def smoothing_objective(g: np.ndarray, g0: np.ndarray, lam: float) -> float:
@@ -200,8 +162,7 @@ def smoothing_kkt_residual(p: np.ndarray, g0: np.ndarray, lam: float) -> float:
     ``p``, one slab at a time, and unpacked slab by slab.
     """
     g0, p = _checked(lam, g0, p, 1)
-    d = len(p)
     y = _bind(g0, lam, PoissonPlan(g0.shape[1:]))(_pack(p))
-    unpack = _layout(d)[0].ravel()
+    unpack = _layout(len(p))[0].ravel()
     return kkt_residual(lambda y, out, rows: hessian(y, None, rows)[unpack], y,
-                        p.reshape((d * d,) + p.shape[2:]))
+                        p.reshape((-1,) + p.shape[2:]))

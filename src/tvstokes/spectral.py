@@ -33,7 +33,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, _shape
 from .fields import adjoint_grad, grad
 
 __all__ = [
@@ -98,21 +98,13 @@ def diff_factors(n: int) -> DiffFactors:
     return DiffFactors(n=n, sigma=sigma, cosine=cosine, sine=sine)
 
 
-def _grid(dims) -> tuple:
-    """``dims`` as a tuple of ints, after checking that it is a grid shape with every axis >= 2."""
-    dims = tuple(int(n) for n in dims)
-    if not dims or any(n < 2 for n in dims):
-        raise DimensionError(f"invalid grid shape {dims}")
-    return dims
-
-
 def grad_operator_norm(dims) -> float:
     """Spectral norm of the gradient operator at the given grid shape.
 
     Equals ``2 * ||[sin(pi*(N1-1)/(2*N1)), ...]||_2`` and approaches
     ``2*sqrt(d)`` as every axis grows.
     """
-    s = sum(np.sin(np.pi * (n - 1) / (2.0 * n)) ** 2 for n in _grid(dims))
+    s = sum(np.sin(np.pi * (n - 1) / (2.0 * n)) ** 2 for n in _shape(dims, 2, DimensionError))
     return float(2.0 * np.sqrt(s))
 
 
@@ -139,7 +131,7 @@ class PoissonPlan:
     """
 
     def __init__(self, dims):
-        self.dims = dims = _grid(dims)
+        self.dims = dims = _shape(dims, 2, DimensionError)
         inverse = self.denominator
         inverse[(0,) * len(dims)] = np.inf
         self._inverse = np.divide(1.0, inverse, out=inverse)

@@ -17,12 +17,11 @@ import math
 import os
 import uuid
 from dataclasses import dataclass
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, VolumeFormatError, _is_number
+from .errors import DimensionError, ParameterError, VolumeFormatError, _is_number, _shape
 
 __all__ = ["VolumeHeader", "load_volume", "save_volume", "stack_frames", "export_slice"]
 
@@ -40,11 +39,10 @@ class VolumeHeader:
     value_range: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        """Check every field; ``value_range`` is then stored as a pair of floats."""
-        if not self.dims or not all(_is_number(n, Integral) and n >= 2 for n in self.dims):
-            raise VolumeFormatError(f"header dims {self.dims!r} invalid: need a nonempty "
-                                    "list of integers, every one >= 2")
-        if self.dtype not in _DTYPES:
+        """Check every field; ``dims`` is then stored as a tuple of ints and
+        ``value_range`` as a pair of floats."""
+        object.__setattr__(self, "dims", _shape(self.dims, 2, VolumeFormatError))
+        if not isinstance(self.dtype, str) or self.dtype not in _DTYPES:
             raise VolumeFormatError(f"unknown dtype {self.dtype!r}; expected f32 or f64")
         if self.value_range is not None:
             try:  # a non-number is dropped, so the pair fails to unpack
@@ -58,11 +56,11 @@ class VolumeHeader:
             object.__setattr__(self, "value_range", (lo, hi))
 
     def payload_bytes(self) -> int:
-        return math.prod(int(n) for n in self.dims) * _DTYPES[self.dtype].itemsize
+        return math.prod(self.dims) * _DTYPES[self.dtype].itemsize
 
     def to_dict(self) -> dict:
         return {
-            "dims": [int(n) for n in self.dims],
+            "dims": list(self.dims),
             "dtype": self.dtype,
             "byte_order": _BYTE_ORDER,
             "layout": _LAYOUT,
@@ -73,21 +71,19 @@ class VolumeHeader:
     def from_dict(cls, data: dict) -> "VolumeHeader":
         """Build a header from its decoded JSON object.
 
-        ``dims`` must be a list and ``value_range`` ``null`` or a list; the
-        constructor checks their entries.  ``byte_order`` and ``layout``, when
-        given, must be ``"little"`` and ``"last-fastest"``.
+        ``value_range`` must be ``null`` or a list; the constructor checks it
+        and ``dims``.  ``byte_order`` and ``layout``, when given, must be
+        ``"little"`` and ``"last-fastest"``.
         """
         for key, value in (("byte_order", _BYTE_ORDER), ("layout", _LAYOUT)):
             if str(data.get(key, value)) != value:
                 raise VolumeFormatError(f"unsupported {key} {data[key]!r}")
-        dims, vr = data.get("dims"), data.get("value_range")
-        if not isinstance(dims, list):
-            raise VolumeFormatError(f"header 'dims' must be a list of integers, got {dims!r}")
+        vr = data.get("value_range")
         if vr is not None and not isinstance(vr, list):
             raise VolumeFormatError(
                 f"header 'value_range' must be null or a list of two numbers, got {vr!r}"
             )
-        return cls(dims=tuple(dims), dtype=str(data.get("dtype", "f64")),
+        return cls(dims=data.get("dims"), dtype=str(data.get("dtype", "f64")),
                    value_range=None if vr is None else tuple(vr))
 
 
@@ -119,8 +115,14 @@ def write_atomic(*files) -> None:
     failure while writing leaves every target untouched and removes the
     temporaries, so a payload never disagrees with its header or report.
     The renames are atomic one by one, not together.  This guards against a
-    failing process, not against power loss: there is no fsync.
+    failing process, not against power loss: there is no fsync.  Two targets
+    that resolve to one path, where the second would silently replace the
+    first, raise :class:`.ParameterError` before any file is opened.
     """
+    targets = [Path(path).resolve() for path, _ in files]
+    if len(set(targets)) < len(targets):
+        shared = next(t for t in targets if targets.count(t) > 1)
+        raise ParameterError(f"two of the files to write resolve to one path, {shared}")
     renames = []
     try:
         for path, data in files:

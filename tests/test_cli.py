@@ -547,6 +547,18 @@ def test_missing_report_directory_exits_3_and_writes_no_output(tmp_path):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+def test_report_on_the_outputs_header_exits_2_and_writes_nothing(tmp_path):
+    """``--report out.json`` would replace ``out.raw``'s header and leave an unreadable volume."""
+    inp = write_volume(tmp_path, rand_scalar((8, 8, 8), 2), name="in.raw", dtype="f32")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    code = main([
+        "denoise", "--model", "rof", "--input", str(inp), "--max-iters", "3",
+        "--output", str(tmp_path / "out.raw"), "--report", str(tmp_path / "out.json"),
+    ])
+    assert code == 2
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 # ------------------------------------------------------------- header reads
 
 READERS = {

@@ -1,7 +1,9 @@
 """Shared dual-projection core: config validation, the in-place loop, diagnostics."""
 
+import dataclasses
 import math
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,7 +30,7 @@ from tvstokes import (
     smoothing_kkt_residual,
     smoothing_objective,
 )
-from tvstokes import dual, fields
+from tvstokes import PoissonPlan, dual, fields, matching_field, reconstruction, smoothing
 from tvstokes.dual import iterate, kkt_residual, stationarity_residual
 from tvstokes.reconstruction import dual_step as reconstruction_step
 from tvstokes.smoothing import dual_step as smoothing_step
@@ -511,3 +513,46 @@ def test_a_capped_solve_computes_the_full_increment_twice(kind, monkeypatch):
     assert got[1] == 40
     slabs = -(-dims[0] // (fields._SLAB // (dims[1] * dims[2])))
     assert slabs == 2 and len(calls) <= 2 * slabs
+
+
+# ------------------------------------------------------------- every solve's end
+
+def _model(kind, dims):
+    """``(potential, kernel, shape, channels)`` of step 2's vector dual or step 1's packed one."""
+    u0, d = rand_scalar(dims, 12), len(dims)
+    if kind == "vector":
+        m = matching_field(grad(rand_scalar(dims, 13)), 1e-8)
+        return reconstruction._bind(u0, m, 0.3), grad, (d,) + dims, None
+    potential = smoothing._bind(grad(u0), 0.3, PoissonPlan(dims))
+    return potential, fields.hessian, (d * (d + 1) // 2,) + dims, fields._layout(d)[1]
+
+
+@pytest.mark.parametrize("stop", ["cap", "tol"])
+@pytest.mark.parametrize("kind", ["vector", "packed"])
+@pytest.mark.parametrize("dims", STOP_GRIDS, ids=str)
+def test_solve_is_iterate_from_zero_then_one_potential_and_its_kkt_value(dims, kind, stop):
+    potential, kernel, shape, channels = _model(kind, dims)
+    zero, tau = np.zeros(shape), 1.0 / (2 * len(dims))
+    tol = iterate(potential, kernel, zero, tau, 5, 0.0, channels)[2] if stop == "tol" else 0.0
+    cfg = dual.DualConfig(max_iters=40 if stop == "tol" else 7, tol=tol)
+    p, y, stats = dual.solve(potential, kernel, shape, tau, cfg, channels)
+    want_p, iters, change = iterate(potential, kernel, zero, tau, cfg.max_iters, tol, channels)
+    want_y = potential(want_p)
+    assert iters == (5 if stop == "tol" else 7)
+    assert (p.tobytes(), y.tobytes()) == (want_p.tobytes(), want_y.tobytes())
+    assert stats == {"iters": iters, "final_change": change,
+                     "kkt_residual": kkt_residual(kernel, want_y, want_p, channels)}
+    # a new DualResult field has to come through solve
+    assert set(stats) | {"objective"} == {f.name for f in dataclasses.fields(dual.DualResult)}
+
+
+def test_solve_frees_the_potential_and_its_data_on_return():
+    dims, data = (6, 5), []
+
+    def bind():  # the potential alone holds its data grid
+        grid = rand_scalar(dims, 8)
+        data.append(weakref.ref(grid))
+        return lambda p: adjoint_grad(p) - grid
+
+    dual.solve(bind(), grad, (2,) + dims, 0.25, dual.DualConfig(max_iters=3))
+    assert data[0]() is None

@@ -78,7 +78,7 @@ def test_standard_normal_field_is_finite_and_shaped():
     assert standard_normal_field((np.int64(7), np.uint8(5)), seed=3).tobytes() == z.tobytes()
 
 
-@pytest.mark.parametrize("shape", [(3.7, 2), (True, 2), (-1, 2)], ids=str)
+@pytest.mark.parametrize("shape", [(3.7, 2), (True, 2), (-1, 2), 5], ids=str)
 def test_standard_normal_field_rejects_a_bad_shape(shape):
     """A non-integral entry would be truncated, ``True`` read as 1, and a negative one
     would reach numpy."""

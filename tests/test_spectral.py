@@ -162,6 +162,21 @@ def test_poisson_plan_denominator_positive_off_origin():
     assert np.all(denom > 0.0)
 
 
+@pytest.mark.parametrize("dims", [5, (4.7, 5), ("4", 4), (2.5, 3), ()], ids=repr)
+@pytest.mark.parametrize("build", [PoissonPlan, grad_operator_norm],
+                         ids=["PoissonPlan", "grad_operator_norm"])
+def test_a_grid_shape_is_a_nonempty_sequence_of_integers(build, dims):
+    """A non-integral axis was truncated by ``int`` and a bare integer raised ``TypeError``."""
+    with pytest.raises(DimensionError):
+        build(dims)
+
+
+def test_a_grid_shape_takes_numpy_integers_as_ints():
+    dims = PoissonPlan((np.int64(4), np.uint8(5))).dims
+    assert dims == (4, 5) and all(type(n) is int for n in dims)
+    assert grad_operator_norm((np.int64(4), 5)) == grad_operator_norm((4, 5))
+
+
 def test_poisson_plan_shape_mismatch():
     with pytest.raises(DimensionError):
         PoissonPlan((4, 4)).solve(np.zeros((4, 5)))

@@ -8,6 +8,7 @@ import pytest
 
 from tvstokes import (
     DimensionError,
+    ParameterError,
     VolumeFormatError,
     VolumeHeader,
     export_slice,
@@ -102,11 +103,21 @@ def test_header_is_valid_by_construction_and_frozen():
     pytest.param((4, 4), (False, True), id="bool-range"),
     pytest.param((4, 4), (0.0, 1.0, 2.0), id="three-ends"),
     pytest.param((4, 4), 5, id="no-pair"),
+    pytest.param(5, None, id="int-dims"),
 ])
 def test_header_checks_its_field_types_when_built(dims, value_range):
     """A header built in code is held to the rules of one read from JSON."""
     with pytest.raises(VolumeFormatError):
         VolumeHeader(dims=dims, value_range=value_range)
+
+
+def test_header_holds_its_dims_as_a_tuple_of_ints():
+    """A list of dims made the frozen header mutable and unhashable."""
+    header = VolumeHeader(dims=[4, np.int64(5)])
+    assert header.dims == (4, 5) and all(type(n) is int for n in header.dims)
+    assert hash(header) == hash(VolumeHeader(dims=(4, 5)))
+    with pytest.raises(VolumeFormatError):
+        VolumeHeader(dims=(4, 4), dtype=["f32"])
 
 
 def test_header_holds_its_value_range_as_floats():
@@ -235,6 +246,18 @@ def test_save_rejects_values_not_finite_in_header_dtype(tmp_path, dtype, value):
     with pytest.raises(VolumeFormatError):
         save_volume(bad, path, dtype=dtype)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("write", [
+    pytest.param(lambda: save_volume(np.ones((8, 8)), "v.json"), id="payload-on-its-header"),
+    pytest.param(lambda: write_atomic(("a", b"first"), ("./a", b"second")), id="a-and-./a"),
+])
+def test_two_files_on_one_path_raise_before_any_is_written(tmp_path, monkeypatch, write):
+    """The second file would replace the first, as a header its own payload."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ParameterError):
+        write()
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------------ stacking
