@@ -27,22 +27,23 @@ of its symmetric tensor dual along one leading axis and lists each
 off-diagonal channel twice, in the C order of the ``(d, d)`` tensor, so its
 norms equal the full tensor's bit for bit.
 
-:func:`iterate` is the one loop: :func:`solve` runs it from a zero dual, and each
-model's ``dual_step`` checks its input with :func:`require_feasible` and runs
-one step of it, so single steps retrace a driver.  A step computes the
-potential, then runs the update slab by slab over the first grid axis: the
-kernel writes the slab's residual into slab-sized scratch, where the scaled
-step and the clip run while the slab's channels stay in cache, and the clipped
-step goes straight back into ``p``.  Once ``y`` is computed the old dual is
-read only slab by slab, so a solve holds one dual.  The update is pointwise,
-so the result depends neither on the slab size nor on the slab order.
-:func:`kkt_residual` evaluates the stationarity residual through the same
-kernel, one slab of ``A(p)`` at a time.
+:func:`iterate` is one loop over steps: :func:`solve` runs it from a zero dual,
+and each model's ``dual_step`` checks its input with :func:`require_feasible`
+and runs one step, so single steps retrace a driver.  A step computes the
+potential, then updates slab by slab over the first grid axis: the kernel
+writes the slab's residual into slab-sized scratch, where the scaled step and
+the clip run while the slab's channels stay in cache, and the clipped step goes
+straight back into ``p``.  Once ``y`` is computed the old dual is read only
+slab by slab, so a solve holds one dual; the step's two slab-sized norm grids
+are freed before the next potential.  The update is pointwise, so the result
+depends neither on the slab size nor on the slab order.  :func:`kkt_residual`
+evaluates the stationarity residual through the same kernel, a slab at a time.
 
 The increment norm only decides whether to stop, so a step computes it
 exactly only when it may stop: on the first step, on the last one allowed
-and on a step whose *witness* does not rule out a stop.  The witness is the
-grid point where the last exact increment peaked.  Its slab runs first, and
+and on a step whose *witness* does not rule out a stop.  An exact step keeps
+one record of its largest increment, the squared norm, slab and flat index,
+which gives the norm and the next witness.  The witness's slab runs first, and
 its tuple norm, added in the same order as the full one, is a lower bound of
 the max, so a witness above ``tol`` proves the step cannot stop before any
 slab is written; otherwise every slab gets its exact increment before it is
@@ -76,7 +77,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DualConfig:
-    """Iteration parameters of one dual solve, and the home of their defaults.
+    """Iteration parameters of one dual solve, the home of their defaults, checked when built.
 
     ``tau=None`` resolves to the guaranteed step ``1/(2d)``.  Larger values
     are accepted but flagged by :meth:`tau_exceeds_bound`.  :func:`.run_denoise`
@@ -88,14 +89,7 @@ class DualConfig:
     max_iters: int = 200
     tol: float = 1e-6
 
-    def resolve_tau(self, ndim: int) -> float:
-        return dual_step_bound(ndim) if self.tau is None else float(self.tau)
-
-    def tau_exceeds_bound(self, ndim: int) -> bool:
-        return self.resolve_tau(ndim) > dual_step_bound(ndim) + 1e-15
-
-    def validate(self, ndim: int) -> float:
-        """Check parameter ranges and return the resolved step size."""
+    def __post_init__(self) -> None:
         _check_positive("lam", self.lam)
         if self.tau is not None:
             _check_positive("tau", self.tau)
@@ -103,7 +97,12 @@ class DualConfig:
             raise ParameterError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not (_is_number(self.tol) and self.tol >= 0):  # a NaN tol would disable the stop rule
             raise ParameterError(f"tol must be nonnegative, got {self.tol!r}")
-        return self.resolve_tau(ndim)
+
+    def resolve_tau(self, ndim: int) -> float:
+        return dual_step_bound(ndim) if self.tau is None else float(self.tau)
+
+    def tau_exceeds_bound(self, ndim: int) -> bool:
+        return self.resolve_tau(ndim) > dual_step_bound(ndim) + 1e-15
 
 
 @dataclass(frozen=True)
@@ -144,8 +143,6 @@ def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channe
     p = np.array(p, dtype=np.float64, order="C")
     grid = p.shape[1:]
     spans = _spans(grid)
-    maxima = np.empty(len(spans))
-    peaks = [0] * len(spans)  # where each slab's last exact increment peaked
     if channels is None:
         channels = range(len(p))
 
@@ -155,12 +152,13 @@ def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channe
         ps = p[:, a:b]
         slabs.append(((a, b), ps, step[:ps.size].reshape(ps.shape)))
 
-    def sweep(iters: int, witness) -> bool:
-        """One step, slab by slab, the witness's slab first; whether it stayed lazy."""
+    witness = None  # (slab, flat grid index in it) where the last exact increment peaked
+    for iters in range(1, max_iters + 1):
         y = potential(p)
-        lazy = witness is not None
+        lazy = witness is not None and iters < max_iters
         first = witness[0] if lazy else 0
         order = [first, *range(first), *range(first + 1, len(spans))]
+        peak = (-1.0, 0, 0)  # the step's largest exact squared increment, its slab and index
         norms = None
         for i in order:
             (a, b), ps, qs = slabs[i]
@@ -183,19 +181,17 @@ def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channe
                 np.divide(qs, n, out=ps)
                 continue
             np.divide(qs, n, out=qs)
-            maxima[i], peaks[i] = _increment(ps, qs, n, t, channels)
-            if not math.isfinite(maxima[i]):
+            top, j = _increment(ps, qs, n, t, channels)
+            if not math.isfinite(top):
                 raise DivergenceError(f"dual update diverged at iteration {iters}")
+            if top > peak[0]:
+                peak = (top, i, j)
             np.copyto(ps, qs)
-        return lazy
-
-    witness = None  # (slab, grid index in it) where the last exact increment peaked
-    for iters in range(1, max_iters + 1):
-        if sweep(iters, witness if iters < max_iters else None):
+        del norms, n, t  # before the next potential
+        if lazy:
             continue
-        i = int(maxima.argmax())
-        change = float(np.sqrt(maxima[i]))  # max_tuple_norm of the increment
-        witness = i, np.unravel_index(peaks[i], (spans[i][1] - spans[i][0],) + grid[1:])
+        change = math.sqrt(peak[0])  # max_tuple_norm of the increment
+        witness = peak[1:]
         if change <= tol:
             break
     return p, iters, change
@@ -209,12 +205,12 @@ def _increment(ps, qs, norm: np.ndarray, scratch: np.ndarray, channels):
     return norm.flat[j], j
 
 
-def _norm_at(ps, qs, norm: np.ndarray, at: tuple, channels) -> float:
-    """Tuple norm of ``ps - qs/norm`` at the slab point ``at``, added as a slab's norms are.
+def _norm_at(ps, qs, norm: np.ndarray, at: int, channels) -> float:
+    """Tuple norm of ``ps - qs/norm`` at flat slab index ``at``, added as a slab's norms are.
 
     In Python floats: a ufunc per single value takes several times as long, every lazy step.
     """
-    d = ps[(slice(None), *at)] - qs[(slice(None), *at)] / norm[at]
+    d = ps.reshape(len(ps), -1)[:, at] - qs.reshape(len(qs), -1)[:, at] / norm.flat[at]
     total = 0.0
     for c in channels:  # in order: np.sum adds 8 or more terms pairwise
         total += d[c] * d[c]
@@ -256,15 +252,16 @@ def kkt_residual(kernel, y, p: np.ndarray, channels=None) -> float:
     ]))
 
 
-def solve(potential, kernel, shape, tau: float, cfg: DualConfig, channels=None):
+def solve(potential, kernel, shape, cfg: DualConfig, channels=None):
     """Run :func:`iterate` from a zero dual of ``shape``; return ``(p, y, stats)``.
 
-    ``y = potential(p)`` of the final dual is computed once; ``stats`` holds
-    every :class:`DualResult` field but ``objective``.  A potential that the
-    caller holds no other reference to is freed, with its data, on return.
+    The step is ``cfg``'s for the grid ``shape[1:]``.  ``y = potential(p)``
+    of the final dual is computed once; ``stats`` holds every
+    :class:`DualResult` field but ``objective``.  A potential the caller holds
+    no other reference to is freed, with its data, on return.
     """
-    p, iters, change = iterate(potential, kernel, np.broadcast_to(0.0, shape), tau,  # copied
-                               cfg.max_iters, cfg.tol, channels)
+    p, iters, change = iterate(potential, kernel, np.broadcast_to(0.0, shape),  # copied
+                               cfg.resolve_tau(len(shape) - 1), cfg.max_iters, cfg.tol, channels)
     y = potential(p)
     return p, y, {"iters": iters, "final_change": change,
                   "kkt_residual": kkt_residual(kernel, y, p, channels)}

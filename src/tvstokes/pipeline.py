@@ -23,14 +23,12 @@ from .reconstruction import ReconstructionConfig, reconstruct
 from .rof import RofConfig, rof_denoise
 from .smoothing import SmoothingConfig, smooth_gradient_field
 from .spectral import PoissonPlan, grad_operator_norm, project_gradient_field
-from .volume_io import VolumeHeader, _read_volume, _volume_files, load_volume, write_atomic
+from .volume_io import (VolumeHeader, _check_targets, _default_header_path, _read_volume,
+                        _volume_files, load_volume, write_atomic)
 
-__all__ = ["StepStats", "RunReport", "run_denoise", "run_project"]
+__all__ = ["RunReport", "run_denoise", "run_project"]
 
 MODELS = ("tvstokes", "rof")
-
-
-StepStats = DualResult  # the convergence summary of one dual solve
 
 
 @dataclass
@@ -40,7 +38,7 @@ class RunReport:
     model: str
     dims: list[int]
     config: dict
-    steps: dict[str, StepStats]
+    steps: dict[str, DualResult]
     wall_time_seconds: float
     normalization: dict | None = None
     metrics: dict | None = None
@@ -52,7 +50,7 @@ class RunReport:
     def from_dict(cls, data: dict) -> "RunReport":
         """Read back :meth:`to_dict`'s fields by name; a field with a default may be absent."""
         values = {f.name: data[f.name] for f in fields(cls) if f.name in data}
-        values["steps"] = {name: StepStats(**stats) for name, stats in data["steps"].items()}
+        values["steps"] = {name: DualResult(**stats) for name, stats in data["steps"].items()}
         return cls(**values)
 
     def to_json(self) -> str:
@@ -112,11 +110,14 @@ def run_denoise(
     The defaults are :class:`.DualConfig`'s and ``ReconstructionConfig.eps``;
     ``tau=None`` resolves to the guaranteed step bound for the input's
     dimensionality.  When ``output_path``/``report_path`` are given the
-    denoised volume and JSON report are written there, all files or none.
+    denoised volume and JSON report are written there, all files or none;
+    clashing targets or missing directories are refused before the read.
     """
     if model not in MODELS:
         raise ParameterError(f"unknown model {model!r}; expected one of {MODELS}")
     t_start = time.perf_counter()
+    outputs = [] if output_path is None else [output_path, _default_header_path(output_path)]
+    _check_targets(outputs + ([] if report_path is None else [report_path]))
 
     header, u = _read_volume(data_path, header_path)
     norm_info = _normalize(u, header)
@@ -126,9 +127,7 @@ def run_denoise(
     shared = {"tau": tau, "max_iters": max_iters, "tol": tol}
     if model == "tvstokes":
         cfg1 = SmoothingConfig(lam=lam1, **shared)
-        cfg = ReconstructionConfig(lam=lam2, eps=eps, **shared)
-        cfg1.validate(d)
-        cfg.validate(d)  # reject bad step-2 parameters before step 1 runs
+        cfg = ReconstructionConfig(lam=lam2, eps=eps, **shared)  # checked before step 1 runs
         r1 = smooth_gradient_field(u, cfg1)
         steps = {"smoothing": _stats(r1)}
         g = r1.g

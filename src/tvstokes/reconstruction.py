@@ -51,10 +51,9 @@ class ReconstructionConfig(DualConfig):
 
     eps: float = 1e-8
 
-    def validate(self, ndim: int) -> float:
-        tau = super().validate(ndim)
+    def __post_init__(self) -> None:
+        super().__post_init__()
         _check_positive("eps", self.eps)
-        return tau
 
 
 @dataclass(frozen=True)
@@ -105,9 +104,8 @@ def dual_step(
 ) -> np.ndarray:
     """Apply one projected dual step ``unit_clip(p - tau*A(p))`` to a feasible vector dual."""
     u0, p, m = _checked(cfg.lam, u0, p, m)
-    tau = cfg.validate(len(p))
     require_feasible(p)
-    return iterate(_bind(u0, m, cfg.lam), grad, p, tau, 1, 0.0)[0]
+    return iterate(_bind(u0, m, cfg.lam), grad, p, cfg.resolve_tau(len(p)), 1, 0.0)[0]
 
 
 def solve_shifted(u0, m, cfg: DualConfig) -> ReconstructionResult:
@@ -115,9 +113,8 @@ def solve_shifted(u0, m, cfg: DualConfig) -> ReconstructionResult:
 
     ``u0`` must be a validated field; the objective is :mod:`.dual`'s, shifted by ``m``.
     """
-    tau = cfg.validate(u0.ndim)  # before _bind divides by lam
     # solve frees u0/lam before the recovery's quotient and the objective
-    p, u, stats = solve(_bind(u0, m, cfg.lam), grad, (u0.ndim,) + u0.shape, tau, cfg)
+    p, u, stats = solve(_bind(u0, m, cfg.lam), grad, (u0.ndim,) + u0.shape, cfg)
     u += u0 / cfg.lam  # then u0 - lam*(y + u0/lam), in place
     u *= cfg.lam
     np.subtract(u0, u, out=u)

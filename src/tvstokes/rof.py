@@ -15,14 +15,13 @@ from .dual import DualConfig
 from .fields import validate_field
 from .reconstruction import ReconstructionResult, solve_shifted
 
-__all__ = ["RofConfig", "RofResult", "rof_denoise"]
+__all__ = ["RofConfig", "rof_denoise"]
 
 
 RofConfig = DualConfig  # the iteration parameters of the TV baseline
-RofResult = ReconstructionResult
 
 
-def rof_denoise(u_noisy: np.ndarray, cfg: RofConfig) -> RofResult:
+def rof_denoise(u_noisy: np.ndarray, cfg: RofConfig) -> ReconstructionResult:
     """Classical isotropic TV denoising via the dual projection iteration."""
     u_noisy = validate_field(u_noisy, "u_noisy")
     # a read-only zero view: no grid is stored for the shift

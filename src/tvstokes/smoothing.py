@@ -121,11 +121,11 @@ def dual_step(p: np.ndarray, g0: np.ndarray, cfg: SmoothingConfig) -> np.ndarray
     symmetric part of ``p`` and returns a symmetric tensor.
     """
     g0, p = _checked(cfg.lam, g0, p, 1)
-    tau = cfg.validate(len(p))
     require_feasible(p.reshape((-1,) + p.shape[2:]))
     index, channels = _layout(len(p))
     potential = _bind(g0, cfg.lam, PoissonPlan(g0.shape[1:]))
-    return iterate(potential, hessian, _pack(p), tau, 1, 0.0, channels)[0][index]
+    return iterate(potential, hessian, _pack(p), cfg.resolve_tau(len(p)), 1, 0.0,
+                   channels)[0][index]
 
 
 def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> SmoothingResult:
@@ -136,10 +136,9 @@ def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> Smoothin
     """
     u_noisy = validate_field(u_noisy, "u_noisy")
     d = u_noisy.ndim
-    tau = cfg.validate(d)
     # duplicated packed entries give identical terms: the KKT value is smoothing_kkt_residual's
     q, y, stats = solve(_bind(grad(u_noisy), cfg.lam, PoissonPlan(u_noisy.shape)), hessian,
-                        (d * (d + 1) // 2,) + u_noisy.shape, tau, cfg, _layout(d)[1])
+                        (d * (d + 1) // 2,) + u_noisy.shape, cfg, _layout(d)[1])
     g = grad(y)  # then -lam*grad(y), in place
     del y  # before the objective's work grid
     g *= -cfg.lam

@@ -107,6 +107,18 @@ def _read_header(header_path) -> VolumeHeader:
     return VolumeHeader.from_dict(data)
 
 
+def _check_targets(paths) -> None:
+    """Raise :class:`.ParameterError` if two paths resolve to one, where the second file
+    would replace the first, and ``FileNotFoundError`` if a path's directory is missing."""
+    targets = [Path(path).resolve() for path in paths]
+    if len(set(targets)) < len(targets):
+        shared = next(t for t in targets if targets.count(t) > 1)
+        raise ParameterError(f"two of the files to write resolve to one path, {shared}")
+    for target in targets:
+        if not target.parent.is_dir():
+            raise FileNotFoundError(f"no such directory: {target.parent}")
+
+
 def write_atomic(*files) -> None:
     """Write each ``(path, bytes-like data)`` pair, all files or none.
 
@@ -115,14 +127,10 @@ def write_atomic(*files) -> None:
     failure while writing leaves every target untouched and removes the
     temporaries, so a payload never disagrees with its header or report.
     The renames are atomic one by one, not together.  This guards against a
-    failing process, not against power loss: there is no fsync.  Two targets
-    that resolve to one path, where the second would silently replace the
-    first, raise :class:`.ParameterError` before any file is opened.
+    failing process, not against power loss: there is no fsync.  The targets
+    pass :func:`_check_targets` before any file is opened.
     """
-    targets = [Path(path).resolve() for path, _ in files]
-    if len(set(targets)) < len(targets):
-        shared = next(t for t in targets if targets.count(t) > 1)
-        raise ParameterError(f"two of the files to write resolve to one path, {shared}")
+    _check_targets(path for path, _ in files)
     renames = []
     try:
         for path, data in files:

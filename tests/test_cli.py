@@ -12,7 +12,6 @@ from tvstokes import (
     ReconstructionConfig,
     RunReport,
     SmoothingConfig,
-    StepStats,
     VolumeHeader,
     add_gaussian_noise,
     grad,
@@ -24,7 +23,7 @@ from tvstokes import (
     smooth_gradient_field,
 )
 from tvstokes.cli import _SOLVER_KEYWORDS, _build_parser, main
-from tvstokes.dual import DualConfig
+from tvstokes.dual import DualConfig, DualResult
 from tvstokes.pipeline import MODELS
 
 from oracles import rand_scalar
@@ -183,7 +182,7 @@ def test_run_denoise_equals_the_public_two_step_path(tmp_path):
     r2 = reconstruct(noisy, r1.g, ReconstructionConfig(lam=0.35, max_iters=15, tol=0.0))
     assert out.tobytes() == r2.u.tobytes()
     for name, r in (("smoothing", r1), ("reconstruction", r2)):
-        assert report.steps[name] == StepStats(r.iters, r.final_change, r.kkt_residual, r.objective)
+        assert report.steps[name] == DualResult(r.iters, r.final_change, r.kkt_residual, r.objective)
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -556,6 +555,34 @@ def test_report_on_the_outputs_header_exits_2_and_writes_nothing(tmp_path):
         "--output", str(tmp_path / "out.raw"), "--report", str(tmp_path / "out.json"),
     ])
     assert code == 2
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+REFUSED_TARGETS = {  # --output, --report, exit code
+    "report-on-the-output": ("out.raw", "out.raw", 2),
+    "report-on-the-outputs-header": ("out.raw", "out.json", 2),
+    "output-in-a-missing-directory": ("nodir/out.raw", "r.json", 3),
+    "report-in-a-missing-directory": ("out.raw", "nodir/r.json", 3),
+}
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("case", REFUSED_TARGETS)
+def test_refused_targets_exit_before_the_input_is_read(tmp_path, monkeypatch, case, model):
+    """A clash or a missing directory is known from the paths alone, so no solve runs first."""
+    import tvstokes.pipeline
+
+    def read_volume(*args):
+        raise AssertionError("the input was read before the targets were checked")
+
+    monkeypatch.setattr(tvstokes.pipeline, "_read_volume", read_volume)
+    inp = make_noisy(tmp_path, dims=(6, 6))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    output, report, code = REFUSED_TARGETS[case]
+    assert main([
+        "denoise", "--model", model, "--input", str(inp),
+        "--output", str(tmp_path / output), "--report", str(tmp_path / report),
+    ]) == code
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 

@@ -77,12 +77,31 @@ def test_solver_rejects_out_of_range_config(solver, bad):
         solve(config_cls(**BAD[bad]))
 
 
+@pytest.mark.parametrize("config_cls", [SmoothingConfig, ReconstructionConfig, RofConfig],
+                         ids=["smoothing", "reconstruction", "rof"])
+@pytest.mark.parametrize("bad", BAD)
+def test_a_config_checks_itself_when_built(config_cls, bad):
+    """A bad value raises where the config is built, so it never reaches a solver."""
+    with pytest.raises(ParameterError):
+        config_cls(**BAD[bad])
+
+
+BAD_FIELDS = {**BAD, **{f"eps={v!r}": {"eps": v} for v in (
+    0.0, -1e-8, float("nan"), float("inf"), True, np.True_, "1", None)}}
+
+
+@pytest.mark.parametrize("bad", BAD_FIELDS)
+def test_replacing_a_field_with_a_bad_value_raises(bad):
+    with pytest.raises(ParameterError):
+        dataclasses.replace(ReconstructionConfig(), **BAD_FIELDS[bad])
+
+
 # every real-number parameter's check; tau=None is the automatic step, so tau has no None case
 NOT_A_NUMBER = {
-    "lam": lambda v: RofConfig(lam=v).validate(2),
-    "tau": lambda v: RofConfig(tau=v).validate(2),
-    "tol": lambda v: RofConfig(tol=v).validate(2),
-    "eps": lambda v: ReconstructionConfig(eps=v).validate(2),
+    "lam": lambda v: RofConfig(lam=v),
+    "tau": lambda v: RofConfig(tau=v),
+    "tol": lambda v: RofConfig(tol=v),
+    "eps": lambda v: ReconstructionConfig(eps=v),
     "peak": lambda v: psnr(U, U + 0.5, v),
     "sigma": lambda v: add_gaussian_noise(U, v, 0),
 }
@@ -535,7 +554,7 @@ def test_solve_is_iterate_from_zero_then_one_potential_and_its_kkt_value(dims, k
     zero, tau = np.zeros(shape), 1.0 / (2 * len(dims))
     tol = iterate(potential, kernel, zero, tau, 5, 0.0, channels)[2] if stop == "tol" else 0.0
     cfg = dual.DualConfig(max_iters=40 if stop == "tol" else 7, tol=tol)
-    p, y, stats = dual.solve(potential, kernel, shape, tau, cfg, channels)
+    p, y, stats = dual.solve(potential, kernel, shape, cfg, channels)
     want_p, iters, change = iterate(potential, kernel, zero, tau, cfg.max_iters, tol, channels)
     want_y = potential(want_p)
     assert iters == (5 if stop == "tol" else 7)
@@ -554,5 +573,5 @@ def test_solve_frees_the_potential_and_its_data_on_return():
         data.append(weakref.ref(grid))
         return lambda p: adjoint_grad(p) - grid
 
-    dual.solve(bind(), grad, (2,) + dims, 0.25, dual.DualConfig(max_iters=3))
+    dual.solve(bind(), grad, (2,) + dims, dual.DualConfig(max_iters=3))
     assert data[0]() is None

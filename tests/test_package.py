@@ -50,6 +50,9 @@ def test_module_level_helpers_stay_out_of_the_package(module, name):
     ("volume_io", "read_header"),
     ("volume_io", "default_header_path"),
     ("volume_io", "write_header"),
+    # aliases no caller used: the results are ReconstructionResult and DualResult
+    ("rof", "RofResult"),
+    ("pipeline", "StepStats"),
 ])
 def test_verification_helpers_left_the_library(module, name):
     mod = importlib.import_module(f"tvstokes.{module}")

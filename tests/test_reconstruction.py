@@ -227,7 +227,7 @@ def test_boolean_eps_rejected():
         with pytest.raises(ParameterError):
             reconstruct(np.zeros((4, 4)), np.zeros((2, 4, 4)), ReconstructionConfig(eps=eps))
         with pytest.raises(ParameterError):
-            ReconstructionConfig(eps=eps).validate(2)
+            ReconstructionConfig(eps=eps)
         with pytest.raises(ParameterError):
             matching_field(np.zeros((2, 4, 4)), eps)
 
