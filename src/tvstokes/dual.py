@@ -34,10 +34,11 @@ potential, then updates slab by slab over the first grid axis: the kernel
 writes the slab's residual into slab-sized scratch, where the scaled step and
 the clip run while the slab's channels stay in cache, and the clipped step goes
 straight back into ``p``.  Once ``y`` is computed the old dual is read only
-slab by slab, so a solve holds one dual; the step's two slab-sized norm grids
-are freed before the next potential.  The update is pointwise, so the result
-depends neither on the slab size nor on the slab order.  :func:`kkt_residual`
-evaluates the stationarity residual through the same kernel, a slab at a time.
+slab by slab, so a solve holds one dual, and all loop scratch, the slab's
+residual and two norm grids, lives one step: allocated after its potential,
+freed before the next.  The update is pointwise, so the result depends neither
+on the slab size nor on the slab order.  :func:`kkt_residual` evaluates the
+stationarity residual through the same kernel, a slab at a time.
 
 The increment norm only decides whether to stop, so a step computes it
 exactly only when it may stop: on the first step, on the last one allowed
@@ -132,8 +133,8 @@ def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channe
     The residual is ``A(p) = K(y)`` with ``y = potential(p)``:
     ``kernel(y, out, (a, b))`` writes rows ``[a, b)`` of the first grid axis
     of ``K(y)`` into ``out``, C-ordered, or allocates it when ``out`` is
-    ``None``.  A private copy of ``p`` and the slab's residual are allocated
-    once, two slab-sized norm grids once per step.  Each step equals
+    ``None``.  Only a private copy of ``p`` lives through a potential: the
+    slab's residual and two slab-sized norm grids live one step.  Each step equals
     ``unit_clip(p - tau*A(p))`` bit for bit.  The increment's
     ``max_tuple_norm`` is computed, bit for bit, on the first and the last
     allowed step and on a step whose witness norm is at most ``tol`` (see
@@ -146,30 +147,26 @@ def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channe
     if channels is None:
         channels = range(len(p))
 
-    step = np.empty(p[:, :spans[0][1]].size)  # a slab's residual, then its step
-    slabs = []  # (rows, the slab of p, the slab's residual and then its step)
-    for a, b in spans:
-        ps = p[:, a:b]
-        slabs.append(((a, b), ps, step[:ps.size].reshape(ps.shape)))
-
     witness = None  # (slab, flat grid index in it) where the last exact increment peaked
     for iters in range(1, max_iters + 1):
         y = potential(p)
+        step = np.empty(p[:, :spans[0][1]].size)  # a slab's residual, then its step
         lazy = witness is not None and iters < max_iters
         first = witness[0] if lazy else 0
         order = [first, *range(first), *range(first + 1, len(spans))]
         peak = (-1.0, 0, 0)  # the step's largest exact squared increment, its slab and index
         norms = None
         for i in order:
-            (a, b), ps, qs = slabs[i]
-            kernel(y, qs, (a, b))  # then qs <- unit_clip(ps - tau*qs)
-            # when one slab spans the grid, its residual is dual-sized: the norms
-            # are allocated after the kernel's work grid and the potential are freed
+            ps = p[:, slice(*spans[i])]
+            qs = step[:ps.size].reshape(ps.shape)
+            kernel(y, qs, spans[i])  # then qs <- unit_clip(ps - tau*qs)
+            # no scratch lives through a potential; the norms come after the kernel's
+            # work grid and y are freed, as one slab's residual is dual-sized
             if i == order[-1]:
                 del y
             if norms is None:
                 norms = np.empty((2, spans[0][1]) + grid[1:])
-            n, t = norms[0, :b - a], norms[1, :b - a]
+            n, t = norms[:, :ps.shape[1]]
             np.multiply(qs, tau, out=qs)
             np.subtract(ps, qs, out=qs)
             _sum_squares((qs[c] for c in channels), n, t)
@@ -187,7 +184,7 @@ def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channe
             if top > peak[0]:
                 peak = (top, i, j)
             np.copyto(ps, qs)
-        del norms, n, t  # before the next potential
+        del step, qs, norms, n, t  # before the next potential
         if lazy:
             continue
         change = math.sqrt(peak[0])  # max_tuple_norm of the increment

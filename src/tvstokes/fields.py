@@ -301,7 +301,7 @@ def adjoint_hessian(q: np.ndarray) -> np.ndarray:
     Works slab by slab in two slab-sized grids: each ``row_l`` term above,
     then its transpose added into the output.  ``D_0^T row_0`` reads ``row_0``
     one row before the slab, so that row is carried over from the slab
-    before, in a halo row that a grid of one slab does without.
+    before, in a halo row.
     """
     q = np.asarray(q, dtype=np.float64, order="C")
     dims = q.shape[1:]
@@ -310,12 +310,11 @@ def adjoint_hessian(q: np.ndarray) -> np.ndarray:
         raise DimensionError(f"not a packed symmetric tensor field: shape {q.shape}")
     out, channels = np.empty(dims), _layout(d)[1]
     spans = _spans(dims)
-    halo = len(spans) > 1
-    row = np.empty((halo + spans[0][1],) + dims[1:])  # the halo row, then a slab of row_l
+    row = np.empty((1 + spans[0][1],) + dims[1:])  # the halo row, then a slab of row_l
     scratch = np.empty((spans[0][1],) + dims[1:])
     for a, b in spans:
         last, qs, rows, term = b == dims[0], q[:, max(a - 1, 0):b], out[a:b], scratch[:b - a]
-        row_l, row_0 = row[halo:halo + b - a], row[halo - (a > 0):halo + b - a]  # row_0 from a - 1
+        row_l, row_0 = row[1:1 + b - a], row[1 - (a > 0):1 + b - a]  # row_0 from a - 1
         # the last axis, the slowest to stride along, is written rather than added where it can be
         for l in reversed(range(d)):
             for i, m in enumerate(range(d - 1, l - 1, -1)):
@@ -323,8 +322,7 @@ def adjoint_hessian(q: np.ndarray) -> np.ndarray:
                     row_l *= 2.0
                 _diff_t(qs[channels[l * d + m]], m, row_l, term if i else None, last)
             _diff_t(row_l if l else row_0, l, rows, term if l < d - 1 else None, last)
-        if halo:
-            row[:1] = row[b - a:b - a + 1]  # row_0's last row: the next slab's halo
+        row[:1] = row[b - a:b - a + 1]  # row_0's last row: the next slab's halo
     return out
 
 

@@ -22,9 +22,9 @@ from .metrics import staircase_metric
 from .reconstruction import ReconstructionConfig, reconstruct
 from .rof import RofConfig, rof_denoise
 from .smoothing import SmoothingConfig, smooth_gradient_field
-from .spectral import PoissonPlan, grad_operator_norm, project_gradient_field
-from .volume_io import (VolumeHeader, _check_targets, _default_header_path, _read_volume,
-                        _volume_files, load_volume, write_atomic)
+from .spectral import grad_operator_norm, project_gradient_field
+from .volume_io import (VolumeHeader, _check_targets, _default_header_path, _read_header,
+                        _read_payload, _read_volume, _volume_files, write_atomic)
 
 __all__ = ["RunReport", "run_denoise", "run_project"]
 
@@ -182,17 +182,15 @@ def run_project(data_path, header_path=None, output_path=None) -> list[Path]:
     """Project the input's gradient field and write one raw file per channel.
 
     Channel ``l`` of ``project_gradient_field(grad(u))`` goes to
-    ``<output stem>_c<l>.raw`` with a matching header, all files or none.
-    Returns the payload paths.
+    ``<output stem>_c<l>.raw`` with a matching header, all files or none, the
+    targets checked before the payload is read.  Returns the payload paths.
     """
-    u = validate_field(load_volume(data_path, header_path), "input volume")
-    plan = PoissonPlan(u.shape)
-    projected = project_gradient_field(grad(u), plan)
+    header = _read_header(_default_header_path(data_path) if header_path is None else header_path)
     out = Path(output_path if output_path is not None else data_path)
-    written, files = [], []
-    for channel, field in enumerate(projected):
-        path = out.with_name(f"{out.stem}_c{channel}.raw")
-        files += _volume_files(field, path)[1]
-        written.append(path)
-    write_atomic(*files)
+    written = [out.with_name(f"{out.stem}_c{c}.raw") for c in range(len(header.dims))]
+    _check_targets(written + [_default_header_path(path) for path in written])
+    u = validate_field(_read_payload(data_path, header), "input volume")
+    projected = project_gradient_field(grad(u))
+    write_atomic(*(file for path, field in zip(written, projected)
+                   for file in _volume_files(field, path)[1]))
     return written

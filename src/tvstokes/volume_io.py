@@ -162,8 +162,13 @@ def _read_volume(data_path, header_path=None) -> tuple[VolumeHeader, np.ndarray]
     Callers that need the header's ``dtype`` or ``value_range`` take it from
     here, so a header replaced on disk cannot pair the payload with another.
     """
-    data_path = Path(data_path)
     header = _read_header(_default_header_path(data_path) if header_path is None else header_path)
+    return header, _read_payload(data_path, header)
+
+
+def _read_payload(data_path, header: VolumeHeader) -> np.ndarray:
+    """The float64 values of the payload ``header`` describes, checked for size and finiteness."""
+    data_path = Path(data_path)
     dtype = _DTYPES[header.dtype]
     expected = header.payload_bytes()
     try:
@@ -180,7 +185,7 @@ def _read_volume(data_path, header_path=None) -> tuple[VolumeHeader, np.ndarray]
     values = values.reshape(header.dims).astype(np.float64, copy=False)
     if not np.isfinite(values).all():
         raise VolumeFormatError(f"payload {data_path} contains non-finite values")
-    return header, values
+    return values
 
 
 def save_volume(

@@ -586,6 +586,19 @@ def test_refused_targets_exit_before_the_input_is_read(tmp_path, monkeypatch, ca
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+def test_project_into_a_missing_directory_exits_3_before_the_payload_is_read(tmp_path, monkeypatch):
+    """The channel paths follow from the header's dims alone, so no projection runs first."""
+    import tvstokes.pipeline
+
+    reads = []
+    monkeypatch.setattr(tvstokes.pipeline, "_read_payload", lambda *args: reads.append(args))
+    inp = make_noisy(tmp_path, dims=(6, 6))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(["project", "--input", str(inp), "--output", str(tmp_path / "nodir/g.raw")]) == 3
+    assert reads == []
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 # ------------------------------------------------------------- header reads
 
 READERS = {
@@ -595,6 +608,8 @@ READERS = {
     "slice": lambda inp, tmp_path: main([
         "slice", "--input", str(inp), "--axis", "0", "--index", "1",
         "--out", str(tmp_path / "s.pgm")]),
+    "project": lambda inp, tmp_path: main([
+        "project", "--input", str(inp), "--output", str(tmp_path / "g.raw")]),
 }
 
 

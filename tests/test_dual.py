@@ -235,6 +235,33 @@ def test_iterate_holds_one_dual_and_slab_sized_scratch():
     assert peak <= 3 * y.nbytes + (3 + 2) * slab + (1 << 14)
 
 
+@pytest.mark.parametrize("kernel, stored, channels", [
+    (grad, 3, None),
+    (fields.hessian, 6, fields._layout(3)[1]),
+], ids=["vector", "packed"])
+def test_no_loop_scratch_is_alive_while_the_potential_runs(kernel, stored, channels):
+    """The slab's residual and the norm grids live for one step, after its potential."""
+    dims = (70, 33, 16)
+    assert fields._SLAB < math.prod(dims)  # several slabs
+    y = rand_scalar(dims, 9)
+    p0 = np.broadcast_to(0.0, (stored,) + dims)  # iterate's own copy is the one dual
+    readings = []
+
+    def potential(p):
+        readings.append(tracemalloc.get_traced_memory()[0])
+        return y
+
+    iterate(potential, kernel, p0, 1.0 / 6, 4, 0.0, channels)  # warm-up
+    readings.clear()
+    tracemalloc.start()
+    try:
+        iterate(potential, kernel, p0, 1.0 / 6, 4, 0.0, channels)
+    finally:
+        tracemalloc.stop()
+    assert len(readings) == 4
+    assert max(readings) <= stored * y.nbytes + (1 << 14)  # 16 KiB for Python objects
+
+
 U5 = rand_scalar((5, 6), 3)
 CALLS = {
     "smoothing.dual_step": (
