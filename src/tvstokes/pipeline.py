@@ -111,7 +111,7 @@ def run_denoise(
     ``tau=None`` resolves to the guaranteed step bound for the input's
     dimensionality.  When ``output_path``/``report_path`` are given the
     denoised volume and JSON report are written there, all files or none;
-    clashing targets or missing directories are refused before the read.
+    clashing targets or missing or unwritable directories are refused before the read.
     """
     if model not in MODELS:
         raise ParameterError(f"unknown model {model!r}; expected one of {MODELS}")

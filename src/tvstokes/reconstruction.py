@@ -14,12 +14,14 @@ with the residual
     A(p) = grad(m + adjoint_grad(p) - u0/lam)
 
 whose potential ``y = m + adjoint_grad(p) - u0/lam`` the loop differentiates
-one slab of rows at a time.  :func:`solve_shifted` ends in :func:`.dual.solve`,
-which computes ``y`` of the final dual once and takes the KKT value from it;
-it recovers the image in place as ``u = u0 - lam*(y + u0/lam)``, which
-reproduces a constant ``u0`` exactly where ``-lam*y`` may round.  The
-objective is :mod:`.dual`'s, shifted by ``m``.  With ``m = 0`` this is plain
-isotropic TV denoising, which :mod:`.rof` solves through :func:`solve_shifted`.
+one slab of rows at a time; the potential divides ``u0`` by ``lam`` slab by
+slab too, so the solve keeps no ``u0/lam`` grid.  :func:`solve_shifted` ends
+in :func:`.dual.solve`, which computes ``y`` of the final dual once and takes
+the KKT value from it; it recovers the image in place as
+``u = u0 - lam*(y + u0/lam)``, which reproduces a constant ``u0`` exactly
+where ``-lam*y`` may round.  The objective is :mod:`.dual`'s, shifted by
+``m``.  With ``m = 0`` this is plain isotropic TV denoising, which :mod:`.rof`
+solves through :func:`solve_shifted`.
 
 :func:`dual_step` and :func:`solve_shifted` are public at module level only,
 not in ``__all__``.
@@ -33,7 +35,7 @@ import numpy as np
 
 from .dual import DualConfig, DualResult, _objective, iterate, kkt_residual, require_feasible, solve
 from .errors import DimensionError, ParameterError, _check_positive
-from .fields import adjoint_grad, divergence, grad, pointwise_normalize, validate_field
+from .fields import _spans, adjoint_grad, divergence, grad, pointwise_normalize, validate_field
 
 __all__ = [
     "ReconstructionConfig", "ReconstructionResult", "matching_field", "reconstruct",
@@ -87,13 +89,22 @@ def _checked(lam, u0, v, s):
 
 
 def _bind(u0, m, lam):
-    """``potential(q) = adjoint_grad(q) + m - u0/lam``, whose :func:`.fields.grad` is ``A(q)``."""
-    u0_scaled = u0 / lam
+    """``potential(q) = adjoint_grad(q) + m - u0/lam``, whose :func:`.fields.grad` is ``A(q)``.
+
+    The potential holds only ``u0`` and ``m``: it adds ``m`` and subtracts
+    ``u0/lam`` slab by slab, the quotient in slab-sized scratch, with the bits
+    of the whole-grid quotient; the add runs in the same loop while the slab
+    is in cache.
+    """
+    spans = _spans(u0.shape)
 
     def potential(q):
         y = adjoint_grad(q)
-        y += m
-        y -= u0_scaled
+        quotient = np.empty((spans[0][1],) + y.shape[1:])
+        for a, b in spans:
+            ys = y[a:b]
+            ys += m[a:b]
+            ys -= np.divide(u0[a:b], lam, out=quotient[:b - a])
         return y
 
     return potential
@@ -113,7 +124,6 @@ def solve_shifted(u0, m, cfg: DualConfig) -> ReconstructionResult:
 
     ``u0`` must be a validated field; the objective is :mod:`.dual`'s, shifted by ``m``.
     """
-    # solve frees u0/lam before the recovery's quotient and the objective
     p, u, stats = solve(_bind(u0, m, cfg.lam), grad, (u0.ndim,) + u0.shape, cfg)
     u += u0 / cfg.lam  # then u0 - lam*(y + u0/lam), in place
     u *= cfg.lam

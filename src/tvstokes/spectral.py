@@ -87,15 +87,20 @@ class DiffFactors:
         return left @ (self.sigma[:, None] * self.cosine)
 
 
-def diff_factors(n: int) -> DiffFactors:
-    """Compute the spectral factors of the difference matrix of size ``n``."""
-    sigma = _singular_values(n)
+def _dct_matrix(n: int) -> np.ndarray:
+    """The n-by-n orthonormal DCT-II matrix, the right factor ``C``."""
     j = np.arange(n)
     cosine = np.sqrt(2.0 / n) * np.cos(np.pi * np.outer(j, 2 * j + 1) / (2.0 * n))
     cosine[0, :] = np.sqrt(1.0 / n)
+    return cosine
+
+
+def diff_factors(n: int) -> DiffFactors:
+    """Compute the spectral factors of the difference matrix of size ``n``."""
+    sigma = _singular_values(n)
     i = np.arange(1, n)
     sine = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(i, i) / n)
-    return DiffFactors(n=n, sigma=sigma, cosine=cosine, sine=sine)
+    return DiffFactors(n=n, sigma=sigma, cosine=_dct_matrix(n), sine=sine)
 
 
 def grad_operator_norm(dims) -> float:
@@ -135,7 +140,7 @@ class PoissonPlan:
         inverse = self.denominator
         inverse[(0,) * len(dims)] = np.inf
         self._inverse = np.divide(1.0, inverse, out=inverse)
-        self._cosine = ({n: diff_factors(n).cosine for n in set(dims)}
+        self._cosine = ({n: _dct_matrix(n) for n in set(dims)}
                         if max(dims) <= _DENSE_MAX else None)
 
     @property

@@ -109,7 +109,8 @@ def _read_header(header_path) -> VolumeHeader:
 
 def _check_targets(paths) -> None:
     """Raise :class:`.ParameterError` if two paths resolve to one, where the second file
-    would replace the first, and ``FileNotFoundError`` if a path's directory is missing."""
+    would replace the first, ``FileNotFoundError`` if a path's directory is missing and
+    ``PermissionError`` if it cannot be written."""
     targets = [Path(path).resolve() for path in paths]
     if len(set(targets)) < len(targets):
         shared = next(t for t in targets if targets.count(t) > 1)
@@ -117,6 +118,8 @@ def _check_targets(paths) -> None:
     for target in targets:
         if not target.parent.is_dir():
             raise FileNotFoundError(f"no such directory: {target.parent}")
+        if not os.access(target.parent, os.W_OK):
+            raise PermissionError(f"directory not writable: {target.parent}")
 
 
 def write_atomic(*files) -> None:

@@ -4,6 +4,7 @@ import argparse
 import inspect
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -596,6 +597,27 @@ def test_project_into_a_missing_directory_exits_3_before_the_payload_is_read(tmp
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert main(["project", "--input", str(inp), "--output", str(tmp_path / "nodir/g.raw")]) == 3
     assert reads == []
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["denoise", "project"])
+def test_unwritable_directory_exits_3_before_the_input_is_read(tmp_path, monkeypatch, command):
+    """Writability is known from the directory alone, so no solve or projection runs first."""
+    import tvstokes.pipeline
+    import tvstokes.volume_io
+
+    def unread(*args):
+        raise AssertionError("the input was read before the targets were checked")
+
+    def access(path, mode, **kwargs):  # as for a user without write permission
+        return not mode & os.W_OK
+
+    inp = make_noisy(tmp_path, dims=(6, 6))
+    monkeypatch.setattr(tvstokes.pipeline, "_read_volume", unread)
+    monkeypatch.setattr(tvstokes.pipeline, "_read_payload", unread)
+    monkeypatch.setattr(tvstokes.volume_io.os, "access", access)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main([command, "--input", str(inp), "--output", str(tmp_path / "out.raw")]) == 3
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 

@@ -218,21 +218,30 @@ def test_iterate_leaves_its_start_unmodified(channel_ndim, max_iters):
     assert p0.tobytes() == before.tobytes()
 
 
-def test_iterate_holds_one_dual_and_slab_sized_scratch():
-    """No second dual: the step is written back slab by slab from slab-sized scratch."""
-    dims = (70, 33, 16)
+@pytest.mark.parametrize("dims, kernel, stored, channels", [
+    ((70, 33, 16), grad, 3, None),
+    ((64, 64), grad, 2, None),
+    ((64, 64), fields.hessian, 3, fields._layout(2)[1]),
+], ids=["slabs-vector", "frame-vector", "frame-packed"])
+def test_iterate_holds_one_dual_and_slab_sized_scratch(dims, kernel, stored, channels):
+    """No second dual: the step is written back slab by slab from slab-sized scratch.
+
+    One slab spans a 64x64 frame, so its residual is dual-sized there; the clip
+    divides channel by channel, as a norm grid broadcast over the channels makes
+    numpy allocate an iterator buffer of two frame grids."""
     y = rand_scalar(dims, 9)
-    p0 = np.broadcast_to(0.0, (3,) + dims)  # iterate's own copy is the one dual
-    iterate(lambda p: y, grad, p0, 1.0 / 6, 4, 0.0)  # warm-up: one-time allocations
+    p0 = np.broadcast_to(0.0, (stored,) + dims)  # iterate's own copy is the one dual
+    tau = 1.0 / (2 * len(dims))
+    iterate(lambda p: y, kernel, p0, tau, 4, 0.0, channels)  # warm-up: one-time allocations
     tracemalloc.start()
     try:
-        iterate(lambda p: y, grad, p0, 1.0 / 6, 4, 0.0)
+        iterate(lambda p: y, kernel, p0, tau, 4, 0.0, channels)  # lazy and exact steps
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    slab = (fields._SLAB // (33 * 16)) * 33 * 16 * 8  # bytes of one slab-sized grid
-    # the slab's residual (3 channels) and the two norm grids; 16 KiB for Python objects
-    assert peak <= 3 * y.nbytes + (3 + 2) * slab + (1 << 14)
+    slab = fields._spans(dims)[0][1] * y.nbytes // dims[0]  # bytes of one slab-sized grid
+    # the slab's residual and the two norm grids; 16 KiB for Python objects
+    assert peak <= stored * y.nbytes + (stored + 2) * slab + (1 << 14)
 
 
 @pytest.mark.parametrize("kernel, stored, channels", [
