@@ -20,7 +20,8 @@ from .metrics import psnr
 from .noise import add_gaussian_noise
 from .pipeline import MODELS, _safe_staircase, run_denoise, run_project
 from .reconstruction import ReconstructionConfig
-from .volume_io import _read_volume, export_slice, load_volume, save_volume
+from .volume_io import (_check_targets, _default_header_path, _read_volume, export_slice,
+                        load_volume, save_volume)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -104,6 +105,7 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_add_noise(args) -> int:
+    _check_targets([args.output, _default_header_path(args.output)])  # before the read
     header, u = _read_volume(args.input, args.meta)
     noisy = add_gaussian_noise(u, args.sigma, args.seed)
     save_volume(noisy, args.output, dtype=header.dtype, value_range=header.value_range)
@@ -131,6 +133,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_slice(args) -> int:
+    _check_targets([args.out])  # before the read
     header, u = _read_volume(args.input, args.meta)
     export_slice(u, args.axis, args.index, args.out, value_range=header.value_range)
     return EXIT_OK

@@ -17,7 +17,7 @@ driver recovers its primal solution from ``y``.  Every function here takes
 one layout, channels stacked along axis 0.  ``_objective`` is every model's
 primal objective, ``TV(x) + 1/(2*lam)*||x - x0||^2 + <x[0], m>``: the
 smoothing has no shift, reconstruction's is ``m = divergence(g/|g|)``, as
-``-<grad(u), g/|g|> = <u, m>``, and ROF's is zero.
+``-<grad(u), g/|g|> = <u, m>``, and ROF has none.
 
 A dual may be stored packed: ``channels`` then lists, in the order the tuple
 norm adds their squares, the stored channel of every entry of the tuple, so
@@ -42,6 +42,14 @@ allocate an iterator buffer every call, two grids of a 64x64 frame, and runs
 slower there.  The update is pointwise, so the result depends neither
 on the slab size nor on the slab order.  :func:`kkt_residual` evaluates the
 stationarity residual through the same kernel, a slab at a time.
+
+The per-shape work runs once per solve, or once per shape: :func:`iterate`
+takes its slabs and their views of ``p`` once, before the first step, and
+the kernels and the potentials read their steps from the tables of
+:mod:`.fields` and :class:`.PoissonPlan`.  A step only allocates its scratch,
+views it and issues its ufuncs: its loop keeps no per-step list, generator
+or helper call beyond the tuple norm's squares and the witness, and its
+constant operands are 0-d arrays, which numpy does not convert on every call.
 
 The increment norm only decides whether to stop, so a step computes it
 exactly only when it may stop: on the first step, on the last one allowed
@@ -145,42 +153,49 @@ def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channe
     exact increment on any step.
     """
     p = np.array(p, dtype=np.float64, order="C")
-    grid = p.shape[1:]
+    grid, stored = p.shape[1:], range(len(p))
     spans = _spans(grid)
+    slabs = [(i, span, p[:, slice(*span)]) for i, span in enumerate(spans)]  # views of p
+    work = (spans[0][1],) + grid[1:]  # a slab's grid
+    size = len(p) * math.prod(work)  # a slab's residual
     if channels is None:
-        channels = range(len(p))
+        channels = stored
 
+    tau, one = np.array(tau), np.array(1.0)  # 0-d operands: see fields._MINUS_ONE
     witness = None  # (slab, flat grid index in it) where the last exact increment peaked
     for iters in range(1, max_iters + 1):
         y = potential(p)
-        step = np.empty(p[:, :spans[0][1]].size)  # a slab's residual, then its step
+        step = np.empty(size)  # a slab's residual, then its step
         lazy = witness is not None and iters < max_iters
-        first = witness[0] if lazy else 0
-        order = [first, *range(first), *range(first + 1, len(spans))]
+        order = slabs[witness[0]:] + slabs[:witness[0]] if lazy else slabs  # the witness's first
+        first, last = order[0][0], order[-1][0]
         peak = (-1.0, 0, 0)  # the step's largest exact squared increment, its slab and index
         norms = None
-        for i in order:
-            ps = p[:, slice(*spans[i])]
+        for i, span, ps in order:
             qs = step[:ps.size].reshape(ps.shape)
-            kernel(y, qs, spans[i])  # then qs <- unit_clip(ps - tau*qs)
+            kernel(y, qs, span)  # then qs <- unit_clip(ps - tau*qs)
             # no scratch lives through a potential; the norms come after the kernel's
             # work grid and y are freed, as one slab's residual is dual-sized
-            if i == order[-1]:
+            if i == last:
                 del y
             if norms is None:
-                norms = np.empty((2, spans[0][1]) + grid[1:])
-            n, t = norms[:, :ps.shape[1]]
+                norms = np.empty((2,) + work)
+            rows = span[1] - span[0]
+            n, t = norms[0, :rows], norms[1, :rows]
             np.multiply(qs, tau, out=qs)
             np.subtract(ps, qs, out=qs)
-            _sum_squares((qs[c] for c in channels), n, t)
+            _sum_squares(map(qs.__getitem__, channels), n, t)
             np.sqrt(n, out=n)
-            np.maximum(n, 1.0, out=n)
+            np.maximum(n, one, out=n)
             if lazy and i == first:  # before any slab is written
                 lazy = _norm_at(ps, qs, n, witness[1], channels) > tol  # NaN fails too
+            # the clip, channel by channel; the loop variable holds no view of the scratch
             if lazy and math.isfinite(n.max()):  # finite iff the slab's step is
-                _clip(qs, n, ps)
+                for c in stored:
+                    np.divide(qs[c], n, out=ps[c])
                 continue
-            _clip(qs, n, qs)
+            for c in stored:
+                np.divide(qs[c], n, out=qs[c])
             top, j = _increment(ps, qs, n, t, channels)
             if not math.isfinite(top):
                 raise DivergenceError(f"dual update diverged at iteration {iters}")
@@ -197,19 +212,10 @@ def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channe
     return p, iters, change
 
 
-def _clip(qs, norm: np.ndarray, out) -> None:
-    """``out = qs / norm``, channel by channel (see the module docstring).
-
-    A function, not a loop in :func:`iterate`, whose loop variable would keep a
-    view of the step's scratch alive through the next potential."""
-    for c in range(len(qs)):
-        np.divide(qs[c], norm, out=out[c])
-
-
 def _increment(ps, qs, norm: np.ndarray, scratch: np.ndarray, channels):
     """Overwrite ``ps`` with ``ps - qs``; return its max squared tuple norm and where it is."""
     np.subtract(ps, qs, out=ps)  # minus the increment: p is not read again
-    _sum_squares((ps[c] for c in channels), norm, scratch)
+    _sum_squares(map(ps.__getitem__, channels), norm, scratch)
     j = int(norm.argmax())  # the first NaN, if any
     return norm.flat[j], j
 
@@ -219,10 +225,10 @@ def _norm_at(ps, qs, norm: np.ndarray, at: int, channels) -> float:
 
     In Python floats: a ufunc per single value takes several times as long, every lazy step.
     """
-    d = ps.reshape(len(ps), -1)[:, at] - qs.reshape(len(qs), -1)[:, at] / norm.flat[at]
-    total = 0.0
+    scale, size, total = norm.item(at), norm.size, 0.0
     for c in channels:  # in order: np.sum adds 8 or more terms pairwise
-        total += d[c] * d[c]
+        d = ps.item(c * size + at) - qs.item(c * size + at) / scale
+        total += d * d
     return math.sqrt(total)
 
 

@@ -18,24 +18,37 @@ stencil is ``[-1, +1]`` with a zero last row, which encodes homogeneous
 Neumann boundaries; consequently a differentiated field always vanishes on
 the final slice of its own axis.
 
-Two private one-axis kernels, the difference ``_diff`` and its transpose
-``_diff_t``, carry every operator: ``grad`` and ``adjoint_grad``, and the
-packed Hessian pair :func:`hessian` / :func:`adjoint_hessian` that the
-gradient-field smoothing iterates on (public at module level only, not in
-``__all__``).  The vector and tensor operators ``grad_vec`` and
-``adjoint_grad_tensor`` are the scalar ``grad`` and ``adjoint_grad`` applied
-channel by channel.  The kernels work on one C-ordered channel grid at a
-time, since a ufunc over a whole stacked field makes numpy allocate iterator
-buffers of several grids.  Along every axis they run one ufunc over the
-flattened grids, offset by the axis stride (the product of the later axis
-lengths), so the inner loop spans the whole grid rather than one row of the
-last axis; the entries that wrap across a slice boundary are then
-overwritten by the boundary slices.  The operators therefore copy an input of
-another layout into C order, and the forward operators write into a caller's
-``out`` array only when it is C-ordered with the result's shape.  The first
-transposed slice is ``v[0] * -1.0``, not ``np.negative``: numpy 2.4.6's
-``negative`` miscomputes operands strided by 64 bytes (a last axis of 8),
-while the product is exact, signed zeros included.
+Two private one-axis kernels, the difference and its transpose, carry every
+operator: ``grad`` and ``adjoint_grad``, and the packed Hessian pair
+:func:`hessian` / :func:`adjoint_hessian` that the gradient-field smoothing
+iterates on (public at module level only, not in ``__all__``).  The vector
+and tensor operators ``grad_vec`` and ``adjoint_grad_tensor`` are the scalar
+``grad`` and ``adjoint_grad`` applied channel by channel.  The kernels work
+on one C-ordered channel grid at a time, since a ufunc over a whole stacked
+field makes numpy allocate iterator buffers of several grids.  Along every
+axis they run one ufunc over the flattened grids, offset by the axis stride
+(the product of the later axis lengths), so the inner loop spans the whole
+grid rather than one row of the last axis; the entries that wrap across a
+slice boundary are then overwritten by the boundary slices.  The operators
+therefore copy an input of another layout into C order, and the forward
+operators write into a caller's ``out`` array only when it is C-ordered with
+the result's shape.  The first transposed slice is ``v[0] * -1.0``, not
+``np.negative``: numpy 2.4.6's ``negative`` miscomputes operands strided by
+64 bytes (a last axis of 8), while the product is exact, signed zeros
+included.
+
+The per-shape work runs once per shape.  Each operator reads its steps from
+a table built on its first call for a grid shape and a row range (or slab
+size) and cached, as ``_layout`` is: the flat slices of every difference,
+offset by the stride, the boundary slices, the halo decisions and the scratch
+shapes (``_grad_steps``, ``_hessian_steps``, ``_adjoint_grad_steps``,
+``_adjoint_hessian_steps`` and ``_diff_steps``).  A table holds ints, slices
+and tuples of them, never an array, so a call only views its own arrays and
+issues its ufuncs: :func:`_run` runs forward steps and :func:`_diff_t` one
+transposed step.  A boundary slice on the first or the last axis is a slice
+of the flat grid; only a middle axis indexes the shaped grid.  The first
+call on a shape in a process builds its table: 1-5 KB for a 64x64 frame, up
+to 90 KB (``adjoint_hessian``'s) for the eight slabs of a 64^3 grid.
 
 One slab rule serves the whole package: :func:`_spans` cuts a grid into
 slabs of rows ``[a, b)`` of its first axis, about ``_SLAB`` entries each.
@@ -90,10 +103,22 @@ __all__ = [
 _SLAB = 1 << 15
 
 
-def _spans(grid) -> list:
-    """The slabs of ``grid``: rows ``[a, b)`` of its first axis, about ``_SLAB`` entries each."""
-    rows = max(1, _SLAB // math.prod(grid[1:]))
+def _spans(grid, slab=None) -> list:
+    """The slabs of ``grid``: rows ``[a, b)`` of its first axis, about ``slab`` entries each.
+
+    ``slab`` defaults to ``_SLAB`` as it is when called.
+    """
+    rows = max(1, (_SLAB if slab is None else slab) // math.prod(grid[1:]))
     return [(a, min(a + rows, grid[0])) for a in range(0, grid[0], rows)]
+
+
+# Entries each table cache keeps, one per grid shape and row range or slab
+# size: a grid's slabs take one each in the forward tables, a run a few dozen.
+_STEPS = 1024
+
+# The kernels' constant operands as 0-d arrays: a Python float operand costs a
+# ufunc call about 0.15 us to convert, a tenth of a call on a 64-entry slice
+_MINUS_ONE, _TWO = np.array(-1.0), np.array(2.0)
 
 
 def validate_field(u, name: str = "field") -> np.ndarray:
@@ -115,6 +140,56 @@ def validate_field(u, name: str = "field") -> np.ndarray:
     return u
 
 
+def _side(tail, axis: int, rows: int, at: int, lead: tuple, k: int):
+    """Index of the slice at ``k`` along grid ``axis`` of ``rows`` rows of ``tail``.
+
+    On the first axis ``k`` counts rows, ``-1`` being the row before them;
+    on a later axis it is the index along that axis.  On the first and the
+    last axis the index is a slice of the flat grid, whose first row starts
+    at entry ``at``; on a middle axis it indexes the grid after ``lead``, the
+    channel and the rows.
+    """
+    row = math.prod(tail)
+    if axis == 0:
+        return slice(at + k * row, at + (k + 1) * row)
+    if axis == len(tail):
+        return slice(at + k, at + rows * row, tail[-1])
+    return lead + (slice(None),) * (axis - 1) + (slice(k, k + 1),)
+
+
+def _step(tail, axis: int, rows: int, halo: bool, src: int, dst: int, lead=()) -> tuple:
+    """``(hi, lo, to, zero, flat)``: ``rows`` rows of the axis-``axis`` difference of a grid.
+
+    The grid's rows hold ``tail`` and start at flat entry ``src`` of the
+    source; they are written from flat entry ``dst`` of the output, whose
+    ``lead`` index picks the channel.  ``hi``, ``lo`` and ``to`` slice the
+    flat grids; ``zero`` indexes the output's last slice along ``axis``
+    (see :func:`_side`; ``flat`` says whether it slices the flat output), or
+    is ``None`` when the source's next row is a halo that the last row reads
+    (see :func:`_diff`).
+    """
+    stride = math.prod(tail[axis:])
+    end = rows * math.prod(tail) - (0 if halo else stride)
+    last = rows - 1 if axis == 0 else tail[axis - 1] - 1
+    zero = None if halo else _side(tail, axis, rows, dst, lead + (slice(0, rows),), last)
+    return (slice(src + stride, src + stride + end), slice(src, src + end), slice(dst, dst + end),
+            zero, axis in (0, len(tail)))
+
+
+def _run(src, dst, out, steps) -> None:
+    """Run forward ``steps`` from the flat grid ``src`` into ``out``, whose flat view is ``dst``."""
+    for hi, lo, to, zero, flat in steps:
+        np.subtract(src[hi], src[lo], out=dst[to])
+        if zero is not None:
+            (dst if flat else out)[zero] = 0.0  # also overwrites the differences that wrapped
+
+
+@lru_cache(_STEPS)
+def _diff_steps(shape, rows: int, axis: int) -> tuple:
+    """The one step of :func:`_diff` from a grid of ``shape`` into ``rows`` rows."""
+    return (_step(shape[1:], axis, rows, axis == 0 and shape[0] > rows, 0, 0),)
+
+
 def _diff(u, axis: int, out) -> np.ndarray:
     """Write the axis-``axis`` forward difference of the C-ordered grid ``u`` into ``out``.
 
@@ -123,47 +198,55 @@ def _diff(u, axis: int, out) -> np.ndarray:
     after them is a halo that the last row reads, so only a ``u`` that ends
     with ``out`` gives that row the zero of the grid's last row.
     """
-    halo = axis == 0 and len(u) > len(out)
-    if len(u) != len(out) + halo:
-        u = u[:len(out) + halo]
-    stride = math.prod(u.shape[axis + 1:])
-    src, dst = u.reshape(-1), out.reshape(-1)  # views of C-ordered grids
-    end = dst.size if halo else dst.size - stride
-    np.subtract(src[stride:stride + end], src[:end], out=dst[:end])
-    if not halo:
-        out.swapaxes(0, axis)[-1] = 0.0  # also overwrites the differences that wrapped
+    _run(u.ravel(), out.ravel(), out, _diff_steps(u.shape, len(out), axis))
     return out
 
 
-def _diff_t(v, axis: int, out, scratch=None, last: bool = True) -> np.ndarray:
-    """Transpose of :func:`_diff` applied to the C-ordered grid ``v``, or to rows of it.
+def _step_t(tail, axis: int, a: int, b: int, n: int, src, dst) -> tuple:
+    """``(lo, hi, to, first, end, flat)``: rows ``[a, b)`` of the transposed difference.
 
-    Writes into ``out``, or adds to it when given a ``scratch`` grid of its
-    shape, which holds the term before it is added.  ``out`` may hold rows
-    ``[a, b)`` of the first axis alone: ``v`` then holds those rows, after
-    row ``a - 1`` unless ``a == 0`` (the first-axis stencil reads it), and
-    ``last`` says whether ``b`` ends the grid.
+    The grid has ``n`` rows of ``tail``.  ``src`` and ``dst`` are ``(entry,
+    lead, row)`` of the source and the output: the flat entry and the row
+    where grid row ``a`` sits, and the index of the channel; a source read
+    from row ``a - 1`` holds it in the row before.  ``lo``, ``hi`` and ``to``
+    slice the flat grids; ``first`` is ``None`` or the index pair, source
+    then output, of the slice that the stencil negates, and ``end``, output
+    then source, of the slice that it copies (see :func:`_side` and ``flat``
+    there).
     """
-    if scratch is not None:
-        out += _diff_t(v, axis, scratch, None, last)  # a + (-b) rounds as a - b
-        return out
-    halo = len(v) - len(out)
+    (vo, vc, vr), (wo, wc, wr) = src, dst
+    rows = b - a
+    size, stride = rows * math.prod(tail), math.prod(tail[axis:])
+    v, w = vc + (slice(vr, vr + rows),), wc + (slice(wr, wr + rows),)
+
+    def sides(at, lead, *ks):
+        return tuple(_side(tail, axis, rows, at, lead, k) for k in ks)
+
     if axis == 0:
-        np.subtract(v[:-1], v[1:], out=out[1 - halo:])
-        if not halo:  # out starts the grid
-            np.multiply(v[:1], -1.0, out=out[:1])  # views in 1-d too
-        if last:
-            out[-1:] = v[-2:-1]
-        return out
-    if halo:
-        v = v[1:]
-    stride = math.prod(v.shape[axis + 1:])
-    src = v.reshape(-1)
-    np.subtract(src[:-stride], src[stride:], out=out.reshape(-1)[stride:])
-    dst, v = out.swapaxes(0, axis), v.swapaxes(0, axis)
-    np.multiply(v[:1], -1.0, out=dst[:1])  # np.negative: see the module docstring
-    dst[-1:] = v[-2:-1]
-    return out
+        skip = stride if a == 0 else 0  # grid row 0 is negated, not differenced
+        first = (*sides(vo, v, 0), *sides(wo, w, 0)) if a == 0 else None
+        end = (*sides(wo, w, rows - 1), *sides(vo, v, rows - 2)) if b == n else None
+        return (slice(vo + skip - stride, vo + size - stride), slice(vo + skip, vo + size),
+                slice(wo + skip, wo + size), first, end, True)
+    k = tail[axis - 1]
+    return (slice(vo, vo + size - stride), slice(vo + stride, vo + size),
+            slice(wo + stride, wo + size), (*sides(vo, v, 0), *sides(wo, w, 0)),
+            (*sides(wo, w, k - 1), *sides(vo, v, k - 2)), axis == len(tail))
+
+
+def _diff_t(src, dst, v, out, step) -> None:
+    """Run one transposed-difference ``step`` from the grid ``v`` into ``out``, given their
+    flat views ``src`` and ``dst``: the stencil's differences, its negated first slice and its
+    copied last slice, in that order."""
+    lo, hi, to, first, end, flat = step
+    np.subtract(src[lo], src[hi], out=dst[to])
+    if flat:
+        v, out = src, dst
+    if first is not None:
+        # not np.negative: see the module docstring
+        np.multiply(v[first[0]], _MINUS_ONE, out=out[first[1]])
+    if end is not None:
+        out[end[0]] = v[end[1]]
 
 
 def _output(out, shape) -> np.ndarray:
@@ -192,12 +275,21 @@ def grad(u: np.ndarray, out: np.ndarray | None = None, rows=None) -> np.ndarray:
     they read ``u`` up to row ``b``.
     """
     u = np.asarray(u, dtype=np.float64, order="C")
-    a, b = _span(rows, len(u))
-    out = _output(out, (u.ndim, b - a) + u.shape[1:])
-    block = u[a:b + 1]  # one halo row for the first-axis difference
-    for axis, dst in enumerate(out):
-        _diff(block, axis, dst)
+    shape, steps = _grad_steps(u.shape, rows if rows is None else tuple(rows))
+    out = _output(out, shape)
+    _run(u.ravel(), out.ravel(), out, steps)
     return out
+
+
+@lru_cache(_STEPS)
+def _grad_steps(shape, rows) -> tuple:
+    """``(out shape, steps)`` of :func:`grad` at ``rows`` of a grid of ``shape``."""
+    (a, b), tail = _span(rows, shape[0]), shape[1:]
+    row = math.prod(tail)
+    # the first axis reads row b as a halo unless b ends the grid
+    return (len(shape), b - a) + tail, tuple(
+        _step(tail, axis, b - a, axis == 0 and b < shape[0], a * row, axis * (b - a) * row, (axis,))
+        for axis in range(len(shape)))
 
 
 def grad_vec(g: np.ndarray) -> np.ndarray:
@@ -224,14 +316,33 @@ def adjoint_grad(p: np.ndarray) -> np.ndarray:
     """
     p = np.asarray(p, dtype=np.float64, order="C")
     dims = p.shape[1:]
-    out = np.empty(dims)
-    spans = _spans(dims)
-    scratch = np.empty((spans[0][1],) + dims[1:])
-    for a, b in spans:
-        # the slab's terms from row a - 1, which the first axis reads
-        for axis, v in enumerate(p[:, max(a - 1, 0):b]):
-            _diff_t(v, axis, out[a:b], scratch[:b - a] if axis else None, b == dims[0])
+    work, slabs = _adjoint_grad_steps(p.shape, _SLAB)
+    out, scratch = np.empty(dims), np.empty(work)
+    src, dst, part = p.ravel(), out.ravel(), scratch.ravel()
+    for first, later, rows, term in slabs:
+        _diff_t(src, dst, p, out, first)
+        for step in later:
+            _diff_t(src, part, p, scratch, step)
+            np.add(dst[rows], part[term], out=dst[rows])
     return out
+
+
+@lru_cache(_STEPS)
+def _adjoint_grad_steps(shape, slab: int) -> tuple:
+    """``(scratch shape, slabs)`` of :func:`adjoint_grad` of a field of ``shape``.
+
+    Each slab holds the first axis's step into the output, the later axes'
+    steps into scratch, and the flat rows of the output and the scratch that
+    each later term is added from.
+    """
+    dims, tail = shape[1:], shape[2:]
+    spans, row, grid = _spans(dims, slab), math.prod(tail), math.prod(dims)
+    slabs = []
+    for a, b in spans:
+        steps = [_step_t(tail, k, a, b, dims[0], (k * grid + a * row, (k,), a),
+                         (a * row, (), a) if k == 0 else (0, (), 0)) for k in range(shape[0])]
+        slabs.append((steps[0], tuple(steps[1:]), slice(a * row, b * row), slice(0, (b - a) * row)))
+    return (spans[0][1],) + tail, tuple(slabs)
 
 
 def adjoint_grad_tensor(p: np.ndarray) -> np.ndarray:
@@ -243,19 +354,18 @@ def adjoint_grad_tensor(p: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache  # hessian reads it on every call, and building it costs half a 64x64 hessian
+@lru_cache  # the kernels' tables and the dual loop's callers read it
 def _layout(d: int):
-    """``(index, channels)`` of the packed symmetric tensor field, read-only.
+    """``(index, channels)`` of the packed symmetric tensor field, in Python ints.
 
-    ``index[l, m]`` is the packed channel of tensor channel ``(l, m)``, so
-    ``q[index]`` unpacks ``q``; ``channels`` lists it in C order, the order of
-    the tuple norm's squares, in Python ints, which index faster than numpy's.
+    ``index[l][m]`` is the packed channel of tensor channel ``(l, m)``, so
+    ``q[np.array(index)]`` unpacks ``q``; ``channels`` lists it in C order,
+    the order of the tuple norm's squares.
     """
-    index = np.empty((d, d), dtype=np.intp)
-    upper = np.triu_indices(d)
-    index[upper] = index.T[upper] = np.arange(len(upper[0]))
-    index.flags.writeable = False
-    return index, tuple(index.ravel().tolist())
+    index = [[0] * d for _ in range(d)]
+    for k, (l, m) in enumerate((l, m) for l in range(d) for m in range(l, d)):
+        index[l][m] = index[m][l] = k
+    return tuple(map(tuple, index)), tuple(c for r in index for c in r)
 
 
 def _pack(p: np.ndarray) -> np.ndarray:
@@ -278,16 +388,34 @@ def hessian(u: np.ndarray, out: np.ndarray | None = None, rows=None) -> np.ndarr
     for bit those of the whole result; they read ``u`` up to row ``b + 1``.
     """
     u = np.asarray(u, dtype=np.float64, order="C")
-    d = u.ndim
-    a, b = _span(rows, len(u))
-    out = _output(out, (d * (d + 1) // 2, b - a) + u.shape[1:])
-    block = u[a:b + 2]  # two halo rows: the first-axis difference is differenced again
-    channels, du = _layout(d)[1], np.empty((min(b + 1, len(u)) - a,) + u.shape[1:])
-    for l in range(d):
-        dl = _diff(block, l, du if l == 0 else du[:b - a])
-        for m in range(l, d):
-            _diff(dl, m, out[channels[l * d + m]])
+    shape, work, steps = _hessian_steps(u.shape, rows if rows is None else tuple(rows))
+    out, du = _output(out, shape), np.empty(work)
+    src, dst, mid = u.ravel(), out.ravel(), du.ravel()
+    for first, seconds in steps:
+        _run(src, mid, du, first)
+        _run(mid, dst, out, seconds)
     return out
+
+
+@lru_cache(_STEPS)
+def _hessian_steps(shape, rows) -> tuple:
+    """``(out shape, work shape, steps)`` of :func:`hessian` at ``rows`` of a grid of ``shape``.
+
+    For each axis ``l`` the steps hold the axis-``l`` difference into the
+    work grid, then its axis-``m`` differences, ``m >= l``, into the output.
+    The work grid holds one more row for the first axis, a halo of the
+    first-axis difference, up to the grid's last row.
+    """
+    (a, b), tail, d = _span(rows, shape[0]), shape[1:], len(shape)
+    work, size, channels = min(b + 1, shape[0]) - a, (b - a) * math.prod(tail), _layout(d)[1]
+    steps = []
+    for l in range(d):
+        r = work if l == 0 else b - a
+        first = _step(tail, l, r, l == 0 and b + 1 < shape[0], a * math.prod(tail), 0)
+        seconds = tuple(_step(tail, m, b - a, r > b - a and m == 0, 0, c * size, (c,))
+                        for m in range(l, d) for c in (channels[l * d + m],))
+        steps.append(((first,), seconds))
+    return (d * (d + 1) // 2, b - a) + tail, (work,) + tail, tuple(steps)
 
 
 def adjoint_hessian(q: np.ndarray) -> np.ndarray:
@@ -308,22 +436,57 @@ def adjoint_hessian(q: np.ndarray) -> np.ndarray:
     d = len(dims)
     if d < 1 or len(q) != d * (d + 1) // 2:
         raise DimensionError(f"not a packed symmetric tensor field: shape {q.shape}")
-    out, channels = np.empty(dims), _layout(d)[1]
-    spans = _spans(dims)
-    row = np.empty((1 + spans[0][1],) + dims[1:])  # the halo row, then a slab of row_l
-    scratch = np.empty((spans[0][1],) + dims[1:])
+    work, slabs = _adjoint_hessian_steps(q.shape, _SLAB)
+    out, row, scratch = np.empty(dims), np.empty((1 + work[0],) + work[1:]), np.empty(work)
+    qf, rf, of, part = q.ravel(), row.ravel(), out.ravel(), scratch.ravel()
+    for terms, carry in slabs:
+        for inner, double, step, add in terms:
+            v, src, w, dst = (q, qf, row, rf) if inner else (row, rf, out, of)
+            if double is not None:
+                np.multiply(dst[double], _TWO, out=dst[double])
+            if add is None:
+                _diff_t(src, dst, v, w, step)
+            else:
+                _diff_t(src, part, v, scratch, step)
+                np.add(dst[add[0]], part[add[1]], out=dst[add[0]])
+        if carry is not None:  # row_0's last row: the next slab's halo
+            rf[carry[0]] = rf[carry[1]]
+    return out
+
+
+@lru_cache(_STEPS)
+def _adjoint_hessian_steps(shape, slab: int) -> tuple:
+    """``(work shape, slabs)`` of :func:`adjoint_hessian` of a packed field of ``shape``.
+
+    Each slab lists its terms in order, ``(inner, double, step, add)``: an
+    inner term takes a channel of ``q`` into ``row_l``, in the row buffer
+    after its halo row, an outer one ``row_l`` (``row_0`` from its halo row)
+    into the output; ``double`` slices ``row_l`` where it is doubled first.
+    ``add`` holds the flat rows that a term computed in scratch is added to,
+    then the scratch's.  ``carry`` copies ``row_0``'s last row into the halo
+    row, for the next slab.
+    """
+    dims, tail = shape[1:], shape[2:]
+    d, spans, row, grid = len(dims), _spans(dims, slab), math.prod(tail), math.prod(dims)
+    channels, slabs = _layout(d)[1], []
     for a, b in spans:
-        last, qs, rows, term = b == dims[0], q[:, max(a - 1, 0):b], out[a:b], scratch[:b - a]
-        row_l, row_0 = row[1:1 + b - a], row[1 - (a > 0):1 + b - a]  # row_0 from a - 1
+        size, scratch = (b - a) * row, (0, (), 0)
+        rows, out, term = slice(row, row + size), (a * row, (), a), slice(0, size)
+        terms = []
         # the last axis, the slowest to stride along, is written rather than added where it can be
         for l in reversed(range(d)):
             for i, m in enumerate(range(d - 1, l - 1, -1)):
-                if m == l and i:
-                    row_l *= 2.0
-                _diff_t(qs[channels[l * d + m]], m, row_l, term if i else None, last)
-            _diff_t(row_l if l else row_0, l, rows, term if l < d - 1 else None, last)
-        row[:1] = row[b - a:b - a + 1]  # row_0's last row: the next slab's halo
-    return out
+                c = channels[l * d + m]
+                step = _step_t(tail, m, a, b, dims[0], (c * grid + a * row, (c,), a),
+                               scratch if i else (row, (), 1))
+                terms.append((True, rows if m == l and i else None, step,
+                              (rows, term) if i else None))
+            step = _step_t(tail, l, a, b, dims[0], (row, (), 1), scratch if l < d - 1 else out)
+            terms.append((False, None, step,
+                          (slice(a * row, b * row), term) if l < d - 1 else None))
+        carry = None if b == dims[0] else (slice(0, row), slice(size, size + row))
+        slabs.append((tuple(terms), carry))
+    return (spans[0][1],) + tail, tuple(slabs)
 
 
 def divergence(v: np.ndarray) -> np.ndarray:

@@ -20,8 +20,9 @@ in :func:`.dual.solve`, which computes ``y`` of the final dual once and takes
 the KKT value from it; it recovers the image in place as
 ``u = u0 - lam*(y + u0/lam)``, which reproduces a constant ``u0`` exactly
 where ``-lam*y`` may round.  The objective is :mod:`.dual`'s, shifted by
-``m``.  With ``m = 0`` this is plain isotropic TV denoising, which :mod:`.rof`
-solves through :func:`solve_shifted`.
+``m``.  Without a shift, ``m = None``, this is plain isotropic TV denoising,
+which :mod:`.rof` solves through :func:`solve_shifted`: the potential then
+adds no grid and the objective no ``<x, m>`` term.
 
 :func:`dual_step` and :func:`solve_shifted` are public at module level only,
 not in ``__all__``.
@@ -91,20 +92,23 @@ def _checked(lam, u0, v, s):
 def _bind(u0, m, lam):
     """``potential(q) = adjoint_grad(q) + m - u0/lam``, whose :func:`.fields.grad` is ``A(q)``.
 
-    The potential holds only ``u0`` and ``m``: it adds ``m`` and subtracts
-    ``u0/lam`` slab by slab, the quotient in slab-sized scratch, with the bits
-    of the whole-grid quotient; the add runs in the same loop while the slab
-    is in cache.
+    The potential holds only ``u0`` and ``m``: it adds ``m``, unless it is
+    ``None`` (no shift), and subtracts ``u0/lam`` slab by slab, the quotient
+    in slab-sized scratch, with the bits of the whole-grid quotient; the add
+    runs in the same loop while the slab is in cache.
     """
     spans = _spans(u0.shape)
+    slabs = [(slice(a, b), slice(0, b - a)) for a, b in spans]  # grid rows, scratch rows
+    work, lam = (spans[0][1],) + u0.shape[1:], np.array(lam)  # 0-d: see fields._MINUS_ONE
 
     def potential(q):
         y = adjoint_grad(q)
-        quotient = np.empty((spans[0][1],) + y.shape[1:])
-        for a, b in spans:
-            ys = y[a:b]
-            ys += m[a:b]
-            ys -= np.divide(u0[a:b], lam, out=quotient[:b - a])
+        quotient = np.empty(work)
+        for rows, part in slabs:
+            ys = y[rows]
+            if m is not None:
+                ys += m[rows]
+            ys -= np.divide(u0[rows], lam, out=quotient[part])
         return y
 
     return potential
@@ -122,7 +126,8 @@ def dual_step(
 def solve_shifted(u0, m, cfg: DualConfig) -> ReconstructionResult:
     """Run the dual solve for data ``u0`` and shift ``m`` and recover the image.
 
-    ``u0`` must be a validated field; the objective is :mod:`.dual`'s, shifted by ``m``.
+    ``u0`` must be a validated field; the objective is :mod:`.dual`'s, shifted
+    by ``m``, or unshifted when ``m`` is ``None``.
     """
     p, u, stats = solve(_bind(u0, m, cfg.lam), grad, (u0.ndim,) + u0.shape, cfg)
     u += u0 / cfg.lam  # then u0 - lam*(y + u0/lam), in place

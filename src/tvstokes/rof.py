@@ -1,7 +1,7 @@
 """Isotropic TV denoising baseline on the same dual projection machinery.
 
 Minimizes ``iso_l1(grad(u)) + 1/(2*lam) * ||u - u0||_2^2``: the
-reconstruction model with a zero matching field, solved by
+reconstruction model without a matching field, solved by
 :func:`.reconstruction.solve_shifted` with its residual, recovery and
 objective, so both models run one iteration kernel and their outputs are
 directly comparable.
@@ -23,6 +23,4 @@ RofConfig = DualConfig  # the iteration parameters of the TV baseline
 
 def rof_denoise(u_noisy: np.ndarray, cfg: RofConfig) -> ReconstructionResult:
     """Classical isotropic TV denoising via the dual projection iteration."""
-    u_noisy = validate_field(u_noisy, "u_noisy")
-    # a read-only zero view: no grid is stored for the shift
-    return solve_shifted(u_noisy, np.broadcast_to(0.0, u_noisy.shape), cfg)
+    return solve_shifted(validate_field(u_noisy, "u_noisy"), None, cfg)  # no shift

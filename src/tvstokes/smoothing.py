@@ -80,7 +80,7 @@ class SmoothingResult(DualResult):
     @property
     def p(self) -> np.ndarray:
         """The final dual as the full symmetric ``(d, d)`` tensor, a new array."""
-        return self.packed[_layout(self.packed.ndim - 1)[0]]
+        return self.packed[np.array(_layout(self.packed.ndim - 1)[0])]
 
 
 def _bind(g0, lam, plan):
@@ -125,7 +125,7 @@ def dual_step(p: np.ndarray, g0: np.ndarray, cfg: SmoothingConfig) -> np.ndarray
     index, channels = _layout(len(p))
     potential = _bind(g0, cfg.lam, PoissonPlan(g0.shape[1:]))
     return iterate(potential, hessian, _pack(p), cfg.resolve_tau(len(p)), 1, 0.0,
-                   channels)[0][index]
+                   channels)[0][np.array(index)]
 
 
 def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> SmoothingResult:
@@ -162,6 +162,6 @@ def smoothing_kkt_residual(p: np.ndarray, g0: np.ndarray, lam: float) -> float:
     """
     g0, p = _checked(lam, g0, p, 1)
     y = _bind(g0, lam, PoissonPlan(g0.shape[1:]))(_pack(p))
-    unpack = _layout(len(p))[0].ravel()
+    unpack = np.ravel(_layout(len(p))[0])
     return kkt_residual(lambda y, out, rows: hessian(y, None, rows)[unpack], y,
                         p.reshape((-1,) + p.shape[2:]))

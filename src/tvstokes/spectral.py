@@ -22,7 +22,9 @@ The solve applies ``C`` along each axis, and ``C^T`` to go back.  On grids
 whose axes are all at most ``_DENSE_MAX`` long it multiplies by the dense
 matrices, one BLAS product per axis; on longer grids it calls scipy.fft's
 orthonormal DCT pair, imported on the first such solve.  The two agree to
-within 5e-15 relative.
+within 5e-15 relative.  The per-shape work runs once per plan:
+:class:`PoissonPlan` builds the 2d products of a dense solve, each a matrix
+view, a side and the grid's shape for it, and a solve replays them.
 """
 
 from __future__ import annotations
@@ -131,8 +133,9 @@ class PoissonPlan:
     ``adjoint_grad . grad`` in the DCT basis, with the constant mode zeroed
     so that multiplying by it both inverts the spectrum and discards the
     nullspace coefficient.  When no axis is longer than ``_DENSE_MAX`` it
-    also holds the n-by-n DCT-II matrix of each distinct axis length.  The
-    plan is immutable after construction and safe to share across threads.
+    also holds the n-by-n DCT-II matrix of each distinct axis length and the
+    products a solve replays, forward then inverse.  The plan is immutable
+    after construction and safe to share across threads.
     """
 
     def __init__(self, dims):
@@ -140,8 +143,13 @@ class PoissonPlan:
         inverse = self.denominator
         inverse[(0,) * len(dims)] = np.inf
         self._inverse = np.divide(1.0, inverse, out=inverse)
-        self._cosine = ({n: _dct_matrix(n) for n in set(dims)}
-                        if max(dims) <= _DENSE_MAX else None)
+        self._passes = None
+        if max(dims) <= _DENSE_MAX:
+            cosine = {n: _dct_matrix(n) for n in set(dims)}
+            # the 2d products of a solve, built once: each axis forward, then each inverse
+            self._passes = tuple(tuple(_product(cosine[n].T if transpose else cosine[n], axis, dims)
+                                       for axis, n in enumerate(dims))
+                                 for transpose in (False, True))
 
     @property
     def denominator(self) -> np.ndarray:
@@ -160,7 +168,7 @@ class PoissonPlan:
         f = np.asarray(f, dtype=np.float64)
         if f.shape != self.dims:
             raise DimensionError(f"field shape {f.shape} does not match plan {self.dims}")
-        if self._cosine is None:
+        if self._passes is None:
             # imported here alone: it is most of the package's import time, and
             # a grid whose axes are all short never needs it
             from scipy import fft
@@ -170,21 +178,34 @@ class PoissonPlan:
             return fft.idctn(fhat, type=2, norm="ortho", overwrite_x=True)  # fhat is ours
         writable = overwrite_x and f.flags.c_contiguous and f.flags.writeable
         x = f if writable else np.array(f, order="C")
-        y = np.empty(self.dims)
-        for transpose in (False, True):
-            # one product per axis, ping-ponging between x and y; the 2d
-            # passes in all leave the result in x
-            for axis, n in enumerate(self.dims):
-                c = self._cosine[n].T if transpose else self._cosine[n]
-                if axis == len(self.dims) - 1:
-                    np.matmul(x.reshape(-1, n), c.T, out=y.reshape(-1, n))
-                else:
-                    lead = prod(self.dims[:axis])
-                    np.matmul(c, x.reshape(lead, n, -1), out=y.reshape(lead, n, -1))
-                x, y = y, x
-            if not transpose:
-                x *= self._inverse
-        return x
+        forward, inverse = self._passes
+        x, y = _transform(x, np.empty(self.dims), forward)
+        x *= self._inverse
+        return _transform(x, y, inverse)[0]  # 2d passes in all: back in x's buffer
+
+
+def _product(c: np.ndarray, axis: int, dims) -> tuple:
+    """``(left, matrix, shape)``: the product that applies the matrix ``c`` along ``axis``.
+
+    The last axis multiplies ``c.T`` from the right, a view of the grid as
+    rows of that axis; an earlier one multiplies ``c`` from the left, a view
+    as a stack of ``(n, rest)`` matrices.
+    """
+    if axis == len(dims) - 1:
+        return False, c.T, (prod(dims[:-1]), dims[-1])
+    return True, c, (prod(dims[:axis]), dims[axis], prod(dims[axis + 1:]))
+
+
+def _transform(x: np.ndarray, y: np.ndarray, passes) -> tuple:
+    """Apply one product per axis, ping-ponging between ``x`` and ``y``; the result is in
+    the first grid returned."""
+    for left, c, shape in passes:
+        if left:
+            np.matmul(c, x.reshape(shape), out=y.reshape(shape))
+        else:
+            np.matmul(x.reshape(shape), c, out=y.reshape(shape))
+        x, y = y, x
+    return x, y
 
 
 def project_gradient_field(v: np.ndarray, plan: PoissonPlan | None = None) -> np.ndarray:

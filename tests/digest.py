@@ -14,8 +14,13 @@ The grids cover 1 to 4 dimensions, a grid the loop splits into two slabs
 and the scipy.fft Poisson solve (70, 33, 16), and the shapes of the
 benchmark's ROF video (16, 160, 160); every input holds some exact zeros.
 The file has no ``test_`` prefix, so pytest does not collect it.
+
+``python tests/digest.py --compare A.json B.json`` compares two printed
+digests instead: it names every output whose bytes differ, or that one side
+lacks, and exits 1 if there is any, else 0.
 """
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -130,7 +135,26 @@ def run_records(directory: Path) -> dict:
     return records
 
 
-def main() -> None:
+def differences(a: dict, b: dict) -> list[str]:
+    """``"record: output"`` for every output whose digest differs between ``a`` and ``b``,
+    or that one of them lacks, in sorted order."""
+    return [f"{name}: {output}" for name in sorted(a.keys() | b.keys())
+            for output in sorted(a.get(name, {}).keys() | b.get(name, {}).keys())
+            if a.get(name, {}).get(output) != b.get(name, {}).get(output)]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="compare two printed digests instead of printing one")
+    args = parser.parse_args(argv)
+    if args.compare:
+        a, b = (json.loads(Path(path).read_text()) for path in args.compare)
+        diff = differences(a, b)
+        for line in diff:
+            print(f"differs: {line}")
+        print(f"{len(diff)} of the outputs differ" if diff else "every output has the same bytes")
+        return 1 if diff else 0
     records = {}
     for seed, dims in enumerate(SOLVE_GRIDS):
         records.update(solver_records(dims, seed))
@@ -138,7 +162,8 @@ def main() -> None:
         records.update(run_records(Path(directory)))
     json.dump(records, sys.stdout, indent=1, sort_keys=True)
     print()
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -4,9 +4,10 @@ The dense oracles are built from first principles (explicit stencils,
 Kronecker products, SVD pseudoinverses) so they exercise none of the fast
 paths they are used to check.  The reference implementations, ``mode_apply``,
 ``iso_l1_norm``, the naive dual loop, the full-tensor step-1 residual, the
-whole-grid transposed operators and total variation, and the staircase
-expression, are the simple forms that the library's paths replaced; tests
-compare the two.
+whole-grid transposed operators and total variation, the slice-by-slice
+operators, the per-axis dense Poisson solve and the staircase expression,
+are the simple forms that the library's paths replaced; tests compare the
+two, bit for bit where the forms round alike.
 """
 
 import math
@@ -88,6 +89,112 @@ def dense_laplacian_pinv(dims, cutoff=1e-10):
     U, s, Vt = np.linalg.svd(GtG)
     s_inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return (Vt.T * s_inv) @ U.T
+
+
+def signed_grid(dims, seed):
+    """Random grid in which about a third of the entries are +0.0 or -0.0."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(dims)
+    return np.where(rng.random(dims) < 0.35, np.copysign(0.0, rng.standard_normal(dims)), u)
+
+
+def _slices(u, axis):
+    """Contiguous copies of the slices of ``u`` along ``axis``."""
+    return [np.take(u, i, axis=axis) for i in range(u.shape[axis])]
+
+
+def naive_diff(u, axis):
+    """The forward difference along ``axis``, slice by slice, zero on the last slice."""
+    s = _slices(u, axis)
+    return np.stack([b - a for a, b in zip(s, s[1:])] + [np.zeros_like(s[0])], axis=axis)
+
+
+def naive_diff_t(v, axis, base=None):
+    """``D^T v`` slice by slice, or ``base + D^T v`` computed as the update of each slice."""
+    s = _slices(v, axis)
+    if base is None:
+        return np.stack([s[0] * -1.0] + [a - b for a, b in zip(s, s[1:-1])] + [s[-2]], axis=axis)
+    b = _slices(base, axis)
+    mid = [c + (x - y) for c, x, y in zip(b[1:-1], s, s[1:-1])]
+    return np.stack([b[0] - s[0]] + mid + [b[-1] + s[-2]], axis=axis)
+
+
+def naive_grad(u):
+    """``grad`` slice by slice: channel ``l`` is the axis-``l`` difference."""
+    return np.stack([naive_diff(u, axis) for axis in range(u.ndim)])
+
+
+def naive_hessian(u):
+    """``hessian`` slice by slice: the axis-``m`` difference of the axis-``l`` one, ``l <= m``,
+    in the row-major order of the upper triangle."""
+    d = u.ndim
+    return np.stack([naive_diff(naive_diff(u, l), m) for l in range(d) for m in range(l, d)])
+
+
+def naive_adjoint_grad(p):
+    """``adjoint_grad`` slice by slice: the first axis's transposed difference, then each later
+    one added, rounded on its own first."""
+    out = naive_diff_t(p[0], 0)
+    for axis in range(1, len(p)):
+        out = out + naive_diff_t(p[axis], axis)
+    return out
+
+
+def naive_adjoint_hessian(q):
+    """``adjoint_hessian`` slice by slice, adding its terms in its order: for ``l`` from the
+    last axis down, ``row_l = D_m^T q_lm`` summed from the last ``m`` down to ``l + 1`` and
+    doubled, plus ``D_l^T q_ll``, then ``D_l^T row_l`` added to the output."""
+    d = q.ndim - 1
+    rows, cols, index = symmetric_packing(d)
+    out = None
+    for l in reversed(range(d)):
+        row = naive_diff_t(q[index[l, d - 1]], d - 1)
+        for m in range(d - 2, l - 1, -1):
+            if m == l:
+                row = row * 2.0
+            row = row + naive_diff_t(q[index[l, m]], m)
+        term = naive_diff_t(row, l)
+        out = term if out is None else out + term
+    return out
+
+
+def dense_poisson_solve(f):
+    """``PoissonPlan.solve`` as the per-axis dense products it stands for.
+
+    The orthonormal DCT-II matrix of each axis, written out, multiplies the
+    grid along each axis in turn, the spectrum is divided by the eigenvalues
+    ``sum_k (2 sin(pi i_k / (2 n_k)))^2`` with the constant mode dropped,
+    and the transposed matrices multiply it back.  An axis before the last is
+    a left product on the grid viewed as ``(lead, n, rest)``, the last a right
+    product by the transpose; the products are the library's, so the bits are.
+    """
+    dims = f.shape
+
+    def cosine(n):
+        j = np.arange(n)
+        c = np.sqrt(2.0 / n) * np.cos(np.pi * np.outer(j, 2 * j + 1) / (2.0 * n))
+        c[0, :] = np.sqrt(1.0 / n)
+        return c
+
+    def along(x, c, axis):
+        n = dims[axis]
+        if axis == len(dims) - 1:
+            return np.matmul(x.reshape(-1, n), c.T).reshape(dims)
+        lead = math.prod(dims[:axis])
+        return np.matmul(c, x.reshape(lead, n, -1)).reshape(dims)
+
+    eigen = 0.0
+    for axis, n in enumerate(dims):
+        sigma = 2.0 * np.sin(np.pi * np.arange(n) / (2.0 * n))
+        eigen = np.add.outer(eigen, sigma ** 2) if axis else sigma ** 2
+    eigen[(0,) * len(dims)] = np.inf
+    x = np.array(f, dtype=np.float64, order="C")
+    for axis, n in enumerate(dims):
+        x = along(x, cosine(n), axis)
+    x = x * (1.0 / eigen)
+    for axis, n in enumerate(dims):
+        x = along(x, cosine(n).T, axis)
+    return x
 
 
 def rand_scalar(dims, seed):

@@ -621,6 +621,44 @@ def test_unwritable_directory_exits_3_before_the_input_is_read(tmp_path, monkeyp
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+CLI_REFUSALS = {  # arguments after --input, exit code, whether the directory is unwritable
+    "add-noise-onto-its-header": (["add-noise", "--sigma", "0.1", "--output", "n.json"], 2, False),
+    "add-noise-into-a-missing-directory": (
+        ["add-noise", "--sigma", "0.1", "--output", "nodir/n.raw"], 3, False),
+    "add-noise-into-an-unwritable-directory": (
+        ["add-noise", "--sigma", "0.1", "--output", "n.raw"], 3, True),
+    "slice-into-a-missing-directory": (
+        ["slice", "--axis", "0", "--index", "1", "--out", "nodir/s.pgm"], 3, False),
+    "slice-into-an-unwritable-directory": (
+        ["slice", "--axis", "0", "--index", "1", "--out", "s.pgm"], 3, True),
+}
+
+
+@pytest.mark.parametrize("case", CLI_REFUSALS)
+def test_add_noise_and_slice_refuse_their_targets_before_the_input_is_read(tmp_path, monkeypatch,
+                                                                          case):
+    """The clash, the missing and the unwritable directory are known from the paths alone,
+    so no volume is read and no noise drawn first."""
+    import tvstokes.cli
+    import tvstokes.volume_io
+
+    def read_volume(*args):
+        raise AssertionError("the input was read before the targets were checked")
+
+    def access(path, mode, **kwargs):  # as for a user without write permission
+        return not mode & os.W_OK
+
+    (command, *rest), code, unwritable = CLI_REFUSALS[case]
+    inp = make_noisy(tmp_path, dims=(6, 6))
+    monkeypatch.setattr(tvstokes.cli, "_read_volume", read_volume)
+    if unwritable:
+        monkeypatch.setattr(tvstokes.volume_io.os, "access", access)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    rest[-1] = str(tmp_path / rest[-1])
+    assert main([command, "--input", str(inp), *rest]) == code
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 # ------------------------------------------------------------- header reads
 
 READERS = {

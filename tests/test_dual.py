@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 import weakref
 from types import SimpleNamespace
@@ -611,3 +612,44 @@ def test_solve_frees_the_potential_and_its_data_on_return():
 
     dual.solve(bind(), grad, (2,) + dims, dual.DualConfig(max_iters=3))
     assert data[0]() is None
+
+
+# ---------------------------------------------------------- per-step dispatch
+
+def _calls_into_the_package(run) -> int:
+    """Python calls of functions in ``tvstokes`` modules while ``run()`` runs; the numpy
+    version does not move the count."""
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("tvstokes"):
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls[0]
+
+
+DISPATCH = {  # solve: (potential, kernel, stored channels, channel list) on a 16x16 frame
+    "step1": lambda u: (smoothing._bind(grad(u), 0.3, PoissonPlan(u.shape)), fields.hessian, 3,
+                        fields._layout(2)[1]),
+    "rof": lambda u: (reconstruction._bind(u, None, 0.3), grad, 2, None),
+}
+
+
+@pytest.mark.parametrize("solve, budget", [("step1", 18), ("rof", 9)])
+def test_a_lazy_step_calls_a_pinned_number_of_package_functions(solve, budget):
+    """A lazy step of a one-slab frame calls the potential, the kernel and their helpers, and
+    nothing per call that a table could hold: a new helper in the loop shows here."""
+    potential, kernel, stored, channels = DISPATCH[solve](rand_scalar((16, 16), 14))
+    p0 = np.zeros((stored, 16, 16))
+
+    def steps(n):  # the first and the last step are exact, the ones between lazy
+        return _calls_into_the_package(
+            lambda: iterate(potential, kernel, p0, 0.25, n, 0.0, channels))
+
+    steps(4)  # builds the kernels' tables
+    assert steps(4) - steps(3) == budget

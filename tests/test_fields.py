@@ -1,6 +1,7 @@
 """Discrete calculus: stencils, adjoints, pointwise projections, norms."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -29,8 +30,9 @@ from tvstokes import (
 from tvstokes import fields
 from tvstokes.fields import _diff, _diff_t, _total_variation, adjoint_hessian, hessian
 from oracles import (
-    brute_inner, dense_diff, iso_l1_norm, mode_apply, rand_scalar, rand_tensor, rand_vector,
-    whole_adjoint, whole_adjoint_hessian, whole_total_variation,
+    brute_inner, dense_diff, iso_l1_norm, mode_apply, naive_adjoint_grad, naive_adjoint_hessian,
+    naive_diff, naive_diff_t, naive_grad, naive_hessian, rand_scalar, rand_tensor, rand_vector,
+    signed_grid, whole_adjoint, whole_adjoint_hessian, whole_total_variation,
 )
 
 
@@ -272,46 +274,31 @@ def test_validate_field_rejects_non_finite():
 
 # ------------------------------------------------------ the one-axis kernels
 
-def _signed_grid(dims, seed):
-    """Random grid in which about a third of the entries are +0.0 or -0.0."""
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(dims)
-    return np.where(rng.random(dims) < 0.35, np.copysign(0.0, rng.standard_normal(dims)), u)
-
-
-def _slices(u, axis):
-    """Contiguous copies of the slices of ``u`` along ``axis``."""
-    return [np.take(u, i, axis=axis) for i in range(u.shape[axis])]
-
-
-def _naive_diff(u, axis):
-    s = _slices(u, axis)
-    return np.stack([b - a for a, b in zip(s, s[1:])] + [np.zeros_like(s[0])], axis=axis)
-
-
-def _naive_diff_t(v, axis, base=None):
-    """``D^T v`` slice by slice, or ``base + D^T v`` computed as the update of each slice."""
-    s = _slices(v, axis)
-    if base is None:
-        return np.stack([s[0] * -1.0] + [a - b for a, b in zip(s, s[1:-1])] + [s[-2]], axis=axis)
-    b = _slices(base, axis)
-    mid = [c + (x - y) for c, x, y in zip(b[1:-1], s, s[1:-1])]
-    return np.stack([b[0] - s[0]] + mid + [b[-1] + s[-2]], axis=axis)
-
-
 KERNEL_GRIDS = [lead + (n,) for n in (2, 3, 8, 16) for lead in [(), (3,), (2, 3), (2, 2, 3)]]
+
+
+def _whole_diff_t(v, axis, out, scratch=None):
+    """``_diff_t``'s step over the whole grid ``v``, into ``out``, or into ``scratch`` and then
+    added to ``out``, as the slab loops add a term."""
+    whole = (0, (), 0)  # flat entry, channel index and row of grid row 0
+    step = fields._step_t(v.shape[1:], axis, 0, len(v), len(v), whole, whole)
+    w = out if scratch is None else scratch
+    _diff_t(v.ravel(), w.ravel(), v, w, step)
+    if scratch is not None:
+        out += scratch
+    return out
 
 
 @pytest.mark.parametrize("dims", KERNEL_GRIDS, ids=str)
 def test_kernels_match_a_naive_slice_reference_bitwise(dims):
-    u, base = _signed_grid(dims, 30), _signed_grid(dims, 31)
+    u, base = signed_grid(dims, 30), signed_grid(dims, 31)
     for axis in range(len(dims)):
         got = _diff(u, axis, np.full(dims, np.nan))
-        assert got.tobytes() == _naive_diff(u, axis).tobytes()
-        got = _diff_t(u, axis, np.full(dims, np.nan))
-        assert got.tobytes() == _naive_diff_t(u, axis).tobytes()
-        got = _diff_t(u, axis, base.copy(), np.full(dims, np.nan))
-        assert got.tobytes() == _naive_diff_t(u, axis, base).tobytes()
+        assert got.tobytes() == naive_diff(u, axis).tobytes()
+        got = _whole_diff_t(u, axis, np.full(dims, np.nan))
+        assert got.tobytes() == naive_diff_t(u, axis).tobytes()
+        got = _whole_diff_t(u, axis, base.copy(), np.full(dims, np.nan))
+        assert got.tobytes() == naive_diff_t(u, axis, base).tobytes()
 
 
 @pytest.mark.parametrize("dims", [(5, 8), (3, 4, 8), (6, 5, 4)], ids=str)
@@ -351,7 +338,7 @@ def _row_ranges(n):
 
 @pytest.mark.parametrize("dims", ROW_GRIDS, ids=str)
 def test_row_ranges_equal_the_rows_of_the_whole_result_bitwise(dims):
-    u = _signed_grid(dims, 36)
+    u = signed_grid(dims, 36)
     for op in (grad, hessian):
         whole = op(u)
         for a, b in _row_ranges(dims[0]):
@@ -370,9 +357,62 @@ def test_forward_operators_reject_rows_outside_the_first_axis(op, rows):
 
 @pytest.mark.parametrize("dims", [(5,), (4, 6), (3, 4, 8), (2, 3, 2, 4)], ids=str)
 def test_total_variation_equals_iso_l1_norm_of_the_gradient_bitwise(dims):
-    u, g = _signed_grid(dims, 40), _signed_grid((len(dims),) + dims, 41)
+    u, g = signed_grid(dims, 40), signed_grid((len(dims),) + dims, 41)
     assert _total_variation(u[None]) == iso_l1_norm(grad(u))
     assert _total_variation(g) == iso_l1_norm(grad_vec(g), channel_ndim=2)
+
+
+# 1-d, 4-d, a 2-d frame that one slab spans, first axes of length 2, and a grid the loop
+# splits into two slabs
+TABLE_GRIDS = [(9,), (3, 2, 4, 5), (64, 64), (2, 7), (2, 3, 5), (70, 33, 16)]
+
+
+@pytest.mark.parametrize("dims", TABLE_GRIDS, ids=str)
+def test_kernels_from_their_tables_match_the_slice_by_slice_operators_bitwise(dims):
+    """Every operator run from its cached steps, on the whole grid and on the dual loop's slabs."""
+    d = len(dims)
+    u, p = signed_grid(dims, 50), signed_grid((d,) + dims, 51)
+    q = signed_grid((d * (d + 1) // 2,) + dims, 52)
+    for _ in range(2):  # the second time from the cached tables
+        for op, naive in ((grad, naive_grad), (hessian, naive_hessian)):
+            want = naive(u)
+            assert op(u).tobytes() == want.tobytes()
+            for a, b in fields._spans(dims):
+                assert op(u, rows=(a, b)).tobytes() == want[:, a:b].tobytes()
+        assert fields.adjoint_grad(p).tobytes() == naive_adjoint_grad(p).tobytes()
+        assert adjoint_hessian(q).tobytes() == naive_adjoint_hessian(q).tobytes()
+
+
+def _leaves(x):
+    """The entries of nested tuples and lists, a slice's bounds and step among them."""
+    if isinstance(x, (tuple, list)):
+        return [leaf for item in x for leaf in _leaves(item)]
+    if isinstance(x, slice):
+        return [x.start, x.stop, x.step]
+    return [x]
+
+
+def test_no_cache_in_the_package_holds_an_array():
+    """The cached tables hold ints, slices and tuples of them, so no cache keeps a grid or a
+    numpy scalar alive; a new cache must be listed here to pass."""
+    u = rand_scalar((6, 5, 4), 53)
+    smooth_gradient_field(u, SmoothingConfig(lam=0.3, max_iters=3))  # fills the caches
+    reconstruct(u, grad(u), ReconstructionConfig(lam=0.3, max_iters=3))
+    caches = {f"{obj.__module__}.{obj.__qualname__}": obj
+              for name, module in list(sys.modules.items()) if name.startswith("tvstokes")
+              for obj in vars(module).values() if hasattr(obj, "cache_info")}
+    calls = {
+        "tvstokes.fields._layout": (3,),
+        "tvstokes.fields._diff_steps": ((6, 5, 4), 6, 1),
+        "tvstokes.fields._grad_steps": ((6, 5, 4), (2, 5)),
+        "tvstokes.fields._hessian_steps": ((6, 5, 4), (2, 5)),
+        "tvstokes.fields._adjoint_grad_steps": ((3, 6, 5, 4), 40),
+        "tvstokes.fields._adjoint_hessian_steps": ((6, 6, 5, 4), 40),
+    }
+    assert set(caches) == set(calls)
+    for name, args in calls.items():
+        assert all(type(leaf) in (int, bool, type(None)) for leaf in _leaves(caches[name](*args)))
+        assert caches[name].cache_info().currsize > 0
 
 
 # 1-d to 4-d, first axes that 4 does not divide; a last axis of 8 strides by 64 bytes
@@ -393,8 +433,8 @@ def test_slab_blocked_operators_equal_the_whole_grid_bitwise(dims, rows, monkeyp
         assert len(spans) == -(-dims[0] // SLAB_ROWS[rows](dims[0]))
         assert rows != "rows-4" or spans[-1][1] - spans[-1][0] < 4  # a ragged last slab
     d = len(dims)
-    p, t = _signed_grid((d,) + dims, 42), _signed_grid((d, d) + dims, 43)
-    q, u = _signed_grid((d * (d + 1) // 2,) + dims, 44), _signed_grid(dims, 45)
+    p, t = signed_grid((d,) + dims, 42), signed_grid((d, d) + dims, 43)
+    q, u = signed_grid((d * (d + 1) // 2,) + dims, 44), signed_grid(dims, 45)
     assert fields.adjoint_grad(p).tobytes() == whole_adjoint(p, 0).tobytes()
     assert fields.adjoint_grad_tensor(t).tobytes() == whole_adjoint(t, 1).tobytes()
     assert adjoint_hessian(q).tobytes() == whole_adjoint_hessian(q).tobytes()
@@ -404,7 +444,7 @@ def test_slab_blocked_operators_equal_the_whole_grid_bitwise(dims, rows, monkeyp
 
 @pytest.mark.parametrize("dims", [(13, 8), (7, 5, 3)], ids=str)
 def test_solver_outputs_do_not_depend_on_the_slab_size(dims, monkeypatch):
-    u = _signed_grid(dims, 46)
+    u = signed_grid(dims, 46)
 
     def run():
         r1 = smooth_gradient_field(u, SmoothingConfig(lam=0.3, max_iters=6))

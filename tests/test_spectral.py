@@ -27,6 +27,7 @@ from oracles import (
     dense_diff,
     dense_grad_matrix,
     dense_laplacian_pinv,
+    dense_poisson_solve,
     dense_projector,
     mode_apply,
     rand_scalar,
@@ -200,7 +201,7 @@ def _pocketfft_solve(f):
 def test_poisson_solve_matches_pocketfft(dims):
     f = rand_scalar(dims, len(dims))
     plan = PoissonPlan(dims)
-    assert (plan._cosine is not None) == (max(dims) <= _DENSE_MAX)
+    assert (plan._passes is not None) == (max(dims) <= _DENSE_MAX)
     want = _pocketfft_solve(f)
     for got in (plan.solve(f), plan.solve(f.copy(), overwrite_x=True)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -225,9 +226,23 @@ def test_poisson_solve_overwrite_x_copies_what_it_cannot_overwrite():
     np.testing.assert_array_equal(readonly, f)
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (5, 64), (3, 4, 7), (64, 64), (16, 16, 16)], ids=str)
+def test_poisson_solve_is_the_per_axis_dense_product_bitwise(dims):
+    """The plan's products, built once, replay the per-axis dense solve call for call."""
+    plan, f = PoissonPlan(dims), rand_scalar(dims, 5)
+    want = dense_poisson_solve(f).tobytes()
+    for _ in range(2):
+        assert plan.solve(f).tobytes() == want
+        assert plan.solve(f.copy(), overwrite_x=True).tobytes() == want
+
+
 def test_poisson_plan_one_matrix_per_axis_length():
-    assert len(PoissonPlan((8, 8, 8))._cosine) == 1
-    assert len(PoissonPlan((8, 5, 8))._cosine) == 2
+    def matrices(plan):  # the arrays the products view
+        return {id(c if c.base is None else c.base)
+                for passes in plan._passes for _, c, _ in passes}
+
+    assert len(matrices(PoissonPlan((8, 8, 8)))) == 1
+    assert len(matrices(PoissonPlan((8, 5, 8)))) == 2
 
 
 def test_smoothing_bytes_do_not_depend_on_blas_threads():
