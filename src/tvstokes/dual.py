@@ -34,21 +34,22 @@ potential, then updates slab by slab over the first grid axis: the kernel
 writes the slab's residual into slab-sized scratch, where the scaled step and
 the clip run while the slab's channels stay in cache, and the clipped step goes
 straight back into ``p``.  Once ``y`` is computed the old dual is read only
-slab by slab, so a solve holds one dual, and all loop scratch, the slab's
-residual and two norm grids, lives one step: allocated after its potential,
-freed before the next.  The clip divides channel by channel: one division of
-the stacked slab by its norm grid, broadcast over the channels, makes numpy
-allocate an iterator buffer every call, two grids of a 64x64 frame, and runs
-slower there.  The update is pointwise, so the result depends neither
-on the slab size nor on the slab order.  :func:`kkt_residual` evaluates the
+slab by slab, so a solve holds one dual, and all loop scratch, each group's
+slab residual and two norm grids, lives one step: allocated after its
+potential, freed before the next.  The clip divides channel by channel: one
+division of the stacked slab by its norm grid, broadcast over the channels,
+makes numpy allocate an iterator buffer every call, two grids of a 64x64
+frame, and runs slower there.  The update is pointwise, so the result
+depends neither on the slab size nor on the slab order.  :func:`kkt_residual` evaluates the
 stationarity residual through the same kernel, a slab at a time.
 
 The per-shape work runs once per solve, or once per shape: :func:`iterate`
 takes its slabs and their views of ``p`` once, before the first step, and
 the kernels and the potentials read their steps from the tables of
 :mod:`.fields` and :class:`.PoissonPlan`.  A step only allocates its scratch,
-views it and issues its ufuncs: its loop keeps no per-step list, generator
-or helper call beyond the tuple norm's squares and the witness, and its
+views it and issues its ufuncs: it cuts its slab list into groups, calls
+each group's update once, and makes no generator or helper call beyond the
+tuple norm's squares (the witness's norm is written out inline), and its
 constant operands are 0-d arrays, which numpy does not convert on every call.
 
 The increment norm only decides whether to stop, so a step computes it
@@ -68,11 +69,32 @@ whose clip norm is not finite gets its exact increment before it is written,
 and a non-finite one raises.  Results, iteration counts and the iteration at
 which :class:`DivergenceError` is raised are therefore those of a loop that
 computes the increment every step, bit for bit.
+
+The update runs on the calling thread and one private worker thread, never
+on more CPUs than the process's affinity mask holds, so ``taskset -c 0``
+keeps it on one.  The worker starts with the first update that splits and
+then waits for the next, and a forked child starts its own.  The slabs split
+into two contiguous groups when each holds two slabs or more, else stay one
+group: the calling thread runs the first, the worker the second, each in its
+own scratch.  On a lazy step the witness's slab runs first, alone, on the
+calling thread, and decides ``lazy`` before any other slab is written: the
+slabs after it split, the worker takes the larger half and starts at once,
+but waits for the witness's verdict before its first write.  The worker's
+group is joined before :func:`iterate` goes on, returns or raises; the
+groups' increment records are combined in slab order, and an error on the
+worker is raised on the calling thread, so a :class:`DivergenceError` comes
+at the same iteration.  The step is pointwise, so the bytes do not depend on
+the number of threads.  An update on the worker never splits, so the worker
+never waits for itself.  Only the update is split: the potential's
+transposed operators are bound by memory bandwidth, and splitting its matrix
+products changes OpenBLAS's rounding.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -86,6 +108,23 @@ __all__ = [
     "DualConfig", "DualResult", "require_feasible", "iterate", "stationarity_residual",
     "kkt_residual", "solve",
 ]
+
+_ONE = np.array(1.0)  # the clip's floor, 0-d: see fields._MINUS_ONE
+_WORKER = "tvstokes-dual"  # the name of the update's worker thread (see ._worker)
+
+
+def _workers() -> int:
+    """Threads an update may split over: at most two, and no more than the CPUs this
+    process may run on, so ``taskset -c 0`` keeps a solve on one; one on the worker thread,
+    which never waits for itself."""
+    if threading.current_thread().name == _WORKER:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return min(2, cpus)
+
 
 @dataclass(frozen=True)
 class DualConfig:
@@ -144,72 +183,128 @@ def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channe
     The residual is ``A(p) = K(y)`` with ``y = potential(p)``:
     ``kernel(y, out, (a, b))`` writes rows ``[a, b)`` of the first grid axis
     of ``K(y)`` into ``out``, C-ordered, or allocates it when ``out`` is
-    ``None``.  Only a private copy of ``p`` lives through a potential: the
-    slab's residual and two slab-sized norm grids live one step.  Each step equals
-    ``unit_clip(p - tau*A(p))`` bit for bit.  The increment's
-    ``max_tuple_norm`` is computed, bit for bit, on the first and the last
-    allowed step and on a step whose witness norm is at most ``tol`` (see
-    the module docstring); a slab whose clip norm is not finite gets its own
-    exact increment on any step.
+    ``None``; it may run on the worker thread.  Only a private copy of
+    ``p`` lives through a potential: each group's slab residual and two
+    slab-sized norm grids live one step.  Each step equals
+    ``unit_clip(p - tau*A(p))`` bit for bit, on one thread or two.  The
+    increment's ``max_tuple_norm`` is computed, bit for bit, on the first and
+    the last allowed step and on a step whose witness norm is at most ``tol``
+    (see the module docstring); a slab whose clip norm is not finite gets its
+    own exact increment on any step.
     """
     p = np.array(p, dtype=np.float64, order="C")
-    grid, stored = p.shape[1:], range(len(p))
+    grid = p.shape[1:]
     spans = _spans(grid)
     slabs = [(i, span, p[:, slice(*span)]) for i, span in enumerate(spans)]  # views of p
     work = (spans[0][1],) + grid[1:]  # a slab's grid
-    size = len(p) * math.prod(work)  # a slab's residual
     if channels is None:
-        channels = stored
-
-    tau, one = np.array(tau), np.array(1.0)  # 0-d operands: see fields._MINUS_ONE
+        channels = range(len(p))
+    # what every group's update reads; 0-d operands: see fields._MINUS_ONE
+    loop = (kernel, np.array(tau), tol, channels, range(len(p)), len(p) * math.prod(work),
+            (2,) + work)
+    workers = _workers()
     witness = None  # (slab, flat grid index in it) where the last exact increment peaked
     for iters in range(1, max_iters + 1):
-        y = potential(p)
-        step = np.empty(size)  # a slab's residual, then its step
         lazy = witness is not None and iters < max_iters
         order = slabs[witness[0]:] + slabs[:witness[0]] if lazy else slabs  # the witness's first
-        first, last = order[0][0], order[-1][0]
+        rest = order[1:] if lazy else order
+        # this thread's group and the worker's, when each holds two slabs or more; this
+        # thread also runs the witness's slab, so the worker takes the larger half
+        cut = len(rest) // 2 if workers > 1 and len(rest) > 3 else len(rest)
+        mine, theirs = rest[:cut], rest[cut:]
+        ys = [potential(p)] * (lazy + bool(mine) + bool(theirs))  # one reference per update
         peak = (-1.0, 0, 0)  # the step's largest exact squared increment, its slab and index
-        norms = None
-        for i, span, ps in order:
-            qs = step[:ps.size].reshape(ps.shape)
-            kernel(y, qs, span)  # then qs <- unit_clip(ps - tau*qs)
-            # no scratch lives through a potential; the norms come after the kernel's
-            # work grid and y are freed, as one slab's residual is dual-sized
-            if i == last:
-                del y
-            if norms is None:
-                norms = np.empty((2,) + work)
-            rows = span[1] - span[0]
-            n, t = norms[0, :rows], norms[1, :rows]
-            np.multiply(qs, tau, out=qs)
-            np.subtract(ps, qs, out=qs)
-            _sum_squares(map(qs.__getitem__, channels), n, t)
-            np.sqrt(n, out=n)
-            np.maximum(n, one, out=n)
-            if lazy and i == first:  # before any slab is written
-                lazy = _norm_at(ps, qs, n, witness[1], channels) > tol  # NaN fails too
-            # the clip, channel by channel; the loop variable holds no view of the scratch
-            if lazy and math.isfinite(n.max()):  # finite iff the slab's step is
-                for c in stored:
-                    np.divide(qs[c], n, out=ps[c])
-                continue
-            for c in stored:
-                np.divide(qs[c], n, out=qs[c])
-            top, j = _increment(ps, qs, n, t, channels)
-            if not math.isfinite(top):
-                raise DivergenceError(f"dual update diverged at iteration {iters}")
-            if top > peak[0]:
-                peak = (top, i, j)
-            np.copyto(ps, qs)
-        del step, qs, norms, n, t  # before the next potential
+        outcome = verdict = None
+        try:
+            if theirs:  # started now, it writes nothing before the witness's verdict
+                from . import _worker  # loaded by the first split: see its docstring
+
+                verdict = _worker.Outcome() if lazy else None
+                outcome = _worker.submit(_update, ys, theirs, lazy, None, iters, loop, verdict)
+            if lazy:  # the witness's slab, on this thread, before any other is written
+                lazy, peak = _update(ys, order[:1], True, witness[1], iters, loop, verdict)
+            records = [_update(ys, mine, lazy, None, iters, loop)] if mine else []
+        finally:
+            if verdict is not None and verdict.value is None:  # the witness's slab raised
+                verdict.give(False)
+            if outcome is not None:  # joined, also when this thread raised
+                outcome.wait()
+        if outcome is not None:
+            result, error = outcome.value
+            if error is not None:
+                raise error
+            records.append(result)
         if lazy:
             continue
+        for _, record in records:  # in slab order: the first of equal peaks stays
+            if record[0] > peak[0]:
+                peak = record
         change = math.sqrt(peak[0])  # max_tuple_norm of the increment
         witness = peak[1:]
         if change <= tol:
             break
     return p, iters, change
+
+
+def _update(ys, slabs, lazy: bool, at, iters: int, loop, verdict=None):
+    """Step the ``slabs`` of the dual in place, in order; return ``(lazy, peak)``.
+
+    ``ys`` holds references to the potential; this group takes one and drops
+    it after its last kernel call, so a potential that no other group still
+    reads is freed before the norm grids are allocated.  Given the flat index
+    ``at`` of the witness, the first slab's tuple norm of the increment there
+    decides ``lazy`` before the slab is written, and is given to ``verdict``;
+    given a ``verdict`` and no ``at``, the group waits for it before its first
+    write and takes its ``lazy`` from it.  ``peak`` is the largest exact
+    squared increment of the group, its slab and flat index; ``loop`` holds
+    what :func:`iterate` computes once per solve.
+    """
+    kernel, tau, tol, channels, stored, size, work = loop
+    y = ys.pop()
+    step = np.empty(size)  # a slab's residual, then its step
+    last, norms, peak = slabs[-1][0], None, (-1.0, 0, 0)
+    for i, span, ps in slabs:
+        qs = step[:ps.size].reshape(ps.shape)
+        kernel(y, qs, span)  # then qs <- unit_clip(ps - tau*qs)
+        # no scratch lives through a potential; the norms come after the kernel's
+        # work grid and y are freed, as one slab's residual is dual-sized
+        if i == last:
+            del y
+        if norms is None:
+            norms = np.empty(work)
+        rows = span[1] - span[0]
+        n, t = norms[0, :rows], norms[1, :rows]
+        np.multiply(qs, tau, out=qs)
+        np.subtract(ps, qs, out=qs)
+        _sum_squares(map(qs.__getitem__, channels), n, t)
+        np.sqrt(n, out=n)
+        np.maximum(n, _ONE, out=n)
+        if at is not None:
+            # the witness's norm of ps - qs/n, added as a slab's norms are, in Python
+            # floats: a ufunc per single value takes several times as long
+            scale, grid, total = n.item(at), n.size, 0.0
+            for c in channels:  # in order: np.sum adds 8 or more terms pairwise
+                d = ps.item(c * grid + at) - qs.item(c * grid + at) / scale
+                total += d * d
+            lazy, at = math.sqrt(total) > tol, None  # NaN fails too
+            if verdict is not None:  # the worker's group may write now
+                verdict.give(lazy)
+        elif verdict is not None:
+            lazy, verdict = verdict.wait(), None
+        # the clip, channel by channel; the loop variable holds no view of the scratch
+        if lazy and math.isfinite(n.max()):  # finite iff the slab's step is
+            for c in stored:
+                np.divide(qs[c], n, out=ps[c])
+            continue
+        for c in stored:
+            np.divide(qs[c], n, out=qs[c])
+        top, j = _increment(ps, qs, n, t, channels)
+        if not math.isfinite(top):
+            raise DivergenceError(f"dual update diverged at iteration {iters}")
+        if top > peak[0]:
+            peak = (top, i, j)
+        np.copyto(ps, qs)
+    return lazy, peak
 
 
 def _increment(ps, qs, norm: np.ndarray, scratch: np.ndarray, channels):
@@ -218,18 +313,6 @@ def _increment(ps, qs, norm: np.ndarray, scratch: np.ndarray, channels):
     _sum_squares(map(ps.__getitem__, channels), norm, scratch)
     j = int(norm.argmax())  # the first NaN, if any
     return norm.flat[j], j
-
-
-def _norm_at(ps, qs, norm: np.ndarray, at: int, channels) -> float:
-    """Tuple norm of ``ps - qs/norm`` at flat slab index ``at``, added as a slab's norms are.
-
-    In Python floats: a ufunc per single value takes several times as long, every lazy step.
-    """
-    scale, size, total = norm.item(at), norm.size, 0.0
-    for c in channels:  # in order: np.sum adds 8 or more terms pairwise
-        d = ps.item(c * size + at) - qs.item(c * size + at) / scale
-        total += d * d
-    return math.sqrt(total)
 
 
 def stationarity_residual(w: np.ndarray, p: np.ndarray, channels=None) -> float:

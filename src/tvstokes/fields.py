@@ -48,7 +48,7 @@ issues its ufuncs: :func:`_run` runs forward steps and :func:`_diff_t` one
 transposed step.  A boundary slice on the first or the last axis is a slice
 of the flat grid; only a middle axis indexes the shaped grid.  The first
 call on a shape in a process builds its table: 1-5 KB for a 64x64 frame, up
-to 90 KB (``adjoint_hessian``'s) for the eight slabs of a 64^3 grid.
+to 170 KB (``adjoint_hessian``'s) for the sixteen slabs of a 64^3 grid.
 
 One slab rule serves the whole package: :func:`_spans` cuts a grid into
 slabs of rows ``[a, b)`` of its first axis, about ``_SLAB`` entries each.
@@ -98,9 +98,11 @@ __all__ = [
 
 # Grid entries per slab of the slab-blocked loops: few enough that a slab's
 # channels stay in L2 cache across the 17-67 passes of one dual step.  On a
-# Xeon with 4 MiB L2 and one thread, 16K-32K entries timed best for the packed
-# 64^3 and the vector 160x160x16 dual; whole grids took 25-35% longer per update.
-_SLAB = 1 << 15
+# 2-vCPU Xeon with 2 MiB of L2 per core, 16K entries took a packed 64^3 step on
+# one thread about 4% less time than 32K, and whole grids 25-35% more per
+# update.  The dual loop splits its update into two groups of slabs, one per
+# thread, each with its own slab scratch: two of 16K hold the bytes of one of 32K.
+_SLAB = 1 << 14
 
 
 def _spans(grid, slab=None) -> list:
@@ -316,6 +318,8 @@ def adjoint_grad(p: np.ndarray) -> np.ndarray:
     """
     p = np.asarray(p, dtype=np.float64, order="C")
     dims = p.shape[1:]
+    if len(p) != len(dims):  # inline: every dual step of the vector models calls this
+        raise DimensionError(f"not a vector field of one channel per grid axis: shape {p.shape}")
     work, slabs = _adjoint_grad_steps(p.shape, _SLAB)
     out, scratch = np.empty(dims), np.empty(work)
     src, dst, part = p.ravel(), out.ravel(), scratch.ravel()

@@ -2,9 +2,15 @@
 
 import dataclasses
 import math
+import os
+import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+import warnings
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,7 +37,7 @@ from tvstokes import (
     smoothing_kkt_residual,
     smoothing_objective,
 )
-from tvstokes import PoissonPlan, dual, fields, matching_field, reconstruction, smoothing
+from tvstokes import PoissonPlan, _worker, dual, fields, matching_field, reconstruction, smoothing
 from tvstokes.dual import iterate, kkt_residual, stationarity_residual
 from tvstokes.reconstruction import dual_step as reconstruction_step
 from tvstokes.smoothing import dual_step as smoothing_step
@@ -126,7 +132,7 @@ def test_solver_accepts_default_config(solver):
 
 # ------------------------------------------------------------ the in-place loop
 
-GRIDS = [(9,), (6, 5), (5, 4, 3), (3, 3, 2, 3), (70, 33, 16)]  # the last: slabs of 62 and 8 rows
+GRIDS = [(9,), (6, 5), (5, 4, 3), (3, 3, 2, 3), (70, 33, 16)]  # the last: slabs of 31, 31 and 8 rows
 
 
 def _stacked(p, channel_ndim):
@@ -230,19 +236,40 @@ def test_iterate_holds_one_dual_and_slab_sized_scratch(dims, kernel, stored, cha
     One slab spans a 64x64 frame, so its residual is dual-sized there; the clip
     divides channel by channel, as a norm grid broadcast over the channels makes
     numpy allocate an iterator buffer of two frame grids."""
+    peak, grid, slab = _loop_peak(dims, kernel, stored, channels)
+    # the slab's residual and the two norm grids; 16 KiB for Python objects
+    assert peak <= stored * grid + (stored + 2) * slab + (1 << 14)
+
+
+def _loop_peak(dims, kernel, stored, channels):
+    """``(peak, grid, slab)``: the traced peak of four steps from a zero dual (lazy and exact)
+    with a held potential, and the bytes of one grid and of one slab of it."""
     y = rand_scalar(dims, 9)
     p0 = np.broadcast_to(0.0, (stored,) + dims)  # iterate's own copy is the one dual
     tau = 1.0 / (2 * len(dims))
     iterate(lambda p: y, kernel, p0, tau, 4, 0.0, channels)  # warm-up: one-time allocations
     tracemalloc.start()
     try:
-        iterate(lambda p: y, kernel, p0, tau, 4, 0.0, channels)  # lazy and exact steps
+        iterate(lambda p: y, kernel, p0, tau, 4, 0.0, channels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    slab = fields._spans(dims)[0][1] * y.nbytes // dims[0]  # bytes of one slab-sized grid
-    # the slab's residual and the two norm grids; 16 KiB for Python objects
-    assert peak <= stored * y.nbytes + (stored + 2) * slab + (1 << 14)
+    return peak, y.nbytes, fields._spans(dims)[0][1] * y.nbytes // dims[0]
+
+
+@pytest.mark.parametrize("dims, kernel, stored, channels", [
+    ((16, 160, 160), grad, 3, None),
+    ((24, 48, 48), fields.hessian, 6, fields._layout(3)[1]),
+], ids=["video-vector", "slabs-packed"])
+def test_two_groups_hold_a_slab_sized_scratch_each(dims, kernel, stored, channels, monkeypatch):
+    """Split over two threads, each group has its own residual and norm grids, and the
+    Hessian kernel its own work grid of a slab and a halo row: the bytes of one scratch
+    of slabs twice the size."""
+    submitted = _splits(monkeypatch)
+    peak, grid, slab = _loop_peak(dims, kernel, stored, channels)
+    assert submitted
+    work = slab + grid // dims[0] if kernel is fields.hessian else 0
+    assert peak <= stored * grid + 2 * ((stored + 2) * slab + work) + (1 << 14)
 
 
 @pytest.mark.parametrize("kernel, stored, channels", [
@@ -316,7 +343,7 @@ def test_stationarity_residual_propagates_nan(channel_ndim, holder, channel):
 
 @pytest.mark.parametrize("value", [5.0, np.nan], ids=["largest", "nan"])
 def test_kkt_residual_reads_every_slab(value):
-    dims = (70, 33, 16)  # slabs of 62 and 8 rows
+    dims = (70, 33, 16)  # slabs of 31, 31 and 8 rows
     w = 0.1 * rand_vector(dims, 10)
     w[0, -1, -1, -1] = value  # in the last slab
     p = _start(dims, 1)
@@ -444,13 +471,27 @@ def _run_both(kind, dims, max_iters, tol, spoil=None):
 
 
 KINDS = ["vector", "tensor", "packed"]
-STOP_GRIDS = [(70, 33, 16), (6, 5)]  # two slabs, one slab
+STOP_GRIDS = [(70, 33, 16), (6, 5)]  # three slabs, one slab
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("dims", STOP_GRIDS, ids=str)
 def test_iterate_stops_at_the_reference_step_for_every_tol(kind, dims):
     """A ``tol`` equal to the increment of step k, for k in 1..12, stops both loops alike."""
+    _stops_at_the_reference_step(kind, dims)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_split_update_stops_at_the_reference_step_for_every_tol(kind, monkeypatch):
+    """Five slabs: a lazy step runs the witness's slab, then a group of two on this thread
+    and one on the worker, which writes nothing before the witness's verdict, so a step
+    the witness leaves exact gets the increment of every slab."""
+    submitted = _splits(monkeypatch)
+    _stops_at_the_reference_step(kind, (20, 64, 64))
+    assert submitted
+
+
+def _stops_at_the_reference_step(kind, dims):
     (residual, p, channel_ndim), _, _ = _dual_case(kind, dims)
     tau = 1.0 / (2 * len(dims))
     changes = []
@@ -462,7 +503,7 @@ def test_iterate_stops_at_the_reference_step_for_every_tol(kind, dims):
         _assert_same_run(got, want)
 
 
-SPOILED = (70, 33, 16)  # two slabs
+SPOILED = (70, 33, 16)  # three slabs
 
 
 def _spoiled(step, value, nth=None):
@@ -550,7 +591,7 @@ def test_a_lazy_step_takes_the_exact_increment_of_an_overflowing_later_slab(kind
     with np.errstate(over="ignore"):
         got, want = _run_both(kind, SPOILED, 8, 0.0, spoil)
     _assert_same_run(got, want)
-    assert len(spoil.written) == 2 and steps.count(3) == 1
+    assert len(spoil.written) == len(fields._spans(SPOILED)) and steps.count(3) == 1
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -568,7 +609,7 @@ def test_a_capped_solve_computes_the_full_increment_twice(kind, monkeypatch):
     _assert_same_run(got, want)
     assert got[1] == 40
     slabs = -(-dims[0] // (fields._SLAB // (dims[1] * dims[2])))
-    assert slabs == 2 and len(calls) <= 2 * slabs
+    assert slabs == 3 and len(calls) <= 2 * slabs
 
 
 # ------------------------------------------------------------- every solve's end
@@ -653,3 +694,220 @@ def test_a_lazy_step_calls_a_pinned_number_of_package_functions(solve, budget):
 
     steps(4)  # builds the kernels' tables
     assert steps(4) - steps(3) == budget
+
+
+# ------------------------------------------------------ the update on two threads
+
+def _drivers(u, lam=0.3, **stop):
+    """Every driver's arrays and diagnostics on ``u``: step 1, step 2 on its field, and ROF."""
+    r1 = smooth_gradient_field(u, SmoothingConfig(lam=lam, **stop))
+    r2 = reconstruct(u, r1.g, ReconstructionConfig(lam=lam, **stop))
+    return [r1.g.tobytes(), r1.packed.tobytes(), r2.u.tobytes(), r2.p.tobytes(),
+            _diagnostics(r1), _diagnostics(r2)] + _rof(u, lam, **stop)
+
+
+def _rof(u, lam=0.3, **stop):
+    r = rof_denoise(u, RofConfig(lam=lam, **stop))
+    return [r.u.tobytes(), r.p.tobytes(), _diagnostics(r)]
+
+
+def _diagnostics(r):
+    return r.iters, r.final_change, r.kkt_residual, r.objective
+
+
+def _splits(monkeypatch) -> list:
+    """Force two workers; the returned list counts the groups handed to the worker thread."""
+    submitted, submit = [], _worker.submit
+
+    def spy(*args):
+        submitted.append(1)
+        return submit(*args)
+
+    monkeypatch.setattr(dual, "_workers", lambda: 2)
+    monkeypatch.setattr(_worker, "submit", spy)
+    return submitted
+
+
+# a packed step-1 grid of four slabs, one of three, and the benchmark's ROF video of
+# sixteen 1-row slabs, where the two steps would add nothing
+@pytest.mark.parametrize("dims, solve", [((24, 48, 48), _drivers), ((70, 33, 16), _drivers),
+                                         ((16, 160, 160), _rof)], ids=str)
+@pytest.mark.parametrize("stop", ["cap", "tol"])
+def test_every_driver_gives_the_same_bytes_on_one_and_two_workers(dims, solve, stop,
+                                                                  monkeypatch):
+    u = rand_scalar(dims, 15)
+    limits = {"max_iters": 6, "tol": 0.0} if stop == "cap" else {"max_iters": 30, "tol": 2e-2}
+    monkeypatch.setattr(dual, "_workers", lambda: 1)
+    want = solve(u, **limits)
+    submitted = _splits(monkeypatch)
+    assert solve(u, **limits) == want
+    # the three-slab grid never splits: a group holds two slabs or more
+    assert (len(submitted) > 0) == (len(fields._spans(dims)) >= 4)
+
+
+def _ones_model(dims, step, rows_of_nan):
+    """A potential that counts the steps and a kernel of ones, NaN on the slab at
+    ``rows_of_nan`` on step ``step``; ``where`` records the thread that wrote the NaN."""
+    steps, where = [0], []
+
+    def potential(p):
+        steps[0] += 1
+
+    def kernel(y, out, rows):
+        out[...] = 1.0
+        if steps[0] == step and rows == rows_of_nan:
+            out[0, -1] = np.nan
+            where.append(threading.current_thread())
+        return out
+
+    return potential, kernel, where
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("step", [1, 3], ids=["exact", "lazy"])
+def test_a_divergence_on_the_worker_thread_raises_at_the_same_iteration(workers, step,
+                                                                        monkeypatch):
+    dims = (16, 160, 160)  # 1-row slabs: the last goes to the worker's group
+    monkeypatch.setattr(dual, "_workers", lambda: workers)
+    potential, kernel, where = _ones_model(dims, step, (15, 16))
+    with pytest.raises(DivergenceError, match=rf"^dual update diverged at iteration {step}$"):
+        iterate(potential, kernel, np.zeros((3,) + dims), 0.01, 5, 0.0)
+    assert (where[0] is threading.main_thread()) == (workers == 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_worker_runs_under_the_callers_numpy_error_state(workers, monkeypatch):
+    """An overflow in the worker's group raises as it would on the calling thread."""
+    monkeypatch.setattr(dual, "_workers", lambda: workers)
+
+    def kernel(y, out, rows):
+        out[...] = 1e200 if rows == (15, 16) else 0.0  # its square overflows
+        return out
+
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        iterate(lambda p: None, kernel, np.zeros((3, 16, 160, 160)), 0.1, 2, 0.0)
+
+
+# rows 0-8 here and 8-16 on the worker on the exact first step; on the lazy third step
+# the witness's row 0 here, then rows 1-8 here and 8-16 on the worker, which started first
+@pytest.mark.parametrize("step", [1, 3], ids=["exact", "lazy-witness"])
+def test_an_error_on_the_calling_thread_joins_the_workers_group_first(step, monkeypatch):
+    dims = (16, 160, 160)
+    monkeypatch.setattr(dual, "_workers", lambda: 2)
+    steps, done = [0], []
+
+    def potential(p):
+        steps[0] += 1
+
+    def kernel(y, out, rows):
+        if steps[0] == step:
+            if threading.current_thread() is threading.main_thread():
+                raise ValueError("kernel failed")
+            time.sleep(0.02)  # the worker's eight slabs outlast this thread's error
+            done.append(rows)
+        out[...] = 1.0
+        return out
+
+    with pytest.raises(ValueError, match="kernel failed"):
+        iterate(potential, kernel, np.zeros((3,) + dims), 0.01, 5, 0.0)
+    assert done == [(a, a + 1) for a in range(8, 16)]  # all of them, before the raise
+
+
+def test_threads_solving_at_once_get_the_sequential_bytes(monkeypatch):
+    """Three solves at once, each splitting its updates onto the one worker thread: four
+    threads on two CPUs, switching every 10 us, write disjoint slabs and get the bytes of
+    one solve at a time."""
+    inputs = [rand_scalar((24, 48, 48), seed) for seed in (16, 17, 18)]
+    want = [_drivers(u, max_iters=5, tol=0.0) for u in inputs]
+    submitted = _splits(monkeypatch)
+    got = [None] * len(inputs)
+
+    def solve(k):
+        got[k] = _drivers(inputs[k], max_iters=5, tol=0.0)
+
+    threads = [threading.Thread(target=solve, args=(k,)) for k in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want and submitted
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_solves_after_the_parent_used_the_worker(monkeypatch):
+    """The child has no copy of the parent's worker thread: its first split starts one."""
+    u = rand_scalar((16, 160, 160), 18)
+    submitted = _splits(monkeypatch)
+
+    def solve():
+        return rof_denoise(u, RofConfig(lam=0.3, max_iters=4)).u.tobytes()
+
+    want = solve()
+    assert submitted and _worker._POOL is not None
+    with warnings.catch_warnings():  # Python 3.12+ warns of a fork beside a thread
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the child
+        code = 1
+        try:
+            code = 0 if solve() == want else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if status[0] == 0:  # a child stuck on the parent's queue
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish its solve")
+    assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
+def test_a_kernel_on_the_worker_thread_sees_one_worker(monkeypatch):
+    """A solve that a kernel on the worker thread runs stays on that thread: the worker never
+    waits for itself."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    seen = []
+
+    def kernel(y, out, rows):
+        seen.append((threading.current_thread() is threading.main_thread(), dual._workers()))
+        out[...] = 0.0
+        return out
+
+    iterate(lambda p: None, kernel, np.zeros((3, 16, 160, 160)), 0.1, 1, 0.0)
+    assert dict(seen) == {True: 2, False: 1}
+
+
+@pytest.mark.parametrize("cpus, workers", [({0}, 1), ({3}, 1), ({0, 1}, 2), ({0, 1, 2, 3}, 2)])
+def test_the_worker_count_follows_the_affinity_mask(cpus, workers, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    assert dual._workers() == workers
+
+
+def test_importing_the_cli_starts_no_thread_and_loads_no_executor():
+    """The worker thread and its module load with the first split update; the thread is
+    plain ``threading``."""
+    script = (
+        "import sys, threading\n"
+        "import numpy as np\n"
+        "import tvstokes.cli\n"
+        "from tvstokes import RofConfig, dual, rof_denoise\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+        "assert 'tvstokes._worker' not in sys.modules\n"
+        "assert threading.active_count() == 1\n"
+        "dual._workers = lambda: 2\n"
+        "rof_denoise(np.zeros((16, 160, 160)), RofConfig(max_iters=2))\n"
+        "assert threading.active_count() == 2\n"
+        "assert 'concurrent.futures' not in sys.modules\n"
+    )
+    src = str(Path(dual.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -129,6 +129,15 @@ def test_adjoint_grad_zero():
     assert np.all(adjoint_grad(np.zeros((2, 4, 4))) == 0.0)
 
 
+# one channel short of a 2-d grid's two, which used to return the first axis's term
+# alone, and one over, which used to raise numpy's IndexError
+@pytest.mark.parametrize("shape", [(1, 5, 6), (3, 5, 6)], ids=str)
+@pytest.mark.parametrize("op", [adjoint_grad, divergence], ids=lambda op: op.__name__)
+def test_adjoint_grad_needs_one_channel_per_grid_axis(op, shape):
+    with pytest.raises(DimensionError, match=r"one channel per grid axis"):
+        op(np.zeros(shape))
+
+
 def test_adjoint_identity_random():
     for dims, seed in [((3, 4, 5), 12), ((4, 4), 13), ((6,), 14), ((2, 3, 2, 4), 15)]:
         u = rand_scalar(dims, seed)
@@ -363,7 +372,7 @@ def test_total_variation_equals_iso_l1_norm_of_the_gradient_bitwise(dims):
 
 
 # 1-d, 4-d, a 2-d frame that one slab spans, first axes of length 2, and a grid the loop
-# splits into two slabs
+# splits into three slabs
 TABLE_GRIDS = [(9,), (3, 2, 4, 5), (64, 64), (2, 7), (2, 3, 5), (70, 33, 16)]
 
 
@@ -464,10 +473,10 @@ def test_validate_field_widens_f32():
     assert u.dtype == np.float64
 
 
-# (70, 33, 16) spans two slabs of the default slab rule
+# (70, 33, 16) spans three slabs of the default slab rule
 @pytest.mark.parametrize("dims", [(5,), (4, 6), (3, 4, 5), (2, 3, 2, 4), (70, 33, 16)])
 def test_vector_operators_act_channel_by_channel(dims):
-    assert len(fields._spans(dims)) == (2 if dims == (70, 33, 16) else 1)
+    assert len(fields._spans(dims)) == (3 if dims == (70, 33, 16) else 1)
     g = rand_vector(dims, 23)
     p = rand_tensor(dims, 24)
     gv = grad_vec(g)

@@ -333,7 +333,7 @@ def test_driver_runs_under_a_trace_or_profile_function(install):
         want.iters, want.final_change, want.kkt_residual, want.objective)
 
 
-# the original (5, 4) case, then GRIDS and two slabs
+# the original (5, 4) case, then GRIDS and three slabs
 @pytest.mark.parametrize("dims", [(5, 4)] + GRIDS + [(70, 33, 16)], ids=str)
 def test_kkt_residual_checks_the_given_dual_against_the_symmetric_residual(dims):
     g0 = grad(rand_scalar(dims, 25))
