@@ -1,9 +1,10 @@
-"""The dual update's one worker thread, loaded by the first update that splits.
+"""The package's one worker thread, loaded by the first update or Poisson solve that splits.
 
 :func:`.dual.iterate` hands one group of slabs to :func:`submit` and waits for
-its :class:`Outcome`.  The thread starts with the first call and then waits,
-idle, for the next; calls from several solving threads run in turn.  It and
-its queue use ``threading`` alone: ``concurrent.futures`` imports
+its :class:`Outcome`; a halved :meth:`.PoissonPlan.solve` hands it the second
+half of each of its four phases.  The thread starts with the first call and
+then waits, idle, for the next; calls from several solving threads run in
+turn.  It and its queue use ``threading`` alone: ``concurrent.futures`` imports
 ``logging`` and more, about 0.6 MB that the first run to split an update
 would hold, and this module is not imported by ``import tvstokes``, so a run
 that never splits, such as one on 64x64 frames, never compiles it.  A thread

@@ -85,9 +85,11 @@ groups' increment records are combined in slab order, and an error on the
 worker is raised on the calling thread, so a :class:`DivergenceError` comes
 at the same iteration.  The step is pointwise, so the bytes do not depend on
 the number of threads.  An update on the worker never splits, so the worker
-never waits for itself.  Only the update is split: the potential's
-transposed operators are bound by memory bandwidth, and splitting its matrix
-products changes OpenBLAS's rounding.
+never waits for itself.  Beyond the update, only step 1's Poisson solve
+splits: on a grid of four slabs or more it runs its dense products in fixed
+halves, the second on the worker (see :mod:`.spectral`).  The potential's
+transposed operators are bound by memory bandwidth and stay on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -110,13 +112,13 @@ __all__ = [
 ]
 
 _ONE = np.array(1.0)  # the clip's floor, 0-d: see fields._MINUS_ONE
-_WORKER = "tvstokes-dual"  # the name of the update's worker thread (see ._worker)
+_WORKER = "tvstokes-dual"  # the name of the worker thread (see ._worker)
 
 
 def _workers() -> int:
-    """Threads an update may split over: at most two, and no more than the CPUs this
-    process may run on, so ``taskset -c 0`` keeps a solve on one; one on the worker thread,
-    which never waits for itself."""
+    """Threads an update or a Poisson solve may split over: at most two, and no more than
+    the CPUs this process may run on, so ``taskset -c 0`` keeps a solve on one; one on the
+    worker thread, which never waits for itself."""
     if threading.current_thread().name == _WORKER:
         return 1
     try:

@@ -25,6 +25,23 @@ orthonormal DCT pair, imported on the first such solve.  The two agree to
 within 5e-15 relative.  The per-shape work runs once per plan:
 :class:`PoissonPlan` builds the 2d products of a dense solve, each a matrix
 view, a side and the grid's shape for it, and a solve replays them.
+
+A dense solve on a grid of four slabs or more (:func:`.fields._spans`, the
+dual update's threshold for a split) runs in four phases: the forward
+first-axis product; the forward later products, then the division by the
+eigenvalues; the inverse first-axis product; the inverse later products.
+Each phase splits into two fixed halves of the first axis's rows, ``[0, h)``
+and ``[h, n)`` with ``h = n // 2``: a first-axis half multiplies its rows of
+the matrix by the whole grid, a later half works on its rows of each view.
+The calling thread runs the first half, and the dual update's worker thread
+(:mod:`._worker`) the second when :func:`.dual._workers` gives two; else the
+calling thread runs both, in turn.  The worker's half is joined before the
+next phase.  The halves depend only on the grid, so the bytes do not depend
+on the CPU count.  A half may round differently from the whole product (on
+17^4 by up to 4e-16 relative; on the 3-d grids measured, not at all), so a
+grid of fewer slabs, every dense 2-d grid and 32^3 among them, issues the
+whole products.  A 64^3 solve took 2.92 ms whole and 1.87 ms as halves on
+two threads (2.92-3.00 ms on one) on a 2-vCPU Xeon with one BLAS thread.
 """
 
 from __future__ import annotations
@@ -36,7 +53,7 @@ from math import prod
 import numpy as np
 
 from .errors import DimensionError, ParameterError, _shape
-from .fields import adjoint_grad, grad
+from .fields import _spans, adjoint_grad, grad
 
 __all__ = [
     "DiffFactors",
@@ -134,8 +151,11 @@ class PoissonPlan:
     so that multiplying by it both inverts the spectrum and discards the
     nullspace coefficient.  When no axis is longer than ``_DENSE_MAX`` it
     also holds the n-by-n DCT-II matrix of each distinct axis length and the
-    products a solve replays, forward then inverse.  The plan is immutable
-    after construction and safe to share across threads.
+    products a solve replays, forward then inverse, and on a grid of four
+    slabs or more the four phases of its two halves (see the module
+    docstring).  The plan is immutable after construction and safe to share
+    across threads; a solve reads its worker count when it runs, so one on
+    the worker thread runs both halves itself.
     """
 
     def __init__(self, dims):
@@ -143,13 +163,16 @@ class PoissonPlan:
         inverse = self.denominator
         inverse[(0,) * len(dims)] = np.inf
         self._inverse = np.divide(1.0, inverse, out=inverse)
-        self._passes = None
+        self._passes = self._phases = None
         if max(dims) <= _DENSE_MAX:
             cosine = {n: _dct_matrix(n) for n in set(dims)}
             # the 2d products of a solve, built once: each axis forward, then each inverse
             self._passes = tuple(tuple(_product(cosine[n].T if transpose else cosine[n], axis, dims)
                                        for axis, n in enumerate(dims))
                                  for transpose in (False, True))
+            # the dual update's split threshold; a 1-d grid's one product is from the right
+            if len(dims) > 1 and len(_spans(dims)) > 3:
+                self._phases = _phases(self._passes, dims, self._inverse)
 
     @property
     def denominator(self) -> np.ndarray:
@@ -178,6 +201,8 @@ class PoissonPlan:
             return fft.idctn(fhat, type=2, norm="ortho", overwrite_x=True)  # fhat is ours
         writable = overwrite_x and f.flags.c_contiguous and f.flags.writeable
         x = f if writable else np.array(f, order="C")
+        if self._phases is not None:
+            return _halved(x, np.empty(self.dims), self._phases)
         forward, inverse = self._passes
         x, y = _transform(x, np.empty(self.dims), forward)
         x *= self._inverse
@@ -206,6 +231,81 @@ def _transform(x: np.ndarray, y: np.ndarray, passes) -> tuple:
             np.matmul(x.reshape(shape), c, out=y.reshape(shape))
         x, y = y, x
     return x, y
+
+
+def _phases(passes, dims, inverse) -> tuple:
+    """The four phases of a halved solve, each a pair of halves ``(products, scale)``.
+
+    The halves are rows ``[0, h)`` and ``[h, n)`` of the first axis, ``h = n // 2``.
+    Each direction has two phases: its first-axis product, whose half multiplies its
+    rows of the matrix by the whole grid, and its later products, each on the half's
+    rows of its view.  A product is ``(left, matrix, shape, source rows, target
+    rows)``; the forward later phase's ``scale`` holds the half's rows of the grid and
+    of the reciprocal eigenvalues, the other phases' ``None``.
+    """
+    n, rest = dims[0], prod(dims[1:])
+    halves = (slice(0, n // 2), slice(n // 2, n))
+    phases = []
+    for forward, ((_, c, _), *later) in zip((True, False), passes):
+        phases.append(tuple((((True, c[rows], (n, rest), slice(None), rows),), None)
+                            for rows in halves))
+        phases.append(tuple((tuple(_on_rows(product, rows, n) for product in later),
+                             (rows, inverse[rows]) if forward else None)
+                            for rows in halves))
+    return tuple(phases)
+
+
+def _on_rows(product, rows: slice, n: int) -> tuple:
+    """A later axis's product on the rows of its view that the grid's rows ``rows`` span."""
+    left, c, shape = product
+    m = shape[0] // n  # rows of the view per row of the grid's first axis
+    view = slice(rows.start * m, rows.stop * m)
+    return left, c, shape, view, view
+
+
+def _run(x: np.ndarray, y: np.ndarray, products, scale) -> None:
+    """Run one half's products of a phase, from ``x`` to ``y`` and back in turn; then,
+    given ``scale = (rows, inverse)``, multiply those rows of the result by ``inverse``."""
+    for left, c, shape, source, target in products:
+        if left:
+            np.matmul(c, x.reshape(shape)[source], out=y.reshape(shape)[target])
+        else:
+            np.matmul(x.reshape(shape)[source], c, out=y.reshape(shape)[target])
+        x, y = y, x
+    if scale is not None:
+        rows, inverse = scale
+        np.multiply(x[rows], inverse, out=x[rows])
+
+
+def _halved(x: np.ndarray, y: np.ndarray, phases) -> np.ndarray:
+    """The dense solve in its halves, phase by phase; the second half of a phase runs on
+    the worker thread when there are two workers, else after the first on this thread.
+
+    The worker's half is joined before the next phase, a return or a raise, and its
+    error is raised here.  The halves are the grid's alone, so the bytes do not depend
+    on where they run.
+    """
+    from . import dual  # it imports this module
+
+    workers = dual._workers()
+    for first, second in phases:
+        outcome = None
+        if workers > 1:
+            from . import _worker
+
+            outcome = _worker.submit(_run, x, y, *second)
+        try:
+            _run(x, y, *first)
+        finally:
+            if outcome is not None:  # joined, also when this thread raised
+                outcome.wait()
+        if outcome is None:
+            _run(x, y, *second)
+        elif outcome.value[1] is not None:
+            raise outcome.value[1]
+        if len(first[0]) % 2:
+            x, y = y, x
+    return x  # 2d products in all: back in x's buffer
 
 
 def project_gradient_field(v: np.ndarray, plan: PoissonPlan | None = None) -> np.ndarray:

@@ -11,10 +11,12 @@ output means equal bytes for every record below.  The records are:
   for both models on an f64 volume and on an f32 volume with a value range.
 
 The grids cover 1 to 4 dimensions, a grid of three slabs and the scipy.fft
-Poisson solve (70, 33, 16), a grid of four slabs whose exact steps split
-over two threads (24, 48, 48), and the shapes of the benchmark's ROF video
-(16, 160, 160), sixteen slabs that split every step; every input holds some
-exact zeros.  ``taskset -c 0`` runs every update on one thread.
+Poisson solve (70, 33, 16), a grid of four slabs whose exact steps and
+Poisson solves split over two threads (24, 48, 48), a grid of six slabs whose
+Poisson halves round differently from its whole products (17, 17, 17, 17),
+and the shapes of the benchmark's ROF video (16, 160, 160), sixteen slabs
+that split every step; every input holds some exact zeros.  ``taskset -c 0``
+runs every update and every Poisson solve on one thread.
 The file has no ``test_`` prefix, so pytest does not collect it.
 
 ``python tests/digest.py --compare A.json B.json`` compares two printed
@@ -38,7 +40,8 @@ from tvstokes import (ReconstructionConfig, RofConfig, SmoothingConfig, grad, ma
                       smoothing_objective)
 from tvstokes import reconstruction, smoothing
 
-SOLVE_GRIDS = [(40,), (12, 9), (6, 5, 8), (4, 3, 5, 4), (70, 33, 16), (32, 32, 32), (24, 48, 48)]
+SOLVE_GRIDS = [(40,), (12, 9), (6, 5, 8), (4, 3, 5, 4), (70, 33, 16), (32, 32, 32), (24, 48, 48),
+               (17, 17, 17, 17)]
 STOPS = {"cap": {"max_iters": 7, "tol": 0.0}, "tol": {"max_iters": 60, "tol": 3e-2}}
 LAM1, LAM2, EPS = 0.2, 0.35, 1e-8
 

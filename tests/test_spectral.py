@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from scipy import fft
 
 import tvstokes
+from tvstokes import _worker, dual, fields, spectral
 from tvstokes import (
     DimensionError,
     PoissonPlan,
@@ -184,9 +187,10 @@ def test_poisson_plan_shape_mismatch():
 
 
 # axes of 64 and 65 sit on both sides of _DENSE_MAX; a last axis of 8 once
-# hit a numpy strided-ufunc bug; (2, 3, 40, 300) mixes short and long axes
+# hit a numpy strided-ufunc bug; (2, 3, 40, 300) mixes short and long axes;
+# (24, 48, 48) is four slabs, a solve in halves
 SOLVE_GRIDS = [(64,), (65,), (17, 64), (64, 65), (9, 64, 8), (65, 12, 8), (3, 64, 5, 8),
-               (2, 3, 40, 300)]
+               (2, 3, 40, 300), (24, 48, 48)]
 
 
 def _pocketfft_solve(f):
@@ -226,9 +230,13 @@ def test_poisson_solve_overwrite_x_copies_what_it_cannot_overwrite():
     np.testing.assert_array_equal(readonly, f)
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (5, 64), (3, 4, 7), (64, 64), (16, 16, 16)], ids=str)
+# (64, 33, 20) is three slabs: its halves would round differently from the whole products
+@pytest.mark.parametrize("dims", [(2, 2), (5, 64), (3, 4, 7), (64, 64), (16, 16, 16),
+                                  (64, 33, 20)], ids=str)
 def test_poisson_solve_is_the_per_axis_dense_product_bitwise(dims):
-    """The plan's products, built once, replay the per-axis dense solve call for call."""
+    """The plan's products, built once, replay the per-axis dense solve call for call on a
+    grid of fewer than four slabs."""
+    assert len(fields._spans(dims)) < 4
     plan, f = PoissonPlan(dims), rand_scalar(dims, 5)
     want = dense_poisson_solve(f).tobytes()
     for _ in range(2):
@@ -245,12 +253,128 @@ def test_poisson_plan_one_matrix_per_axis_length():
     assert len(matrices(PoissonPlan((8, 5, 8)))) == 2
 
 
+def _spy(monkeypatch) -> list:
+    """The returned list counts the halves handed to the worker thread."""
+    submitted, submit = [], _worker.submit
+
+    def spy(*args):
+        submitted.append(1)
+        return submit(*args)
+
+    monkeypatch.setattr(_worker, "submit", spy)
+    return submitted
+
+
+# four slabs and more, 17^4's halves rounding differently from its whole products; then
+# three slabs and two
+@pytest.mark.parametrize("dims", [(24, 48, 48), (40, 48, 56), (64, 64, 64), (17, 17, 17, 17),
+                                  (64, 33, 20), (32, 32, 32)], ids=str)
+def test_a_solve_gives_the_same_bytes_on_one_and_two_workers(dims, monkeypatch):
+    """A grid of four slabs or more solves in fixed halves wherever they run: four halves
+    go to the worker per solve on two workers, none on one or on a grid of fewer slabs."""
+    plan, f = PoissonPlan(dims), rand_scalar(dims, 21)
+    halved = len(fields._spans(dims)) > 3
+    assert (plan._phases is not None) == halved
+    submitted = _spy(monkeypatch)
+    monkeypatch.setattr(dual, "_workers", lambda: 1)
+    want = plan.solve(f).tobytes()
+    assert not submitted
+    monkeypatch.setattr(dual, "_workers", lambda: 2)
+    assert plan.solve(f).tobytes() == want
+    assert len(submitted) == (4 if halved else 0)
+    assert plan.solve(f.copy(), overwrite_x=True).tobytes() == want
+    np.testing.assert_array_equal(f, rand_scalar(dims, 21))
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_an_error_in_a_half_is_raised_after_the_workers_half_is_joined(where, monkeypatch):
+    """The error reaches the calling thread once the worker's half has finished, and the
+    next solve gets the bytes of an untroubled one."""
+    dims = (24, 48, 48)
+    plan, f = PoissonPlan(dims), rand_scalar(dims, 22)
+    want = plan.solve(f).tobytes()
+    monkeypatch.setattr(dual, "_workers", lambda: 2)
+    run, finished = spectral._run, []
+
+    def failing(*args):
+        on_worker = threading.current_thread().name == dual._WORKER
+        if on_worker:
+            time.sleep(0.05)  # the worker's half outlasts an error on the calling thread
+        if on_worker == (where == "worker"):
+            raise RuntimeError(f"half failed on the {where}")
+        run(*args)
+        finished.append(on_worker)
+
+    monkeypatch.setattr(spectral, "_run", failing)
+    with pytest.raises(RuntimeError, match=f"^half failed on the {where}$"):
+        plan.solve(f)
+    # the first phase only; on an error here, the worker's half finished before the raise
+    assert finished == ([False] if where == "worker" else [True])
+    monkeypatch.setattr(spectral, "_run", run)
+    assert plan.solve(f).tobytes() == want
+
+
+def test_a_solve_on_the_worker_thread_runs_both_halves_there(monkeypatch):
+    """A kernel on the worker thread that solves hands nothing to the worker, which would
+    wait for itself; the test gives up on a hang."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    dims = (24, 48, 48)
+    plan, f = PoissonPlan(dims), rand_scalar(dims, 23)
+    want = plan.solve(f).tobytes()
+    submitted, seen = _spy(monkeypatch), []
+
+    def kernel(y, out, rows):
+        if rows == (15, 16):  # the last slab: the worker's group
+            before = len(submitted)
+            got = plan.solve(f).tobytes()
+            seen.append((threading.current_thread().name, len(submitted) - before, got))
+        out[...] = 0.0
+        return out
+
+    # one exact update of sixteen 1-row slabs, the last eight on the worker
+    solver = threading.Thread(daemon=True, target=lambda: dual.iterate(
+        lambda p: None, kernel, np.zeros((3, 16, 160, 160)), 0.1, 1, 0.0))
+    solver.start()
+    solver.join(timeout=60)
+    assert not solver.is_alive(), "a solve on the worker thread waited for itself"
+    assert seen == [(dual._WORKER, 0, want)]
+
+
+def test_threads_sharing_a_plan_get_the_sequential_bytes(monkeypatch):
+    """Three threads solve with one plan at once, each handing its halves to the one
+    worker, switching every 10 us: each gets the bytes of a solve on one thread."""
+    dims = (24, 48, 48)
+    plan = PoissonPlan(dims)
+    inputs = [rand_scalar(dims, seed) for seed in (24, 25, 26)]
+    want = [plan.solve(f).tobytes() for f in inputs]
+    submitted = _spy(monkeypatch)
+    monkeypatch.setattr(dual, "_workers", lambda: 2)
+    got = [None] * len(inputs)
+
+    def solve(k):
+        got[k] = [plan.solve(inputs[k]).tobytes() for _ in range(5)]
+
+    threads = [threading.Thread(target=solve, args=(k,)) for k in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 5 for w in want] and len(submitted) == 4 * 5 * len(inputs)
+
+
 def test_smoothing_bytes_do_not_depend_on_blas_threads():
-    """The dense transforms run through BLAS; its thread count must not change a bit."""
+    """The dense transforms run through BLAS; its thread count must not change a bit.  The
+    grid is four slabs, so its Poisson solves run in halves."""
     script = (
         "import hashlib, numpy as np\n"
         "from tvstokes import SmoothingConfig, smooth_gradient_field\n"
-        "u = np.random.default_rng(0).standard_normal((32, 32, 32))\n"
+        "u = np.random.default_rng(0).standard_normal((24, 48, 48))\n"
         "r = smooth_gradient_field(u, SmoothingConfig(lam=0.1, max_iters=3))\n"
         "print(hashlib.sha256(r.g.tobytes() + r.p.tobytes()).hexdigest())\n"
     )
