@@ -7,12 +7,15 @@ is nonexpansive for ``tau <= 1/(2d)``.  It is not the semi-implicit division
 ``p <- (p - tau*w) / (1 + tau*|w|)``, ``w = A(p)``, of Chambolle's JMIV 2004
 paper; both rules have the fixed points ``w + |w|*p = 0``, which
 :func:`stationarity_residual` checks.  Every model's residual is a
-forward-difference operator ``K`` of one potential computed from the whole
-dual, ``A(p) = K(y)`` with ``y = potential(p)``: :func:`.fields.hessian` in
-the smoothing, :func:`.fields.grad` in reconstruction and ROF.  A model
+forward-difference operator ``K`` of one potential of the dual,
+``A(p) = K(y)`` with ``y = potential(p)``: :func:`.fields.hessian` in the
+smoothing, :func:`.fields.grad` in reconstruction and ROF.  A model
 supplies the potential and ``K`` as a kernel that writes any rows ``[a, b)``
-of the first grid axis.  Every solve ends in :func:`solve`, which computes
-``y`` of the final dual once and takes :func:`kkt_residual` from it; the
+of the first grid axis.  The smoothing's potential, a Poisson solve, is
+global; the vector models' is a :class:`RowPotential`, whose rows ``[a, b)``
+read rows ``[a - 1, b)`` of the dual alone.  Every solve ends in
+:func:`solve`, which computes ``y`` of the final dual once and takes
+:func:`kkt_residual` from it; the
 driver recovers its primal solution from ``y``.  Every function here takes
 one layout, channels stacked along axis 0.  ``_objective`` is every model's
 primal objective, ``TV(x) + 1/(2*lam)*||x - x0||^2 + <x[0], m>``: the
@@ -36,7 +39,9 @@ the clip run while the slab's channels stay in cache, and the clipped step goes
 straight back into ``p``.  Once ``y`` is computed the old dual is read only
 slab by slab, so a solve holds one dual, and all loop scratch, each group's
 slab residual and two norm grids, lives one step: allocated after its
-potential, freed before the next.  The clip divides channel by channel: one
+potential, freed before the next.  A row potential is computed inside the
+update instead, a chunk of slabs at a time, so no whole-grid ``y`` exists in
+the loop (see below).  The clip divides channel by channel: one
 division of the stacked slab by its norm grid, broadcast over the channels,
 makes numpy allocate an iterator buffer every call, two grids of a 64x64
 frame, and runs slower there.  The update is pointwise, so the result
@@ -76,8 +81,8 @@ keeps it on one.  The worker starts with the first update that splits and
 then waits for the next, and a forked child starts its own.  The slabs split
 into two contiguous groups when each holds two slabs or more, else stay one
 group: the calling thread runs the first, the worker the second, each in its
-own scratch.  On a lazy step the witness's slab runs first, alone, on the
-calling thread, and decides ``lazy`` before any other slab is written: the
+own scratch.  On a lazy step the witness's slab runs first on the calling
+thread, and decides ``lazy`` before any other slab is written: the
 slabs after it split, the worker takes the larger half and starts at once,
 but waits for the witness's verdict before its first write.  The worker's
 group is joined before :func:`iterate` goes on, returns or raises; the
@@ -85,11 +90,30 @@ groups' increment records are combined in slab order, and an error on the
 worker is raised on the calling thread, so a :class:`DivergenceError` comes
 at the same iteration.  The step is pointwise, so the bytes do not depend on
 the number of threads.  An update on the worker never splits, so the worker
-never waits for itself.  Beyond the update, only step 1's Poisson solve
-splits: on a grid of four slabs or more it runs its dense products in fixed
-halves, the second on the worker (see :mod:`.spectral`).  The potential's
-transposed operators are bound by memory bandwidth and stay on the calling
-thread.
+never waits for itself.  Beyond the update and the row potential computed
+inside it (below), only step 1's Poisson solve splits: on a grid of four slabs
+or more it runs its dense products in fixed halves, the second on the worker
+(see :mod:`.spectral`).  Step 1's transposed operator, ``adjoint_hessian``, is
+bound by memory bandwidth and stays on the calling thread.
+
+A row potential runs split with the update.  The kernel of a slab ``[a, b)``
+reads rows ``[a, b]`` of ``y``, its *window*, and ``y[r]`` reads
+``p[0][r - 1]`` and ``p[:, r]``, so a window's rows are computed in the update,
+on the thread that owns the slab, before the slab is written, and a
+whole-grid ``y`` is never built.  Each group steps its slabs in grid order, a
+*run*, but for the wrap of a lazy step's rotated order to row 0, whose first
+row reads no earlier one.  One call computes the rows of a *chunk*, the next
+slabs of a run up to ``_CHUNK`` entries (one slab at least), and the row after
+them, its halo, which is the next chunk's first row, so the window carries it
+over, computed from the old dual: chunks in place of single slabs cut the
+ufunc calls that the two threads make, each of which gives up the interpreter
+lock and waits to take it back.  A row where two runs meet reads a slab that
+another thread, or this one earlier, writes, so it is computed from the old
+dual before the step's first write and before the worker starts: the cut
+between the two groups, and on a lazy step the witness's first row, which is
+also the halo of the rotated order's last slab.  Every entry of ``y`` sees the
+operations of the whole-grid potential in the same order, so the bytes do not
+depend on where the rows are computed.
 """
 
 from __future__ import annotations
@@ -107,11 +131,15 @@ from .fields import _spans, _sum_squares, _total_variation, max_tuple_norm
 from .spectral import dual_step_bound
 
 __all__ = [
-    "DualConfig", "DualResult", "require_feasible", "iterate", "stationarity_residual",
-    "kkt_residual", "solve",
+    "DualConfig", "DualResult", "RowPotential", "require_feasible", "iterate",
+    "stationarity_residual", "kkt_residual", "solve",
 ]
 
 _ONE = np.array(1.0)  # the clip's floor, 0-d: see fields._MINUS_ONE
+# Grid entries of a row potential that one call computes, in whole slabs, one at least:
+# on a 2-vCPU Xeon with two threads, chunks of four 16K-entry slabs in place of single
+# slabs took a 64^3 step-2 step and a 160x160x16 ROF step 15-20% less time
+_CHUNK = 1 << 16
 _WORKER = "tvstokes-dual"  # the name of the worker thread (see ._worker)
 
 
@@ -174,6 +202,31 @@ def require_feasible(p) -> None:
         raise ParameterError("dual field violates the pointwise unit bound or is not finite")
 
 
+class RowPotential:
+    """A potential computed by rows, such as the vector models' ``y = adjoint_grad(q) + ...``.
+
+    ``rows(q, out, (a, b), scratch)`` writes rows ``[a, b)`` of the first grid
+    axis of the potential of the dual ``q`` into the C-ordered grid ``out``,
+    reading only rows ``[a - 1, b)`` of ``q``, given a C-ordered ``scratch``
+    grid of ``b - a`` rows or more.  :func:`iterate` computes each slab's rows
+    inside its update; called on a dual, the potential returns the whole
+    grid, from the same function run slab by slab.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __call__(self, q) -> np.ndarray:
+        y = np.empty(q.shape[1:])
+        spans = _spans(y.shape)
+        scratch = np.empty((spans[0][1],) + y.shape[1:])
+        for a, b in spans:
+            self.rows(q, y[a:b], (a, b), scratch)
+        return y
+
+
 def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channels=None):
     """Iterate from the dual ``p``; returns ``(p, iters, final_change)``.
 
@@ -185,37 +238,59 @@ def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channe
     The residual is ``A(p) = K(y)`` with ``y = potential(p)``:
     ``kernel(y, out, (a, b))`` writes rows ``[a, b)`` of the first grid axis
     of ``K(y)`` into ``out``, C-ordered, or allocates it when ``out`` is
-    ``None``; it may run on the worker thread.  Only a private copy of
-    ``p`` lives through a potential: each group's slab residual and two
-    slab-sized norm grids live one step.  Each step equals
-    ``unit_clip(p - tau*A(p))`` bit for bit, on one thread or two.  The
-    increment's ``max_tuple_norm`` is computed, bit for bit, on the first and
-    the last allowed step and on a step whose witness norm is at most ``tol``
-    (see the module docstring); a slab whose clip norm is not finite gets its
-    own exact increment on any step.
+    ``None``, reading rows ``[a, b]`` of ``y`` and, for the Hessian, the row
+    after; it may run on the worker thread.  A :class:`RowPotential` is
+    computed inside the update, and the kernel gets each slab's window of
+    ``y`` alone, rows ``[a, b + 1)`` as rows ``[0, b - a]`` (see the module
+    docstring); any other potential is called on the whole dual once per
+    step.  Only a private copy of ``p``
+    lives through a potential: each group's slab residual and two slab-sized
+    norm grids live one step.  Each step equals ``unit_clip(p - tau*A(p))``
+    bit for bit, on one thread or two.  The increment's ``max_tuple_norm`` is
+    computed, bit for bit, on the first and the last allowed step and on a
+    step whose witness norm is at most ``tol`` (see the module docstring); a
+    slab whose clip norm is not finite gets its own exact increment on any
+    step.
     """
     p = np.array(p, dtype=np.float64, order="C")
     grid = p.shape[1:]
     spans = _spans(grid)
     slabs = [(i, span, p[:, slice(*span)]) for i, span in enumerate(spans)]  # views of p
     work = (spans[0][1],) + grid[1:]  # a slab's grid
+    rowwise = potential.rows if isinstance(potential, RowPotential) else None
     if channels is None:
         channels = range(len(p))
+    # a row potential's window of y: a chunk's rows and the row after them
+    chunk = max(1, _CHUNK // math.prod(work))  # slabs
+    frame = (min(chunk * work[0] + 1, grid[0]),) + work[1:]
+    size = len(p) * math.prod(work)  # a slab's residual, also the row function's scratch
+    if rowwise is not None:
+        size = max(size, math.prod(frame))
     # what every group's update reads; 0-d operands: see fields._MINUS_ONE
-    loop = (kernel, np.array(tau), tol, channels, range(len(p)), len(p) * math.prod(work),
-            (2,) + work)
+    loop = (kernel, rowwise, p, np.array(tau), tol, channels, range(len(p)), size, (2,) + work,
+            frame, chunk)
     workers = _workers()
     witness = None  # (slab, flat grid index in it) where the last exact increment peaked
     for iters in range(1, max_iters + 1):
         lazy = witness is not None and iters < max_iters
         order = slabs[witness[0]:] + slabs[:witness[0]] if lazy else slabs  # the witness's first
-        rest = order[1:] if lazy else order
         # this thread's group and the worker's, when each holds two slabs or more; this
-        # thread also runs the witness's slab, so the worker takes the larger half
-        cut = len(rest) // 2 if workers > 1 and len(rest) > 3 else len(rest)
-        mine, theirs = rest[:cut], rest[cut:]
-        ys = [potential(p)] * (lazy + bool(mine) + bool(theirs))  # one reference per update
-        peak = (-1.0, 0, 0)  # the step's largest exact squared increment, its slab and index
+        # thread also runs the witness's slab, first, so the worker takes the larger half
+        rest = len(order) - lazy
+        cut = lazy + (rest // 2 if workers > 1 and rest > 3 else rest)
+        mine, theirs = order[:cut], order[cut:]
+        if rowwise is None:
+            y = potential(p)
+        else:  # the rows where the groups' runs meet, from the old dual: each group's first
+            y = {}
+            for run in (mine, theirs):
+                a = run[0][1][0] if run else 0
+                if a > 0:
+                    edge = np.empty((2,) + grid[1:])  # the row, then its scratch
+                    rowwise(p, edge[:1], (a, a + 1), edge[1:])
+                    y[a] = edge[0]
+        ys = [y] * (1 + bool(theirs))  # one reference per group
+        del y
         outcome = verdict = None
         try:
             if theirs:  # started now, it writes nothing before the witness's verdict
@@ -223,9 +298,9 @@ def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channe
 
                 verdict = _worker.Outcome() if lazy else None
                 outcome = _worker.submit(_update, ys, theirs, lazy, None, iters, loop, verdict)
-            if lazy:  # the witness's slab, on this thread, before any other is written
-                lazy, peak = _update(ys, order[:1], True, witness[1], iters, loop, verdict)
-            records = [_update(ys, mine, lazy, None, iters, loop)] if mine else []
+            # the witness's slab first, before any other is written
+            lazy, peak = _update(ys, mine, lazy, witness[1] if lazy else None, iters, loop,
+                                 verdict)
         finally:
             if verdict is not None and verdict.value is None:  # the witness's slab raised
                 verdict.give(False)
@@ -235,12 +310,10 @@ def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channe
             result, error = outcome.value
             if error is not None:
                 raise error
-            records.append(result)
+            if result[1][0] > peak[0]:  # in slab order: the first of equal peaks stays
+                peak = result[1]
         if lazy:
             continue
-        for _, record in records:  # in slab order: the first of equal peaks stays
-            if record[0] > peak[0]:
-                peak = record
         change = math.sqrt(peak[0])  # max_tuple_norm of the increment
         witness = peak[1:]
         if change <= tol:
@@ -251,27 +324,57 @@ def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channe
 def _update(ys, slabs, lazy: bool, at, iters: int, loop, verdict=None):
     """Step the ``slabs`` of the dual in place, in order; return ``(lazy, peak)``.
 
-    ``ys`` holds references to the potential; this group takes one and drops
-    it after its last kernel call, so a potential that no other group still
-    reads is freed before the norm grids are allocated.  Given the flat index
-    ``at`` of the witness, the first slab's tuple norm of the increment there
+    ``ys`` holds references to the whole potential or, for a row potential,
+    to the rows where the step's runs meet, by row; this group takes one and
+    drops it after its last kernel call, so a potential that no other group
+    still reads is freed before the norm grids are allocated.  A row
+    potential's rows are computed here a chunk of slabs at a time, with the
+    row after them, before the chunk's first slab is written, but for the rows
+    where two runs meet and a chunk's first row that the chunk before in this
+    group's run computed as its last, which the window carries over.  Given the flat index ``at``
+    of the witness, the first slab's tuple norm of the increment there
     decides ``lazy`` before the slab is written, and is given to ``verdict``;
-    given a ``verdict`` and no ``at``, the group waits for it before its first
-    write and takes its ``lazy`` from it.  ``peak`` is the largest exact
-    squared increment of the group, its slab and flat index; ``loop`` holds
-    what :func:`iterate` computes once per solve.
+    given a ``verdict`` and no ``at``, the group waits for it before its
+    first write and takes its ``lazy`` from it.  ``peak`` is the largest
+    exact squared increment of the group, its slab and flat index; ``loop``
+    holds what :func:`iterate` computes once per solve.
     """
-    kernel, tau, tol, channels, stored, size, work = loop
-    y = ys.pop()
+    kernel, rowwise, p, tau, tol, channels, stored, size, work, frame, chunk = loop
+    y, window = ys.pop(), None
     step = np.empty(size)  # a slab's residual, then its step
-    last, norms, peak = slabs[-1][0], None, (-1.0, 0, 0)
-    for i, span, ps in slabs:
+    if rowwise is not None:
+        window = np.empty(frame)  # a chunk's rows of y and the row after them
+        scratch = step[:window.size].reshape(frame)
+    last, end, norms, peak = slabs[-1][0], p.shape[1], None, (-1.0, 0, 0)
+    more = 0  # the chunk's slabs not yet stepped
+    for k, (i, span, ps) in enumerate(slabs):
         qs = step[:ps.size].reshape(ps.shape)
-        kernel(y, qs, span)  # then qs <- unit_clip(ps - tau*qs)
+        if rowwise is None:
+            kernel(y, qs, span)  # then qs <- unit_clip(ps - tau*qs)
+        else:
+            a, b = span
+            if not more:  # a chunk: this slab and the run's next ones
+                top = a  # rows [a, top) of y and the row after them, the halo
+                for _, (c, d), _ in slabs[k:k + chunk]:
+                    if c != top:  # the wrap to the grid's first row ends a run
+                        break
+                    more, top = more + 1, d
+                halo = top < end
+                if a > 0:  # where two runs meet, or the halo of the chunk before
+                    window[0] = y[a] if k == 0 else window[a - base]
+                # the rows computed here: the halo too, unless the next run starts there
+                first, stop = a + (a > 0), top + (halo and k + more < len(slabs))
+                if first < stop:
+                    rowwise(p, window[first - a:stop - a], (first, stop), scratch)
+                if halo and stop == top:
+                    window[top - a] = y[top]
+                base = a
+            more -= 1
+            kernel(window[a - base:b - base + (b < end)], qs, (0, b - a))
         # no scratch lives through a potential; the norms come after the kernel's
-        # work grid and y are freed, as one slab's residual is dual-sized
+        # work grid, y and the window are freed, as one slab's residual is dual-sized
         if i == last:
-            del y
+            y = window = None
         if norms is None:
             norms = np.empty(work)
         rows = span[1] - span[0]
@@ -291,6 +394,7 @@ def _update(ys, slabs, lazy: bool, at, iters: int, loop, verdict=None):
             lazy, at = math.sqrt(total) > tol, None  # NaN fails too
             if verdict is not None:  # the worker's group may write now
                 verdict.give(lazy)
+                verdict = None
         elif verdict is not None:
             lazy, verdict = verdict.wait(), None
         # the clip, channel by channel; the loop variable holds no view of the scratch

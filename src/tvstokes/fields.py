@@ -39,7 +39,8 @@ included.
 
 The per-shape work runs once per shape.  Each operator reads its steps from
 a table built on its first call for a grid shape and a row range (or slab
-size) and cached, as ``_layout`` is: the flat slices of every difference,
+size, or a row count and whether the rows start after the first row and end
+the grid) and cached, as ``_layout`` is: the flat slices of every difference,
 offset by the stride, the boundary slices, the halo decisions and the scratch
 shapes (``_grad_steps``, ``_hessian_steps``, ``_adjoint_grad_steps``,
 ``_adjoint_hessian_steps`` and ``_diff_steps``).  A table holds ints, slices
@@ -57,10 +58,12 @@ of the whole result: the first-axis difference reads one row past the range,
 and the Hessian two, so the dual loop can evaluate its residual one slab at a
 time.  The transposed operators run slab by slab themselves, with slab-sized
 scratch: the first-axis transposed stencil reads one row before the range.
-``adjoint_grad`` writes each slab's first-axis term and adds every later one;
-:func:`adjoint_hessian` carries the one row of its inner term that the next
-slab reads.  Every output entry sees the same operations in the same order
-as over the whole grid, so the results do not depend on the slab size.
+``adjoint_grad`` writes each slab's first-axis term and adds every later one,
+and computes any rows alone, as the vector models' potential does inside the
+dual update (see :mod:`.dual`); :func:`adjoint_hessian` carries the one row
+of its inner term that the next slab reads.  Every output entry sees the same
+operations in the same order as over the whole grid, so the results do not
+depend on the slab size.
 
 Every grid of tuple norms adds its squares through :func:`_sum_squares`, one
 channel at a time in C order, the order of ``np.sum`` over the channels; the
@@ -318,35 +321,51 @@ def adjoint_grad(p: np.ndarray) -> np.ndarray:
     """
     p = np.asarray(p, dtype=np.float64, order="C")
     dims = p.shape[1:]
-    if len(p) != len(dims):  # inline: every dual step of the vector models calls this
+    if len(p) != len(dims):
         raise DimensionError(f"not a vector field of one channel per grid axis: shape {p.shape}")
-    work, slabs = _adjoint_grad_steps(p.shape, _SLAB)
-    out, scratch = np.empty(dims), np.empty(work)
-    src, dst, part = p.ravel(), out.ravel(), scratch.ravel()
-    for first, later, rows, term in slabs:
-        _diff_t(src, dst, p, out, first)
-        for step in later:
-            _diff_t(src, part, p, scratch, step)
-            np.add(dst[rows], part[term], out=dst[rows])
+    spans = _spans(dims)
+    out, scratch = np.empty(dims), np.empty((spans[0][1],) + dims[1:])
+    for a, b in spans:
+        _adjoint_grad_rows(p, out[a:b], (a, b), scratch)
     return out
 
 
-@lru_cache(_STEPS)
-def _adjoint_grad_steps(shape, slab: int) -> tuple:
-    """``(scratch shape, slabs)`` of :func:`adjoint_grad` of a field of ``shape``.
+def _adjoint_grad_rows(p, out, rows, scratch) -> None:
+    """Write rows ``[a, b)`` of :func:`adjoint_grad` of the C-ordered field ``p`` into ``out``.
 
-    Each slab holds the first axis's step into the output, the later axes'
-    steps into scratch, and the flat rows of the output and the scratch that
-    each later term is added from.
+    They read rows ``[a - 1, b)`` of ``p``'s first channel and rows ``[a, b)``
+    of the others.  ``out`` is a C-ordered grid of ``b - a`` rows and
+    ``scratch`` one of ``b - a`` rows or more, where every later axis term is
+    rounded before it is added.
     """
-    dims, tail = shape[1:], shape[2:]
-    spans, row, grid = _spans(dims, slab), math.prod(tail), math.prod(dims)
-    slabs = []
-    for a, b in spans:
-        steps = [_step_t(tail, k, a, b, dims[0], (k * grid + a * row, (k,), a),
-                         (a * row, (), a) if k == 0 else (0, (), 0)) for k in range(shape[0])]
-        slabs.append((steps[0], tuple(steps[1:]), slice(a * row, b * row), slice(0, (b - a) * row)))
-    return (spans[0][1],) + tail, tuple(slabs)
+    a, b = rows
+    first, later, term, row = _adjoint_grad_steps(p.shape, b - a, a > 0, b == p.shape[1])
+    src, dst, part = p.ravel(), out.ravel(), scratch.ravel()
+    if a > 0:  # the steps read from the row before
+        src, p = src[(a - 1) * row:], p[:, a - 1:]
+    _diff_t(src, dst, p, out, first)
+    for step in later:
+        _diff_t(src, part, p, scratch, step)
+        np.add(dst, part[term], out=dst)
+
+
+@lru_cache(_STEPS)
+def _adjoint_grad_steps(shape, rows: int, inner: bool, last: bool) -> tuple:
+    """``(first, later, term, row)`` of :func:`_adjoint_grad_rows` of a field of ``shape``.
+
+    The steps compute ``rows`` rows of the grid, which start after its first
+    row when ``inner`` (the source is then read from the row before them on)
+    and end it when ``last``; a grid's few row counts and ends share one
+    table.  The first axis's step writes the output, the later axes' steps
+    the scratch, both from their first entry; ``term`` slices the flat
+    scratch that each later term is added from, and ``row`` is a grid row's
+    size.
+    """
+    tail, a = shape[2:], int(inner)
+    row, grid, b = math.prod(tail), math.prod(shape[1:]), a + rows
+    steps = [_step_t(tail, k, a, b, b if last else b + 1, (k * grid + a * row, (k,), a), (0, (), 0))
+             for k in range(shape[0])]
+    return steps[0], tuple(steps[1:]), slice(0, rows * row), row
 
 
 def adjoint_grad_tensor(p: np.ndarray) -> np.ndarray:

@@ -14,10 +14,16 @@ with the residual
     A(p) = grad(m + adjoint_grad(p) - u0/lam)
 
 whose potential ``y = m + adjoint_grad(p) - u0/lam`` the loop differentiates
-one slab of rows at a time; the potential divides ``u0`` by ``lam`` slab by
-slab too, so the solve keeps no ``u0/lam`` grid.  :func:`solve_shifted` ends
-in :func:`.dual.solve`, which computes ``y`` of the final dual once and takes
-the KKT value from it; it recovers the image in place as
+one slab of rows at a time.  The potential is a :class:`.RowPotential`: its
+rows ``[a, b)`` read rows ``[a - 1, b)`` of ``p``, so :func:`.dual.iterate`
+computes each slab's rows of ``y``, and the row after them, inside the
+update, a chunk of slabs at a time on the thread that steps them, and builds
+no whole-grid ``y``; a row where two runs of slabs meet is computed from the
+old dual before the step writes (see :mod:`.dual`).  The rows divide ``u0``
+by ``lam`` into the caller's scratch, so the solve keeps no ``u0/lam`` grid.
+:func:`solve_shifted` ends in :func:`.dual.solve`, which computes ``y`` of the
+final dual once, the same rows over the whole grid, and takes the KKT value
+from it; it recovers the image in place as
 ``u = u0 - lam*(y + u0/lam)``, which reproduces a constant ``u0`` exactly
 where ``-lam*y`` may round.  The objective is :mod:`.dual`'s, shifted by
 ``m``.  Without a shift, ``m = None``, this is plain isotropic TV denoising,
@@ -34,9 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import DualConfig, DualResult, _objective, iterate, kkt_residual, require_feasible, solve
+from .dual import (DualConfig, DualResult, RowPotential, _objective, iterate, kkt_residual,
+                   require_feasible, solve)
 from .errors import DimensionError, ParameterError, _check_positive
-from .fields import _spans, adjoint_grad, divergence, grad, pointwise_normalize, validate_field
+from .fields import _adjoint_grad_rows, divergence, grad, pointwise_normalize, validate_field
 
 __all__ = [
     "ReconstructionConfig", "ReconstructionResult", "matching_field", "reconstruct",
@@ -92,26 +99,26 @@ def _checked(lam, u0, v, s):
 def _bind(u0, m, lam):
     """``potential(q) = adjoint_grad(q) + m - u0/lam``, whose :func:`.fields.grad` is ``A(q)``.
 
-    The potential holds only ``u0`` and ``m``: it adds ``m``, unless it is
-    ``None`` (no shift), and subtracts ``u0/lam`` slab by slab, the quotient
-    in slab-sized scratch, with the bits of the whole-grid quotient; the add
-    runs in the same loop while the slab is in cache.
+    A :class:`.RowPotential`: rows ``[a, b)`` of ``y`` read rows ``[a - 1, b)``
+    of ``q``, so :func:`.dual.iterate` computes the rows of a chunk of slabs in
+    the update, and the rows where two runs of slabs meet before the step
+    writes; called on a dual, it gives the whole ``y`` from the same rows, slab
+    by slab, for the final potential, the recovery and the KKT values.  It
+    holds only ``u0`` and ``m``: each row range runs ``adjoint_grad``'s
+    transposed stencils, adds ``m``, unless it is ``None`` (no shift), and
+    subtracts ``u0/lam``, the quotient in the caller's scratch, with the bits
+    of the whole-grid operations.
     """
-    spans = _spans(u0.shape)
-    slabs = [(slice(a, b), slice(0, b - a)) for a, b in spans]  # grid rows, scratch rows
-    work, lam = (spans[0][1],) + u0.shape[1:], np.array(lam)  # 0-d: see fields._MINUS_ONE
+    lam = np.array(lam)  # 0-d: see fields._MINUS_ONE
 
-    def potential(q):
-        y = adjoint_grad(q)
-        quotient = np.empty(work)
-        for rows, part in slabs:
-            ys = y[rows]
-            if m is not None:
-                ys += m[rows]
-            ys -= np.divide(u0[rows], lam, out=quotient[part])
-        return y
+    def rows(q, out, span, scratch):
+        _adjoint_grad_rows(q, out, span, scratch)
+        a, b = span
+        if m is not None:
+            out += m[a:b]
+        out -= np.divide(u0[a:b], lam, out=scratch[:b - a])
 
-    return potential
+    return RowPotential(rows)
 
 
 def dual_step(

@@ -14,8 +14,9 @@ The grids cover 1 to 4 dimensions, a grid of three slabs and the scipy.fft
 Poisson solve (70, 33, 16), a grid of four slabs whose exact steps and
 Poisson solves split over two threads (24, 48, 48), a grid of six slabs whose
 Poisson halves round differently from its whole products (17, 17, 17, 17),
-and the shapes of the benchmark's ROF video (16, 160, 160), sixteen slabs
-that split every step; every input holds some exact zeros.  ``taskset -c 0``
+and a video-shaped block (16, 160, 160), sixteen 1-row slabs that split every
+step (the benchmark's clip stacks its frames last, 160x160x16, 27 slabs of 6
+rows); every input holds some exact zeros.  ``taskset -c 0``
 runs every update and every Poisson solve on one thread.
 The file has no ``test_`` prefix, so pytest does not collect it.
 

@@ -229,28 +229,50 @@ def test_iterate_leaves_its_start_unmodified(channel_ndim, max_iters):
     ((70, 33, 16), grad, 3, None),
     ((64, 64), grad, 2, None),
     ((64, 64), fields.hessian, 3, fields._layout(2)[1]),
-], ids=["slabs-vector", "frame-vector", "frame-packed"])
-def test_iterate_holds_one_dual_and_slab_sized_scratch(dims, kernel, stored, channels):
+    ((64, 64, 64), None, 3, None),
+], ids=["slabs-vector", "frame-vector", "frame-packed", "chunks-row-potential"])
+def test_iterate_holds_one_dual_and_slab_sized_scratch(dims, kernel, stored, channels,
+                                                        monkeypatch):
     """No second dual: the step is written back slab by slab from slab-sized scratch.
 
     One slab spans a 64x64 frame, so its residual is dual-sized there; the clip
     divides channel by channel, as a norm grid broadcast over the channels makes
-    numpy allocate an iterator buffer of two frame grids."""
+    numpy allocate an iterator buffer of two frame grids.  The vector model's
+    row potential (``kernel`` ``None``, on one thread) holds no whole-grid ``y``
+    in the loop: a chunk's window of it, a quarter of the grid here, with a
+    residual scratch that serves as the row function's, and the row where a lazy
+    step's run starts, with its scratch row."""
+    monkeypatch.setattr(dual, "_workers", lambda: 1)
     peak, grid, slab = _loop_peak(dims, kernel, stored, channels)
+    window, row = (_window(dims, grid, slab) if kernel is None else 0), grid // dims[0]
+    assert window < grid // 2
+    edge = 2 * row if kernel is None else 0
     # the slab's residual and the two norm grids; 16 KiB for Python objects
-    assert peak <= stored * grid + (stored + 2) * slab + (1 << 14)
+    assert peak <= (stored * grid + max(stored * slab, window) + 2 * slab + window + edge
+                    + (1 << 14))
+
+
+def _window(dims, grid, slab):
+    """The bytes of a row potential's window of ``y``: a chunk of whole slabs of about
+    ``dual._CHUNK`` entries, or one slab, and a halo row."""
+    return min(max(1, dual._CHUNK * 8 // slab) * slab + grid // dims[0], grid)
 
 
 def _loop_peak(dims, kernel, stored, channels):
     """``(peak, grid, slab)``: the traced peak of four steps from a zero dual (lazy and exact)
-    with a held potential, and the bytes of one grid and of one slab of it."""
+    with a held potential, and the bytes of one grid and of one slab of it.  Without a
+    ``kernel``, the potential is the vector model's row potential on held data and the
+    kernel ``grad``."""
     y = rand_scalar(dims, 9)
+    potential = reconstruction._bind(y, rand_scalar(dims, 10), 0.3) if kernel is None else (
+        lambda p: y)
+    kernel = kernel or grad
     p0 = np.broadcast_to(0.0, (stored,) + dims)  # iterate's own copy is the one dual
     tau = 1.0 / (2 * len(dims))
-    iterate(lambda p: y, kernel, p0, tau, 4, 0.0, channels)  # warm-up: one-time allocations
+    iterate(potential, kernel, p0, tau, 4, 0.0, channels)  # warm-up: one-time allocations
     tracemalloc.start()
     try:
-        iterate(lambda p: y, kernel, p0, tau, 4, 0.0, channels)
+        iterate(potential, kernel, p0, tau, 4, 0.0, channels)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -260,16 +282,26 @@ def _loop_peak(dims, kernel, stored, channels):
 @pytest.mark.parametrize("dims, kernel, stored, channels", [
     ((16, 160, 160), grad, 3, None),
     ((24, 48, 48), fields.hessian, 6, fields._layout(3)[1]),
-], ids=["video-vector", "slabs-packed"])
+    ((16, 160, 160), None, 3, None),
+], ids=["video-vector", "slabs-packed", "video-row-potential"])
 def test_two_groups_hold_a_slab_sized_scratch_each(dims, kernel, stored, channels, monkeypatch):
     """Split over two threads, each group has its own residual and norm grids, and the
     Hessian kernel its own work grid of a slab and a halo row: the bytes of one scratch
-    of slabs twice the size."""
+    of slabs twice the size.  A row potential's groups each hold a window of a chunk of
+    two 1-row slabs and a halo row, and a residual scratch that serves as the row
+    function's, and the step the two rows where their runs start, each with a scratch
+    row, in place of a whole-grid ``y``."""
     submitted = _splits(monkeypatch)
     peak, grid, slab = _loop_peak(dims, kernel, stored, channels)
     assert submitted
-    work = slab + grid // dims[0] if kernel is fields.hessian else 0
-    assert peak <= stored * grid + 2 * ((stored + 2) * slab + work) + (1 << 14)
+    row = grid // dims[0]
+    if kernel is None:
+        window = _window(dims, grid, slab)
+        group = max(stored * slab, window) + 2 * slab + window
+        assert peak <= stored * grid + 2 * group + 4 * row + (1 << 14)
+    else:
+        work = slab + row if kernel is fields.hessian else 0
+        assert peak <= stored * grid + 2 * ((stored + 2) * slab + work) + (1 << 14)
 
 
 @pytest.mark.parametrize("kernel, stored, channels", [
@@ -678,10 +710,11 @@ DISPATCH = {  # solve: (potential, kernel, stored channels, channel list) on a 1
     "step1": lambda u: (smoothing._bind(grad(u), 0.3, PoissonPlan(u.shape)), fields.hessian, 3,
                         fields._layout(2)[1]),
     "rof": lambda u: (reconstruction._bind(u, None, 0.3), grad, 2, None),
+    "step2": lambda u: (reconstruction._bind(u, rand_scalar(u.shape, 15), 0.3), grad, 2, None),
 }
 
 
-@pytest.mark.parametrize("solve, budget", [("step1", 18), ("rof", 9)])
+@pytest.mark.parametrize("solve, budget", [("step1", 18), ("rof", 9), ("step2", 9)])
 def test_a_lazy_step_calls_a_pinned_number_of_package_functions(solve, budget):
     """A lazy step of a one-slab frame calls the potential, the kernel and their helpers, and
     nothing per call that a table could hold: a new helper in the loop shows here."""
@@ -728,7 +761,7 @@ def _splits(monkeypatch) -> list:
     return submitted
 
 
-# a packed step-1 grid of four slabs, one of three, and the benchmark's ROF video of
+# a packed step-1 grid of four slabs, one of three, and a video-shaped ROF block of
 # sixteen 1-row slabs, where the two steps would add nothing
 @pytest.mark.parametrize("dims, solve", [((24, 48, 48), _drivers), ((70, 33, 16), _drivers),
                                          ((16, 160, 160), _rof)], ids=str)
@@ -743,6 +776,99 @@ def test_every_driver_gives_the_same_bytes_on_one_and_two_workers(dims, solve, s
     assert solve(u, **limits) == want
     # the three-slab grid never splits: a group holds two slabs or more
     assert (len(submitted) > 0) == (len(fields._spans(dims)) >= 4)
+
+
+# ------------------------------------------------ a row potential inside the update
+
+def _planted(dims, row, shift):
+    """The vector model's row potential on data whose first step peaks in grid row ``row``
+    (a spike there, above a little noise), with a small shift ``m`` or none (ROF)."""
+    rng = np.random.default_rng(row + 20)
+    u0 = 0.01 * rng.random(dims)
+    u0[(row,) + tuple(n // 2 for n in dims[1:])] += 1.0
+    return reconstruction._bind(u0, 0.01 * rng.standard_normal(dims) if shift else None, 1.0)
+
+
+def _places(dims):
+    """Rows where a witness sits: the first and the last slab and, on a grid of several
+    slabs, the rows either side of the exact step's cut between the two groups."""
+    spans = fields._spans(dims)
+    places = {"first": 0, "last": dims[0] - 1}
+    if len(spans) > 1:
+        cut = spans[len(spans) // 2][0]
+        places.update({"before-cut": cut - 1, "after-cut": cut})
+    return places
+
+
+# ROF on sixteen 1-row slabs (chunks of two), on the benchmark video's 27 slabs of 6 rows
+# (chunks of four, the last slab ragged), step 2 on four slabs, three slabs that never
+# split, and one slab in 2-d and 1-d
+ROW_GRIDS = {(16, 160, 160): False, (160, 160, 16): False, (24, 48, 48): True,
+             (70, 33, 16): True, (64, 64): True, (40,): False}
+ROW_CASES = [(dims, place) for dims in ROW_GRIDS for place in _places(dims)]
+
+
+@pytest.mark.parametrize("stop", ["cap", "tol"])
+@pytest.mark.parametrize("dims, place", ROW_CASES, ids=str)
+def test_a_row_potential_gives_the_whole_grid_potentials_bytes(dims, place, stop, monkeypatch):
+    """Each slab's rows of ``y`` computed in its update, with the rows where runs meet
+    computed before the step writes, give the bytes of the potential computed whole
+    before each step, on one worker and on two."""
+    row = _places(dims)[place]
+    potential = _planted(dims, row, ROW_GRIDS[dims])
+    whole = lambda q: potential(q)  # noqa: E731 -- a plain potential: y whole, every step
+    assert not isinstance(whole, dual.RowPotential)
+    p0, tau = np.zeros((len(dims),) + dims), 1.0 / (2 * len(dims))
+    monkeypatch.setattr(dual, "_workers", lambda: 1)
+    first = iterate(whole, grad, p0, tau, 1, 0.0)[0]  # its largest increment is the witness
+    peak = np.unravel_index(np.argmax(np.sum(first * first, axis=0)), dims)[0]
+    assert [a <= peak < b for a, b in fields._spans(dims)] == [a <= row < b
+                                                              for a, b in fields._spans(dims)]
+    tol = iterate(whole, grad, p0, tau, 5, 0.0)[2] if stop == "tol" else 0.0
+    max_iters = 40 if stop == "tol" else 8
+    want = iterate(whole, grad, p0, tau, max_iters, tol)
+    assert want[1] < max_iters if stop == "tol" else want[1] == max_iters
+    _assert_same_run(iterate(potential, grad, p0, tau, max_iters, tol), want)
+    submitted = _splits(monkeypatch)
+    _assert_same_run(iterate(potential, grad, p0, tau, max_iters, tol), want)
+    assert (len(submitted) > 0) == (len(fields._spans(dims)) >= 4)
+
+
+def _overflowing(dims, row, step):
+    """``(potential, kernel)``: the row potential of :func:`_planted` with its first row
+    peaking, whose row ``row`` of ``y`` overflows on step ``step``, and ``grad``, which
+    counts the steps by its calls, one per slab."""
+    potential, calls, slabs = _planted(dims, 0, False), [], len(fields._spans(dims))
+
+    def rows(q, out, span, scratch):
+        potential.rows(q, out, span, scratch)
+        if 1 + len(calls) // slabs == step and span[0] <= row < span[1]:
+            out[row - span[0]] = np.inf
+
+    def kernel(y, out, span):
+        calls.append(1)
+        return grad(y, out, span)
+
+    return dual.RowPotential(rows), kernel
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("step", [1, 3], ids=["exact", "lazy"])
+@pytest.mark.parametrize("row", [7, 8], ids=["before-cut", "at-cut"])
+def test_an_overflowing_potential_row_at_a_run_boundary_raises_at_the_same_iteration(
+        row, step, workers, monkeypatch):
+    """Sixteen 1-row ROF slabs with the witness in the first: on every step the groups'
+    runs meet at row 8, a row computed before the step writes, and row 7 ends this
+    thread's run.  A potential row that overflows there raises at the iteration the
+    whole-grid potential raises at."""
+    dims = (16, 160, 160)
+    p0 = np.zeros((3,) + dims)
+    monkeypatch.setattr(dual, "_workers", lambda: workers)
+    (fused, kernel), (whole, whole_kernel) = (_overflowing(dims, row, step) for _ in "ab")
+    for potential, k in ((fused, kernel), (lambda q: whole(q), whole_kernel)):
+        with np.errstate(invalid="ignore"), pytest.raises(
+                DivergenceError, match=rf"^dual update diverged at iteration {step}$"):
+            iterate(potential, k, p0, 1.0 / 6, 5, 0.0)
 
 
 def _ones_model(dims, step, rows_of_nan):

@@ -415,7 +415,7 @@ def test_no_cache_in_the_package_holds_an_array():
         "tvstokes.fields._diff_steps": ((6, 5, 4), 6, 1),
         "tvstokes.fields._grad_steps": ((6, 5, 4), (2, 5)),
         "tvstokes.fields._hessian_steps": ((6, 5, 4), (2, 5)),
-        "tvstokes.fields._adjoint_grad_steps": ((3, 6, 5, 4), 40),
+        "tvstokes.fields._adjoint_grad_steps": ((3, 6, 5, 4), 3, True, False),
         "tvstokes.fields._adjoint_hessian_steps": ((6, 6, 5, 4), 40),
     }
     assert set(caches) == set(calls)
