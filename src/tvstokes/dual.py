@@ -54,8 +54,10 @@ the kernels and the potentials read their steps from the tables of
 :mod:`.fields` and :class:`.PoissonPlan`.  A step only allocates its scratch,
 views it and issues its ufuncs: it cuts its slab list into groups, calls
 each group's update once, and makes no generator or helper call beyond the
-tuple norm's squares (the witness's norm is written out inline), and its
-constant operands are 0-d arrays, which numpy does not convert on every call.
+tuple norm's squares (the witness's norm is written out inline) and, on a
+lazy step that splits, one call per chunk that runs the kernel's blocks (see
+below), and its constant operands are 0-d arrays, which numpy does not
+convert on every call.
 
 The increment norm only decides whether to stop, so a step computes it
 exactly only when it may stop: on the first step, on the last one allowed
@@ -114,6 +116,38 @@ between the two groups, and on a lazy step the witness's first row, which is
 also the halo of the rotated order's last slab.  Every entry of ``y`` sees the
 operations of the whole-grid potential in the same order, so the bytes do not
 depend on where the rows are computed.
+
+A lazy step that splits steps most of its slabs in place, a chunk per call.
+Each ufunc call of the two threads gives up the interpreter lock and waits
+to take it back, and a slab's step takes some 40 of them, so calls on larger
+grids cut the waits, and in place they need no larger scratch.  Each group
+first steps one slab as above, in its residual scratch: on the calling
+thread the witness's, which decides the verdict, and on the worker its first
+slab, which it starts before the verdict.  Once the step stays lazy, the
+group steps the rest of its run in chunks: the slabs of a row potential's
+chunk (see above) not yet stepped, or, for a whole-grid potential, the next
+slabs of the run, as many as its scratch holds.  Each block of the kernel,
+one channel of :func:`.fields.grad` or one channel of the packed Hessian
+from the first difference it shares with its row, goes into one chunk-sized
+grid, is scaled by ``tau`` and subtracted straight from ``p``; the tuple
+norm then reads ``p``, and the clip divides ``p`` in place.  The steps come
+from the tables of ``fields._BLOCKS`` and the ufuncs are those of the slab
+step, so the bytes are too.  The chunk's grids are carved from the group's
+own scratch.  With a row potential the block grid is the residual scratch
+and the norm grid the window's rows that the chunk has read, below the halo
+row it carries over.  With a whole-grid potential a group of a split step
+holds one allocation, a slab's residual and norm grids: each slab it steps
+in that residual gets the kernel's blocks, their work grid where the norm
+grids go, and a chunk's work grid, a row longer than the chunk, and its
+block grid fill it, then hold the norm grid and its scratch.  So no group
+holds a kernel call's own work grid beside its scratch, and the packed 3-d
+Hessian's chunks are four slabs.  A chunk whose clip norm
+is not finite is divided and then checked: the old dual is finite, with
+norms at most 1, so the increment is finite exactly when the new entries
+are, and :class:`DivergenceError` comes at the same iteration.  Exact steps
+and steps that do not split, on one CPU or fewer than five slabs, a 64x64
+frame among them, keep the slab step alone: chunks in place cut the lock's
+hand-offs, which one thread does not make.
 """
 
 from __future__ import annotations
@@ -127,7 +161,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DivergenceError, ParameterError, _check_positive, _is_number
-from .fields import _spans, _sum_squares, _total_variation, max_tuple_norm
+from .fields import _BLOCKS, _run, _spans, _sum_squares, _total_variation, max_tuple_norm
 from .spectral import dual_step_bound
 
 __all__ = [
@@ -136,9 +170,11 @@ __all__ = [
 ]
 
 _ONE = np.array(1.0)  # the clip's floor, 0-d: see fields._MINUS_ONE
-# Grid entries of a row potential that one call computes, in whole slabs, one at least:
-# on a 2-vCPU Xeon with two threads, chunks of four 16K-entry slabs in place of single
-# slabs took a 64^3 step-2 step and a 160x160x16 ROF step 15-20% less time
+# Grid entries of a row potential that one call computes, and of a chunk that a split
+# lazy step steps in place, in whole slabs, one at least: on a 2-vCPU Xeon with two
+# threads, chunks of four 16K-entry slabs in place of single slabs took a 64^3 step-2
+# step and a 160x160x16 ROF step 15-20% less time, and 64K chunks in place 4-13% less
+# than 32K ones
 _CHUNK = 1 << 16
 _WORKER = "tvstokes-dual"  # the name of the worker thread (see ._worker)
 
@@ -257,19 +293,34 @@ def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channe
     spans = _spans(grid)
     slabs = [(i, span, p[:, slice(*span)]) for i, span in enumerate(spans)]  # views of p
     work = (spans[0][1],) + grid[1:]  # a slab's grid
+    slab, row = math.prod(work), math.prod(grid[1:])
     rowwise = potential.rows if isinstance(potential, RowPotential) else None
+    workers = _workers()
+    # the kernel's blocks, on a grid where every step splits: a lazy step splits when the
+    # slabs after the witness's make two groups of two or more; beside a row potential's
+    # window no work grid of the kernel's fits
+    blocks, worked = _BLOCKS.get(kernel, (None, False))
+    if workers == 1 or len(slabs) < 5 or rowwise is not None and worked:
+        blocks = None
     if channels is None:
         channels = range(len(p))
     # a row potential's window of y: a chunk's rows and the row after them
-    chunk = max(1, _CHUNK // math.prod(work))  # slabs
+    chunk = max(1, _CHUNK // slab)  # slabs
     frame = (min(chunk * work[0] + 1, grid[0]),) + work[1:]
-    size = len(p) * math.prod(work)  # a slab's residual, also the row function's scratch
+    size = len(p) * slab  # a slab's residual, also the row function's scratch
+    pool = None  # a split group's one scratch without a row potential, and where it is cut
     if rowwise is not None:
         size = max(size, math.prod(frame))
+    elif blocks is not None:
+        # an in-place chunk's kernel work grid, a row longer than the chunk, and its block grid
+        # take no more than a slab's residual, its norm grids and the kernel's work grid
+        head = slab + row if worked else 0
+        chunk = max(1, min(chunk, (size + 2 * slab + head - row) // (2 * slab)))
+        pool = max(size + 2 * slab, 2 * chunk * slab + row)
+        pool = (pool, (pool + row) // 2)
     # what every group's update reads; 0-d operands: see fields._MINUS_ONE
-    loop = (kernel, rowwise, p, np.array(tau), tol, channels, range(len(p)), size, (2,) + work,
-            frame, chunk)
-    workers = _workers()
+    loop = (kernel, rowwise, blocks, p, np.array(tau), tol, channels, range(len(p)), size,
+            (2,) + work, frame, chunk, pool)
     witness = None  # (slab, flat grid index in it) where the last exact increment peaked
     for iters in range(1, max_iters + 1):
         lazy = witness is not None and iters < max_iters
@@ -335,30 +386,43 @@ def _update(ys, slabs, lazy: bool, at, iters: int, loop, verdict=None):
     of the witness, the first slab's tuple norm of the increment there
     decides ``lazy`` before the slab is written, and is given to ``verdict``;
     given a ``verdict`` and no ``at``, the group waits for it before its
-    first write and takes its ``lazy`` from it.  ``peak`` is the largest
+    first write and takes its ``lazy`` from it.  A group given a ``verdict``
+    runs on a lazy step that splits: once its first slab is stepped and the
+    step stays lazy, it steps the rest of each chunk in place, one call per
+    kernel block (see the module docstring); without a row potential, a
+    split step runs the kernel's blocks into each slab's residual too, in one
+    allocation with the chunks' grids.  ``peak`` is the largest
     exact squared increment of the group, its slab and flat index; ``loop``
     holds what :func:`iterate` computes once per solve.
     """
-    kernel, rowwise, p, tau, tol, channels, stored, size, work, frame, chunk = loop
-    y, window = ys.pop(), None
-    step = np.empty(size)  # a slab's residual, then its step
+    kernel, rowwise, blocks, p, tau, tol, channels, stored, size, work, frame, chunk, pool = loop
+    y, window, norms = ys.pop(), None, None
+    inplace = verdict is not None and blocks is not None
     if rowwise is not None:
+        step = np.empty(size)  # a slab's residual, then its step
         window = np.empty(frame)  # a chunk's rows of y and the row after them
         scratch = step[:window.size].reshape(frame)
-    last, end, norms, peak = slabs[-1][0], p.shape[1], None, (-1.0, 0, 0)
-    more = 0  # the chunk's slabs not yet stepped
-    for k, (i, span, ps) in enumerate(slabs):
-        qs = step[:ps.size].reshape(ps.shape)
-        if rowwise is None:
-            kernel(y, qs, span)  # then qs <- unit_clip(ps - tau*qs)
-        else:
-            a, b = span
-            if not more:  # a chunk: this slab and the run's next ones
-                top = a  # rows [a, top) of y and the row after them, the halo
-                for _, (c, d), _ in slabs[k:k + chunk]:
-                    if c != top:  # the wrap to the grid's first row ends a run
-                        break
-                    more, top = more + 1, d
+        if inplace:  # a chunk's norm grid, then its block grid
+            pool = window.ravel(), step
+    elif blocks is not None:  # a slab's residual and norm grids, and the chunks', in one allocation
+        step = np.empty(pool[0])
+        norms = step[size:size + math.prod(work)].reshape(work)
+        # the kernel's work grid, then the norm grid, and the block grid, then the norms' scratch
+        pool = step[:pool[1]], step[pool[1]:]
+    else:
+        step = np.empty(size)
+    last, end, peak = slabs[-1][0], p.shape[1], (-1.0, 0, 0)
+    more = k = 0  # the chunk's slabs not yet stepped; the next slab
+    while k < len(slabs):
+        i, span, ps = slabs[k]
+        a, b = span
+        if not more and (rowwise is not None or inplace):  # a chunk: this slab and the run's next
+            top = a  # rows [a, top) of y and the row after them, the halo
+            for _, (c, d), _ in slabs[k:k + chunk]:
+                if c != top:  # the wrap to the grid's first row ends a run
+                    break
+                more, top = more + 1, d
+            if rowwise is not None:
                 halo = top < end
                 if a > 0:  # where two runs meet, or the halo of the chunk before
                     window[0] = y[a] if k == 0 else window[a - base]
@@ -369,15 +433,42 @@ def _update(ys, slabs, lazy: bool, at, iters: int, loop, verdict=None):
                 if halo and stop == top:
                     window[top - a] = y[top]
                 base = a
-            more -= 1
+        if k and inplace and lazy:  # the chunk's slabs yet to step, in place
+            if rowwise is None:
+                src, rows = y, (a, top)
+            else:
+                src, rows = window[a - base:top - base + (top < end)], (0, top - a)
+            pc = p[:, a:top]
+            grid = pool[1][:pc[0].size].reshape(pc.shape[1:])
+            _blocks(blocks(src.shape, rows), src.ravel(), pool[0], grid, tau, pc)
+            n = pool[0][:grid.size].reshape(grid.shape)
+            _sum_squares(map(pc.__getitem__, channels), n, grid)
+            np.sqrt(n, out=n)
+            np.maximum(n, _ONE, out=n)
+            finite = math.isfinite(n.max())
+            for c in stored:
+                np.divide(pc[c], n, out=pc[c])
+            if not finite:  # the old dual is clipped: the increment is finite iff the new dual is
+                _sum_squares(map(pc.__getitem__, channels), n, grid)
+                if not math.isfinite(n.max()):
+                    raise DivergenceError(f"dual update diverged at iteration {iters}")
+            k, more = k + more, 0
+            continue
+        k, more = k + 1, more - 1
+        qs = step[:ps.size].reshape(ps.shape)  # then qs <- unit_clip(ps - tau*qs)
+        if rowwise is not None:
             kernel(window[a - base:b - base + (b < end)], qs, (0, b - a))
+        elif blocks is not None:  # the kernel's blocks, their work grid where the norm grids go
+            _blocks(blocks(y.shape, span), y.ravel(), step[size:], qs)
+        else:
+            kernel(y, qs, span)
         # no scratch lives through a potential; the norms come after the kernel's
         # work grid, y and the window are freed, as one slab's residual is dual-sized
         if i == last:
-            y = window = None
+            y = window = pool = None
         if norms is None:
             norms = np.empty(work)
-        rows = span[1] - span[0]
+        rows = b - a
         n, t = norms[0, :rows], norms[1, :rows]
         np.multiply(qs, tau, out=qs)
         np.subtract(ps, qs, out=qs)
@@ -411,6 +502,28 @@ def _update(ys, slabs, lazy: bool, at, iters: int, loop, verdict=None):
             peak = (top, i, j)
         np.copyto(ps, qs)
     return lazy, peak
+
+
+def _blocks(steps, src, scratch, out, tau=None, pc=None) -> None:
+    """Run a kernel's block ``steps`` (see ``fields._BLOCKS``) from the flat grid ``src``.
+
+    ``steps`` is ``(work shape, blocks)``: the first differences go into a
+    work grid at the front of the flat ``scratch``.  Each channel ``c`` goes
+    into ``out[c]``, or, given the dual's chunk ``pc``, into the grid ``out``,
+    which is scaled by ``tau`` and subtracted from ``pc[c]`` in place.
+    """
+    shape, table = steps
+    if shape is not None:
+        work = scratch[:math.prod(shape)].reshape(shape)
+    for head, pairs in table:
+        if head is not None:
+            _run(src, work.ravel(), work, (head,))
+        for c, block in pairs:
+            grid = out if pc is not None else out[c]
+            _run(src if head is None else work.ravel(), grid.ravel(), grid, (block,))
+            if pc is not None:
+                np.multiply(grid, tau, out=grid)
+                np.subtract(pc[c], grid, out=pc[c])
 
 
 def _increment(ps, qs, norm: np.ndarray, scratch: np.ndarray, channels):

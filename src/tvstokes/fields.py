@@ -43,7 +43,9 @@ size, or a row count and whether the rows start after the first row and end
 the grid) and cached, as ``_layout`` is: the flat slices of every difference,
 offset by the stride, the boundary slices, the halo decisions and the scratch
 shapes (``_grad_steps``, ``_hessian_steps``, ``_adjoint_grad_steps``,
-``_adjoint_hessian_steps`` and ``_diff_steps``).  A table holds ints, slices
+``_adjoint_hessian_steps`` and ``_diff_steps``, and ``_grad_blocks`` and
+``_hessian_blocks``, the forward kernels a channel at a time, which the dual
+loop runs to step a chunk of slabs in place).  A table holds ints, slices
 and tuples of them, never an array, so a call only views its own arrays and
 issues its ufuncs: :func:`_run` runs forward steps and :func:`_diff_t` one
 transposed step.  A boundary slice on the first or the last axis is a slice
@@ -297,6 +299,20 @@ def _grad_steps(shape, rows) -> tuple:
         for axis in range(len(shape)))
 
 
+@lru_cache(_STEPS)
+def _grad_blocks(shape, rows) -> tuple:
+    """``(None, blocks)`` of :func:`grad` at ``rows`` of a grid of ``shape``, a channel at a time.
+
+    ``blocks`` holds one block, ``(None, pairs)``: ``(channel, step)`` of every
+    axis, each step writing its channel's rows into a grid of them, from its
+    first entry; see :func:`_hessian_blocks`.
+    """
+    (a, b), tail = _span(rows, shape[0]), shape[1:]
+    return None, ((None, tuple(
+        (axis, _step(tail, axis, b - a, axis == 0 and b < shape[0], a * math.prod(tail), 0))
+        for axis in range(len(shape)))),)
+
+
 def grad_vec(g: np.ndarray) -> np.ndarray:
     """Channel-wise gradient of a vector field, shape ``(d, d, *dims)``.
 
@@ -441,6 +457,29 @@ def _hessian_steps(shape, rows) -> tuple:
     return (d * (d + 1) // 2, b - a) + tail, (work,) + tail, tuple(steps)
 
 
+@lru_cache(_STEPS)
+def _hessian_blocks(shape, rows) -> tuple:
+    """``(work shape, blocks)`` of :func:`hessian` at ``rows`` of a grid of ``shape``, a channel
+    at a time.
+
+    Block ``l`` is ``(first, pairs)``: the step of the axis-``l`` difference
+    into the work grid, as in :func:`_hessian_steps`, then ``(channel, step)``
+    of each of its axis-``m`` differences, ``m >= l``, each step writing its
+    channel's rows into a grid of them, from its first entry.  The dual loop
+    runs them to subtract one channel at a time from the dual in place.
+    """
+    (a, b), tail, d = _span(rows, shape[0]), shape[1:], len(shape)
+    work, channels = min(b + 1, shape[0]) - a, _layout(d)[1]
+    blocks = []
+    for l in range(d):
+        r = work if l == 0 else b - a
+        first = _step(tail, l, r, l == 0 and b + 1 < shape[0], a * math.prod(tail), 0)
+        blocks.append((first, tuple((channels[l * d + m], _step(tail, m, b - a, r > b - a and m == 0,
+                                                                0, 0))
+                                    for m in range(l, d))))
+    return (work,) + tail, tuple(blocks)
+
+
 def adjoint_hessian(q: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`hessian` when off-diagonal channels count twice.
 
@@ -510,6 +549,11 @@ def _adjoint_hessian_steps(shape, slab: int) -> tuple:
         carry = None if b == dims[0] else (slice(0, row), slice(size, size + row))
         slabs.append((tuple(terms), carry))
     return (spans[0][1],) + tail, tuple(slabs)
+
+
+# the block tables of the kernels that the dual loop can step a channel at a time, and
+# whether their blocks take a work grid, of a slab and a row on a slab
+_BLOCKS = {grad: (_grad_blocks, False), hessian: (_hessian_blocks, True)}
 
 
 def divergence(v: np.ndarray) -> np.ndarray:

@@ -15,9 +15,11 @@ Poisson solve (70, 33, 16), a grid of four slabs whose exact steps and
 Poisson solves split over two threads (24, 48, 48), a grid of six slabs whose
 Poisson halves round differently from its whole products (17, 17, 17, 17),
 and a video-shaped block (16, 160, 160), sixteen 1-row slabs that split every
-step (the benchmark's clip stacks its frames last, 160x160x16, 27 slabs of 6
-rows); every input holds some exact zeros.  ``taskset -c 0``
-runs every update and every Poisson solve on one thread.
+step.  ROF also runs on the benchmark's clip, which stacks its frames last,
+160x160x16: 27 slabs of 6 rows, where each group of a lazy step steps its
+slabs in place in chunks of four, the last of them short.  Every input holds
+some exact zeros.  ``taskset -c 0`` runs every update and every Poisson solve
+on one thread, and no chunk in place.
 The file has no ``test_`` prefix, so pytest does not collect it.
 
 ``python tests/digest.py --compare A.json B.json`` compares two printed
@@ -43,6 +45,7 @@ from tvstokes import reconstruction, smoothing
 
 SOLVE_GRIDS = [(40,), (12, 9), (6, 5, 8), (4, 3, 5, 4), (70, 33, 16), (32, 32, 32), (24, 48, 48),
                (17, 17, 17, 17)]
+CLIP = (160, 160, 16)  # ROF alone: the benchmark's clip
 STOPS = {"cap": {"max_iters": 7, "tol": 0.0}, "tol": {"max_iters": 60, "tol": 3e-2}}
 LAM1, LAM2, EPS = 0.2, 0.35, 1e-8
 
@@ -117,6 +120,18 @@ def solver_records(dims, seed: int) -> dict:
     return records
 
 
+def rof_records(dims, seed: int) -> dict:
+    """ROF's result and KKT value at an iteration cap and at a ``tol`` stop."""
+    u, records = noisy(dims, seed), {}
+    for stop, params in STOPS.items():
+        r = rof_denoise(u, RofConfig(lam=LAM2, **params))
+        records[f"{dims} {stop}"] = {
+            "rof": result_digest(r),
+            "rof kkt": digest(matching_kkt_residual(r.p, u, np.zeros(dims), LAM2)),
+        }
+    return records
+
+
 def run_records(directory: Path) -> dict:
     """``run_denoise``'s three written files, for both models on an f64 and an f32 volume."""
     volumes = {
@@ -164,6 +179,7 @@ def main(argv=None) -> int:
     records = {}
     for seed, dims in enumerate(SOLVE_GRIDS):
         records.update(solver_records(dims, seed))
+    records.update(rof_records(CLIP, len(SOLVE_GRIDS)))
     with tempfile.TemporaryDirectory() as directory:
         records.update(run_records(Path(directory)))
     json.dump(records, sys.stdout, indent=1, sort_keys=True)

@@ -304,6 +304,20 @@ def test_two_groups_hold_a_slab_sized_scratch_each(dims, kernel, stored, channel
         assert peak <= stored * grid + 2 * ((stored + 2) * slab + work) + (1 << 14)
 
 
+def test_a_split_packed_group_holds_no_work_grid_of_the_kernels_own(monkeypatch):
+    """Twenty 1-row slabs of packed step 1 on two threads, exact and lazy steps: each group
+    holds one allocation, a slab's residual and norm grids, which the kernel's first
+    difference shares on the slab step and which holds a chunk's work and block grids in
+    place; a ``hessian`` call's own work grid of a slab and a row is never beside it."""
+    dims, stored = (20, 100, 100), 6
+    submitted = _splits(monkeypatch)
+    chunks = _in_place(monkeypatch)
+    peak, grid, slab = _loop_peak(dims, fields.hessian, stored, fields._layout(3)[1])
+    assert submitted and chunks
+    row = grid // dims[0]
+    assert peak <= stored * grid + 2 * ((stored + 2) * slab + row) + (1 << 14)
+
+
 @pytest.mark.parametrize("kernel, stored, channels", [
     (grad, 3, None),
     (fields.hessian, 6, fields._layout(3)[1]),
@@ -729,6 +743,38 @@ def test_a_lazy_step_calls_a_pinned_number_of_package_functions(solve, budget):
     assert steps(4) - steps(3) == budget
 
 
+def _split_lazy_step_calls(solve, dims):
+    """The package calls that the calling thread makes on a lazy step of ``solve`` on ``dims``,
+    split over two workers."""
+    u, d = rand_scalar(dims, 14), len(dims)
+    if solve == "step1":
+        potential = smoothing._bind(grad(u), 0.3, PoissonPlan(dims))
+        kernel, shape, channels = fields.hessian, (d * (d + 1) // 2,) + dims, fields._layout(d)[1]
+    else:
+        potential, kernel, shape, channels = reconstruction._bind(u, None, 0.3), grad, (d,) + dims, None
+    p0 = np.zeros(shape)
+
+    def steps(n):
+        return _calls_into_the_package(
+            lambda: iterate(potential, kernel, p0, 1.0 / (2 * d), n, 0.0, channels))
+
+    steps(4)
+    return steps(4) - steps(3)
+
+
+# 87 and 242 calls when every slab took its own kernel call and clip
+@pytest.mark.parametrize("solve, dims, budget", [("rof", (160, 160, 16), 55),
+                                                 ("step1", (64, 64, 64), 203)], ids=str)
+def test_a_split_lazy_step_calls_a_pinned_number_of_package_functions(solve, dims, budget,
+                                                                      monkeypatch):
+    """Two workers, sixteen slabs or more: the calling thread steps the witness's slab, then
+    the rest of its group in place, a call per kernel block and a tuple norm per chunk.  The
+    profile sees the calling thread alone."""
+    submitted = _splits(monkeypatch)
+    assert _split_lazy_step_calls(solve, dims) == budget
+    assert submitted
+
+
 # ------------------------------------------------------ the update on two threads
 
 def _drivers(u, lam=0.3, **stop):
@@ -869,6 +915,164 @@ def test_an_overflowing_potential_row_at_a_run_boundary_raises_at_the_same_itera
         with np.errstate(invalid="ignore"), pytest.raises(
                 DivergenceError, match=rf"^dual update diverged at iteration {step}$"):
             iterate(potential, k, p0, 1.0 / 6, 5, 0.0)
+
+
+# ------------------------------------------ a split lazy step in place, a chunk per call
+
+def _spiked(kind, dims, row):
+    """``(potential, kernel, shape, channels)`` of ROF, step 2 with a small shift ``m`` or packed
+    step 1, on data whose first step peaks in grid row ``row``: a spike there, above a little
+    noise."""
+    rng = np.random.default_rng(row + 30)
+    u0 = 0.01 * rng.random(dims)
+    u0[(row,) + tuple(n // 2 for n in dims[1:])] += 1.0
+    d = len(dims)
+    if kind == "packed":
+        return (smoothing._bind(grad(u0), 1.0, PoissonPlan(dims)), fields.hessian,
+                (d * (d + 1) // 2,) + dims, fields._layout(d)[1])
+    m = 0.01 * rng.standard_normal(dims) if kind == "shifted" else None
+    return reconstruction._bind(u0, m, 1.0), grad, (d,) + dims, None
+
+
+def _one_step_at_a_time(potential, kernel, p, tau, steps, channels):
+    """``steps`` calls of ``iterate`` with ``max_iters=1``, each an exact step."""
+    for _ in range(steps):
+        p = iterate(potential, kernel, p, tau, 1, 0.0, channels)[0]
+    return p
+
+
+def _in_place(monkeypatch) -> list:
+    """The rows of every chunk stepped in place, as the update runs them."""
+    chunks, blocks = [], dual._blocks
+
+    def spy(steps, src, scratch, out, tau=None, pc=None):
+        if pc is not None:
+            chunks.append(pc.shape[1])
+        return blocks(steps, src, scratch, out, tau, pc)
+
+    monkeypatch.setattr(dual, "_blocks", spy)
+    return chunks
+
+
+# ROF on sixteen 1-row slabs (in-place chunks of two), the benchmark clip's layout, 6-row slabs
+# with a ragged last one (chunks of four), step 2 on four slabs, whose lazy steps never split,
+# packed step 1 on twenty 1-row slabs (chunks of four, three or more per group) and three
+# slabs that never split
+SPLIT_GRIDS = {(16, 160, 160): "rof", (40, 160, 16): "rof", (24, 48, 48): "shifted",
+               (20, 100, 100): "packed", (70, 33, 16): "rof"}
+
+
+def _split_places(dims):
+    """:func:`_places`, and the slab before the last: its run wraps after two slabs."""
+    return {**_places(dims), "wrap": fields._spans(dims)[-2][0]}
+
+
+SPLIT_CASES = [(dims, place) for dims in SPLIT_GRIDS for place in _split_places(dims)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("dims, place", SPLIT_CASES, ids=str)
+def test_lazy_steps_give_the_bytes_of_exact_steps_one_at_a_time(dims, place, workers,
+                                                                monkeypatch):
+    """Six steps, four of them lazy, equal six one-step calls bit for bit, whether the groups
+    of a split lazy step run their chunks in place or not.  The witness sits in the first or
+    the last slab, either side of the exact step's cut, or in the slab before the last, so
+    some chunks end at the wrap of the rotated order and some at the grid's end."""
+    row = _split_places(dims)[place]
+    potential, kernel, shape, channels = _spiked(SPLIT_GRIDS[dims], dims, row)
+    p0, tau = np.zeros(shape), 1.0 / (2 * len(dims))
+    spans = fields._spans(dims)
+    first = iterate(potential, kernel, p0, tau, 1, 0.0, channels)[0]
+    peak = np.unravel_index(np.argmax(sum(first[c] ** 2 for c in channels or range(len(first)))),
+                            dims)[0]
+    assert [a <= peak < b for a, b in spans] == [a <= row < b for a, b in spans]
+    want = _one_step_at_a_time(potential, kernel, p0, tau, 6, channels)
+    monkeypatch.setattr(dual, "_workers", lambda: workers)
+    chunks = _in_place(monkeypatch)
+    got, iters, _ = iterate(potential, kernel, p0, tau, 6, 0.0, channels)
+    assert iters == 6 and got.tobytes() == want.tobytes()
+    # a lazy step splits when the slabs after the witness's make two groups of two or more
+    assert bool(chunks) == (workers == 2 and len(spans) >= 5)
+
+
+def _spoiled_row(potential, row, step, value):
+    """``potential`` with row ``row`` of ``y`` set to ``value`` on step ``step``.
+
+    A row potential computes each row once a step, in one call, so the calls
+    that compute the row count the steps, across calls of ``iterate`` too; a
+    whole-grid potential is called once a step.
+    """
+    seen = [0]
+    if not isinstance(potential, dual.RowPotential):
+        def whole(q):
+            y = potential(q)
+            seen[0] += 1
+            if seen[0] == step:
+                y[row] = value
+            return y
+
+        return whole
+
+    def rows(q, out, span, scratch):
+        potential.rows(q, out, span, scratch)
+        if span[0] <= row < span[1]:
+            seen[0] += 1
+            if seen[0] == step:
+                out[row - span[0]] = value
+
+    return dual.RowPotential(rows)
+
+
+# the witness in row 0: the calling thread's group holds the first half of the slabs, the
+# worker's the second; the rows lie in neither group's first slab nor where two runs meet
+DIVERGING = {(16, 160, 160): ("rof", (3, 12)), (20, 100, 100): ("packed", (5, 15))}
+DIVERGING_CASES = [(dims, row) for dims, (_, rows) in DIVERGING.items() for row in rows]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("dims, row", DIVERGING_CASES, ids=str)
+def test_an_overflowing_row_in_an_in_place_chunk_raises_at_the_one_step_loops_iteration(
+        dims, row, workers, monkeypatch):
+    """A row of ``y`` that overflows on the third, lazy step, inside a chunk stepped in
+    place: the chunk is divided and then checked, and raises at the iteration where one exact
+    step at a time raises."""
+    kind = DIVERGING[dims][0]
+    potential, kernel, shape, channels = _spiked(kind, dims, 0)
+    p0, tau = np.zeros(shape), 1.0 / (2 * len(dims))
+    spoiled = _spoiled_row(potential, row, 3, np.inf)
+    with np.errstate(invalid="ignore"):
+        for call in range(1, 4):
+            if call < 3:
+                p0 = iterate(spoiled, kernel, p0, tau, 1, 0.0, channels)[0]
+                continue
+            with pytest.raises(DivergenceError, match=r"^dual update diverged at iteration 1$"):
+                iterate(spoiled, kernel, p0, tau, 1, 0.0, channels)
+        p0 = np.zeros(shape)
+        monkeypatch.setattr(dual, "_workers", lambda: workers)
+        chunks = _in_place(monkeypatch)
+        with pytest.raises(DivergenceError, match=r"^dual update diverged at iteration 3$"):
+            iterate(_spoiled_row(potential, row, 3, np.inf), kernel, p0, tau, 5, 0.0, channels)
+    assert bool(chunks) == (workers == 2)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("dims, row", DIVERGING_CASES, ids=str)
+def test_a_step_whose_squares_overflow_in_an_in_place_chunk_clips_to_zero_there(
+        dims, row, workers, monkeypatch):
+    """A finite row of ``y`` so large that the squares of its differences overflow: the clip
+    norm is infinite, the chunk's new entries there are zero and finite, and no error is
+    raised; the bytes are those of one exact step at a time."""
+    kind = DIVERGING[dims][0]
+    potential, kernel, shape, channels = _spiked(kind, dims, 0)
+    p0, tau = np.zeros(shape), 1.0 / (2 * len(dims))
+    with np.errstate(over="ignore"):
+        want = _one_step_at_a_time(_spoiled_row(potential, row, 3, 1e200), kernel, p0, tau, 5,
+                                   channels)
+        monkeypatch.setattr(dual, "_workers", lambda: workers)
+        chunks = _in_place(monkeypatch)
+        got = iterate(_spoiled_row(potential, row, 3, 1e200), kernel, p0, tau, 5, 0.0, channels)
+    assert got[0].tobytes() == want.tobytes() and np.isfinite(want).all()
+    assert bool(chunks) == (workers == 2)
 
 
 def _ones_model(dims, step, rows_of_nan):

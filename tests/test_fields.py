@@ -392,6 +392,29 @@ def test_kernels_from_their_tables_match_the_slice_by_slice_operators_bitwise(di
         assert adjoint_hessian(q).tobytes() == naive_adjoint_hessian(q).tobytes()
 
 
+@pytest.mark.parametrize("dims", TABLE_GRIDS, ids=str)
+def test_the_kernels_block_tables_give_each_channel_of_the_kernels_bytes(dims):
+    """Each block step of ``grad`` and ``hessian`` writes its channel's rows into a grid of
+    them, bit for bit those rows of the stacked kernel, over any run of rows: the dual loop
+    steps a chunk of slabs in place one block at a time."""
+    u = signed_grid(dims, 54)
+    n = dims[0]
+    for op, (blocks, worked) in fields._BLOCKS.items():
+        want = op(u)
+        for a, b in {(0, n), (0, 1), (n - 1, n), (n // 2, n), (max(0, n // 2 - 1), n // 2 + 1)}:
+            shape, table = blocks(u.shape, (a, b))
+            assert (shape is not None) == worked
+            du = None if shape is None else np.empty(shape)
+            for head, pairs in table:
+                if head is not None:
+                    fields._run(u.ravel(), du.ravel(), du, (head,))
+                src = u.ravel() if head is None else du.ravel()
+                for c, step in pairs:
+                    grid = np.full((b - a,) + dims[1:], np.nan)
+                    fields._run(src, grid.ravel(), grid, (step,))
+                    assert grid.tobytes() == want[c, a:b].tobytes(), (op.__name__, c, (a, b))
+
+
 def _leaves(x):
     """The entries of nested tuples and lists, a slice's bounds and step among them."""
     if isinstance(x, (tuple, list)):
@@ -415,6 +438,8 @@ def test_no_cache_in_the_package_holds_an_array():
         "tvstokes.fields._diff_steps": ((6, 5, 4), 6, 1),
         "tvstokes.fields._grad_steps": ((6, 5, 4), (2, 5)),
         "tvstokes.fields._hessian_steps": ((6, 5, 4), (2, 5)),
+        "tvstokes.fields._grad_blocks": ((6, 5, 4), (2, 5)),
+        "tvstokes.fields._hessian_blocks": ((6, 5, 4), (2, 5)),
         "tvstokes.fields._adjoint_grad_steps": ((3, 6, 5, 4), 3, True, False),
         "tvstokes.fields._adjoint_hessian_steps": ((6, 6, 5, 4), 40),
     }
