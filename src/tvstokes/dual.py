@@ -77,25 +77,26 @@ and a non-finite one raises.  Results, iteration counts and the iteration at
 which :class:`DivergenceError` is raised are therefore those of a loop that
 computes the increment every step, bit for bit.
 
-The update runs on the calling thread and one private worker thread, never
-on more CPUs than the process's affinity mask holds, so ``taskset -c 0``
-keeps it on one.  The worker starts with the first update that splits and
-then waits for the next, and a forked child starts its own.  The slabs split
-into two contiguous groups when each holds two slabs or more, else stay one
-group: the calling thread runs the first, the worker the second, each in its
-own scratch.  On a lazy step the witness's slab runs first on the calling
-thread, and decides ``lazy`` before any other slab is written: the
-slabs after it split, the worker takes the larger half and starts at once,
-but waits for the witness's verdict before its first write.  The worker's
-group is joined before :func:`iterate` goes on, returns or raises; the
-groups' increment records are combined in slab order, and an error on the
-worker is raised on the calling thread, so a :class:`DivergenceError` comes
-at the same iteration.  The step is pointwise, so the bytes do not depend on
-the number of threads.  An update on the worker never splits, so the worker
-never waits for itself.  Beyond the update and the row potential computed
-inside it (below), only step 1's Poisson solve splits: on a grid of four slabs
-or more it runs its dense products in fixed halves, the second on the worker
-(see :mod:`.spectral`).  Step 1's transposed operator, ``adjoint_hessian``, is
+The update runs on the calling thread and one worker thread, never on more
+CPUs than the process's affinity mask holds, so ``taskset -c 0`` keeps it on
+one.  A solve on two CPUs and four slabs or more, :func:`solve` or
+:func:`iterate` called alone, starts a worker of its own and joins it before
+it returns or raises, so no thread outlives it; a loop of ``dual_step`` calls
+starts one per step, about 0.1 ms.  The slabs split into two contiguous
+groups when each holds two slabs or more, else stay one group: the calling
+thread runs the first, the worker the second, each in its own scratch.  On a
+lazy step the witness's slab runs first on the calling thread, and decides
+``lazy`` before any other slab is written: the slabs after it split, the
+worker takes the larger half and starts at once, but waits for the witness's
+verdict before its first write.  The worker's group is joined before
+:func:`iterate` goes on, returns or raises; the groups' increment records are
+combined in slab order, and an error on the worker is raised on the calling
+thread, so a :class:`DivergenceError` comes at the same iteration.  The step
+is pointwise, so the bytes do not depend on the number of threads.  A worker
+thread has no worker to share: it never waits for itself.  Beyond the update
+and the row potential computed inside it (below), only step 1's Poisson
+solves split, in fixed halves, the second on the solve's worker (see
+:mod:`.spectral`).  Step 1's transposed operator, ``adjoint_hessian``, is
 bound by memory bandwidth and stays on the calling thread.
 
 A row potential runs split with the update.  The kernel of a slab ``[a, b)``
@@ -155,6 +156,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -176,20 +178,105 @@ _ONE = np.array(1.0)  # the clip's floor, 0-d: see fields._MINUS_ONE
 # step and a 160x160x16 ROF step 15-20% less time, and 64K chunks in place 4-13% less
 # than 32K ones
 _CHUNK = 1 << 16
-_WORKER = "tvstokes-dual"  # the name of the worker thread (see ._worker)
+_WORKER = "tvstokes-dual"  # the name of a solve's worker thread (see _Worker)
 
 
 def _workers() -> int:
-    """Threads an update or a Poisson solve may split over: at most two, and no more than
-    the CPUs this process may run on, so ``taskset -c 0`` keeps a solve on one; one on the
-    worker thread, which never waits for itself."""
-    if threading.current_thread().name == _WORKER:
-        return 1
+    """Threads a solve may split over: at most two, and no more than the CPUs this process
+    may run on, so ``taskset -c 0`` keeps a solve on one."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         cpus = os.cpu_count() or 1
     return min(2, cpus)
+
+
+class Outcome:
+    """A value one thread gives and another waits for: what a call on the worker thread
+    returned or raised, ``(result, None)`` or ``(None, error)``, or the witness's verdict
+    on a lazy step.  ``value`` is ``None`` until given; :meth:`wait` blocks until then."""
+
+    __slots__ = ("_held", "value")
+
+    def __init__(self):
+        self._held, self.value = threading.Lock(), None
+        self._held.acquire()
+
+    def give(self, value) -> None:
+        self.value = value
+        self._held.release()
+
+    def wait(self):
+        with self._held:
+            return self.value
+
+
+class _Worker:
+    """One solve's worker thread, started when built: it runs each call given to
+    :meth:`submit` until :meth:`close`.  Each call is waited for before the next is given,
+    so one slot and one lock hand it over.  In its ``with`` block it is this thread's
+    worker in ``_LOCAL``, and it is closed on exit, also on a raise."""
+
+    __slots__ = ("_call", "_given", "_thread")
+
+    def __init__(self):
+        self._call, self._given = None, threading.Lock()
+        self._given.acquire()
+        self._thread = threading.Thread(target=self._serve, name=_WORKER, daemon=True)
+        self._thread.start()
+
+    def submit(self, fn, *args) -> Outcome:
+        """Run ``fn(*args)`` on the worker thread, under this thread's numpy error state."""
+        outcome = Outcome()
+        self._call = (fn, args, np.geterr(), outcome)
+        self._given.release()
+        return outcome
+
+    def close(self) -> None:
+        """Hand the thread ``None``, which ends it, and join it."""
+        self._call = None
+        self._given.release()
+        self._thread.join()
+
+    def __enter__(self):
+        _LOCAL.worker = self
+        return self
+
+    def __exit__(self, *raised) -> None:
+        _LOCAL.worker = None
+        self.close()
+
+    def _serve(self) -> None:
+        while True:
+            self._given.acquire()
+            if self._call is None:
+                return
+            (fn, args, errstate, outcome), self._call = self._call, None
+            try:
+                with np.errstate(**errstate):
+                    value = (fn(*args), None)
+            except BaseException as error:  # raised where the outcome is read
+                value = (None, error)
+            del fn, args  # nothing of a finished call stays alive while the thread waits
+            outcome.give(value)
+            del value, outcome
+
+
+class _Local(threading.local):
+    worker = None  # the worker of the splitting solve this thread runs, if any
+
+
+_LOCAL = _Local()
+
+
+def _splitting(spans):
+    """The context of a solve over the slabs ``spans``, which gives this thread's worker or
+    ``None``: a new :class:`_Worker` on two workers and four slabs or more (where an update
+    or a Poisson solve splits), unless a solve on this thread holds one, which it shares."""
+    worker = _LOCAL.worker
+    if worker is not None or len(spans) < 4 or _workers() < 2:
+        return nullcontext(worker)
+    return _Worker()
 
 
 @dataclass(frozen=True)
@@ -295,80 +382,78 @@ def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channe
     work = (spans[0][1],) + grid[1:]  # a slab's grid
     slab, row = math.prod(work), math.prod(grid[1:])
     rowwise = potential.rows if isinstance(potential, RowPotential) else None
-    workers = _workers()
-    # the kernel's blocks, on a grid where every step splits: a lazy step splits when the
-    # slabs after the witness's make two groups of two or more; beside a row potential's
-    # window no work grid of the kernel's fits
-    blocks, worked = _BLOCKS.get(kernel, (None, False))
-    if workers == 1 or len(slabs) < 5 or rowwise is not None and worked:
-        blocks = None
-    if channels is None:
-        channels = range(len(p))
-    # a row potential's window of y: a chunk's rows and the row after them
-    chunk = max(1, _CHUNK // slab)  # slabs
-    frame = (min(chunk * work[0] + 1, grid[0]),) + work[1:]
-    size = len(p) * slab  # a slab's residual, also the row function's scratch
-    pool = None  # a split group's one scratch without a row potential, and where it is cut
-    if rowwise is not None:
-        size = max(size, math.prod(frame))
-    elif blocks is not None:
-        # an in-place chunk's kernel work grid, a row longer than the chunk, and its block grid
-        # take no more than a slab's residual, its norm grids and the kernel's work grid
-        head = slab + row if worked else 0
-        chunk = max(1, min(chunk, (size + 2 * slab + head - row) // (2 * slab)))
-        pool = max(size + 2 * slab, 2 * chunk * slab + row)
-        pool = (pool, (pool + row) // 2)
-    # what every group's update reads; 0-d operands: see fields._MINUS_ONE
-    loop = (kernel, rowwise, blocks, p, np.array(tau), tol, channels, range(len(p)), size,
-            (2,) + work, frame, chunk, pool)
-    witness = None  # (slab, flat grid index in it) where the last exact increment peaked
-    for iters in range(1, max_iters + 1):
-        lazy = witness is not None and iters < max_iters
-        order = slabs[witness[0]:] + slabs[:witness[0]] if lazy else slabs  # the witness's first
-        # this thread's group and the worker's, when each holds two slabs or more; this
-        # thread also runs the witness's slab, first, so the worker takes the larger half
-        rest = len(order) - lazy
-        cut = lazy + (rest // 2 if workers > 1 and rest > 3 else rest)
-        mine, theirs = order[:cut], order[cut:]
-        if rowwise is None:
-            y = potential(p)
-        else:  # the rows where the groups' runs meet, from the old dual: each group's first
-            y = {}
-            for run in (mine, theirs):
-                a = run[0][1][0] if run else 0
-                if a > 0:
-                    edge = np.empty((2,) + grid[1:])  # the row, then its scratch
-                    rowwise(p, edge[:1], (a, a + 1), edge[1:])
-                    y[a] = edge[0]
-        ys = [y] * (1 + bool(theirs))  # one reference per group
-        del y
-        outcome = verdict = None
-        try:
-            if theirs:  # started now, it writes nothing before the witness's verdict
-                from . import _worker  # loaded by the first split: see its docstring
-
-                verdict = _worker.Outcome() if lazy else None
-                outcome = _worker.submit(_update, ys, theirs, lazy, None, iters, loop, verdict)
-            # the witness's slab first, before any other is written
-            lazy, peak = _update(ys, mine, lazy, witness[1] if lazy else None, iters, loop,
-                                 verdict)
-        finally:
-            if verdict is not None and verdict.value is None:  # the witness's slab raised
-                verdict.give(False)
-            if outcome is not None:  # joined, also when this thread raised
-                outcome.wait()
-        if outcome is not None:
-            result, error = outcome.value
-            if error is not None:
-                raise error
-            if result[1][0] > peak[0]:  # in slab order: the first of equal peaks stays
-                peak = result[1]
-        if lazy:
-            continue
-        change = math.sqrt(peak[0])  # max_tuple_norm of the increment
-        witness = peak[1:]
-        if change <= tol:
-            break
+    with _splitting(spans) as worker:  # joined before this returns or raises
+        # the kernel's blocks, on a grid where every step splits: a lazy step splits when the
+        # slabs after the witness's make two groups of two or more; beside a row potential's
+        # window no work grid of the kernel's fits
+        blocks, worked = _BLOCKS.get(kernel, (None, False))
+        if worker is None or len(slabs) < 5 or rowwise is not None and worked:
+            blocks = None
+        if channels is None:
+            channels = range(len(p))
+        # a row potential's window of y: a chunk's rows and the row after them
+        chunk = max(1, _CHUNK // slab)  # slabs
+        frame = (min(chunk * work[0] + 1, grid[0]),) + work[1:]
+        size = len(p) * slab  # a slab's residual, also the row function's scratch
+        pool = None  # a split group's one scratch without a row potential, and where it is cut
+        if rowwise is not None:
+            size = max(size, math.prod(frame))
+        elif blocks is not None:
+            # an in-place chunk's kernel work grid, a row longer than the chunk, and its block grid
+            # take no more than a slab's residual, its norm grids and the kernel's work grid
+            head = slab + row if worked else 0
+            chunk = max(1, min(chunk, (size + 2 * slab + head - row) // (2 * slab)))
+            pool = max(size + 2 * slab, 2 * chunk * slab + row)
+            pool = (pool, (pool + row) // 2)
+        # what every group's update reads; 0-d operands: see fields._MINUS_ONE
+        loop = (kernel, rowwise, blocks, p, np.array(tau), tol, channels, range(len(p)), size,
+                (2,) + work, frame, chunk, pool)
+        witness = None  # (slab, flat grid index in it) where the last exact increment peaked
+        for iters in range(1, max_iters + 1):
+            lazy = witness is not None and iters < max_iters
+            order = slabs[witness[0]:] + slabs[:witness[0]] if lazy else slabs  # witness's first
+            # this thread's group and the worker's, when each holds two slabs or more; this
+            # thread also runs the witness's slab, first, so the worker takes the larger half
+            rest = len(order) - lazy
+            cut = lazy + (rest // 2 if worker is not None and rest > 3 else rest)
+            mine, theirs = order[:cut], order[cut:]
+            if rowwise is None:
+                y = potential(p)
+            else:  # the rows where the groups' runs meet, from the old dual: each group's first
+                y = {}
+                for run in (mine, theirs):
+                    a = run[0][1][0] if run else 0
+                    if a > 0:
+                        edge = np.empty((2,) + grid[1:])  # the row, then its scratch
+                        rowwise(p, edge[:1], (a, a + 1), edge[1:])
+                        y[a] = edge[0]
+            ys = [y] * (1 + bool(theirs))  # one reference per group
+            del y
+            outcome = verdict = None
+            try:
+                if theirs:  # started now, it writes nothing before the witness's verdict
+                    verdict = Outcome() if lazy else None
+                    outcome = worker.submit(_update, ys, theirs, lazy, None, iters, loop, verdict)
+                # the witness's slab first, before any other is written
+                lazy, peak = _update(ys, mine, lazy, witness[1] if lazy else None, iters, loop,
+                                     verdict)
+            finally:
+                if verdict is not None and verdict.value is None:  # the witness's slab raised
+                    verdict.give(False)
+                if outcome is not None:  # joined, also when this thread raised
+                    outcome.wait()
+            if outcome is not None:
+                result, error = outcome.value
+                if error is not None:
+                    raise error
+                if result[1][0] > peak[0]:  # in slab order: the first of equal peaks stays
+                    peak = result[1]
+            if lazy:
+                continue
+            change = math.sqrt(peak[0])  # max_tuple_norm of the increment
+            witness = peak[1:]
+            if change <= tol:
+                break
     return p, iters, change
 
 
@@ -577,9 +662,11 @@ def solve(potential, kernel, shape, cfg: DualConfig, channels=None):
     :class:`DualResult` field but ``objective``.  A potential the caller holds
     no other reference to is freed, with its data, on return.
     """
-    p, iters, change = iterate(potential, kernel, np.broadcast_to(0.0, shape),  # copied
-                               cfg.resolve_tau(len(shape) - 1), cfg.max_iters, cfg.tol, channels)
-    y = potential(p)
+    with _splitting(_spans(shape[1:])):  # step 1's final Poisson solve splits too
+        p, iters, change = iterate(potential, kernel, np.broadcast_to(0.0, shape),  # copied
+                                   cfg.resolve_tau(len(shape) - 1), cfg.max_iters, cfg.tol,
+                                   channels)
+        y = potential(p)
     return p, y, {"iters": iters, "final_change": change,
                   "kkt_residual": kkt_residual(kernel, y, p, channels)}
 

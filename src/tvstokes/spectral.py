@@ -33,15 +33,16 @@ eigenvalues; the inverse first-axis product; the inverse later products.
 Each phase splits into two fixed halves of the first axis's rows, ``[0, h)``
 and ``[h, n)`` with ``h = n // 2``: a first-axis half multiplies its rows of
 the matrix by the whole grid, a later half works on its rows of each view.
-The calling thread runs the first half, and the dual update's worker thread
-(:mod:`._worker`) the second when :func:`.dual._workers` gives two; else the
-calling thread runs both, in turn.  The worker's half is joined before the
-next phase.  The halves depend only on the grid, so the bytes do not depend
-on the CPU count.  A half may round differently from the whole product (on
-17^4 by up to 4e-16 relative; on the 3-d grids measured, not at all), so a
-grid of fewer slabs, every dense 2-d grid and 32^3 among them, issues the
-whole products.  A 64^3 solve took 2.92 ms whole and 1.87 ms as halves on
-two threads (2.92-3.00 ms on one) on a 2-vCPU Xeon with one BLAS thread.
+The calling thread runs the first half, and the worker of the dual solve it
+serves (:func:`.dual._splitting`) the second; a solve of its own, such as
+``tvs project``'s, or one on a worker thread runs both, in turn.  The worker's
+half is joined before the next phase.  The halves depend only on the grid, so
+the bytes do not depend on the CPU count.  A half may round differently from
+the whole product (on 17^4 by up to 4e-16 relative; on the 3-d grids
+measured, not at all), so a grid of fewer slabs, every dense 2-d grid and
+32^3 among them, issues the whole products.  A 64^3 solve took 2.92 ms whole
+and 1.87 ms as halves on two threads (2.92-3.00 ms on one) on a 2-vCPU Xeon
+with one BLAS thread.
 """
 
 from __future__ import annotations
@@ -154,8 +155,8 @@ class PoissonPlan:
     products a solve replays, forward then inverse, and on a grid of four
     slabs or more the four phases of its two halves (see the module
     docstring).  The plan is immutable after construction and safe to share
-    across threads; a solve reads its worker count when it runs, so one on
-    the worker thread runs both halves itself.
+    across threads; a solve hands its halves to the calling thread's worker,
+    if any, when it runs.
     """
 
     def __init__(self, dims):
@@ -279,7 +280,7 @@ def _run(x: np.ndarray, y: np.ndarray, products, scale) -> None:
 
 def _halved(x: np.ndarray, y: np.ndarray, phases) -> np.ndarray:
     """The dense solve in its halves, phase by phase; the second half of a phase runs on
-    the worker thread when there are two workers, else after the first on this thread.
+    this thread's worker (see ``dual._LOCAL``) if it has one, else after the first here.
 
     The worker's half is joined before the next phase, a return or a raise, and its
     error is raised here.  The halves are the grid's alone, so the bytes do not depend
@@ -287,13 +288,9 @@ def _halved(x: np.ndarray, y: np.ndarray, phases) -> np.ndarray:
     """
     from . import dual  # it imports this module
 
-    workers = dual._workers()
+    worker = dual._LOCAL.worker
     for first, second in phases:
-        outcome = None
-        if workers > 1:
-            from . import _worker
-
-            outcome = _worker.submit(_run, x, y, *second)
+        outcome = None if worker is None else worker.submit(_run, x, y, *second)
         try:
             _run(x, y, *first)
         finally:

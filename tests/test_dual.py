@@ -37,7 +37,7 @@ from tvstokes import (
     smoothing_kkt_residual,
     smoothing_objective,
 )
-from tvstokes import PoissonPlan, _worker, dual, fields, matching_field, reconstruction, smoothing
+from tvstokes import PoissonPlan, dual, fields, matching_field, reconstruction, smoothing
 from tvstokes.dual import iterate, kkt_residual, stationarity_residual
 from tvstokes.reconstruction import dual_step as reconstruction_step
 from tvstokes.smoothing import dual_step as smoothing_step
@@ -703,21 +703,24 @@ def test_solve_frees_the_potential_and_its_data_on_return():
 
 # ---------------------------------------------------------- per-step dispatch
 
-def _calls_into_the_package(run) -> int:
-    """Python calls of functions in ``tvstokes`` modules while ``run()`` runs; the numpy
-    version does not move the count."""
-    calls = [0]
+def _calls_into_the_package(run) -> np.ndarray:
+    """``[calling thread, worker threads]``: the Python calls of functions in ``tvstokes``
+    modules that each side makes while ``run()`` runs; the numpy version does not move the
+    counts.  A solve starts its worker after the profile is set, so it is profiled too."""
+    calls, caller = [0, 0], threading.get_ident()
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_globals.get("__name__", "").startswith("tvstokes"):
-            calls[0] += 1
+            calls[threading.get_ident() != caller] += 1  # one worker at a time
 
     sys.setprofile(profile)
+    threading.setprofile(profile)
     try:
         run()
     finally:
+        threading.setprofile(None)
         sys.setprofile(None)
-    return calls[0]
+    return np.array(calls)
 
 
 DISPATCH = {  # solve: (potential, kernel, stored channels, channel list) on a 16x16 frame
@@ -740,12 +743,12 @@ def test_a_lazy_step_calls_a_pinned_number_of_package_functions(solve, budget):
             lambda: iterate(potential, kernel, p0, 0.25, n, 0.0, channels))
 
     steps(4)  # builds the kernels' tables
-    assert steps(4) - steps(3) == budget
+    assert list(steps(4) - steps(3)) == [budget, 0]  # one slab: no worker
 
 
 def _split_lazy_step_calls(solve, dims):
-    """The package calls that the calling thread makes on a lazy step of ``solve`` on ``dims``,
-    split over two workers."""
+    """The package calls that the calling thread and the worker make on a lazy step of
+    ``solve`` on ``dims``, split over two workers."""
     u, d = rand_scalar(dims, 14), len(dims)
     if solve == "step1":
         potential = smoothing._bind(grad(u), 0.3, PoissonPlan(dims))
@@ -759,17 +762,17 @@ def _split_lazy_step_calls(solve, dims):
             lambda: iterate(potential, kernel, p0, 1.0 / (2 * d), n, 0.0, channels))
 
     steps(4)
-    return steps(4) - steps(3)
+    return list(steps(4) - steps(3))
 
 
-# 87 and 242 calls when every slab took its own kernel call and clip
-@pytest.mark.parametrize("solve, dims, budget", [("rof", (160, 160, 16), 55),
-                                                 ("step1", (64, 64, 64), 203)], ids=str)
+# the calling thread made 87 and 242 calls when every slab took its own kernel call and clip
+@pytest.mark.parametrize("solve, dims, budget", [("rof", (160, 160, 16), [55, 47]),
+                                                 ("step1", (64, 64, 64), [203, 44])], ids=str)
 def test_a_split_lazy_step_calls_a_pinned_number_of_package_functions(solve, dims, budget,
                                                                       monkeypatch):
-    """Two workers, sixteen slabs or more: the calling thread steps the witness's slab, then
-    the rest of its group in place, a call per kernel block and a tuple norm per chunk.  The
-    profile sees the calling thread alone."""
+    """Two workers, sixteen slabs or more: each thread steps one slab, the calling thread the
+    witness's, then the rest of its group in place, a call per kernel block and a tuple norm
+    per chunk.  Step 1's calling thread also runs the potential and its Poisson solve."""
     submitted = _splits(monkeypatch)
     assert _split_lazy_step_calls(solve, dims) == budget
     assert submitted
@@ -796,14 +799,14 @@ def _diagnostics(r):
 
 def _splits(monkeypatch) -> list:
     """Force two workers; the returned list counts the groups handed to the worker thread."""
-    submitted, submit = [], _worker.submit
+    submitted, submit = [], dual._Worker.submit
 
     def spy(*args):
         submitted.append(1)
         return submit(*args)
 
     monkeypatch.setattr(dual, "_workers", lambda: 2)
-    monkeypatch.setattr(_worker, "submit", spy)
+    monkeypatch.setattr(dual._Worker, "submit", spy)
     return submitted
 
 
@@ -1100,9 +1103,11 @@ def test_a_divergence_on_the_worker_thread_raises_at_the_same_iteration(workers,
     dims = (16, 160, 160)  # 1-row slabs: the last goes to the worker's group
     monkeypatch.setattr(dual, "_workers", lambda: workers)
     potential, kernel, where = _ones_model(dims, step, (15, 16))
+    threads = threading.active_count()
     with pytest.raises(DivergenceError, match=rf"^dual update diverged at iteration {step}$"):
         iterate(potential, kernel, np.zeros((3,) + dims), 0.01, 5, 0.0)
     assert (where[0] is threading.main_thread()) == (workers == 1)
+    assert threading.active_count() == threads  # the worker is joined
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1138,13 +1143,15 @@ def test_an_error_on_the_calling_thread_joins_the_workers_group_first(step, monk
         out[...] = 1.0
         return out
 
+    threads = threading.active_count()
     with pytest.raises(ValueError, match="kernel failed"):
         iterate(potential, kernel, np.zeros((3,) + dims), 0.01, 5, 0.0)
     assert done == [(a, a + 1) for a in range(8, 16)]  # all of them, before the raise
+    assert threading.active_count() == threads  # the worker is joined
 
 
 def test_threads_solving_at_once_get_the_sequential_bytes(monkeypatch):
-    """Three solves at once, each splitting its updates onto the one worker thread: four
+    """Three solves at once, each splitting its updates onto a worker thread of its own: six
     threads on two CPUs, switching every 10 us, write disjoint slabs and get the bytes of
     one solve at a time."""
     inputs = [rand_scalar((24, 48, 48), seed) for seed in (16, 17, 18)]
@@ -1171,7 +1178,8 @@ def test_threads_solving_at_once_get_the_sequential_bytes(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
 def test_a_forked_child_solves_after_the_parent_used_the_worker(monkeypatch):
-    """The child has no copy of the parent's worker thread: its first split starts one."""
+    """The parent's solve joins its worker before it returns, so the fork runs beside no
+    thread of the package's, and the child's solve starts a worker of its own."""
     u = rand_scalar((16, 160, 160), 18)
     submitted = _splits(monkeypatch)
 
@@ -1179,9 +1187,9 @@ def test_a_forked_child_solves_after_the_parent_used_the_worker(monkeypatch):
         return rof_denoise(u, RofConfig(lam=0.3, max_iters=4)).u.tobytes()
 
     want = solve()
-    assert submitted and _worker._POOL is not None
-    with warnings.catch_warnings():  # Python 3.12+ warns of a fork beside a thread
-        warnings.simplefilter("ignore", DeprecationWarning)
+    assert submitted and all(t.name != dual._WORKER for t in threading.enumerate())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
         pid = os.fork()
     if pid == 0:  # the child
         code = 1
@@ -1199,19 +1207,20 @@ def test_a_forked_child_solves_after_the_parent_used_the_worker(monkeypatch):
     assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
-def test_a_kernel_on_the_worker_thread_sees_one_worker(monkeypatch):
-    """A solve that a kernel on the worker thread runs stays on that thread: the worker never
-    waits for itself."""
+def test_a_kernel_on_the_worker_thread_sees_no_worker(monkeypatch):
+    """A solve that a kernel on the worker thread runs shares no worker there: the worker
+    never waits for itself."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     seen = []
 
     def kernel(y, out, rows):
-        seen.append((threading.current_thread() is threading.main_thread(), dual._workers()))
+        seen.append((threading.current_thread() is threading.main_thread(),
+                     dual._LOCAL.worker is not None))
         out[...] = 0.0
         return out
 
     iterate(lambda p: None, kernel, np.zeros((3, 16, 160, 160)), 0.1, 1, 0.0)
-    assert dict(seen) == {True: 2, False: 1}
+    assert dict(seen) == {True: True, False: False} and dual._LOCAL.worker is None
 
 
 @pytest.mark.parametrize("cpus, workers", [({0}, 1), ({3}, 1), ({0, 1}, 2), ({0, 1, 2, 3}, 2)])
@@ -1221,19 +1230,23 @@ def test_the_worker_count_follows_the_affinity_mask(cpus, workers, monkeypatch):
 
 
 def test_importing_the_cli_starts_no_thread_and_loads_no_executor():
-    """The worker thread and its module load with the first split update; the thread is
-    plain ``threading``."""
+    """A solve that splits starts its worker thread, plain ``threading``, and joins it
+    before it returns."""
     script = (
         "import sys, threading\n"
         "import numpy as np\n"
         "import tvstokes.cli\n"
         "from tvstokes import RofConfig, dual, rof_denoise\n"
         "assert 'concurrent.futures' not in sys.modules\n"
-        "assert 'tvstokes._worker' not in sys.modules\n"
         "assert threading.active_count() == 1\n"
         "dual._workers = lambda: 2\n"
+        "started, start = [], threading.Thread.start\n"
+        "def start_named(thread):\n"
+        "    started.append(thread.name)\n"
+        "    start(thread)\n"
+        "threading.Thread.start = start_named\n"
         "rof_denoise(np.zeros((16, 160, 160)), RofConfig(max_iters=2))\n"
-        "assert threading.active_count() == 2\n"
+        "assert started == [dual._WORKER] and threading.active_count() == 1\n"
         "assert 'concurrent.futures' not in sys.modules\n"
     )
     src = str(Path(dual.__file__).resolve().parents[1])

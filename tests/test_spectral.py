@@ -12,7 +12,7 @@ import pytest
 from scipy import fft
 
 import tvstokes
-from tvstokes import _worker, dual, fields, spectral
+from tvstokes import dual, fields, spectral
 from tvstokes import (
     DimensionError,
     PoissonPlan,
@@ -255,13 +255,13 @@ def test_poisson_plan_one_matrix_per_axis_length():
 
 def _spy(monkeypatch) -> list:
     """The returned list counts the halves handed to the worker thread."""
-    submitted, submit = [], _worker.submit
+    submitted, submit = [], dual._Worker.submit
 
     def spy(*args):
         submitted.append(1)
         return submit(*args)
 
-    monkeypatch.setattr(_worker, "submit", spy)
+    monkeypatch.setattr(dual._Worker, "submit", spy)
     return submitted
 
 
@@ -270,19 +270,23 @@ def _spy(monkeypatch) -> list:
 @pytest.mark.parametrize("dims", [(24, 48, 48), (40, 48, 56), (64, 64, 64), (17, 17, 17, 17),
                                   (64, 33, 20), (32, 32, 32)], ids=str)
 def test_a_solve_gives_the_same_bytes_on_one_and_two_workers(dims, monkeypatch):
-    """A grid of four slabs or more solves in fixed halves wherever they run: four halves
-    go to the worker per solve on two workers, none on one or on a grid of fewer slabs."""
+    """A grid of four slabs or more solves in fixed halves wherever they run: inside a
+    solve's worker block on two workers four halves go to the worker per solve; none on one,
+    on a grid of fewer slabs or in a solve of its own, which runs both halves itself."""
     plan, f = PoissonPlan(dims), rand_scalar(dims, 21)
     halved = len(fields._spans(dims)) > 3
     assert (plan._phases is not None) == halved
     submitted = _spy(monkeypatch)
     monkeypatch.setattr(dual, "_workers", lambda: 1)
-    want = plan.solve(f).tobytes()
+    with dual._splitting(fields._spans(dims)):
+        want = plan.solve(f).tobytes()
     assert not submitted
     monkeypatch.setattr(dual, "_workers", lambda: 2)
-    assert plan.solve(f).tobytes() == want
-    assert len(submitted) == (4 if halved else 0)
-    assert plan.solve(f.copy(), overwrite_x=True).tobytes() == want
+    assert plan.solve(f).tobytes() == want and not submitted  # a solve of its own
+    with dual._splitting(fields._spans(dims)):
+        assert plan.solve(f).tobytes() == want
+        assert len(submitted) == (4 if halved else 0)
+        assert plan.solve(f.copy(), overwrite_x=True).tobytes() == want
     np.testing.assert_array_equal(f, rand_scalar(dims, 21))
 
 
@@ -306,10 +310,13 @@ def test_an_error_in_a_half_is_raised_after_the_workers_half_is_joined(where, mo
         finished.append(on_worker)
 
     monkeypatch.setattr(spectral, "_run", failing)
+    threads = threading.active_count()
     with pytest.raises(RuntimeError, match=f"^half failed on the {where}$"):
-        plan.solve(f)
+        with dual._splitting(fields._spans(dims)):
+            plan.solve(f)
     # the first phase only; on an error here, the worker's half finished before the raise
     assert finished == ([False] if where == "worker" else [True])
+    assert threading.active_count() == threads  # the worker is joined
     monkeypatch.setattr(spectral, "_run", run)
     assert plan.solve(f).tobytes() == want
 
@@ -341,8 +348,8 @@ def test_a_solve_on_the_worker_thread_runs_both_halves_there(monkeypatch):
 
 
 def test_threads_sharing_a_plan_get_the_sequential_bytes(monkeypatch):
-    """Three threads solve with one plan at once, each handing its halves to the one
-    worker, switching every 10 us: each gets the bytes of a solve on one thread."""
+    """Three threads solve with one plan at once, each handing its halves to a worker of its
+    own, switching every 10 us: each gets the bytes of a solve on one thread."""
     dims = (24, 48, 48)
     plan = PoissonPlan(dims)
     inputs = [rand_scalar(dims, seed) for seed in (24, 25, 26)]
@@ -352,7 +359,8 @@ def test_threads_sharing_a_plan_get_the_sequential_bytes(monkeypatch):
     got = [None] * len(inputs)
 
     def solve(k):
-        got[k] = [plan.solve(inputs[k]).tobytes() for _ in range(5)]
+        with dual._splitting(fields._spans(dims)):
+            got[k] = [plan.solve(inputs[k]).tobytes() for _ in range(5)]
 
     threads = [threading.Thread(target=solve, args=(k,)) for k in range(len(inputs))]
     interval = sys.getswitchinterval()
