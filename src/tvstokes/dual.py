@@ -55,7 +55,7 @@ the kernels and the potentials read their steps from the tables of
 views it and issues its ufuncs: it cuts its slab list into groups, calls
 each group's update once, and makes no generator or helper call beyond the
 tuple norm's squares (the witness's norm is written out inline) and, on a
-lazy step that splits, one call per chunk that runs the kernel's blocks (see
+lazy step that splits, one call per chunk that runs the kernel's steps (see
 below), and its constant operands are 0-d arrays, which numpy does not
 convert on every call.
 
@@ -127,28 +127,28 @@ thread the witness's, which decides the verdict, and on the worker its first
 slab, which it starts before the verdict.  Once the step stays lazy, the
 group steps the rest of its run in chunks: the slabs of a row potential's
 chunk (see above) not yet stepped, or, for a whole-grid potential, the next
-slabs of the run, as many as its scratch holds.  Each block of the kernel,
-one channel of :func:`.fields.grad` or one channel of the packed Hessian
-from the first difference it shares with its row, goes into one chunk-sized
-grid, is scaled by ``tau`` and subtracted straight from ``p``; the tuple
-norm then reads ``p``, and the clip divides ``p`` in place.  The steps come
-from the tables of ``fields._BLOCKS`` and the ufuncs are those of the slab
-step, so the bytes are too.  The chunk's grids are carved from the group's
-own scratch.  With a row potential the block grid is the residual scratch
-and the norm grid the window's rows that the chunk has read, below the halo
-row it carries over.  With a whole-grid potential a group of a split step
-holds one allocation, a slab's residual and norm grids: each slab it steps
-in that residual gets the kernel's blocks, their work grid where the norm
-grids go, and a chunk's work grid, a row longer than the chunk, and its
-block grid fill it, then hold the norm grid and its scratch.  So no group
-holds a kernel call's own work grid beside its scratch, and the packed 3-d
-Hessian's chunks are four slabs.  A chunk whose clip norm
-is not finite is divided and then checked: the old dual is finite, with
-norms at most 1, so the increment is finite exactly when the new entries
-are, and :class:`DivergenceError` comes at the same iteration.  Exact steps
-and steps that do not split, on one CPU or fewer than five slabs, a 64x64
-frame among them, keep the slab step alone: chunks in place cut the lock's
-hand-offs, which one thread does not make.
+slabs of the run, as many as its scratch holds.  Each channel of the kernel,
+of :func:`.fields.grad`, or of the packed Hessian from the first difference
+it shares with its row, goes into one chunk-sized grid, is scaled by ``tau``
+and subtracted straight from ``p``; the tuple norm then reads ``p``, and the
+clip divides ``p`` in place.  The steps are those of the kernel's own table
+(``fields._BLOCKS``), each moved onto the chunk's grid, and the ufuncs are
+those of the slab step, so the bytes are too.  The chunk's grids are carved
+from the group's own scratch.  With a row potential the block grid is the
+residual scratch and the norm grid the window's rows that the chunk has
+read, below the halo row it carries over.  With a whole-grid potential a
+group of a split step holds one allocation, a slab's residual and norm
+grids: each slab it steps in that residual gets the kernel from its table,
+its work grid where the norm grids go, and a chunk's work grid, a row longer
+than the chunk, and its block grid fill it, then hold the norm grid and its
+scratch.  So no group holds a kernel call's own work grid beside its
+scratch, and the packed 3-d Hessian's chunks are four slabs.  A chunk whose
+clip norm is not finite is divided and then checked: the old dual is finite,
+with norms at most 1, so the increment is finite exactly when the new
+entries are, and :class:`DivergenceError` comes at the same iteration.
+Exact steps and steps that do not split, on one CPU or fewer than five
+slabs, a 64x64 frame among them, keep the slab step alone: chunks in place
+cut the lock's hand-offs, which one thread does not make.
 """
 
 from __future__ import annotations
@@ -163,7 +163,8 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DivergenceError, ParameterError, _check_positive, _is_number
-from .fields import _BLOCKS, _run, _spans, _sum_squares, _total_variation, max_tuple_norm
+from .fields import (_BLOCKS, _forward, _run, _spans, _sum_squares, _total_variation,
+                     max_tuple_norm)
 from .spectral import dual_step_bound
 
 __all__ = [
@@ -383,12 +384,13 @@ def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channe
     slab, row = math.prod(work), math.prod(grid[1:])
     rowwise = potential.rows if isinstance(potential, RowPotential) else None
     with _splitting(spans) as worker:  # joined before this returns or raises
-        # the kernel's blocks, on a grid where every step splits: a lazy step splits when the
+        # the kernel's table, on a grid where every step splits: a lazy step splits when the
         # slabs after the witness's make two groups of two or more; beside a row potential's
         # window no work grid of the kernel's fits
-        blocks, worked = _BLOCKS.get(kernel, (None, False))
+        table = _BLOCKS.get(kernel)  # its work shape, on the last slab, says if it has one
+        worked = table is not None and table(grid[1:], grid[0] - spans[-1][0], 0)[1]
         if worker is None or len(slabs) < 5 or rowwise is not None and worked:
-            blocks = None
+            table = None
         if channels is None:
             channels = range(len(p))
         # a row potential's window of y: a chunk's rows and the row after them
@@ -398,7 +400,7 @@ def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channe
         pool = None  # a split group's one scratch without a row potential, and where it is cut
         if rowwise is not None:
             size = max(size, math.prod(frame))
-        elif blocks is not None:
+        elif table is not None:
             # an in-place chunk's kernel work grid, a row longer than the chunk, and its block grid
             # take no more than a slab's residual, its norm grids and the kernel's work grid
             head = slab + row if worked else 0
@@ -406,7 +408,7 @@ def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channe
             pool = max(size + 2 * slab, 2 * chunk * slab + row)
             pool = (pool, (pool + row) // 2)
         # what every group's update reads; 0-d operands: see fields._MINUS_ONE
-        loop = (kernel, rowwise, blocks, p, np.array(tau), tol, channels, range(len(p)), size,
+        loop = (kernel, rowwise, table, p, np.array(tau), tol, channels, range(len(p)), size,
                 (2,) + work, frame, chunk, pool)
         witness = None  # (slab, flat grid index in it) where the last exact increment peaked
         for iters in range(1, max_iters + 1):
@@ -434,10 +436,12 @@ def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channe
                 if theirs:  # started now, it writes nothing before the witness's verdict
                     verdict = Outcome() if lazy else None
                     outcome = worker.submit(_update, ys, theirs, lazy, None, iters, loop, verdict)
+                _LOCAL.worker = None  # busy: a solve that the kernel runs here starts its own
                 # the witness's slab first, before any other is written
                 lazy, peak = _update(ys, mine, lazy, witness[1] if lazy else None, iters, loop,
                                      verdict)
             finally:
+                _LOCAL.worker = worker
                 if verdict is not None and verdict.value is None:  # the witness's slab raised
                     verdict.give(False)
                 if outcome is not None:  # joined, also when this thread raised
@@ -473,23 +477,23 @@ def _update(ys, slabs, lazy: bool, at, iters: int, loop, verdict=None):
     given a ``verdict`` and no ``at``, the group waits for it before its
     first write and takes its ``lazy`` from it.  A group given a ``verdict``
     runs on a lazy step that splits: once its first slab is stepped and the
-    step stays lazy, it steps the rest of each chunk in place, one call per
-    kernel block (see the module docstring); without a row potential, a
-    split step runs the kernel's blocks into each slab's residual too, in one
-    allocation with the chunks' grids.  ``peak`` is the largest
+    step stays lazy, it steps the rest of each chunk in place, from the
+    kernel's table (see the module docstring); without a row potential, a
+    split step runs the kernel from its table into each slab's residual too,
+    in one allocation with the chunks' grids.  ``peak`` is the largest
     exact squared increment of the group, its slab and flat index; ``loop``
     holds what :func:`iterate` computes once per solve.
     """
-    kernel, rowwise, blocks, p, tau, tol, channels, stored, size, work, frame, chunk, pool = loop
+    kernel, rowwise, table, p, tau, tol, channels, stored, size, work, frame, chunk, pool = loop
     y, window, norms = ys.pop(), None, None
-    inplace = verdict is not None and blocks is not None
+    inplace = verdict is not None and table is not None
     if rowwise is not None:
         step = np.empty(size)  # a slab's residual, then its step
         window = np.empty(frame)  # a chunk's rows of y and the row after them
         scratch = step[:window.size].reshape(frame)
         if inplace:  # a chunk's norm grid, then its block grid
             pool = window.ravel(), step
-    elif blocks is not None:  # a slab's residual and norm grids, and the chunks', in one allocation
+    elif table is not None:  # a slab's residual and norm grids, and the chunks', in one allocation
         step = np.empty(pool[0])
         norms = step[size:size + math.prod(work)].reshape(work)
         # the kernel's work grid, then the norm grid, and the block grid, then the norms' scratch
@@ -519,13 +523,14 @@ def _update(ys, slabs, lazy: bool, at, iters: int, loop, verdict=None):
                     window[top - a] = y[top]
                 base = a
         if k and inplace and lazy:  # the chunk's slabs yet to step, in place
-            if rowwise is None:
-                src, rows = y, (a, top)
-            else:
-                src, rows = window[a - base:top - base + (top < end)], (0, top - a)
+            tail, row = p.shape[2:], math.prod(p.shape[2:])
+            if rowwise is None:  # from row a of y, which up to two rows follow
+                src, rest = y.ravel()[a * row:], min(end - top, 2)
+            else:  # from row a of the window, and its halo row unless the chunk ends the grid
+                src, rest = window.ravel()[(a - base) * row:], int(top < end)
             pc = p[:, a:top]
             grid = pool[1][:pc[0].size].reshape(pc.shape[1:])
-            _blocks(blocks(src.shape, rows), src.ravel(), pool[0], grid, tau, pc)
+            _blocks(table(tail, top - a, rest), src, pool[0], grid, tau, pc)
             n = pool[0][:grid.size].reshape(grid.shape)
             _sum_squares(map(pc.__getitem__, channels), n, grid)
             np.sqrt(n, out=n)
@@ -543,8 +548,8 @@ def _update(ys, slabs, lazy: bool, at, iters: int, loop, verdict=None):
         qs = step[:ps.size].reshape(ps.shape)  # then qs <- unit_clip(ps - tau*qs)
         if rowwise is not None:
             kernel(window[a - base:b - base + (b < end)], qs, (0, b - a))
-        elif blocks is not None:  # the kernel's blocks, their work grid where the norm grids go
-            _blocks(blocks(y.shape, span), y.ravel(), step[size:], qs)
+        elif table is not None:  # the kernel, its work grid where the norm grids go
+            _forward(y, qs, span, table, step[size:])
         else:
             kernel(y, qs, span)
         # no scratch lives through a potential; the norms come after the kernel's
@@ -589,26 +594,36 @@ def _update(ys, slabs, lazy: bool, at, iters: int, loop, verdict=None):
     return lazy, peak
 
 
-def _blocks(steps, src, scratch, out, tau=None, pc=None) -> None:
-    """Run a kernel's block ``steps`` (see ``fields._BLOCKS``) from the flat grid ``src``.
+def _blocks(steps, src, scratch, grid, tau, pc) -> None:
+    """Step the dual's chunk ``pc`` in place by a kernel's ``steps`` from the flat grid ``src``.
 
-    ``steps`` is ``(work shape, blocks)``: the first differences go into a
-    work grid at the front of the flat ``scratch``.  Each channel ``c`` goes
-    into ``out[c]``, or, given the dual's chunk ``pc``, into the grid ``out``,
-    which is scaled by ``tau`` and subtracted from ``pc[c]`` in place.
+    ``steps`` is an entry of the kernel's table in ``fields._BLOCKS`` (see
+    ``fields._forward``); the first differences go into a work grid at the
+    front of the flat ``scratch``.  A step of the table writes channel ``c``
+    of a stacked output from entry ``c * size``, ``size`` being the grid's:
+    it runs with its ``to`` slice, and a flat ``zero`` slice, moved back by
+    that, and a middle-axis ``zero`` without its channel index, into
+    ``grid``, which is scaled by ``tau`` and subtracted from ``pc[c]``.
     """
-    shape, table = steps
-    if shape is not None:
-        work = scratch[:math.prod(shape)].reshape(shape)
-    for head, pairs in table:
-        if head is not None:
-            _run(src, work.ravel(), work, (head,))
-        for c, block in pairs:
-            grid = out if pc is not None else out[c]
-            _run(src if head is None else work.ravel(), grid.ravel(), grid, (block,))
-            if pc is not None:
-                np.multiply(grid, tau, out=grid)
-                np.subtract(pc[c], grid, out=pc[c])
+    _, work, blocks = steps
+    if work is None:  # grad's steps, all from src
+        blocks = (((), blocks),)
+    else:
+        du = scratch[:math.prod(work)].reshape(work)
+        mid = du.ravel()
+    size, dst = grid.size, grid.ravel()
+    for first, seconds in blocks:
+        if first:
+            _run(src, mid, du, first)
+        for hi, lo, to, zero, flat in seconds:
+            c = to.start // size
+            at = c * size
+            if zero is not None:
+                zero = slice(zero.start - at, zero.stop - at, zero.step) if flat else zero[1:]
+            _run(mid if first else src, dst, grid,
+                 ((hi, lo, slice(to.start - at, to.stop - at), zero, flat),))
+            np.multiply(grid, tau, out=grid)
+            np.subtract(pc[c], grid, out=pc[c])
 
 
 def _increment(ps, qs, norm: np.ndarray, scratch: np.ndarray, channels):

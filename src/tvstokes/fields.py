@@ -37,21 +37,25 @@ the result's shape.  The first transposed slice is ``v[0] * -1.0``, not
 64 bytes (a last axis of 8), while the product is exact, signed zeros
 included.
 
-The per-shape work runs once per shape.  Each operator reads its steps from
-a table built on its first call for a grid shape and a row range (or slab
-size, or a row count and whether the rows start after the first row and end
-the grid) and cached, as ``_layout`` is: the flat slices of every difference,
-offset by the stride, the boundary slices, the halo decisions and the scratch
-shapes (``_grad_steps``, ``_hessian_steps``, ``_adjoint_grad_steps``,
-``_adjoint_hessian_steps`` and ``_diff_steps``, and ``_grad_blocks`` and
-``_hessian_blocks``, the forward kernels a channel at a time, which the dual
-loop runs to step a chunk of slabs in place).  A table holds ints, slices
-and tuples of them, never an array, so a call only views its own arrays and
-issues its ufuncs: :func:`_run` runs forward steps and :func:`_diff_t` one
-transposed step.  A boundary slice on the first or the last axis is a slice
-of the flat grid; only a middle axis indexes the shaped grid.  The first
-call on a shape in a process builds its table: 1-5 KB for a 64x64 frame, up
-to 170 KB (``adjoint_hessian``'s) for the sixteen slabs of a 64^3 grid.
+The per-shape work runs once per slab geometry.  Each operator reads its
+steps from a table built on its first call for a geometry and cached, as
+``_layout`` is (``_grad_steps``, ``_hessian_steps``, ``_diff_steps``,
+``_adjoint_grad_steps`` and ``_adjoint_hessian_steps``): the flat slices of
+every difference, offset by the stride, the boundary slices, the halo
+decisions and the scratch shapes.  A geometry is the grid's tail, the row
+count, whether the rows start the grid and how many rows follow them, up to
+two, as far as the operator's steps depend on them; the steps start at the
+rows' first entry, and the caller applies the rows' offset by slicing its
+flat grids, so every inner slab of a grid shares one entry.  A table holds
+ints, slices and tuples of them, never an array, so a call only views its
+own arrays and issues its ufuncs: :func:`_run` runs forward steps and
+:func:`_diff_t` one transposed step.  The dual loop steps a chunk of slabs
+in place from the tables of ``grad`` and ``hessian`` (``_BLOCKS``), each
+step moved onto its channel's grid.  A boundary slice on the first or the
+last axis is a slice of the flat grid; only a middle axis indexes the shaped
+grid.  The tables that one job of the benchmark builds hold about 11 KiB for
+a 64x64 frame, 34 KiB for a 160x160x16 clip and 74 KiB for a 64^3 volume
+(tracemalloc).
 
 One slab rule serves the whole package: :func:`_spans` cuts a grid into
 slabs of rows ``[a, b)`` of its first axis, about ``_SLAB`` entries each.
@@ -116,11 +120,12 @@ def _spans(grid, slab=None) -> list:
     ``slab`` defaults to ``_SLAB`` as it is when called.
     """
     rows = max(1, (_SLAB if slab is None else slab) // math.prod(grid[1:]))
-    return [(a, min(a + rows, grid[0])) for a in range(0, grid[0], rows)]
+    starts = range(0, grid[0], rows)  # no list comprehension: a call of its own before 3.12
+    return list(zip(starts, [*starts[1:], grid[0]]))
 
 
-# Entries each table cache keeps, one per grid shape and row range or slab
-# size: a grid's slabs take one each in the forward tables, a run a few dozen.
+# Entries each table cache keeps, one per slab geometry: a grid's slabs share a
+# few, a run takes a few dozen.
 _STEPS = 1024
 
 # The kernels' constant operands as 0-d arrays: a Python float operand costs a
@@ -164,10 +169,10 @@ def _side(tail, axis: int, rows: int, at: int, lead: tuple, k: int):
     return lead + (slice(None),) * (axis - 1) + (slice(k, k + 1),)
 
 
-def _step(tail, axis: int, rows: int, halo: bool, src: int, dst: int, lead=()) -> tuple:
+def _step(tail, axis: int, rows: int, halo: bool, dst: int = 0, lead=()) -> tuple:
     """``(hi, lo, to, zero, flat)``: ``rows`` rows of the axis-``axis`` difference of a grid.
 
-    The grid's rows hold ``tail`` and start at flat entry ``src`` of the
+    The grid's rows hold ``tail`` and start at the first entry of the flat
     source; they are written from flat entry ``dst`` of the output, whose
     ``lead`` index picks the channel.  ``hi``, ``lo`` and ``to`` slice the
     flat grids; ``zero`` indexes the output's last slice along ``axis``
@@ -179,8 +184,8 @@ def _step(tail, axis: int, rows: int, halo: bool, src: int, dst: int, lead=()) -
     end = rows * math.prod(tail) - (0 if halo else stride)
     last = rows - 1 if axis == 0 else tail[axis - 1] - 1
     zero = None if halo else _side(tail, axis, rows, dst, lead + (slice(0, rows),), last)
-    return (slice(src + stride, src + stride + end), slice(src, src + end), slice(dst, dst + end),
-            zero, axis in (0, len(tail)))
+    return (slice(stride, stride + end), slice(0, end), slice(dst, dst + end), zero,
+            axis in (0, len(tail)))
 
 
 def _run(src, dst, out, steps) -> None:
@@ -192,9 +197,9 @@ def _run(src, dst, out, steps) -> None:
 
 
 @lru_cache(_STEPS)
-def _diff_steps(shape, rows: int, axis: int) -> tuple:
-    """The one step of :func:`_diff` from a grid of ``shape`` into ``rows`` rows."""
-    return (_step(shape[1:], axis, rows, axis == 0 and shape[0] > rows, 0, 0),)
+def _diff_steps(tail, rows: int, halo: bool, axis: int) -> tuple:
+    """The one step of :func:`_diff` into ``rows`` rows of ``tail``, from ``halo`` rows more."""
+    return (_step(tail, axis, rows, axis == 0 and halo),)
 
 
 def _diff(u, axis: int, out) -> np.ndarray:
@@ -205,7 +210,7 @@ def _diff(u, axis: int, out) -> np.ndarray:
     after them is a halo that the last row reads, so only a ``u`` that ends
     with ``out`` gives that row the zero of the grid's last row.
     """
-    _run(u.ravel(), out.ravel(), out, _diff_steps(u.shape, len(out), axis))
+    _run(u.ravel(), out.ravel(), out, _diff_steps(u.shape[1:], len(out), len(u) > len(out), axis))
     return out
 
 
@@ -256,23 +261,6 @@ def _diff_t(src, dst, v, out, step) -> None:
         out[end[0]] = v[end[1]]
 
 
-def _output(out, shape) -> np.ndarray:
-    """A new grid stack of ``shape``, or ``out`` after checking that the kernels can write it."""
-    if out is None:
-        return np.empty(shape)
-    if out.shape != shape or not out.flags.c_contiguous:
-        raise DimensionError(f"out must be a C-ordered array of shape {shape}")
-    return out
-
-
-def _span(rows, n: int) -> tuple:
-    """``rows`` as ``(a, b)`` with ``0 <= a < b <= n``; ``None`` is the whole axis."""
-    a, b = (0, n) if rows is None else rows
-    if not 0 <= a < b <= n:
-        raise DimensionError(f"rows {rows} are not a range of a first axis of length {n}")
-    return a, b
-
-
 def grad(u: np.ndarray, out: np.ndarray | None = None, rows=None) -> np.ndarray:
     """Forward-difference gradient of a scalar field, shape ``(d, *dims)``.
 
@@ -281,36 +269,55 @@ def grad(u: np.ndarray, out: np.ndarray | None = None, rows=None) -> np.ndarray:
     shape ``(d, b - a, *dims[1:])``, bit for bit those of the whole gradient;
     they read ``u`` up to row ``b``.
     """
-    u = np.asarray(u, dtype=np.float64, order="C")
-    shape, steps = _grad_steps(u.shape, rows if rows is None else tuple(rows))
-    out = _output(out, shape)
-    _run(u.ravel(), out.ravel(), out, steps)
-    return out
+    return _forward(u, out, rows, _grad_steps)
 
 
 @lru_cache(_STEPS)
-def _grad_steps(shape, rows) -> tuple:
-    """``(out shape, steps)`` of :func:`grad` at ``rows`` of a grid of ``shape``."""
-    (a, b), tail = _span(rows, shape[0]), shape[1:]
-    row = math.prod(tail)
-    # the first axis reads row b as a halo unless b ends the grid
-    return (len(shape), b - a) + tail, tuple(
-        _step(tail, axis, b - a, axis == 0 and b < shape[0], a * row, axis * (b - a) * row, (axis,))
-        for axis in range(len(shape)))
+def _grad_steps(tail, rows: int, rest: int) -> tuple:
+    """``(out shape, None, steps)`` of :func:`grad` at ``rows`` rows of ``tail`` that ``rest``
+    rows of the grid follow, up to two (see :func:`_forward`): the step of every axis into its
+    channel."""
+    d, size = len(tail) + 1, rows * math.prod(tail)
+    # the first axis reads the next row as a halo unless the rows end the grid
+    return (d, rows) + tail, None, tuple(
+        _step(tail, axis, rows, axis == 0 and rest > 0, axis * size, (axis,))
+        for axis in range(d))
 
 
-@lru_cache(_STEPS)
-def _grad_blocks(shape, rows) -> tuple:
-    """``(None, blocks)`` of :func:`grad` at ``rows`` of a grid of ``shape``, a channel at a time.
+def _forward(u, out, rows, table, scratch=None) -> np.ndarray:
+    """Rows ``rows`` of the forward kernel of ``table`` on the grid ``u``, into ``out``.
 
-    ``blocks`` holds one block, ``(None, pairs)``: ``(channel, step)`` of every
-    axis, each step writing its channel's rows into a grid of them, from its
-    first entry; see :func:`_hessian_blocks`.
+    ``table``, :func:`_grad_steps` or :func:`_hessian_steps`, is keyed by the
+    rows' geometry: the grid's tail, the row count and how many rows follow,
+    up to two.  Its steps read ``u`` from its first entry, so the rows'
+    offset is applied here, by slicing the flat ``u``.  Without a work grid
+    they write ``out``, which is checked or allocated; with one, which is cut
+    from the flat ``scratch`` when given, they come in blocks, each the
+    ``first`` difference into the work grid and its ``seconds`` into ``out``.
     """
-    (a, b), tail = _span(rows, shape[0]), shape[1:]
-    return None, ((None, tuple(
-        (axis, _step(tail, axis, b - a, axis == 0 and b < shape[0], a * math.prod(tail), 0))
-        for axis in range(len(shape)))),)
+    u = np.asarray(u, dtype=np.float64, order="C")
+    n = len(u)
+    a, b = (0, n) if rows is None else rows
+    if not 0 <= a < b <= n:
+        raise DimensionError(f"rows {rows} are not a range of a first axis of length {n}")
+    rest = n - b  # not min(), whose call costs 0.1 us, 2% of a 64x64 frame's grad
+    shape, work, steps = table(u.shape[1:], b - a, rest if rest < 2 else 2)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise DimensionError(f"out must be a C-ordered array of shape {shape}")
+    src, dst = u.ravel(), out.ravel()
+    if a:
+        src = src[a * (u.size // n):]
+    if work is None:
+        _run(src, dst, out, steps)
+        return out
+    du = np.empty(work) if scratch is None else scratch[:math.prod(work)].reshape(work)
+    mid = du.ravel()
+    for first, seconds in steps:
+        _run(src, mid, du, first)
+        _run(mid, dst, out, seconds)
+    return out
 
 
 def grad_vec(g: np.ndarray) -> np.ndarray:
@@ -426,58 +433,29 @@ def hessian(u: np.ndarray, out: np.ndarray | None = None, rows=None) -> np.ndarr
     ``rows=(a, b)`` computes rows ``[a, b)`` of the first grid axis only, bit
     for bit those of the whole result; they read ``u`` up to row ``b + 1``.
     """
-    u = np.asarray(u, dtype=np.float64, order="C")
-    shape, work, steps = _hessian_steps(u.shape, rows if rows is None else tuple(rows))
-    out, du = _output(out, shape), np.empty(work)
-    src, dst, mid = u.ravel(), out.ravel(), du.ravel()
-    for first, seconds in steps:
-        _run(src, mid, du, first)
-        _run(mid, dst, out, seconds)
-    return out
+    return _forward(u, out, rows, _hessian_steps)
 
 
 @lru_cache(_STEPS)
-def _hessian_steps(shape, rows) -> tuple:
-    """``(out shape, work shape, steps)`` of :func:`hessian` at ``rows`` of a grid of ``shape``.
+def _hessian_steps(tail, rows: int, rest: int) -> tuple:
+    """``(out shape, work shape, blocks)`` of :func:`hessian` at ``rows`` rows of ``tail`` that
+    ``rest`` rows of the grid follow, up to two (see :func:`_forward`).
 
-    For each axis ``l`` the steps hold the axis-``l`` difference into the
-    work grid, then its axis-``m`` differences, ``m >= l``, into the output.
-    The work grid holds one more row for the first axis, a halo of the
-    first-axis difference, up to the grid's last row.
+    Block ``l`` holds the axis-``l`` difference into the work grid, then its
+    axis-``m`` differences, ``m >= l``, into the output.  The work grid holds
+    one more row for the first axis, a halo of the first-axis difference, up
+    to the grid's last row.
     """
-    (a, b), tail, d = _span(rows, shape[0]), shape[1:], len(shape)
-    work, size, channels = min(b + 1, shape[0]) - a, (b - a) * math.prod(tail), _layout(d)[1]
-    steps = []
-    for l in range(d):
-        r = work if l == 0 else b - a
-        first = _step(tail, l, r, l == 0 and b + 1 < shape[0], a * math.prod(tail), 0)
-        seconds = tuple(_step(tail, m, b - a, r > b - a and m == 0, 0, c * size, (c,))
-                        for m in range(l, d) for c in (channels[l * d + m],))
-        steps.append(((first,), seconds))
-    return (d * (d + 1) // 2, b - a) + tail, (work,) + tail, tuple(steps)
-
-
-@lru_cache(_STEPS)
-def _hessian_blocks(shape, rows) -> tuple:
-    """``(work shape, blocks)`` of :func:`hessian` at ``rows`` of a grid of ``shape``, a channel
-    at a time.
-
-    Block ``l`` is ``(first, pairs)``: the step of the axis-``l`` difference
-    into the work grid, as in :func:`_hessian_steps`, then ``(channel, step)``
-    of each of its axis-``m`` differences, ``m >= l``, each step writing its
-    channel's rows into a grid of them, from its first entry.  The dual loop
-    runs them to subtract one channel at a time from the dual in place.
-    """
-    (a, b), tail, d = _span(rows, shape[0]), shape[1:], len(shape)
-    work, channels = min(b + 1, shape[0]) - a, _layout(d)[1]
+    d = len(tail) + 1
+    work, size, channels = rows + (rest > 0), rows * math.prod(tail), _layout(d)[1]
     blocks = []
     for l in range(d):
-        r = work if l == 0 else b - a
-        first = _step(tail, l, r, l == 0 and b + 1 < shape[0], a * math.prod(tail), 0)
-        blocks.append((first, tuple((channels[l * d + m], _step(tail, m, b - a, r > b - a and m == 0,
-                                                                0, 0))
-                                    for m in range(l, d))))
-    return (work,) + tail, tuple(blocks)
+        r = work if l == 0 else rows
+        first = _step(tail, l, r, l == 0 and rest > 1)
+        seconds = tuple(_step(tail, m, rows, r > rows and m == 0, c * size, (c,))
+                        for m in range(l, d) for c in (channels[l * d + m],))
+        blocks.append(((first,), seconds))
+    return (d * (d + 1) // 2, rows) + tail, (work,) + tail, tuple(blocks)
 
 
 def adjoint_hessian(q: np.ndarray) -> np.ndarray:
@@ -491,19 +469,28 @@ def adjoint_hessian(q: np.ndarray) -> np.ndarray:
     Works slab by slab in two slab-sized grids: each ``row_l`` term above,
     then its transpose added into the output.  ``D_0^T row_0`` reads ``row_0``
     one row before the slab, so that row is carried over from the slab
-    before, in a halo row.
+    before, in a halo row.  Each slab's steps read ``q`` from the row before
+    it and write the output from its first row, so the slab's offset is
+    applied here, by slicing both, and only after the first slab.
     """
     q = np.asarray(q, dtype=np.float64, order="C")
     dims = q.shape[1:]
     d = len(dims)
     if d < 1 or len(q) != d * (d + 1) // 2:
         raise DimensionError(f"not a packed symmetric tensor field: shape {q.shape}")
-    work, slabs = _adjoint_hessian_steps(q.shape, _SLAB)
+    # a grid of _SLAB entries or fewer is one slab: a 64x64 frame's call makes no _spans call
+    spans = ((0, dims[0]),) if q.size <= len(q) * _SLAB else _spans(dims)
+    shape, n, work = q.shape, dims[0], (spans[0][1],) + dims[1:]
     out, row, scratch = np.empty(dims), np.empty((1 + work[0],) + work[1:]), np.empty(work)
     qf, rf, of, part = q.ravel(), row.ravel(), out.ravel(), scratch.ravel()
-    for terms, carry in slabs:
+    for a, b in spans:
+        terms, carry = _adjoint_hessian_steps(shape, b - a, a > 0, b == n)
+        qa, qfa, oa, ofa = q, qf, out, of
+        if a:
+            width = math.prod(dims[1:])
+            qa, qfa, oa, ofa = q[:, a - 1:], qf[(a - 1) * width:], out[a:], of[a * width:]
         for inner, double, step, add in terms:
-            v, src, w, dst = (q, qf, row, rf) if inner else (row, rf, out, of)
+            v, src, w, dst = (qa, qfa, row, rf) if inner else (row, rf, oa, ofa)
             if double is not None:
                 np.multiply(dst[double], _TWO, out=dst[double])
             if add is None:
@@ -517,43 +504,40 @@ def adjoint_hessian(q: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(_STEPS)
-def _adjoint_hessian_steps(shape, slab: int) -> tuple:
-    """``(work shape, slabs)`` of :func:`adjoint_hessian` of a packed field of ``shape``.
+def _adjoint_hessian_steps(shape, rows: int, inner: bool, last: bool) -> tuple:
+    """``(terms, carry)`` of :func:`adjoint_hessian` of a packed field of ``shape`` on a slab.
 
-    Each slab lists its terms in order, ``(inner, double, step, add)``: an
-    inner term takes a channel of ``q`` into ``row_l``, in the row buffer
-    after its halo row, an outer one ``row_l`` (``row_0`` from its halo row)
-    into the output; ``double`` slices ``row_l`` where it is doubled first.
+    The slab holds ``rows`` rows, which start after the grid's first row when
+    ``inner`` (``q`` is then read from the row before them on) and end it
+    when ``last``, as for :func:`_adjoint_grad_steps`.  Its terms, in order,
+    are ``(inner, double, step, add)``: an inner term takes a channel of
+    ``q`` into ``row_l``, in the row buffer after its halo row, an outer one
+    ``row_l`` (``row_0`` from its halo row) into the output, from the slab's
+    first row; ``double`` slices ``row_l`` where it is doubled first.
     ``add`` holds the flat rows that a term computed in scratch is added to,
     then the scratch's.  ``carry`` copies ``row_0``'s last row into the halo
     row, for the next slab.
     """
     dims, tail = shape[1:], shape[2:]
-    d, spans, row, grid = len(dims), _spans(dims, slab), math.prod(tail), math.prod(dims)
-    channels, slabs = _layout(d)[1], []
-    for a, b in spans:
-        size, scratch = (b - a) * row, (0, (), 0)
-        rows, out, term = slice(row, row + size), (a * row, (), a), slice(0, size)
-        terms = []
-        # the last axis, the slowest to stride along, is written rather than added where it can be
-        for l in reversed(range(d)):
-            for i, m in enumerate(range(d - 1, l - 1, -1)):
-                c = channels[l * d + m]
-                step = _step_t(tail, m, a, b, dims[0], (c * grid + a * row, (c,), a),
-                               scratch if i else (row, (), 1))
-                terms.append((True, rows if m == l and i else None, step,
-                              (rows, term) if i else None))
-            step = _step_t(tail, l, a, b, dims[0], (row, (), 1), scratch if l < d - 1 else out)
-            terms.append((False, None, step,
-                          (slice(a * row, b * row), term) if l < d - 1 else None))
-        carry = None if b == dims[0] else (slice(0, row), slice(size, size + row))
-        slabs.append((tuple(terms), carry))
-    return (spans[0][1],) + tail, tuple(slabs)
+    d, row, grid, a = len(dims), math.prod(tail), math.prod(dims), int(inner)
+    b = a + rows
+    n, channels, size = b if last else b + 1, _layout(d)[1], rows * row
+    start, buf, term = (0, (), 0), slice(row, row + size), slice(0, size)  # scratch or output
+    terms = []
+    # the last axis, the slowest to stride along, is written rather than added where it can be
+    for l in reversed(range(d)):
+        for i, m in enumerate(range(d - 1, l - 1, -1)):
+            c = channels[l * d + m]
+            step = _step_t(tail, m, a, b, n, (c * grid + a * row, (c,), a),
+                           start if i else (row, (), 1))
+            terms.append((True, buf if m == l and i else None, step, (buf, term) if i else None))
+        step = _step_t(tail, l, a, b, n, (row, (), 1), start)
+        terms.append((False, None, step, (term, term) if l < d - 1 else None))
+    return tuple(terms), None if last else (slice(0, row), slice(size, size + row))
 
 
-# the block tables of the kernels that the dual loop can step a channel at a time, and
-# whether their blocks take a work grid, of a slab and a row on a slab
-_BLOCKS = {grad: (_grad_blocks, False), hessian: (_hessian_blocks, True)}
+# the tables of the kernels that the dual loop can step a channel at a time
+_BLOCKS = {grad: _grad_steps, hessian: _hessian_steps}
 
 
 def divergence(v: np.ndarray) -> np.ndarray:

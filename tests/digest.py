@@ -13,12 +13,14 @@ output means equal bytes for every record below.  The records are:
 The grids cover 1 to 4 dimensions, a grid of three slabs and the scipy.fft
 Poisson solve (70, 33, 16), a grid of four slabs whose exact steps and
 Poisson solves split over two threads (24, 48, 48), a grid of six slabs whose
-Poisson halves round differently from its whole products (17, 17, 17, 17),
-and a video-shaped block (16, 160, 160), sixteen 1-row slabs that split every
-step.  ROF also runs on the benchmark's clip, which stacks its frames last,
-160x160x16: 27 slabs of 6 rows, where each group of a lazy step steps its
-slabs in place in chunks of four, the last of them short.  Every input holds
-some exact zeros.  ``taskset -c 0`` runs every update and every Poisson solve
+Poisson halves round differently from its whole products (17, 17, 17, 17), a
+3-d grid of eight slabs, seven of 7 rows and a last of 1 (50, 48, 48), whose
+lazy steps step chunks of step 1's slabs in place, over first, inner, last
+and 1-row slabs, and a video-shaped block (16, 160, 160), sixteen 1-row slabs
+that split every step.  ROF also runs on the benchmark's clip, which stacks
+its frames last, 160x160x16: 27 slabs of 6 rows, where each group of a lazy
+step steps its slabs in place in chunks of four, the last of them short.
+Every input holds some exact zeros.  ``taskset -c 0`` runs every update and every Poisson solve
 on one thread, and no chunk in place.
 The file has no ``test_`` prefix, so pytest does not collect it.
 
@@ -44,7 +46,7 @@ from tvstokes import (ReconstructionConfig, RofConfig, SmoothingConfig, grad, ma
 from tvstokes import reconstruction, smoothing
 
 SOLVE_GRIDS = [(40,), (12, 9), (6, 5, 8), (4, 3, 5, 4), (70, 33, 16), (32, 32, 32), (24, 48, 48),
-               (17, 17, 17, 17)]
+               (17, 17, 17, 17), (50, 48, 48)]
 CLIP = (160, 160, 16)  # ROF alone: the benchmark's clip
 STOPS = {"cap": {"max_iters": 7, "tol": 0.0}, "tol": {"max_iters": 60, "tol": 3e-2}}
 LAM1, LAM2, EPS = 0.2, 0.35, 1e-8

@@ -27,7 +27,7 @@ from tvstokes import (
     unit_clip,
     validate_field,
 )
-from tvstokes import fields
+from tvstokes import dual, fields
 from tvstokes.fields import _diff, _diff_t, _total_variation, adjoint_hessian, hessian
 from oracles import (
     brute_inner, dense_diff, iso_l1_norm, mode_apply, naive_adjoint_grad, naive_adjoint_hessian,
@@ -393,26 +393,21 @@ def test_kernels_from_their_tables_match_the_slice_by_slice_operators_bitwise(di
 
 
 @pytest.mark.parametrize("dims", TABLE_GRIDS, ids=str)
-def test_the_kernels_block_tables_give_each_channel_of_the_kernels_bytes(dims):
-    """Each block step of ``grad`` and ``hessian`` writes its channel's rows into a grid of
-    them, bit for bit those rows of the stacked kernel, over any run of rows: the dual loop
-    steps a chunk of slabs in place one block at a time."""
+def test_the_kernels_shifted_steps_give_each_channel_of_the_kernels_bytes(dims):
+    """The dual loop's chunk runner moves each step of ``grad``'s and ``hessian``'s one table
+    onto its channel's grid: over any run of rows, each channel it subtracts, scaled, from the
+    dual in place is bit for bit those rows of the stacked kernel, scaled and subtracted."""
     u = signed_grid(dims, 54)
-    n = dims[0]
-    for op, (blocks, worked) in fields._BLOCKS.items():
+    n, row, tau = dims[0], math.prod(dims[1:]), np.array(0.3)
+    for op, table in fields._BLOCKS.items():
         want = op(u)
         for a, b in {(0, n), (0, 1), (n - 1, n), (n // 2, n), (max(0, n // 2 - 1), n // 2 + 1)}:
-            shape, table = blocks(u.shape, (a, b))
-            assert (shape is not None) == worked
-            du = None if shape is None else np.empty(shape)
-            for head, pairs in table:
-                if head is not None:
-                    fields._run(u.ravel(), du.ravel(), du, (head,))
-                src = u.ravel() if head is None else du.ravel()
-                for c, step in pairs:
-                    grid = np.full((b - a,) + dims[1:], np.nan)
-                    fields._run(src, grid.ravel(), grid, (step,))
-                    assert grid.tobytes() == want[c, a:b].tobytes(), (op.__name__, c, (a, b))
+            steps = table(dims[1:], b - a, min(n - b, 2))
+            pc = signed_grid(want[:, a:b].shape, 55)
+            expect = pc - np.multiply(want[:, a:b], tau)
+            grid, scratch = np.full(pc.shape[1:], np.nan), np.full(2 * u.size, np.nan)
+            dual._blocks(steps, u.ravel()[a * row:], scratch, grid, tau, pc)
+            assert pc.tobytes() == expect.tobytes(), (op.__name__, (a, b))
 
 
 def _leaves(x):
@@ -435,13 +430,11 @@ def test_no_cache_in_the_package_holds_an_array():
               for obj in vars(module).values() if hasattr(obj, "cache_info")}
     calls = {
         "tvstokes.fields._layout": (3,),
-        "tvstokes.fields._diff_steps": ((6, 5, 4), 6, 1),
-        "tvstokes.fields._grad_steps": ((6, 5, 4), (2, 5)),
-        "tvstokes.fields._hessian_steps": ((6, 5, 4), (2, 5)),
-        "tvstokes.fields._grad_blocks": ((6, 5, 4), (2, 5)),
-        "tvstokes.fields._hessian_blocks": ((6, 5, 4), (2, 5)),
+        "tvstokes.fields._diff_steps": ((5, 4), 3, True, 0),
+        "tvstokes.fields._grad_steps": ((5, 4), 3, 1),
+        "tvstokes.fields._hessian_steps": ((5, 4), 3, 2),
         "tvstokes.fields._adjoint_grad_steps": ((3, 6, 5, 4), 3, True, False),
-        "tvstokes.fields._adjoint_hessian_steps": ((6, 6, 5, 4), 40),
+        "tvstokes.fields._adjoint_hessian_steps": ((6, 6, 5, 4), 3, True, False),
     }
     assert set(caches) == set(calls)
     for name, args in calls.items():
