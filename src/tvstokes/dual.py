@@ -20,7 +20,11 @@ driver recovers its primal solution from ``y``.  Every function here takes
 one layout, channels stacked along axis 0.  ``_objective`` is every model's
 primal objective, ``TV(x) + 1/(2*lam)*||x - x0||^2 + <x[0], m>``: the
 smoothing has no shift, reconstruction's is ``m = divergence(g/|g|)``, as
-``-<grad(u), g/|g|> = <u, m>``, and ROF has none.
+``-<grad(u), g/|g|> = <u, m>``, and ROF has none.  It works slab by slab in
+two slab-sized grids, so a solve's tail holds no whole-grid temporary: each
+term sums every row of the first axis over the later axes, then the vector
+of row sums once, a sum that depends on neither the slab size nor the
+thread count.
 
 A dual may be stored packed: ``channels`` then lists, in the order the tuple
 norm adds their squares, the stored channel of every entry of the tuple, so
@@ -163,8 +167,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DivergenceError, ParameterError, _check_positive, _is_number
-from .fields import (_BLOCKS, _forward, _run, _spans, _sum_squares, _total_variation,
-                     max_tuple_norm)
+from .fields import _BLOCKS, _diff, _forward, _run, _spans, _sum_squares, max_tuple_norm
 from .spectral import dual_step_bound
 
 __all__ = [
@@ -689,17 +692,31 @@ def solve(potential, kernel, shape, cfg: DualConfig, channels=None):
 def _objective(x: np.ndarray, data, lam: float, m=None) -> float:
     """``TV(x) + 1/(2*lam) * sum_k ||x[k] - x0[k]||^2``, plus ``<x[0], m>`` given a shift ``m``.
 
-    ``data(k, out)`` returns channel ``k`` of ``x0``, which it may write into
-    the grid ``out``.  The objective holds at most one grid and a slab.
+    ``data(k, (a, b), out)`` returns rows ``[a, b)`` of channel ``k`` of ``x0``,
+    which it may write into the slab-sized grid ``out``.  The terms are taken
+    slab by slab in two slab-sized grids: the TV term, each channel's squared
+    distance and the shift each sum every row of the first axis over the later
+    axes into a vector of row sums, which is then summed once, so the value
+    does not depend on the slab size (on a 1-d grid it is one sum of the
+    whole grid).
     """
-    value = _total_variation(x)
-    diff = np.empty(x.shape[1:])
-
-    def squared_norm(k):  # channel k's term of inner(x - x0, x - x0)
-        np.subtract(x[k], data(k, diff), out=diff)
-        return float(np.sum(np.square(diff, out=diff)))
-
-    value += 0.5 / lam * sum(squared_norm(k) for k in range(len(x)))
-    if m is not None:  # inner(x[0], m) in diff
-        value += float(np.sum(np.multiply(x[0], m, out=diff)))
+    dims = x.shape[1:]
+    spans, inner = _spans(dims), tuple(range(1, len(dims)))
+    sums = np.empty((len(x) + (1 if m is None else 2), dims[0]))  # TV, each fit, the shift
+    squares, step = np.empty((2, spans[0][1]) + dims[1:])
+    for a, b in spans:
+        rows, work = squares[:b - a], step[:b - a]
+        diffs = (_diff(xc, axis, work)  # one halo row, as in grad
+                 for xc in x[:, a:b + 1] for axis in range(len(dims)))
+        _sum_squares(diffs, rows, work)
+        np.sum(np.sqrt(rows, out=rows), axis=inner, out=sums[0, a:b])
+        for k in range(len(x)):
+            np.subtract(x[k, a:b], data(k, (a, b), work), out=work)
+            np.sum(np.square(work, out=work), axis=inner, out=sums[1 + k, a:b])
+        if m is not None:
+            np.sum(np.multiply(x[0, a:b], m[a:b], out=work), axis=inner, out=sums[-1, a:b])
+    totals = [float(np.sum(row)) for row in sums]
+    value = totals[0] + 0.5 / lam * sum(totals[1:1 + len(x)])
+    if m is not None:
+        value += totals[-1]
     return value

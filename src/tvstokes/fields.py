@@ -73,9 +73,9 @@ depend on the slab size.
 
 Every grid of tuple norms adds its squares through :func:`_sum_squares`, one
 channel at a time in C order, the order of ``np.sum`` over the channels; the
-dual loop's bit-for-bit claims rest on that one order.  ``_total_variation``
-feeds it a gradient one difference at a time, slab by slab, into one grid of
-squares that it sums whole, so it holds one grid and a slab.
+dual loop's bit-for-bit claims rest on that one order.  The objective's TV
+term (``dual._objective``) feeds it a gradient one difference at a time, slab
+by slab, into slab-sized scratch.
 
 Operators in this module assume finite float inputs (see
 :func:`validate_field`); only cheap structural checks are performed here.
@@ -611,20 +611,3 @@ def inner(x: np.ndarray, y: np.ndarray) -> float:
         raise DimensionError(f"inner product shape mismatch: {x.shape} vs {y.shape}")
     return float(np.sum(x * y))
 
-
-def _total_variation(u: np.ndarray) -> float:
-    """Grid sum of the tuple norms of the gradient of every channel ``u[c]``.
-
-    Slab by slab, the squares are added one difference at a time, channels
-    outer and axes inner, the C order of the gradient's channels, into one
-    grid that is summed whole; each difference is rounded in slab-sized scratch.
-    """
-    dims = u.shape[1:]
-    spans = _spans(dims)
-    squares, step = np.empty(dims), np.empty((spans[0][1],) + dims[1:])
-    for a, b in spans:
-        rows = step[:b - a]
-        diffs = (_diff(uc, axis, rows)  # one halo row, as in grad
-                 for uc in u[:, a:b + 1] for axis in range(len(dims)))
-        _sum_squares(diffs, squares[a:b], rows)
-    return float(np.sum(np.sqrt(squares, out=squares)))

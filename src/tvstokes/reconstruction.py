@@ -25,10 +25,13 @@ by ``lam`` into the caller's scratch, so the solve keeps no ``u0/lam`` grid.
 final dual once, the same rows over the whole grid, and takes the KKT value
 from it; it recovers the image in place as
 ``u = u0 - lam*(y + u0/lam)``, which reproduces a constant ``u0`` exactly
-where ``-lam*y`` may round.  The objective is :mod:`.dual`'s, shifted by
-``m``.  Without a shift, ``m = None``, this is plain isotropic TV denoising,
-which :mod:`.rof` solves through :func:`solve_shifted`: the potential then
-adds no grid and the objective no ``<x, m>`` term.
+where ``-lam*y`` may round, the quotient ``u0/lam`` again slab by slab in
+slab-sized scratch.  The objective is :mod:`.dual`'s, shifted by ``m``, and
+also works in slab-sized scratch, so the solve peaks at its final KKT value:
+``u0``, the final dual and ``y``, plus slabs.  Without a shift, ``m = None``,
+this is plain isotropic TV denoising, which :mod:`.rof` solves through
+:func:`solve_shifted`: the potential then adds no grid and the objective no
+``<x, m>`` term.
 
 :func:`dual_step` and :func:`solve_shifted` are public at module level only,
 not in ``__all__``.
@@ -43,7 +46,8 @@ import numpy as np
 from .dual import (DualConfig, DualResult, RowPotential, _objective, iterate, kkt_residual,
                    require_feasible, solve)
 from .errors import DimensionError, ParameterError, _check_positive
-from .fields import _adjoint_grad_rows, divergence, grad, pointwise_normalize, validate_field
+from .fields import (_adjoint_grad_rows, _spans, divergence, grad, pointwise_normalize,
+                     validate_field)
 
 __all__ = [
     "ReconstructionConfig", "ReconstructionResult", "matching_field", "reconstruct",
@@ -137,11 +141,14 @@ def solve_shifted(u0, m, cfg: DualConfig) -> ReconstructionResult:
     by ``m``, or unshifted when ``m`` is ``None``.
     """
     p, u, stats = solve(_bind(u0, m, cfg.lam), grad, (u0.ndim,) + u0.shape, cfg)
-    u += u0 / cfg.lam  # then u0 - lam*(y + u0/lam), in place
+    spans = _spans(u0.shape)
+    quotient = np.empty((spans[0][1],) + u0.shape[1:])
+    for a, b in spans:  # then u0 - lam*(y + u0/lam), in place
+        u[a:b] += np.divide(u0[a:b], cfg.lam, out=quotient[:b - a])
     u *= cfg.lam
     np.subtract(u0, u, out=u)
-    return ReconstructionResult(u=u, p=p, **stats,
-                                objective=_objective(u[None], lambda k, out: u0, cfg.lam, m))
+    return ReconstructionResult(u=u, p=p, **stats, objective=_objective(
+        u[None], lambda k, span, out: u0[slice(*span)], cfg.lam, m))
 
 
 def reconstruct(
@@ -163,7 +170,7 @@ def matching_objective(
     Its last term, ``-inner(grad(u), g/|g|)``, is ``inner(u, matching_field(g, eps))``.
     """
     u0, g, u = _checked(lam, u0, g, u)
-    return _objective(u[None], lambda k, out: u0, lam, matching_field(g, eps))
+    return _objective(u[None], lambda k, span, out: u0[slice(*span)], lam, matching_field(g, eps))
 
 
 def matching_kkt_residual(

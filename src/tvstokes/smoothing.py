@@ -48,7 +48,6 @@ collide with the reconstruction step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -140,16 +139,19 @@ def smooth_gradient_field(u_noisy: np.ndarray, cfg: SmoothingConfig) -> Smoothin
     q, y, stats = solve(_bind(grad(u_noisy), cfg.lam, PoissonPlan(u_noisy.shape)), hessian,
                         (d * (d + 1) // 2,) + u_noisy.shape, cfg, _layout(d)[1])
     g = grad(y)  # then -lam*grad(y), in place
-    del y  # before the objective's work grid
+    del y
     g *= -cfg.lam
-    return SmoothingResult(g=g, packed=q, **stats,
-                           objective=_objective(g, partial(_diff, u_noisy), cfg.lam))
+
+    def data(k, span, out):  # rows of channel k of grad(u_noisy), one halo row as in grad
+        return _diff(u_noisy[span[0]:span[1] + 1], k, out)
+
+    return SmoothingResult(g=g, packed=q, **stats, objective=_objective(g, data, cfg.lam))
 
 
 def smoothing_objective(g: np.ndarray, g0: np.ndarray, lam: float) -> float:
     """Value of the smoothing functional at a candidate field ``g``."""
     g0, g = _checked(lam, g0, g, 0)
-    return _objective(g, lambda k, out: g0[k], lam)
+    return _objective(g, lambda k, span, out: g0[k, slice(*span)], lam)
 
 
 def smoothing_kkt_residual(p: np.ndarray, g0: np.ndarray, lam: float) -> float:

@@ -4,7 +4,7 @@ The dense oracles are built from first principles (explicit stencils,
 Kronecker products, SVD pseudoinverses) so they exercise none of the fast
 paths they are used to check.  The reference implementations, ``mode_apply``,
 ``iso_l1_norm``, the naive dual loop, the full-tensor step-1 residual, the
-whole-grid transposed operators and total variation, the slice-by-slice
+whole-grid transposed operators and objective, the slice-by-slice
 operators, the per-axis dense Poisson solve and the staircase expression,
 are the simple forms that the library's paths replaced; tests compare the
 two, bit for bit where the forms round alike.
@@ -232,13 +232,23 @@ def feasible_tensor(dims, seed, scale=1.0):
     return scale * q / np.maximum(1.0, norms)
 
 
-def iso_l1_norm(q, channel_ndim=1):
-    """Isotropic l1 norm: grid sum of the tuple norms over the leading ``channel_ndim`` axes.
+def tuple_norms(q, channel_ndim=1):
+    """The grid of tuple norms over the leading ``channel_ndim`` axes.
 
     Adds the squares one channel at a time in C order, as the library does.
     """
-    squares = sum(q[c] * q[c] for c in np.ndindex(q.shape[:channel_ndim]))
-    return float(np.sum(np.sqrt(squares)))
+    return np.sqrt(sum(q[c] * q[c] for c in np.ndindex(q.shape[:channel_ndim])))
+
+
+def iso_l1_norm(q, channel_ndim=1):
+    """Isotropic l1 norm: grid sum of the tuple norms over the leading ``channel_ndim`` axes."""
+    return float(np.sum(tuple_norms(q, channel_ndim)))
+
+
+def row_sum(grid):
+    """Each row of the first axis summed over the later axes, then the row sums summed once:
+    the summation order of ``dual._objective``."""
+    return float(np.sum(np.sum(grid, axis=tuple(range(1, grid.ndim)))))
 
 
 def brute_inner(x, y):
@@ -329,13 +339,27 @@ def whole_adjoint_hessian(q):
     return out
 
 
-def whole_total_variation(u):
-    """``_total_variation`` in whole grids: the squares of every difference, then one sum."""
-    dims = u.shape[1:]
+def whole_objective(x, x0, lam, m=None, total=row_sum):
+    """``dual._objective`` in whole grids: ``TV(x) + 1/(2*lam)*sum_k ||x[k] - x0[k]||^2``, plus
+    ``<x[0], m>`` given ``m``, each term's grid summed by ``total``.
+
+    By default each term sums its rows, then the row sums (:func:`row_sum`), as the library
+    does; ``total=one_sum`` takes one sum of each whole grid, the objective's earlier form.
+    """
+    dims = x.shape[1:]
     squares, step = np.empty(dims), np.empty(dims)
-    diffs = (_diff(u[c], axis, step) for c in range(len(u)) for axis in range(len(dims)))
+    diffs = (_diff(x[c], axis, step) for c in range(len(x)) for axis in range(len(dims)))
     _sum_squares(diffs, squares, step)
-    return float(np.sum(np.sqrt(squares, out=squares)))
+    value = total(np.sqrt(squares)) + 0.5 / lam * sum(
+        total(np.square(x[k] - x0[k])) for k in range(len(x)))
+    if m is not None:
+        value += total(x[0] * m)
+    return value
+
+
+def one_sum(grid):
+    """One sum of the whole grid."""
+    return float(np.sum(grid))
 
 
 def reference_staircase(u):

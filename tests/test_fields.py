@@ -28,11 +28,12 @@ from tvstokes import (
     validate_field,
 )
 from tvstokes import dual, fields
-from tvstokes.fields import _diff, _diff_t, _total_variation, adjoint_hessian, hessian
+from tvstokes.fields import _diff, _diff_t, adjoint_hessian, hessian
 from oracles import (
     brute_inner, dense_diff, iso_l1_norm, mode_apply, naive_adjoint_grad, naive_adjoint_hessian,
-    naive_diff, naive_diff_t, naive_grad, naive_hessian, rand_scalar, rand_tensor, rand_vector,
-    signed_grid, whole_adjoint, whole_adjoint_hessian, whole_total_variation,
+    naive_diff, naive_diff_t, naive_grad, naive_hessian, one_sum, rand_scalar, rand_tensor,
+    rand_vector, row_sum, signed_grid, tuple_norms, whole_adjoint, whole_adjoint_hessian,
+    whole_objective,
 )
 
 
@@ -365,10 +366,17 @@ def test_forward_operators_reject_rows_outside_the_first_axis(op, rows):
 
 
 @pytest.mark.parametrize("dims", [(5,), (4, 6), (3, 4, 8), (2, 3, 2, 4)], ids=str)
-def test_total_variation_equals_iso_l1_norm_of_the_gradient_bitwise(dims):
+def test_the_objectives_tv_term_is_the_iso_l1_norm_of_the_gradient(dims):
+    """At ``x0 = x`` the objective is its TV term: bit for bit the row sums of the
+    gradient's tuple norms, and one whole-grid sum of them up to rounding (bit for bit
+    on a 1-d grid, where a row is one entry)."""
     u, g = signed_grid(dims, 40), signed_grid((len(dims),) + dims, 41)
-    assert _total_variation(u[None]) == iso_l1_norm(grad(u))
-    assert _total_variation(g) == iso_l1_norm(grad_vec(g), channel_ndim=2)
+    for x, q, lead in ((u[None], grad(u), 1), (g, grad_vec(g), 2)):
+        tv = dual._objective(x, lambda k, span, out: x[k, slice(*span)], 0.3)
+        assert tv == row_sum(tuple_norms(q, lead))
+        if len(dims) == 1:
+            assert tv == iso_l1_norm(q, lead)
+        assert tv == pytest.approx(iso_l1_norm(q, lead), rel=1e-13)
 
 
 # 1-d, 4-d, a 2-d frame that one slab spans, first axes of length 2, and a grid the loop
@@ -453,7 +461,11 @@ SLAB_ROWS = {"rows-1": lambda n: 1, "rows-4": lambda n: 4, "one-slab": lambda n:
 @pytest.mark.parametrize("rows", SLAB_ROWS, ids=str)
 @pytest.mark.parametrize("dims", BLOCK_GRIDS, ids=str)
 def test_slab_blocked_operators_equal_the_whole_grid_bitwise(dims, rows, monkeypatch):
-    """The transposed operators and the TV sum give the whole-grid bytes at any slab size."""
+    """The transposed operators and the objective give the whole-grid bytes at any slab size.
+
+    The objective sums each term's rows, then the row sums: within rounding of one sum
+    of each whole grid, its earlier form, which a dropped term or a wrong row range
+    would leave far behind."""
     if SLAB_ROWS[rows] is not None:
         monkeypatch.setattr(fields, "_SLAB", SLAB_ROWS[rows](dims[0]) * math.prod(dims[1:]))
         spans = fields._spans(dims)
@@ -465,8 +477,13 @@ def test_slab_blocked_operators_equal_the_whole_grid_bitwise(dims, rows, monkeyp
     assert fields.adjoint_grad(p).tobytes() == whole_adjoint(p, 0).tobytes()
     assert fields.adjoint_grad_tensor(t).tobytes() == whole_adjoint(t, 1).tobytes()
     assert adjoint_hessian(q).tobytes() == whole_adjoint_hessian(q).tobytes()
-    assert _total_variation(p) == whole_total_variation(p)
-    assert _total_variation(u[None]) == whole_total_variation(u[None])
+    m = signed_grid(dims, 46)
+    for x in (p, u[None]):
+        x0 = signed_grid(x.shape, 47)
+        for shift in (None, m):
+            got = dual._objective(x, lambda k, span, out: x0[k, slice(*span)], 0.3, shift)
+            assert got == whole_objective(x, x0, 0.3, shift)
+            assert got == pytest.approx(whole_objective(x, x0, 0.3, shift, one_sum), rel=1e-13)
 
 
 @pytest.mark.parametrize("dims", [(13, 8), (7, 5, 3)], ids=str)

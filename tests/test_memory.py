@@ -17,7 +17,7 @@ from tvstokes import (
     save_volume,
     smooth_gradient_field,
 )
-from tvstokes import dual
+from tvstokes import dual, fields
 
 
 def noisy_volume(shape):
@@ -55,7 +55,7 @@ def peak_x_input(run, data):
     # the KKT value and the recovery read one potential of the final dual
     (lambda u: reconstruct(u, grad(u), ReconstructionConfig(lam=0.1, max_iters=2)), 11.0),
     # the dual loop works in place, its potential keeps no u0/lam grid, and the
-    # diagnostics work channel by channel
+    # recovery and the objective work in slab-sized scratch
     (lambda u: rof_denoise(u, RofConfig(lam=0.1, max_iters=2)), 7.0),
     # the diagnostics read the packed dual; the loop's norm grids are slab-sized
     (lambda u: smooth_gradient_field(u, SmoothingConfig(lam=0.1, max_iters=2)), 14.0),
@@ -72,7 +72,7 @@ def test_solver_peak_memory_per_input_byte(solve, bound):
 def test_solver_peak_memory_at_one_dual_at_64(solve, bound):
     """One dual per solve: the loop writes each slab's step straight back into the
     dual, the transposed operators work in slab-sized scratch, and the diagnostics
-    and objectives work one slab or one channel at a time.
+    work one slab or one channel at a time, the objectives one slab at a time.
 
     Step 1's Poisson solve multiplies by dense DCT matrices here; the plan's one
     64x64 matrix is 1/64 of a grid (a whole grid at 64^2)."""
@@ -104,17 +104,43 @@ def test_solver_peak_memory_on_a_64x64_frame(solve, bound):
     # an f32 volume with a value range is widened and then normalized in place
     ((16, 32, 32), "rof", {"dtype": "f32", "value_range": (-1.0, 2.0)}, 10.5),
     # a video-shaped block of 1-row slabs: the run's tail, which frees the final
-    # dual and rescales and scores the output in place, stays below the ROF loop
-    ((16, 160, 160), "rof", {"dtype": "f32", "value_range": (0.0, 1.0)}, 6.2),
+    # dual and rescales and scores the output in place, stays below the ROF loop,
+    # and the solve's recovery and objective below its final KKT value
+    ((16, 160, 160), "rof", {"dtype": "f32", "value_range": (0.0, 1.0)}, 5.5),
+    # sixteen slabs: ROF peaks at its final KKT value, the input, the final dual
+    # and the final potential, plus slabs
+    ((64, 64, 64), "rof", {}, 5.6),
 ], ids=["tvstokes-32", "rof-32", "tvstokes-64-one-dual", "rof-f32-value-range",
-        "rof-video-tail"])
+        "rof-video-tail", "rof-64-kkt-floor"])
 def test_run_denoise_peak_memory_near_the_dual_floor(tmp_path, shape, model, volume, bound):
     """A whole run at one dual plus a few grids: the loop writes each slab's
     step back into the dual, step 1 keeps its dual packed, the transposed
-    operators work in slab-sized scratch, the objectives work one channel at
-    a time and ROF holds no zero shift.  Six steps, four of them lazy, so a
+    operators, the recovery and the objectives work in slab-sized scratch and
+    ROF holds no zero shift.  Six steps, four of them lazy, so a
     grid that splits steps chunks of its slabs in place too."""
     noisy = noisy_volume(shape)
     path = tmp_path / "noisy.raw"
     save_volume(noisy, path, **volume)
     assert peak_x_input(lambda: run_denoise(model, path, max_iters=6, tol=0.0), noisy) <= bound
+
+
+def test_the_objective_holds_two_slabs_and_its_row_sums():
+    """One objective call on a 64^3 three-channel field with a shift allocates its two
+    slab-sized grids and one vector of row sums per term (TV, three fits, the shift),
+    and no whole grid."""
+    dims = (64, 64, 64)
+    rng = np.random.default_rng(2)
+    x, x0, m = rng.random((3,) + dims), rng.random((3,) + dims), rng.random(dims)
+
+    def run():
+        return dual._objective(x, lambda k, span, out: x0[k, slice(*span)], 0.2, m)
+
+    run()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * fields._SLAB * 8 + 5 * dims[0] * 8 + (16 << 10)
