@@ -120,7 +120,9 @@ dual before the step's first write and before the worker starts: the cut
 between the two groups, and on a lazy step the witness's first row, which is
 also the halo of the rotated order's last slab.  Every entry of ``y`` sees the
 operations of the whole-grid potential in the same order, so the bytes do not
-depend on where the rows are computed.
+depend on where the rows are computed.  A window holds one row after its
+slabs, so :func:`iterate` refuses a row potential paired with a kernel that
+reads two, the Hessian.
 
 A lazy step that splits steps most of its slabs in place, a chunk per call.
 Each ufunc call of the two threads gives up the interpreter lock and waits
@@ -131,28 +133,30 @@ thread the witness's, which decides the verdict, and on the worker its first
 slab, which it starts before the verdict.  Once the step stays lazy, the
 group steps the rest of its run in chunks: the slabs of a row potential's
 chunk (see above) not yet stepped, or, for a whole-grid potential, the next
-slabs of the run, as many as its scratch holds.  Each channel of the kernel,
-of :func:`.fields.grad`, or of the packed Hessian from the first difference
-it shares with its row, goes into one chunk-sized grid, is scaled by ``tau``
-and subtracted straight from ``p``; the tuple norm then reads ``p``, and the
-clip divides ``p`` in place.  The steps are those of the kernel's own table
-(``fields._BLOCKS``), each moved onto the chunk's grid, and the ufuncs are
-those of the slab step, so the bytes are too.  The chunk's grids are carved
-from the group's own scratch.  With a row potential the block grid is the
-residual scratch and the norm grid the window's rows that the chunk has
-read, below the halo row it carries over.  With a whole-grid potential a
-group of a split step holds one allocation, a slab's residual and norm
-grids: each slab it steps in that residual gets the kernel from its table,
-its work grid where the norm grids go, and a chunk's work grid, a row longer
-than the chunk, and its block grid fill it, then hold the norm grid and its
-scratch.  So no group holds a kernel call's own work grid beside its
-scratch, and the packed 3-d Hessian's chunks are four slabs.  A chunk whose
-clip norm is not finite is divided and then checked: the old dual is finite,
-with norms at most 1, so the increment is finite exactly when the new
-entries are, and :class:`DivergenceError` comes at the same iteration.
-Exact steps and steps that do not split, on one CPU or fewer than five
-slabs, a 64x64 frame among them, keep the slab step alone: chunks in place
-cut the lock's hand-offs, which one thread does not make.
+slabs of the run, as many as its scratch holds.  ``fields._subtract_scaled``
+runs each channel of the kernel, of :func:`.fields.grad`, or of the packed
+Hessian from the first difference it shares with its row, into one
+chunk-sized grid, scales it by ``tau`` and subtracts it straight from ``p``;
+the tuple norm then reads ``p``, and the clip divides ``p`` in place.  The
+steps are those of the kernel's own table (``fields._BLOCKS``), which
+:mod:`.fields` alone reads and moves onto the chunk's grid, and the ufuncs
+are those of the slab step, so the bytes are too; this module reads no step
+of a table, only an entry's work shape, which sizes a group's scratch.  The
+chunk's grids are carved from the group's own scratch.  With a row potential
+the block grid is the residual scratch and the norm grid the window's rows
+that the chunk has read, below the halo row it carries over.  With a
+whole-grid potential a group of a split step holds one allocation, a slab's
+residual and norm grids: each slab it steps in that residual gets the kernel
+from its table, its work grid where the norm grids go, and a chunk's work
+grid, a row longer than the chunk, and its block grid fill it, then hold the
+norm grid and its scratch.  So no group holds a kernel call's own work grid
+beside its scratch, and the packed 3-d Hessian's chunks are four slabs.  A
+chunk whose clip norm is not finite is divided and then checked: the old
+dual is finite, with norms at most 1, so the increment is finite exactly
+when the new entries are, and :class:`DivergenceError` comes at the same
+iteration.  Exact steps and steps that do not split, on one CPU or fewer
+than five slabs, a 64x64 frame among them, keep the slab step alone: chunks
+in place cut the lock's hand-offs, which one thread does not make.
 """
 
 from __future__ import annotations
@@ -167,7 +171,8 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DivergenceError, ParameterError, _check_positive, _is_number
-from .fields import _BLOCKS, _diff, _forward, _run, _spans, _sum_squares, max_tuple_norm
+from .fields import (_BLOCKS, _by_rows, _diff, _forward, _spans, _subtract_scaled, _sum_squares,
+                     max_tuple_norm)
 from .spectral import dual_step_bound
 
 __all__ = [
@@ -337,7 +342,7 @@ class RowPotential:
     reading only rows ``[a - 1, b)`` of ``q``, given a C-ordered ``scratch``
     grid of ``b - a`` rows or more.  :func:`iterate` computes each slab's rows
     inside its update; called on a dual, the potential returns the whole
-    grid, from the same function run slab by slab.
+    grid, from the same function run slab by slab (``fields._by_rows``).
     """
 
     __slots__ = ("rows",)
@@ -346,12 +351,7 @@ class RowPotential:
         self.rows = rows
 
     def __call__(self, q) -> np.ndarray:
-        y = np.empty(q.shape[1:])
-        spans = _spans(y.shape)
-        scratch = np.empty((spans[0][1],) + y.shape[1:])
-        for a, b in spans:
-            self.rows(q, y[a:b], (a, b), scratch)
-        return y
+        return _by_rows(self.rows, q)
 
 
 def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channels=None):
@@ -369,8 +369,10 @@ def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channe
     after; it may run on the worker thread.  A :class:`RowPotential` is
     computed inside the update, and the kernel gets each slab's window of
     ``y`` alone, rows ``[a, b + 1)`` as rows ``[0, b - a]`` (see the module
-    docstring); any other potential is called on the whole dual once per
-    step.  Only a private copy of ``p``
+    docstring), so its kernel may read one halo row, no more: paired with a
+    kernel whose table in ``fields._BLOCKS`` has a work grid, the Hessian's,
+    it raises :class:`ParameterError`.  Any other potential is called on the
+    whole dual once per step.  Only a private copy of ``p``
     lives through a potential: each group's slab residual and two slab-sized
     norm grids live one step.  Each step equals ``unit_clip(p - tau*A(p))``
     bit for bit, on one thread or two.  The increment's ``max_tuple_norm`` is
@@ -386,13 +388,14 @@ def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channe
     work = (spans[0][1],) + grid[1:]  # a slab's grid
     slab, row = math.prod(work), math.prod(grid[1:])
     rowwise = potential.rows if isinstance(potential, RowPotential) else None
+    table = _BLOCKS.get(kernel)  # its work shape, on the last slab, says if it has one
+    worked = table is not None and table(grid[1:], grid[0] - spans[-1][0], 0)[1]
+    if rowwise is not None and worked:
+        raise ParameterError("a row potential's window holds one halo row; this kernel reads two")
     with _splitting(spans) as worker:  # joined before this returns or raises
         # the kernel's table, on a grid where every step splits: a lazy step splits when the
-        # slabs after the witness's make two groups of two or more; beside a row potential's
-        # window no work grid of the kernel's fits
-        table = _BLOCKS.get(kernel)  # its work shape, on the last slab, says if it has one
-        worked = table is not None and table(grid[1:], grid[0] - spans[-1][0], 0)[1]
-        if worker is None or len(slabs) < 5 or rowwise is not None and worked:
+        # slabs after the witness's make two groups of two or more
+        if worker is None or len(slabs) < 5:
             table = None
         if channels is None:
             channels = range(len(p))
@@ -526,14 +529,11 @@ def _update(ys, slabs, lazy: bool, at, iters: int, loop, verdict=None):
                     window[top - a] = y[top]
                 base = a
         if k and inplace and lazy:  # the chunk's slabs yet to step, in place
-            tail, row = p.shape[2:], math.prod(p.shape[2:])
-            if rowwise is None:  # from row a of y, which up to two rows follow
-                src, rest = y.ravel()[a * row:], min(end - top, 2)
-            else:  # from row a of the window, and its halo row unless the chunk ends the grid
-                src, rest = window.ravel()[(a - base) * row:], int(top < end)
+            # the chunk's rows of y, or of the window, which holds a halo row unless they end y
+            u, row = (y, a) if rowwise is None else (window[:top - base + (top < end)], a - base)
             pc = p[:, a:top]
             grid = pool[1][:pc[0].size].reshape(pc.shape[1:])
-            _blocks(table(tail, top - a, rest), src, pool[0], grid, tau, pc)
+            _subtract_scaled(table, u, row, pool[0], grid, tau, pc)
             n = pool[0][:grid.size].reshape(grid.shape)
             _sum_squares(map(pc.__getitem__, channels), n, grid)
             np.sqrt(n, out=n)
@@ -595,38 +595,6 @@ def _update(ys, slabs, lazy: bool, at, iters: int, loop, verdict=None):
             peak = (top, i, j)
         np.copyto(ps, qs)
     return lazy, peak
-
-
-def _blocks(steps, src, scratch, grid, tau, pc) -> None:
-    """Step the dual's chunk ``pc`` in place by a kernel's ``steps`` from the flat grid ``src``.
-
-    ``steps`` is an entry of the kernel's table in ``fields._BLOCKS`` (see
-    ``fields._forward``); the first differences go into a work grid at the
-    front of the flat ``scratch``.  A step of the table writes channel ``c``
-    of a stacked output from entry ``c * size``, ``size`` being the grid's:
-    it runs with its ``to`` slice, and a flat ``zero`` slice, moved back by
-    that, and a middle-axis ``zero`` without its channel index, into
-    ``grid``, which is scaled by ``tau`` and subtracted from ``pc[c]``.
-    """
-    _, work, blocks = steps
-    if work is None:  # grad's steps, all from src
-        blocks = (((), blocks),)
-    else:
-        du = scratch[:math.prod(work)].reshape(work)
-        mid = du.ravel()
-    size, dst = grid.size, grid.ravel()
-    for first, seconds in blocks:
-        if first:
-            _run(src, mid, du, first)
-        for hi, lo, to, zero, flat in seconds:
-            c = to.start // size
-            at = c * size
-            if zero is not None:
-                zero = slice(zero.start - at, zero.stop - at, zero.step) if flat else zero[1:]
-            _run(mid if first else src, dst, grid,
-                 ((hi, lo, slice(to.start - at, to.stop - at), zero, flat),))
-            np.multiply(grid, tau, out=grid)
-            np.subtract(pc[c], grid, out=pc[c])
 
 
 def _increment(ps, qs, norm: np.ndarray, scratch: np.ndarray, channels):

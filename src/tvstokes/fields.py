@@ -39,23 +39,25 @@ included.
 
 The per-shape work runs once per slab geometry.  Each operator reads its
 steps from a table built on its first call for a geometry and cached, as
-``_layout`` is (``_grad_steps``, ``_hessian_steps``, ``_diff_steps``,
-``_adjoint_grad_steps`` and ``_adjoint_hessian_steps``): the flat slices of
-every difference, offset by the stride, the boundary slices, the halo
-decisions and the scratch shapes.  A geometry is the grid's tail, the row
-count, whether the rows start the grid and how many rows follow them, up to
-two, as far as the operator's steps depend on them; the steps start at the
-rows' first entry, and the caller applies the rows' offset by slicing its
-flat grids, so every inner slab of a grid shares one entry.  A table holds
-ints, slices and tuples of them, never an array, so a call only views its
-own arrays and issues its ufuncs: :func:`_run` runs forward steps and
-:func:`_diff_t` one transposed step.  The dual loop steps a chunk of slabs
-in place from the tables of ``grad`` and ``hessian`` (``_BLOCKS``), each
-step moved onto its channel's grid.  A boundary slice on the first or the
-last axis is a slice of the flat grid; only a middle axis indexes the shaped
-grid.  The tables that one job of the benchmark builds hold about 11 KiB for
-a 64x64 frame, 34 KiB for a 160x160x16 clip and 74 KiB for a 64^3 volume
-(tracemalloc).
+``_layout`` is (``_grad_steps``, ``_hessian_steps``, ``_adjoint_grad_steps``
+and ``_adjoint_hessian_steps``): the flat slices of every difference, offset
+by the stride, the boundary slices, the halo decisions and the scratch
+shapes.  A geometry is the grid's tail, the row count, whether the rows
+start the grid and how many rows follow them, up to two, as far as the
+operator's steps depend on them; the steps start at the rows' first entry,
+and the caller applies the rows' offset by slicing its flat grids, so every
+inner slab of a grid shares one entry.  A table holds ints, slices and
+tuples of them, never an array, so a call only views its own arrays and
+issues its ufuncs: :func:`_run` runs forward steps and :func:`_diff_t` one
+transposed step.  This module is the tables' one reader.  A step of a
+stacked output also runs onto a one-channel grid, moved there by
+:func:`_shifted`: :func:`_diff` runs one channel of ``grad``'s steps, and
+:func:`_subtract_scaled` steps the dual loop's chunks of slabs in place from
+the tables of ``grad`` and ``hessian`` (``_BLOCKS``), one channel at a time.
+A boundary slice on the first or the last axis is a slice of the flat grid;
+only a middle axis indexes the shaped grid.  The tables that one job of the
+benchmark builds hold about 11 KiB for a 64x64 frame, 34 KiB for a
+160x160x16 clip and 74 KiB for a 64^3 volume (tracemalloc).
 
 One slab rule serves the whole package: :func:`_spans` cuts a grid into
 slabs of rows ``[a, b)`` of its first axis, about ``_SLAB`` entries each.
@@ -66,8 +68,9 @@ time.  The transposed operators run slab by slab themselves, with slab-sized
 scratch: the first-axis transposed stencil reads one row before the range.
 ``adjoint_grad`` writes each slab's first-axis term and adds every later one,
 and computes any rows alone, as the vector models' potential does inside the
-dual update (see :mod:`.dual`); :func:`adjoint_hessian` carries the one row
-of its inner term that the next slab reads.  Every output entry sees the same
+dual update (see :mod:`.dual`); both run their rows through one slab loop,
+:func:`_by_rows`.  :func:`adjoint_hessian` carries the one row of its inner
+term that the next slab reads.  Every output entry sees the same
 operations in the same order as over the whole grid, so the results do not
 depend on the slab size.
 
@@ -114,12 +117,10 @@ __all__ = [
 _SLAB = 1 << 14
 
 
-def _spans(grid, slab=None) -> list:
-    """The slabs of ``grid``: rows ``[a, b)`` of its first axis, about ``slab`` entries each.
-
-    ``slab`` defaults to ``_SLAB`` as it is when called.
-    """
-    rows = max(1, (_SLAB if slab is None else slab) // math.prod(grid[1:]))
+def _spans(grid) -> list:
+    """The slabs of ``grid``: rows ``[a, b)`` of its first axis, about ``_SLAB`` entries each,
+    as ``_SLAB`` is when called."""
+    rows = max(1, _SLAB // math.prod(grid[1:]))
     starts = range(0, grid[0], rows)  # no list comprehension: a call of its own before 3.12
     return list(zip(starts, [*starts[1:], grid[0]]))
 
@@ -196,22 +197,37 @@ def _run(src, dst, out, steps) -> None:
             (dst if flat else out)[zero] = 0.0  # also overwrites the differences that wrapped
 
 
-@lru_cache(_STEPS)
-def _diff_steps(tail, rows: int, halo: bool, axis: int) -> tuple:
-    """The one step of :func:`_diff` into ``rows`` rows of ``tail``, from ``halo`` rows more."""
-    return (_step(tail, axis, rows, axis == 0 and halo),)
-
-
 def _diff(u, axis: int, out) -> np.ndarray:
     """Write the axis-``axis`` forward difference of the C-ordered grid ``u`` into ``out``.
 
     ``out`` may hold fewer rows of the first axis than ``u``: it then gets the
     first ``len(out)`` rows of the difference.  Along the first axis the row
     after them is a halo that the last row reads, so only a ``u`` that ends
-    with ``out`` gives that row the zero of the grid's last row.
+    with ``out`` gives that row the zero of the grid's last row.  The step is
+    channel ``axis`` of :func:`grad`'s for the rows, moved onto ``out``.
     """
-    _run(u.ravel(), out.ravel(), out, _diff_steps(u.shape[1:], len(out), len(u) > len(out), axis))
+    steps = _grad_steps(u.shape[1:], len(out), len(u) - len(out))[2]  # it reads only rest > 0
+    _shifted(u.ravel(), out.ravel(), out, steps[axis])
     return out
+
+
+def _shifted(src, dst, grid, step) -> int:
+    """Run ``step`` of channel ``c`` of a stacked output from the flat grid ``src`` into the
+    one-channel ``grid``, whose flat view is ``dst``; return ``c``.
+
+    The step writes channel ``c`` from entry ``c * size``, ``size`` being the
+    grid's: it runs with its ``to`` slice, and a flat ``zero`` slice, moved
+    back by that, and a middle-axis ``zero`` without its channel index.
+    """
+    hi, lo, to, zero, flat = step
+    at = to.start  # c * size
+    np.subtract(src[hi], src[lo], out=dst[:to.stop - at])
+    if zero is not None:  # also overwrites the differences that wrapped
+        if flat:
+            dst[zero.start - at:zero.stop - at:zero.step] = 0.0
+        else:
+            grid[zero[1:]] = 0.0
+    return at // len(dst)
 
 
 def _step_t(tail, axis: int, a: int, b: int, n: int, src, dst) -> tuple:
@@ -346,10 +362,17 @@ def adjoint_grad(p: np.ndarray) -> np.ndarray:
     dims = p.shape[1:]
     if len(p) != len(dims):
         raise DimensionError(f"not a vector field of one channel per grid axis: shape {p.shape}")
+    return _by_rows(_adjoint_grad_rows, p)
+
+
+def _by_rows(rows, x) -> np.ndarray:
+    """The grid whose rows ``[a, b)`` ``rows(x, out, (a, b), scratch)`` writes into ``out``, slab by
+    slab over the grid of the field ``x``'s channels, given one slab-sized ``scratch`` grid."""
+    dims = x.shape[1:]
     spans = _spans(dims)
     out, scratch = np.empty(dims), np.empty((spans[0][1],) + dims[1:])
     for a, b in spans:
-        _adjoint_grad_rows(p, out[a:b], (a, b), scratch)
+        rows(x, out[a:b], (a, b), scratch)
     return out
 
 
@@ -538,6 +561,30 @@ def _adjoint_hessian_steps(shape, rows: int, inner: bool, last: bool) -> tuple:
 
 # the tables of the kernels that the dual loop can step a channel at a time
 _BLOCKS = {grad: _grad_steps, hessian: _hessian_steps}
+
+
+def _subtract_scaled(table, u, a: int, scratch, grid, tau, pc) -> None:
+    """Subtract ``tau`` times the forward kernel of ``table`` on the C-ordered grid ``u`` from the
+    dual's chunk ``pc`` in place, the kernel's rows from row ``a`` on, as many as ``pc``'s.
+
+    As in :func:`_forward`, the table's entry is the rows' geometry, and
+    their offset slices the flat ``u``.  Each channel ``c`` goes into ``grid`` by
+    :func:`_shifted`, is scaled by ``tau`` and subtracted from ``pc[c]``; the
+    kernel's first differences go into a work grid at the front of the flat
+    ``scratch``.
+    """
+    _, work, blocks = table(pc.shape[2:], pc.shape[1], min(len(u) - a - pc.shape[1], 2))
+    src, dst = u.ravel()[a * (u.size // len(u)):], grid.ravel()
+    if work is not None:  # the first differences' work grid; grad's steps all read src
+        du = scratch[:math.prod(work)].reshape(work)
+        mid = du.ravel()
+    for first, seconds in blocks if work else (((), blocks),):
+        if first:
+            _run(src, mid, du, first)
+        for step in seconds:
+            c = _shifted(mid if first else src, dst, grid, step)
+            np.multiply(grid, tau, out=grid)
+            np.subtract(pc[c], grid, out=pc[c])
 
 
 def divergence(v: np.ndarray) -> np.ndarray:

@@ -920,6 +920,26 @@ def test_an_overflowing_potential_row_at_a_run_boundary_raises_at_the_same_itera
             iterate(potential, k, p0, 1.0 / 6, 5, 0.0)
 
 
+@pytest.mark.parametrize("dims", [(16, 16), (70, 33, 16)], ids=str)
+def test_a_row_potential_paired_with_the_hessian_is_refused_before_any_row(dims):
+    """A row potential's window gives its kernel one halo row, and the Hessian reads two, so
+    the last row of every slab but the last would get the Neumann zero: rows 30 and 61 of a
+    (70, 33, 16) step-1 dual after one step.  ``iterate`` refuses the pairing before it
+    computes a row, also where one slab spans the grid and the rows would agree."""
+    d, calls = len(dims), []
+    whole = smoothing._bind(grad(rand_scalar(dims, 16)), 0.3, PoissonPlan(dims))
+
+    def rows(q, out, span, scratch):  # rows of the whole-grid step-1 potential
+        calls.append(span)
+        out[...] = whole(q)[slice(*span)]
+
+    p0 = np.zeros((d * (d + 1) // 2,) + dims)
+    with pytest.raises(ParameterError, match="one halo row"):
+        iterate(dual.RowPotential(rows), fields.hessian, p0, 1.0 / (2 * d), 6, 0.0,
+                fields._layout(d)[1])
+    assert calls == []
+
+
 # ------------------------------------------ a split lazy step in place, a chunk per call
 
 def _spiked(kind, dims, row):
@@ -946,14 +966,13 @@ def _one_step_at_a_time(potential, kernel, p, tau, steps, channels):
 
 def _in_place(monkeypatch) -> list:
     """The rows of every chunk stepped in place, as the update runs them."""
-    chunks, blocks = [], dual._blocks
+    chunks, run = [], dual._subtract_scaled
 
-    def spy(steps, src, scratch, out, tau=None, pc=None):
-        if pc is not None:
-            chunks.append(pc.shape[1])
-        return blocks(steps, src, scratch, out, tau, pc)
+    def spy(table, u, a, scratch, grid, tau, pc):
+        chunks.append(pc.shape[1])
+        return run(table, u, a, scratch, grid, tau, pc)
 
-    monkeypatch.setattr(dual, "_blocks", spy)
+    monkeypatch.setattr(dual, "_subtract_scaled", spy)
     return chunks
 
 

@@ -348,6 +348,9 @@ def _row_ranges(n):
 
 @pytest.mark.parametrize("dims", ROW_GRIDS, ids=str)
 def test_row_ranges_equal_the_rows_of_the_whole_result_bitwise(dims):
+    """``grad`` and ``hessian`` over row ranges, and ``_diff``, which runs one channel of
+    ``grad``'s steps: from the rows and the halo row after them it gives those rows of the
+    whole gradient's channel, from the rows alone those of the rows' own gradient."""
     u = signed_grid(dims, 36)
     for op in (grad, hessian):
         whole = op(u)
@@ -356,6 +359,15 @@ def test_row_ranges_equal_the_rows_of_the_whole_result_bitwise(dims):
             assert op(u, rows=(a, b)).tobytes() == want
             out = np.full(whole[:, a:b].shape, np.nan)  # stale contents must not leak
             assert op(u, out, (a, b)) is out and out.tobytes() == want
+    whole = grad(u)
+    for a, b in _row_ranges(dims[0]):
+        own = grad(u[a:b])
+        for axis in range(len(dims)):
+            out = np.full((b - a,) + dims[1:], np.nan)
+            assert _diff(u[a:b + 1], axis, out) is out
+            assert out.tobytes() == whole[axis, a:b].tobytes()
+            out = np.full((b - a,) + dims[1:], np.nan)
+            assert _diff(u[a:b], axis, out).tobytes() == own[axis].tobytes()
 
 
 @pytest.mark.parametrize("rows", [(0, 0), (3, 2), (-1, 2), (0, 6), (5, 6)], ids=str)
@@ -402,19 +414,18 @@ def test_kernels_from_their_tables_match_the_slice_by_slice_operators_bitwise(di
 
 @pytest.mark.parametrize("dims", TABLE_GRIDS, ids=str)
 def test_the_kernels_shifted_steps_give_each_channel_of_the_kernels_bytes(dims):
-    """The dual loop's chunk runner moves each step of ``grad``'s and ``hessian``'s one table
-    onto its channel's grid: over any run of rows, each channel it subtracts, scaled, from the
-    dual in place is bit for bit those rows of the stacked kernel, scaled and subtracted."""
+    """The in-place chunk runner moves each step of ``grad``'s and ``hessian``'s one table onto
+    its channel's grid: over any run of rows, each channel it subtracts, scaled, from the dual
+    in place is bit for bit those rows of the stacked kernel, scaled and subtracted."""
     u = signed_grid(dims, 54)
-    n, row, tau = dims[0], math.prod(dims[1:]), np.array(0.3)
+    n, tau = dims[0], np.array(0.3)
     for op, table in fields._BLOCKS.items():
         want = op(u)
         for a, b in {(0, n), (0, 1), (n - 1, n), (n // 2, n), (max(0, n // 2 - 1), n // 2 + 1)}:
-            steps = table(dims[1:], b - a, min(n - b, 2))
             pc = signed_grid(want[:, a:b].shape, 55)
             expect = pc - np.multiply(want[:, a:b], tau)
             grid, scratch = np.full(pc.shape[1:], np.nan), np.full(2 * u.size, np.nan)
-            dual._blocks(steps, u.ravel()[a * row:], scratch, grid, tau, pc)
+            fields._subtract_scaled(table, u, a, scratch, grid, tau, pc)
             assert pc.tobytes() == expect.tobytes(), (op.__name__, (a, b))
 
 
@@ -438,7 +449,6 @@ def test_no_cache_in_the_package_holds_an_array():
               for obj in vars(module).values() if hasattr(obj, "cache_info")}
     calls = {
         "tvstokes.fields._layout": (3,),
-        "tvstokes.fields._diff_steps": ((5, 4), 3, True, 0),
         "tvstokes.fields._grad_steps": ((5, 4), 3, 1),
         "tvstokes.fields._hessian_steps": ((5, 4), 3, 2),
         "tvstokes.fields._adjoint_grad_steps": ((3, 6, 5, 4), 3, True, False),
