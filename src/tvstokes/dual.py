@@ -10,10 +10,12 @@ paper; both rules have the fixed points ``w + |w|*p = 0``, which
 forward-difference operator ``K`` of one potential of the dual,
 ``A(p) = K(y)`` with ``y = potential(p)``: :func:`.fields.hessian` in the
 smoothing, :func:`.fields.grad` in reconstruction and ROF.  A model
-supplies the potential and ``K`` as a kernel that writes any rows ``[a, b)``
-of the first grid axis.  The smoothing's potential, a Poisson solve, is
-global; the vector models' is a :class:`RowPotential`, whose rows ``[a, b)``
-read rows ``[a - 1, b)`` of the dual alone.  Every solve ends in
+supplies the potential and ``K``, one of those two *kernels*, which
+:func:`iterate` runs from their step tables (``fields._BLOCKS``) on any rows
+``[a, b)`` of the first grid axis; it refuses any other.  The smoothing's
+potential, a Poisson solve, is global; the vector models' is a
+:class:`RowPotential`, whose rows ``[a, b)`` read rows ``[a - 1, b)`` of the
+dual alone.  Every solve ends in
 :func:`solve`, which computes ``y`` of the final dual once and takes
 :func:`kkt_residual` from it; the
 driver recovers its primal solution from ``y``.  Every function here takes
@@ -57,10 +59,11 @@ takes its slabs and their views of ``p`` once, before the first step, and
 the kernels and the potentials read their steps from the tables of
 :mod:`.fields` and :class:`.PoissonPlan`.  A step only allocates its scratch,
 views it and issues its ufuncs: it cuts its slab list into groups, calls
-each group's update once, and makes no generator or helper call beyond the
-tuple norm's squares (the witness's norm is written out inline) and, on a
-lazy step that splits, one call per chunk that runs the kernel's steps (see
-below), and its constant operands are 0-d arrays, which numpy does not
+each group's update once, and makes no generator or helper call beyond one
+call per slab that runs the kernel's steps (``fields._forward``), the tuple
+norm's squares (the witness's norm is written out inline) and, on a lazy
+step that splits, one call per chunk that runs the kernel's steps in place
+(see below), and its constant operands are 0-d arrays, which numpy does not
 convert on every call.
 
 The increment norm only decides whether to stop, so a step computes it
@@ -141,22 +144,32 @@ the tuple norm then reads ``p``, and the clip divides ``p`` in place.  The
 steps are those of the kernel's own table (``fields._BLOCKS``), which
 :mod:`.fields` alone reads and moves onto the chunk's grid, and the ufuncs
 are those of the slab step, so the bytes are too; this module reads no step
-of a table, only an entry's work shape, which sizes a group's scratch.  The
-chunk's grids are carved from the group's own scratch.  With a row potential
-the block grid is the residual scratch and the norm grid the window's rows
-that the chunk has read, below the halo row it carries over.  With a
-whole-grid potential a group of a split step holds one allocation, a slab's
-residual and norm grids: each slab it steps in that residual gets the kernel
-from its table, its work grid where the norm grids go, and a chunk's work
-grid, a row longer than the chunk, and its block grid fill it, then hold the
-norm grid and its scratch.  So no group holds a kernel call's own work grid
-beside its scratch, and the packed 3-d Hessian's chunks are four slabs.  A
+of a table, only an entry's work shape, which sizes a group's scratch.  A
 chunk whose clip norm is not finite is divided and then checked: the old
 dual is finite, with norms at most 1, so the increment is finite exactly
 when the new entries are, and :class:`DivergenceError` comes at the same
-iteration.  Exact steps and steps that do not split, on one CPU or fewer
-than five slabs, a 64x64 frame among them, keep the slab step alone: chunks
-in place cut the lock's hand-offs, which one thread does not make.
+iteration.
+
+Every group reads ``y`` through a window: a row potential's rows that the
+group computed, from the chunk's first row, or a whole-grid potential
+itself, from row 0.  A slab's kernel is one ``fields._forward`` call on the
+window's rows through the slab's and those after it that the kernel may read
+(a row potential's halo row, or up to two rows of a whole grid, so the table
+entry is the slab's geometry), and an in-place chunk one
+``fields._subtract_scaled`` call.  The group's scratch has one of three
+layouts, which differ only in how they allocate.  With a row potential it
+holds a slab's residual, also the row function's scratch, and the window; a
+chunk's block grid is the residual scratch and its norm grid the window's
+rows that the chunk has read, below the halo row it carries over.  With a
+whole-grid potential, on a solve whose lazy steps split (two CPUs and five
+slabs or more), it is one allocation of a slab's residual and norm grids:
+each slab's kernel has its work grid where the norm grids go, and a chunk's
+work grid, a row longer than the chunk, and its block grid fill it, then
+hold the norm grid and its scratch, so the packed 3-d Hessian's chunks are
+four slabs.  Otherwise it is a slab's residual, and norm grids allocated
+after the first slab's kernel call (and after the potential is freed, on one
+slab), where every later slab's kernel has its work grid.  So no group holds
+a kernel call's own work grid beside its norm grids, on one CPU or two.
 """
 
 from __future__ import annotations
@@ -362,24 +375,25 @@ def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channe
     ``channels`` lists the stored channel of each tuple entry (see the module
     docstring); by default every channel of ``p``, once, in order.
 
-    The residual is ``A(p) = K(y)`` with ``y = potential(p)``:
-    ``kernel(y, out, (a, b))`` writes rows ``[a, b)`` of the first grid axis
-    of ``K(y)`` into ``out``, C-ordered, or allocates it when ``out`` is
-    ``None``, reading rows ``[a, b]`` of ``y`` and, for the Hessian, the row
-    after; it may run on the worker thread.  A :class:`RowPotential` is
-    computed inside the update, and the kernel gets each slab's window of
-    ``y`` alone, rows ``[a, b + 1)`` as rows ``[0, b - a]`` (see the module
-    docstring), so its kernel may read one halo row, no more: paired with a
-    kernel whose table in ``fields._BLOCKS`` has a work grid, the Hessian's,
-    it raises :class:`ParameterError`.  Any other potential is called on the
-    whole dual once per step.  Only a private copy of ``p``
-    lives through a potential: each group's slab residual and two slab-sized
-    norm grids live one step.  Each step equals ``unit_clip(p - tau*A(p))``
-    bit for bit, on one thread or two.  The increment's ``max_tuple_norm`` is
-    computed, bit for bit, on the first and the last allowed step and on a
-    step whose witness norm is at most ``tol`` (see the module docstring); a
-    slab whose clip norm is not finite gets its own exact increment on any
-    step.
+    The residual is ``A(p) = K(y)`` with ``y = potential(p)``.  The
+    ``kernel`` ``K`` is :func:`.fields.grad` or :func:`.fields.hessian`,
+    which the update runs from its table in ``fields._BLOCKS``, on the calling
+    thread or the worker, slab by slab: rows ``[a, b)`` of the first grid axis
+    of ``K(y)`` read rows ``[a, b]`` of ``y`` and, for the Hessian, the row
+    after.  Any other kernel raises :class:`ParameterError` before the first
+    potential; a wrapper that ``functools.wraps`` made of one of the two, as a
+    profiler's, stands for it, and the update runs the wrapped kernel.  A :class:`RowPotential` is computed inside the update, and the
+    kernel gets each slab's rows of ``y`` and one halo row alone (see the
+    module docstring), so paired with the Hessian, whose table has a work grid
+    and which reads two, it raises :class:`ParameterError` too.  Any other
+    potential is called on the whole dual once per step.  Only a private copy
+    of ``p`` lives through a potential: each group's slab residual and two
+    slab-sized norm grids live one step.  Each step equals
+    ``unit_clip(p - tau*A(p))`` bit for bit, on one thread or two.  The
+    increment's ``max_tuple_norm`` is computed, bit for bit, on the first and
+    the last allowed step and on a step whose witness norm is at most ``tol``
+    (see the module docstring); a slab whose clip norm is not finite gets its
+    own exact increment on any step.
     """
     p = np.array(p, dtype=np.float64, order="C")
     grid = p.shape[1:]
@@ -388,15 +402,14 @@ def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channe
     work = (spans[0][1],) + grid[1:]  # a slab's grid
     slab, row = math.prod(work), math.prod(grid[1:])
     rowwise = potential.rows if isinstance(potential, RowPotential) else None
-    table = _BLOCKS.get(kernel)  # its work shape, on the last slab, says if it has one
-    worked = table is not None and table(grid[1:], grid[0] - spans[-1][0], 0)[1]
+    # a wrapper that functools.wraps made, as a profiler's, stands for the kernel it wraps
+    table = _BLOCKS.get(getattr(kernel, "__wrapped__", kernel))
+    if table is None:
+        raise ParameterError("the kernel must be fields.grad or fields.hessian")
+    worked = table(grid[1:], grid[0] - spans[-1][0], 0)[1]  # the last slab's work shape, or None
     if rowwise is not None and worked:
         raise ParameterError("a row potential's window holds one halo row; this kernel reads two")
     with _splitting(spans) as worker:  # joined before this returns or raises
-        # the kernel's table, on a grid where every step splits: a lazy step splits when the
-        # slabs after the witness's make two groups of two or more
-        if worker is None or len(slabs) < 5:
-            table = None
         if channels is None:
             channels = range(len(p))
         # a row potential's window of y: a chunk's rows and the row after them
@@ -406,15 +419,17 @@ def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channe
         pool = None  # a split group's one scratch without a row potential, and where it is cut
         if rowwise is not None:
             size = max(size, math.prod(frame))
-        elif table is not None:
-            # an in-place chunk's kernel work grid, a row longer than the chunk, and its block grid
-            # take no more than a slab's residual, its norm grids and the kernel's work grid
+        elif worker is not None and len(slabs) > 4:
+            # a lazy step splits, as the slabs after the witness's make two groups of two or
+            # more: an in-place chunk's kernel work grid, a row longer than the chunk, and its
+            # block grid take no more than a slab's residual, its norm grids and the kernel's
+            # work grid
             head = slab + row if worked else 0
             chunk = max(1, min(chunk, (size + 2 * slab + head - row) // (2 * slab)))
             pool = max(size + 2 * slab, 2 * chunk * slab + row)
             pool = (pool, (pool + row) // 2)
         # what every group's update reads; 0-d operands: see fields._MINUS_ONE
-        loop = (kernel, rowwise, table, p, np.array(tau), tol, channels, range(len(p)), size,
+        loop = (rowwise, table, p, np.array(tau), tol, channels, range(len(p)), size,
                 (2,) + work, frame, chunk, pool)
         witness = None  # (slab, flat grid index in it) where the last exact increment peaked
         for iters in range(1, max_iters + 1):
@@ -483,34 +498,33 @@ def _update(ys, slabs, lazy: bool, at, iters: int, loop, verdict=None):
     given a ``verdict`` and no ``at``, the group waits for it before its
     first write and takes its ``lazy`` from it.  A group given a ``verdict``
     runs on a lazy step that splits: once its first slab is stepped and the
-    step stays lazy, it steps the rest of each chunk in place, from the
-    kernel's table (see the module docstring); without a row potential, a
-    split step runs the kernel from its table into each slab's residual too,
-    in one allocation with the chunks' grids.  ``peak`` is the largest
-    exact squared increment of the group, its slab and flat index; ``loop``
-    holds what :func:`iterate` computes once per solve.
+    step stays lazy, it steps the rest of each chunk in place.  Each slab's
+    kernel and each chunk run from the kernel's table on a window of ``y``,
+    a whole-grid potential being its own; the group's scratch layouts differ
+    only in how they allocate (see the module docstring).  ``peak`` is the
+    largest exact squared increment of the group, its slab and flat index;
+    ``loop`` holds what :func:`iterate` computes once per solve.
     """
-    kernel, rowwise, table, p, tau, tol, channels, stored, size, work, frame, chunk, pool = loop
-    y, window, norms = ys.pop(), None, None
-    inplace = verdict is not None and table is not None
+    rowwise, table, p, tau, tol, channels, stored, size, work, frame, chunk, pool = loop
+    y, norms, tail, base = ys.pop(), None, None, 0
+    # a whole-grid potential is its own window, from row 0; the rows after a slab that the
+    # kernel gets from it are as many as a table keys, two, so each slab keeps its entry
+    window, reach = y, 2
+    inplace = verdict is not None  # a lazy step that splits
+    step = np.empty(size if pool is None else pool[0])  # a slab's residual, then its step
     if rowwise is not None:
-        step = np.empty(size)  # a slab's residual, then its step
-        window = np.empty(frame)  # a chunk's rows of y and the row after them
+        window, reach = np.empty(frame), 1  # a chunk's rows of y and the row after them
         scratch = step[:window.size].reshape(frame)
         if inplace:  # a chunk's norm grid, then its block grid
             pool = window.ravel(), step
-    elif table is not None:  # a slab's residual and norm grids, and the chunks', in one allocation
-        step = np.empty(pool[0])
-        norms = step[size:size + math.prod(work)].reshape(work)
+    elif pool is not None:  # a slab's residual and norm grids, and the chunks', in one allocation
+        norms, tail = step[size:size + math.prod(work)].reshape(work), step[size:]
         # the kernel's work grid, then the norm grid, and the block grid, then the norms' scratch
         pool = step[:pool[1]], step[pool[1]:]
-    else:
-        step = np.empty(size)
     last, end, peak = slabs[-1][0], p.shape[1], (-1.0, 0, 0)
     more = k = 0  # the chunk's slabs not yet stepped; the next slab
     while k < len(slabs):
-        i, span, ps = slabs[k]
-        a, b = span
+        i, (a, b), ps = slabs[k]
         if not more and (rowwise is not None or inplace):  # a chunk: this slab and the run's next
             top = a  # rows [a, top) of y and the row after them, the halo
             for _, (c, d), _ in slabs[k:k + chunk]:
@@ -529,11 +543,11 @@ def _update(ys, slabs, lazy: bool, at, iters: int, loop, verdict=None):
                     window[top - a] = y[top]
                 base = a
         if k and inplace and lazy:  # the chunk's slabs yet to step, in place
-            # the chunk's rows of y, or of the window, which holds a halo row unless they end y
-            u, row = (y, a) if rowwise is None else (window[:top - base + (top < end)], a - base)
             pc = p[:, a:top]
             grid = pool[1][:pc[0].size].reshape(pc.shape[1:])
-            _subtract_scaled(table, u, row, pool[0], grid, tau, pc)
+            # the window's rows to the chunk's reach; not min(), see fields._forward
+            limit = (top + reach if top + reach < end else end) - base
+            _subtract_scaled(table, window[:limit], a - base, pool[0], grid, tau, pc)
             n = pool[0][:grid.size].reshape(grid.shape)
             _sum_squares(map(pc.__getitem__, channels), n, grid)
             np.sqrt(n, out=n)
@@ -549,18 +563,15 @@ def _update(ys, slabs, lazy: bool, at, iters: int, loop, verdict=None):
             continue
         k, more = k + 1, more - 1
         qs = step[:ps.size].reshape(ps.shape)  # then qs <- unit_clip(ps - tau*qs)
-        if rowwise is not None:
-            kernel(window[a - base:b - base + (b < end)], qs, (0, b - a))
-        elif table is not None:  # the kernel, its work grid where the norm grids go
-            _forward(y, qs, span, table, step[size:])
-        else:
-            kernel(y, qs, span)
+        limit = (b + reach if b + reach < end else end) - base  # the slab's rows and their halo
+        _forward(window[:limit], qs, (a - base, b - base), table, tail)
         # no scratch lives through a potential; the norms come after the kernel's
         # work grid, y and the window are freed, as one slab's residual is dual-sized
         if i == last:
             y = window = pool = None
-        if norms is None:
+        if norms is None:  # then the kernel's work grid goes where they do
             norms = np.empty(work)
+            tail = norms.ravel()
         rows = b - a
         n, t = norms[0, :rows], norms[1, :rows]
         np.multiply(qs, tau, out=qs)
@@ -630,9 +641,10 @@ def stationarity_residual(w: np.ndarray, p: np.ndarray, channels=None) -> float:
 def kkt_residual(kernel, y, p: np.ndarray, channels=None) -> float:
     """:func:`stationarity_residual` of ``w = K(y)`` and ``p``, one slab of ``w`` at a time.
 
-    ``kernel(y, None, (a, b))`` returns rows ``[a, b)`` of ``w``, as for
-    :func:`iterate`; the result equals ``stationarity_residual(w, p, ...)``
-    bit for bit, since a max is exact.
+    ``kernel(y, None, (a, b))`` returns rows ``[a, b)`` of ``w``: the kernel
+    of :func:`iterate` or any function with its signature, such as the
+    smoothing's, which unpacks the Hessian's channels; the result equals
+    ``stationarity_residual(w, p, ...)`` bit for bit, since a max is exact.
     """
     return float(np.max([
         stationarity_residual(kernel(y, None, span), p[:, slice(*span)], channels)

@@ -49,11 +49,14 @@ and the caller applies the rows' offset by slicing its flat grids, so every
 inner slab of a grid shares one entry.  A table holds ints, slices and
 tuples of them, never an array, so a call only views its own arrays and
 issues its ufuncs: :func:`_run` runs forward steps and :func:`_diff_t` one
-transposed step.  This module is the tables' one reader.  A step of a
+transposed step.  This module is the tables' one reader.  ``_BLOCKS`` maps
+the two forward kernels that :func:`.dual.iterate` accepts, ``grad`` and
+``hessian``, to their tables: the dual loop runs each slab's residual from
+them through :func:`_forward`, without the kernels' own call.  A step of a
 stacked output also runs onto a one-channel grid, moved there by
 :func:`_shifted`: :func:`_diff` runs one channel of ``grad``'s steps, and
 :func:`_subtract_scaled` steps the dual loop's chunks of slabs in place from
-the tables of ``grad`` and ``hessian`` (``_BLOCKS``), one channel at a time.
+the same tables, one channel at a time.
 A boundary slice on the first or the last axis is a slice of the flat grid;
 only a middle axis indexes the shaped grid.  The tables that one job of the
 benchmark builds hold about 11 KiB for a 64x64 frame, 34 KiB for a
@@ -559,7 +562,8 @@ def _adjoint_hessian_steps(shape, rows: int, inner: bool, last: bool) -> tuple:
     return tuple(terms), None if last else (slice(0, row), slice(size, size + row))
 
 
-# the tables of the kernels that the dual loop can step a channel at a time
+# the forward kernels that dual.iterate accepts, and the tables it runs them from: each slab
+# through _forward and each chunk in place through _subtract_scaled
 _BLOCKS = {grad: _grad_steps, hessian: _hessian_steps}
 
 

@@ -1,6 +1,7 @@
 """Shared dual-projection core: config validation, the in-place loop, diagnostics."""
 
 import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -142,34 +143,20 @@ def _stacked(p, channel_ndim):
 
 
 def _rows_of(full):
-    """A kernel for ``iterate``: rows ``[a, b)`` of the first grid axis of ``full(y)``, whose
-    channels are stacked along axis 0, copied into ``out`` or returned fresh."""
-    def kernel(y, out, rows):
-        w = full(y)[:, slice(*rows)]
-        if out is None:
-            return w.copy()
-        out[...] = w
-        return out
-
-    return kernel
+    """A kernel for ``kkt_residual``: rows ``[a, b)`` of the first grid axis of ``full(y)``,
+    whose channels are stacked along axis 0, returned fresh."""
+    return lambda y, out, rows: full(y)[:, slice(*rows)].copy()
 
 
-def _residual(dims, channel_ndim):
-    """``(residual, potential, kernel)`` of ``A(p) = D(D^T p - f)``, ``D`` the gradient (vector
-    dual, whose kernel is ``grad``'s row range) or ``grad_vec`` (tensor dual).  ``residual``
-    takes the dual with its ``channel_ndim`` channel axes; ``potential`` takes it, and
-    ``kernel`` writes ``A(p)``, stacked as ``iterate`` stores them."""
-    rng = np.random.default_rng(len(dims))
-    if channel_ndim == 1:
-        f, fwd, adj, kernel = 3.0 * rng.standard_normal(dims), grad, adjoint_grad, grad
-    else:
-        f, fwd, adj = 3.0 * rng.standard_normal((len(dims),) + dims), grad_vec, adjoint_grad_tensor
-        kernel = _rows_of(lambda y: _stacked(grad_vec(y), 2))
+def _residual(dims):
+    """``(residual, potential)`` of ``A(p) = grad(adjoint_grad(p) - f)``: ``residual`` takes the
+    vector dual, and ``iterate`` runs ``grad`` on ``potential``."""
+    f = 3.0 * np.random.default_rng(len(dims)).standard_normal(dims)
 
     def potential(p):
-        return adj(p.reshape((len(dims),) * channel_ndim + dims)) - f
+        return adjoint_grad(p) - f
 
-    return lambda p: fwd(potential(p)), potential, kernel
+    return lambda p: grad(potential(p)), potential
 
 
 def _start(dims, channel_ndim):
@@ -181,67 +168,93 @@ def _assert_same_run(got, want):
     assert got[1:] == want[1:]
 
 
-def _iterate(model, p0, channel_ndim, *args):
-    """``iterate`` from ``p0`` stacked along axis 0; its dual comes back in ``p0``'s shape."""
-    p, *rest = iterate(*model, _stacked(p0, channel_ndim), *args)
-    return (p.reshape(p0.shape), *rest)
-
-
-@pytest.mark.parametrize("channel_ndim", [1, 2])
 @pytest.mark.parametrize("dims", GRIDS, ids=str)
-def test_iterate_matches_reference_loop_bitwise(dims, channel_ndim):
-    (residual, *model), p0 = _residual(dims, channel_ndim), _start(dims, channel_ndim)
+def test_iterate_matches_reference_loop_bitwise(dims):
+    (residual, potential), p0 = _residual(dims), _start(dims, 1)
     tau = 1.0 / (2 * len(dims))
-    want = reference_iterate(residual, p0, channel_ndim, tau, 12, 0.0)
-    _assert_same_run(_iterate(model, p0, channel_ndim, tau, 12, 0.0), want)
+    want = reference_iterate(residual, p0, 1, tau, 12, 0.0)
+    _assert_same_run(iterate(potential, grad, p0, tau, 12, 0.0), want)
     # a tol reached after a few steps stops both loops early, at the same step
-    tol = reference_iterate(residual, p0, channel_ndim, tau, 5, 0.0)[2]
-    want = reference_iterate(residual, p0, channel_ndim, tau, 40, tol)
+    tol = reference_iterate(residual, p0, 1, tau, 5, 0.0)[2]
+    want = reference_iterate(residual, p0, 1, tau, 40, tol)
     assert want[1] < 40
-    _assert_same_run(_iterate(model, p0, channel_ndim, tau, 40, tol), want)
+    _assert_same_run(iterate(potential, grad, p0, tau, 40, tol), want)
 
 
 def test_iterate_raises_on_a_nan_in_a_later_slab():
+    """A NaN in the last row of ``y`` makes the residual NaN in the last slab alone."""
     dims = (70, 33, 16)
     assert fields._SLAB < 33 * 16 * 70
-
-    def kernel(y, out, rows):
-        out[...] = 0.0
-        if rows[1] == dims[0]:
-            out[-1, -1, -1, -1] = np.nan
-
+    potential = _spoiled_row(lambda p: np.zeros(dims), dims[0] - 1, 1, np.nan)
     with pytest.raises(DivergenceError):
-        iterate(lambda p: None, kernel, np.zeros((3,) + dims), 0.1, 5, 0.0)
+        iterate(potential, grad, np.zeros((3,) + dims), 0.1, 5, 0.0)
+
+
+@pytest.mark.parametrize("kernel", [grad_vec, lambda y, out, rows: grad(y, out, rows)],
+                         ids=["grad_vec", "a-wrapper-of-grad"])
+def test_iterate_refuses_a_kernel_without_a_step_table_before_the_potential(kernel):
+    """``iterate`` runs ``fields.grad`` and ``fields.hessian`` from their step tables, so it
+    and :func:`dual.solve` refuse any other kernel before the first potential, a wrapper of
+    ``grad`` too."""
+    dims, calls = (6, 5), []
+
+    def potential(p):
+        calls.append(1)
+        return adjoint_grad(p)
+
+    with pytest.raises(ParameterError, match="fields.grad or fields.hessian"):
+        iterate(potential, kernel, np.zeros((2,) + dims), 0.25, 3, 0.0)
+    with pytest.raises(ParameterError, match="fields.grad or fields.hessian"):
+        dual.solve(potential, kernel, (2,) + dims, dual.DualConfig(max_iters=3))
+    assert calls == []
+
+
+def test_iterate_runs_the_kernel_that_a_functools_wrapper_wraps():
+    """A profiler's wrapper of ``grad``, made by ``functools.wraps``, stands for ``grad``: the
+    update runs ``grad``'s table, and the wrapper is not called."""
+    (_, potential), p0 = _residual((6, 5)), _start((6, 5), 1)
+    calls = []
+
+    @functools.wraps(grad)
+    def traced(*args, **kwargs):
+        calls.append(1)
+        return grad(*args, **kwargs)
+
+    _assert_same_run(iterate(potential, traced, p0, 0.25, 5, 0.0),
+                     iterate(potential, grad, p0, 0.25, 5, 0.0))
+    assert calls == []
 
 
 @pytest.mark.parametrize("max_iters", [1, 2])
-@pytest.mark.parametrize("channel_ndim", [1, 2])
-def test_iterate_leaves_its_start_unmodified(channel_ndim, max_iters):
+def test_iterate_leaves_its_start_unmodified(max_iters):
     dims = (5, 4)
-    (_, *model), p0 = _residual(dims, channel_ndim), _start(dims, channel_ndim)
+    (_, potential), p0 = _residual(dims), _start(dims, 1)
     before = p0.copy()
-    p = _iterate(model, p0, channel_ndim, 0.25, max_iters, 0.0)[0]
+    p = iterate(potential, grad, p0, 0.25, max_iters, 0.0)[0]
     assert not np.shares_memory(p, p0)
     assert p0.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("dims, kernel, stored, channels", [
     ((70, 33, 16), grad, 3, None),
+    ((70, 33, 16), fields.hessian, 6, fields._layout(3)[1]),
     ((64, 64), grad, 2, None),
     ((64, 64), fields.hessian, 3, fields._layout(2)[1]),
     ((64, 64, 64), None, 3, None),
-], ids=["slabs-vector", "frame-vector", "frame-packed", "chunks-row-potential"])
+], ids=["slabs-vector", "slabs-packed", "frame-vector", "frame-packed", "chunks-row-potential"])
 def test_iterate_holds_one_dual_and_slab_sized_scratch(dims, kernel, stored, channels,
                                                         monkeypatch):
     """No second dual: the step is written back slab by slab from slab-sized scratch.
 
     One slab spans a 64x64 frame, so its residual is dual-sized there; the clip
     divides channel by channel, as a norm grid broadcast over the channels makes
-    numpy allocate an iterator buffer of two frame grids.  The vector model's
-    row potential (``kernel`` ``None``, on one thread) holds no whole-grid ``y``
-    in the loop: a chunk's window of it, a quarter of the grid here, with a
-    residual scratch that serves as the row function's, and the row where a lazy
-    step's run starts, with its scratch row."""
+    numpy allocate an iterator buffer of two frame grids.  On several slabs the
+    Hessian's work grid, a slab and a row, goes where the norm grids go, once
+    they exist: only the first slab's call allocates one, before them.  The
+    vector model's row potential (``kernel`` ``None``, on one thread) holds no
+    whole-grid ``y`` in the loop: a chunk's window of it, a quarter of the grid
+    here, with a residual scratch that serves as the row function's, and the
+    row where a lazy step's run starts, with its scratch row."""
     monkeypatch.setattr(dual, "_workers", lambda: 1)
     peak, grid, slab = _loop_peak(dims, kernel, stored, channels)
     window, row = (_window(dims, grid, slab) if kernel is None else 0), grid // dims[0]
@@ -448,75 +461,71 @@ def test_dual_step_rejects_nan_dual(call):
 # ------------------------------------------------- a packed symmetric dual
 
 def _packed_case(dims):
-    """``(residual, packed, p0, rows, cols, index)``: a symmetric tensor dual, full and packed;
-    ``packed`` is the ``(potential, kernel)`` pair of the packed dual."""
+    """``(potential, forward, p0, rows, cols, index)``: a symmetric tensor dual ``p0``, full, with
+    its potential and the full residual's kernel, ``fields.hessian``'s channels unpacked,
+    bitwise symmetric, as the packed layout needs; ``potential(q[index])`` is the packed dual's
+    potential, whose kernel is ``fields.hessian``."""
     rows, cols, index = symmetric_packing(len(dims))
     f = 3.0 * np.random.default_rng(len(dims)).standard_normal(dims)
-
-    def hessian_of(y):  # bitwise symmetric, as the packed layout needs
-        a = grad_vec(grad(y))
-        return 0.5 * (a + a.swapaxes(0, 1))
 
     def potential(p):  # of the full tensor dual
         return adjoint_grad(adjoint_grad_tensor(p)) - f
 
-    def residual(p):
-        return hessian_of(potential(p))
-
-    packed = (lambda q: potential(q[index]), _rows_of(lambda y: hessian_of(y)[rows, cols]))
     t = _start(dims, 2)
-    return residual, packed, 0.5 * (t + t.swapaxes(0, 1)), rows, cols, index
+    return (potential, lambda y: fields.hessian(y)[index], 0.5 * (t + t.swapaxes(0, 1)), rows,
+            cols, index)
 
 
 @pytest.mark.parametrize("dims", GRIDS, ids=str)
 def test_packed_iterate_matches_full_tensor_loop_bitwise(dims):
     """Off-diagonal channels listed twice, in C order, give the full tensor's norms exactly."""
-    residual, packed, p0, rows, cols, index = _packed_case(dims)
+    potential, forward, p0, rows, cols, index = _packed_case(dims)
+    residual, packed, channels = (lambda p: forward(potential(p)), lambda q: potential(q[index]),
+                                  index.ravel().tolist())
     tau = 1.0 / (2 * len(dims))
     want = reference_iterate(residual, p0, 2, tau, 12, 0.0)
-    got = iterate(*packed, p0[rows, cols], tau, 12, 0.0, index.ravel().tolist())
+    got = iterate(packed, fields.hessian, p0[rows, cols], tau, 12, 0.0, channels)
     _assert_same_run((got[0][index],) + got[1:], want)
     tol = reference_iterate(residual, p0, 2, tau, 5, 0.0)[2]
     stopped = reference_iterate(residual, p0, 2, tau, 40, tol)
     assert stopped[1] < 40
-    got = iterate(*packed, p0[rows, cols], tau, 40, tol, index.ravel().tolist())
+    got = iterate(packed, fields.hessian, p0[rows, cols], tau, 40, tol, channels)
     _assert_same_run((got[0][index],) + got[1:], stopped)
-    w, q, channels = residual(want[0]), want[0][rows, cols], index.ravel().tolist()
+    w, q = residual(want[0]), want[0][rows, cols]
     full_kkt = stationarity_residual(_stacked(w, 2), _stacked(want[0], 2))
     # a dual stored packed like w: duplicated entries give identical terms
     assert full_kkt == stationarity_residual(w[rows, cols], q, channels)
     # and slab by slab, through the kernel
-    assert full_kkt == kkt_residual(packed[1], packed[0](q), q, channels)
+    assert full_kkt == kkt_residual(fields.hessian, packed(q), q, channels)
 
 
 # ------------------------------------------- the increment, computed only when it decides
 
 def _dual_case(kind, dims):
-    """``(reference, stored, unpack)``: the reference loop's residual, start and channel axes,
-    then ``iterate``'s ``(potential, kernel)``, start and channel list, and the map back."""
+    """``(reference, stored, unpack)``: the reference loop's potential, the kernel of its
+    residual, its start and channel axes; ``iterate``'s potential, kernel, start and channel
+    list; and the map back."""
     if kind == "packed":
-        residual, packed, p0, rows, cols, index = _packed_case(dims)
-        stored = (packed, p0[rows, cols], index.ravel().tolist())
-        return (residual, p0, 2), stored, lambda p: p[index]
-    channel_ndim = 1 if kind == "vector" else 2
-    (residual, *model), p0 = _residual(dims, channel_ndim), _start(dims, channel_ndim)
-    stored = (model, _stacked(p0, channel_ndim), None)
-    return (residual, p0, channel_ndim), stored, lambda p: p.reshape(p0.shape)
+        potential, forward, p0, rows, cols, index = _packed_case(dims)
+        stored = (lambda q: potential(q[index]), fields.hessian, p0[rows, cols],
+                  index.ravel().tolist())
+        return (potential, forward, p0, 2), stored, lambda p: p[index]
+    (_, potential), p0 = _residual(dims), _start(dims, 1)
+    return (potential, grad, p0, 1), (potential, grad, p0, None), lambda p: p
 
 
-def _run_both(kind, dims, max_iters, tol, spoil=None):
-    """``iterate`` and then the reference loop, each on its residual as ``spoil`` wraps it."""
-    reference, stored, unpack = _dual_case(kind, dims)
-    (residual, p0, channel_ndim), (model, start, channels) = reference, stored
+def _run_both(kind, dims, max_iters, tol, spoil=lambda potential: potential):
+    """``iterate`` and then the reference loop, each on its potential as ``spoil`` wraps it."""
+    (potential, forward, p0, channel_ndim), (stored, kernel, start, channels), unpack = (
+        _dual_case(kind, dims))
     tau = 1.0 / (2 * len(dims))
-    if spoil is not None:
-        model, residual = spoil.model(*model), spoil.reference(residual)
-    got = iterate(*model, start, tau, max_iters, tol, channels)
-    want = reference_iterate(residual, p0, channel_ndim, tau, max_iters, tol)
+    got = iterate(spoil(stored), kernel, start, tau, max_iters, tol, channels)
+    full = spoil(potential)
+    want = reference_iterate(lambda p: forward(full(p)), p0, channel_ndim, tau, max_iters, tol)
     return (unpack(got[0]),) + got[1:], want
 
 
-KINDS = ["vector", "tensor", "packed"]
+KINDS = ["vector", "packed"]
 STOP_GRIDS = [(70, 33, 16), (6, 5)]  # three slabs, one slab
 
 
@@ -538,88 +547,79 @@ def test_a_split_update_stops_at_the_reference_step_for_every_tol(kind, monkeypa
 
 
 def _stops_at_the_reference_step(kind, dims):
-    (residual, p, channel_ndim), _, _ = _dual_case(kind, dims)
+    (potential, forward, p, channel_ndim), _, _ = _dual_case(kind, dims)
     tau = 1.0 / (2 * len(dims))
     changes = []
     for _ in range(12):  # the loop is memoryless: one step at a time gives each step's increment
-        p, _, change = reference_iterate(residual, p, channel_ndim, tau, 1, 0.0)
+        p, _, change = reference_iterate(lambda q: forward(potential(q)), p, channel_ndim, tau, 1,
+                                         0.0)
         changes.append(change)
     for tol in changes:
         got, want = _run_both(kind, dims, 40, tol)
         _assert_same_run(got, want)
 
 
-SPOILED = (70, 33, 16)  # three slabs
+SPOILED = (70, 33, 16)  # three slabs: rows [0, 31), [31, 62) and [62, 70)
 
 
-def _spoiled(step, value, nth=None):
-    """Wrappers that put ``value`` into the residual of step ``step`` on the grid ``SPOILED``.
+def _kernel_spy(monkeypatch):
+    """Record the rows of each slab that the update runs the kernel on: ``rows[k]`` lists those
+    of step ``k``, in order, the steps counted by the calls of the potentials that ``count``
+    wraps, in ``steps``."""
+    spy, forward = SimpleNamespace(steps=0, rows={}), dual._forward
 
-    ``model`` wraps ``iterate``'s ``(potential, kernel)``: on that step it spoils
-    the last entry of the first channel of the ``nth`` slab written, or, without
-    ``nth``, of the slab that ends the grid, and records the grid point;
-    ``reference`` then spoils the same entry, so ``iterate`` runs first.
-    ``written`` lists the rows of the slabs written on that step, in order, and
-    ``steps`` counts the steps begun.  The first channel is the diagonal
-    ``(0, 0)`` of a tensor dual.
-    """
-    spoil = SimpleNamespace(spot=None, written=[], steps=0)
-
-    def model(potential, kernel):
+    def count(potential):
         def counted(p):
-            spoil.steps += 1
+            spy.steps += 1
             return potential(p)
 
-        def spoiled(y, out, rows):
-            out = kernel(y, out, rows)
-            if spoil.steps == step:
-                spoil.written.append(rows)
-                ends = rows[1] == SPOILED[0] if nth is None else len(spoil.written) == nth
-                if ends:
-                    out[(0,) * (out.ndim - 3) + (-1, -1, -1)] = value
-                    spoil.spot = (rows[1] - 1, -1, -1)
-            return out
+        return counted
 
-        return counted, spoiled
+    def kernel(u, out, rows, table, scratch):
+        spy.rows.setdefault(spy.steps, []).append(rows)
+        return forward(u, out, rows, table, scratch)
 
-    def reference(residual):
-        calls = [0]
+    monkeypatch.setattr(dual, "_forward", kernel)
+    spy.count = count
+    return spy
 
-        def spoiled(p):
-            calls[0] += 1
-            out = residual(p)
-            if calls[0] == step:
-                out[(0,) * (out.ndim - 3) + spoil.spot] = value
-            return out
 
-        return spoiled
-
-    spoil.model, spoil.reference = model, reference
-    return spoil
+def _second_slab(kind, monkeypatch):
+    """The last row of the slab that the lazy third step on ``SPOILED`` writes second, after the
+    witness's.  Spoiling a row of ``y`` spoils the residual of the slab that holds it and of
+    the rows that read it, up to two rows before it, in the same slab here."""
+    _, (potential, kernel, start, channels), _ = _dual_case(kind, SPOILED)
+    spy = _kernel_spy(monkeypatch)
+    iterate(spy.count(potential), kernel, start, 1.0 / 6, 4, 0.0, channels)
+    return spy.rows[3][1][1] - 1
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_iterate_raises_at_the_iteration_a_later_slab_goes_nan(kind):
-    _, (model, start, channels), _ = _dual_case(kind, SPOILED)
+    _, (potential, kernel, start, channels), _ = _dual_case(kind, SPOILED)
+    spoiled = _spoiled_row(potential, SPOILED[0] - 1, 3, np.nan)  # in the slab that ends the grid
     with pytest.raises(DivergenceError, match=r"^dual update diverged at iteration 3$"):
-        iterate(*_spoiled(3, np.nan).model(*model), start, 1.0 / 6, 12, 0.0, channels)
+        iterate(spoiled, kernel, start, 1.0 / 6, 12, 0.0, channels)
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_iterate_raises_when_a_slab_written_after_the_first_goes_nan(kind):
+def test_iterate_raises_when_a_slab_written_after_the_first_goes_nan(kind, monkeypatch):
     """One slab of the lazy step is already written in place when the next one goes NaN."""
-    _, (model, start, channels), _ = _dual_case(kind, SPOILED)
-    spoil = _spoiled(3, np.nan, nth=2)
+    row = _second_slab(kind, monkeypatch)
+    _, (potential, kernel, start, channels), _ = _dual_case(kind, SPOILED)
+    spy = _kernel_spy(monkeypatch)
     with pytest.raises(DivergenceError, match=r"^dual update diverged at iteration 3$"):
-        iterate(*spoil.model(*model), start, 1.0 / 6, 12, 0.0, channels)
-    assert len(spoil.written) == 2 and spoil.spot is not None
+        iterate(spy.count(_spoiled_row(potential, row, 3, np.nan)), kernel, start, 1.0 / 6, 12,
+                0.0, channels)
+    assert len(spy.rows[3]) == 2 and spy.rows[3][1][0] <= row < spy.rows[3][1][1]
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_iterate_matches_the_reference_when_the_clip_norm_overflows(kind):
     """A finite step whose tuple norm overflows clips to zero there, without raising."""
     with np.errstate(over="ignore"):
-        got, want = _run_both(kind, SPOILED, 8, 0.0, _spoiled(3, 1e200))
+        got, want = _run_both(kind, SPOILED, 8, 0.0,
+                              lambda potential: _spoiled_row(potential, SPOILED[0] - 1, 3, 1e200))
     _assert_same_run(got, want)
 
 
@@ -627,17 +627,19 @@ def test_iterate_matches_the_reference_when_the_clip_norm_overflows(kind):
 def test_a_lazy_step_takes_the_exact_increment_of_an_overflowing_later_slab(kind, monkeypatch):
     """The slab written after the witness's overflows: it alone gets its exact increment,
     before it is written, and the step stays lazy."""
-    spoil, increment, steps = _spoiled(3, 1e200, nth=2), dual._increment, []
+    row = _second_slab(kind, monkeypatch)
+    spy, increment, steps = _kernel_spy(monkeypatch), dual._increment, []
 
-    def spy(*args):
-        steps.append(spoil.steps)
+    def exact(*args):
+        steps.append(spy.steps)
         return increment(*args)
 
-    monkeypatch.setattr(dual, "_increment", spy)
+    monkeypatch.setattr(dual, "_increment", exact)
     with np.errstate(over="ignore"):
-        got, want = _run_both(kind, SPOILED, 8, 0.0, spoil)
+        got, want = _run_both(kind, SPOILED, 8, 0.0,
+                              lambda potential: spy.count(_spoiled_row(potential, row, 3, 1e200)))
     _assert_same_run(got, want)
-    assert len(spoil.written) == len(fields._spans(SPOILED)) and steps.count(3) == 1
+    assert len(spy.rows[3]) == len(fields._spans(SPOILED)) and steps.count(3) == 1
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -731,7 +733,7 @@ DISPATCH = {  # solve: (potential, kernel, stored channels, channel list) on a 1
 }
 
 
-@pytest.mark.parametrize("solve, budget", [("step1", 18), ("rof", 9), ("step2", 9)])
+@pytest.mark.parametrize("solve, budget", [("step1", 17), ("rof", 8), ("step2", 8)])
 def test_a_lazy_step_calls_a_pinned_number_of_package_functions(solve, budget):
     """A lazy step of a one-slab frame calls the potential, the kernel and their helpers, and
     nothing per call that a table could hold: a new helper in the loop shows here."""
@@ -766,7 +768,7 @@ def _split_lazy_step_calls(solve, dims):
 
 
 # the calling thread made 87 and 242 calls when every slab took its own kernel call and clip
-@pytest.mark.parametrize("solve, dims, budget", [("rof", (160, 160, 16), [55, 47]),
+@pytest.mark.parametrize("solve, dims, budget", [("rof", (160, 160, 16), [54, 46]),
                                                  ("step1", (64, 64, 64), [201, 41])], ids=str)
 def test_a_split_lazy_step_calls_a_pinned_number_of_package_functions(solve, dims, budget,
                                                                       monkeypatch):
@@ -883,24 +885,6 @@ def test_a_row_potential_gives_the_whole_grid_potentials_bytes(dims, place, stop
     assert (len(submitted) > 0) == (len(fields._spans(dims)) >= 4)
 
 
-def _overflowing(dims, row, step):
-    """``(potential, kernel)``: the row potential of :func:`_planted` with its first row
-    peaking, whose row ``row`` of ``y`` overflows on step ``step``, and ``grad``, which
-    counts the steps by its calls, one per slab."""
-    potential, calls, slabs = _planted(dims, 0, False), [], len(fields._spans(dims))
-
-    def rows(q, out, span, scratch):
-        potential.rows(q, out, span, scratch)
-        if 1 + len(calls) // slabs == step and span[0] <= row < span[1]:
-            out[row - span[0]] = np.inf
-
-    def kernel(y, out, span):
-        calls.append(1)
-        return grad(y, out, span)
-
-    return dual.RowPotential(rows), kernel
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("step", [1, 3], ids=["exact", "lazy"])
 @pytest.mark.parametrize("row", [7, 8], ids=["before-cut", "at-cut"])
@@ -913,11 +897,12 @@ def test_an_overflowing_potential_row_at_a_run_boundary_raises_at_the_same_itera
     dims = (16, 160, 160)
     p0 = np.zeros((3,) + dims)
     monkeypatch.setattr(dual, "_workers", lambda: workers)
-    (fused, kernel), (whole, whole_kernel) = (_overflowing(dims, row, step) for _ in "ab")
-    for potential, k in ((fused, kernel), (lambda q: whole(q), whole_kernel)):
+    # the row potential of _planted with its first row peaking, inside the update and whole
+    fused, whole = (_spoiled_row(_planted(dims, 0, False), row, step, np.inf) for _ in "ab")
+    for potential in (fused, lambda q: whole(q)):
         with np.errstate(invalid="ignore"), pytest.raises(
                 DivergenceError, match=rf"^dual update diverged at iteration {step}$"):
-            iterate(potential, k, p0, 1.0 / 6, 5, 0.0)
+            iterate(potential, grad, p0, 1.0 / 6, 5, 0.0)
 
 
 @pytest.mark.parametrize("dims", [(16, 16), (70, 33, 16)], ids=str)
@@ -1017,12 +1002,13 @@ def test_lazy_steps_give_the_bytes_of_exact_steps_one_at_a_time(dims, place, wor
     assert bool(chunks) == (workers == 2 and len(spans) >= 5)
 
 
-def _spoiled_row(potential, row, step, value):
+def _spoiled_row(potential, row, step, value, where=None):
     """``potential`` with row ``row`` of ``y`` set to ``value`` on step ``step``.
 
     A row potential computes each row once a step, in one call, so the calls
     that compute the row count the steps, across calls of ``iterate`` too; a
-    whole-grid potential is called once a step.
+    whole-grid potential is called once a step.  Given a list ``where``, a
+    row potential appends the thread that sets the value.
     """
     seen = [0]
     if not isinstance(potential, dual.RowPotential):
@@ -1041,6 +1027,8 @@ def _spoiled_row(potential, row, step, value):
             seen[0] += 1
             if seen[0] == step:
                 out[row - span[0]] = value
+                if where is not None:
+                    where.append(threading.current_thread())
 
     return dual.RowPotential(rows)
 
@@ -1097,34 +1085,19 @@ def test_a_step_whose_squares_overflow_in_an_in_place_chunk_clips_to_zero_there(
     assert bool(chunks) == (workers == 2)
 
 
-def _ones_model(dims, step, rows_of_nan):
-    """A potential that counts the steps and a kernel of ones, NaN on the slab at
-    ``rows_of_nan`` on step ``step``; ``where`` records the thread that wrote the NaN."""
-    steps, where = [0], []
-
-    def potential(p):
-        steps[0] += 1
-
-    def kernel(y, out, rows):
-        out[...] = 1.0
-        if steps[0] == step and rows == rows_of_nan:
-            out[0, -1] = np.nan
-            where.append(threading.current_thread())
-        return out
-
-    return potential, kernel, where
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("step", [1, 3], ids=["exact", "lazy"])
 def test_a_divergence_on_the_worker_thread_raises_at_the_same_iteration(workers, step,
                                                                         monkeypatch):
+    """Row 15 of ``y`` goes NaN on step ``step``; the first row peaks, so the witness's slab is
+    the first, and on two workers the thread that computes row 15 is the worker."""
     dims = (16, 160, 160)  # 1-row slabs: the last goes to the worker's group
     monkeypatch.setattr(dual, "_workers", lambda: workers)
-    potential, kernel, where = _ones_model(dims, step, (15, 16))
+    where = []
+    potential = _spoiled_row(_planted(dims, 0, False), 15, step, np.nan, where)
     threads = threading.active_count()
     with pytest.raises(DivergenceError, match=rf"^dual update diverged at iteration {step}$"):
-        iterate(potential, kernel, np.zeros((3,) + dims), 0.01, 5, 0.0)
+        iterate(potential, grad, np.zeros((3,) + dims), 0.01, 5, 0.0)
     assert (where[0] is threading.main_thread()) == (workers == 1)
     assert threading.active_count() == threads  # the worker is joined
 
@@ -1133,39 +1106,35 @@ def test_a_divergence_on_the_worker_thread_raises_at_the_same_iteration(workers,
 def test_the_worker_runs_under_the_callers_numpy_error_state(workers, monkeypatch):
     """An overflow in the worker's group raises as it would on the calling thread."""
     monkeypatch.setattr(dual, "_workers", lambda: workers)
-
-    def kernel(y, out, rows):
-        out[...] = 1e200 if rows == (15, 16) else 0.0  # its square overflows
-        return out
-
+    dims = (16, 160, 160)
+    # the squares of row 15's differences overflow; the worker's group holds it
+    potential = _spoiled_row(_planted(dims, 0, False), 15, 1, 1e200)
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        iterate(lambda p: None, kernel, np.zeros((3, 16, 160, 160)), 0.1, 2, 0.0)
+        iterate(potential, grad, np.zeros((3,) + dims), 0.1, 2, 0.0)
 
 
 # rows 0-8 here and 8-16 on the worker on the exact first step; on the lazy third step
-# the witness's row 0 here, then rows 1-8 here and 8-16 on the worker, which started first
+# the witness's row 0 here, then rows 1-8 here and 8-16 on the worker, which started first.
+# Row 8, where the runs meet, is computed here before the step's worker starts; the worker
+# computes rows 9-16 a chunk of two slabs and its halo row at a time.
 @pytest.mark.parametrize("step", [1, 3], ids=["exact", "lazy-witness"])
 def test_an_error_on_the_calling_thread_joins_the_workers_group_first(step, monkeypatch):
     dims = (16, 160, 160)
-    monkeypatch.setattr(dual, "_workers", lambda: 2)
-    steps, done = [0], []
+    submitted, done = _splits(monkeypatch), []  # one group handed to the worker a step
+    potential = _planted(dims, 0, False)  # the first row peaks: the witness's slab is the first
 
-    def potential(p):
-        steps[0] += 1
-
-    def kernel(y, out, rows):
-        if steps[0] == step:
+    def rows(q, out, span, scratch):
+        if len(submitted) == step:
             if threading.current_thread() is threading.main_thread():
-                raise ValueError("kernel failed")
-            time.sleep(0.02)  # the worker's eight slabs outlast this thread's error
-            done.append(rows)
-        out[...] = 1.0
-        return out
+                raise ValueError("row function failed")
+            time.sleep(0.02)  # the worker's rows outlast this thread's error
+            done.append(span)
+        potential.rows(q, out, span, scratch)
 
     threads = threading.active_count()
-    with pytest.raises(ValueError, match="kernel failed"):
-        iterate(potential, kernel, np.zeros((3,) + dims), 0.01, 5, 0.0)
-    assert done == [(a, a + 1) for a in range(8, 16)]  # all of them, before the raise
+    with pytest.raises(ValueError, match="row function failed"):
+        iterate(dual.RowPotential(rows), grad, np.zeros((3,) + dims), 0.01, 5, 0.0)
+    assert done == [(9, 11), (11, 13), (13, 15), (15, 16)]  # all of them, before the raise
     assert threading.active_count() == threads  # the worker is joined
 
 
@@ -1233,52 +1202,48 @@ def test_a_forked_child_solves_after_the_parent_used_the_worker(monkeypatch):
     assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
-def test_a_kernel_on_the_worker_thread_sees_no_worker(monkeypatch):
-    """A solve that a kernel runs shares no worker, on the worker thread or on the calling
-    thread: the worker never waits for itself, nor for a solve nested in the group that the
-    calling thread runs beside it."""
+def test_a_row_function_in_a_group_sees_no_worker(monkeypatch):
+    """A solve that a row function runs inside the update shares no worker, on the worker
+    thread or on the calling thread: the worker never waits for itself, nor for a solve
+    nested in the group that the calling thread runs beside it."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     seen = []
 
-    def kernel(y, out, rows):
-        seen.append((threading.current_thread() is threading.main_thread(),
-                     dual._LOCAL.worker is not None))
+    def rows(q, out, span, scratch):
+        if sys._getframe(1).f_code.co_name == "_update":  # a group's rows, not where runs meet
+            seen.append((threading.current_thread() is threading.main_thread(),
+                         dual._LOCAL.worker is not None))
         out[...] = 0.0
-        return out
 
-    iterate(lambda p: None, kernel, np.zeros((3, 16, 160, 160)), 0.1, 1, 0.0)
+    iterate(dual.RowPotential(rows), grad, np.zeros((3, 16, 160, 160)), 0.1, 1, 0.0)
     assert dict(seen) == {True: False, False: False} and dual._LOCAL.worker is None
 
 
 def test_a_solve_nested_in_a_lazy_step_starts_a_worker_of_its_own(monkeypatch):
-    """A kernel that runs a splitting solve on the calling thread during a lazy step's witness
-    slab, while the step's worker waits for that witness's verdict, finishes: the nested solve
-    starts its own worker, and the outer dual gets the bytes of the run without it.  The run
-    goes in a daemon thread, so a hang fails the test and does not block the suite."""
-    monkeypatch.setattr(dual, "_workers", lambda: 2)
+    """A row function that runs a splitting solve on the calling thread during a lazy step's
+    witness chunk, while the step's worker waits for that witness's verdict, finishes: the
+    nested solve starts its own worker, and the outer dual gets the bytes of the run without
+    it.  The run goes in a daemon thread, so a hang fails the test and does not block the
+    suite."""
+    submitted = _splits(monkeypatch)  # one group handed to the worker a step
     u = rand_scalar((16, 160, 160), 19)
     bind = reconstruction._bind(u, None, 0.3)
     p0 = np.zeros((3, 16, 160, 160))
-    steps, nested = [], []
+    nested = []
 
-    def potential(q):  # a whole-grid potential: one call per step, on the calling thread
-        steps.append(1)
-        return bind(q)
-
-    def kernel(y, out, rows):
-        if len(steps) == 3 and not nested and threading.current_thread().name != dual._WORKER:
+    def rows(q, out, span, scratch):  # a step's rows in a group come after its worker starts
+        if len(submitted) == 3 and not nested and threading.current_thread().name != dual._WORKER:
             nested.append(rof_denoise(u, RofConfig(lam=0.3, max_iters=3)).u)
-        return grad(y, out, rows)
+        bind.rows(q, out, span, scratch)
 
     done = []
-    runner = threading.Thread(
-        target=lambda: done.append(iterate(potential, kernel, p0, 1 / 6, 5, 0.0)), daemon=True)
+    runner = threading.Thread(target=lambda: done.append(
+        iterate(dual.RowPotential(rows), grad, p0, 1 / 6, 5, 0.0)), daemon=True)
     runner.start()
     runner.join(20)
     assert not runner.is_alive(), "the nested solve hung"
     assert nested and done
-    steps.clear()
-    want = iterate(potential, lambda y, out, rows: grad(y, out, rows), p0, 1 / 6, 5, 0.0)
+    want = iterate(bind, grad, p0, 1 / 6, 5, 0.0)
     assert done[0][0].tobytes() == want[0].tobytes() and done[0][1:] == want[1:]
 
 

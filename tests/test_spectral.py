@@ -322,25 +322,24 @@ def test_an_error_in_a_half_is_raised_after_the_workers_half_is_joined(where, mo
 
 
 def test_a_solve_on_the_worker_thread_runs_both_halves_there(monkeypatch):
-    """A kernel on the worker thread that solves hands nothing to the worker, which would
-    wait for itself; the test gives up on a hang."""
+    """A row function on the worker thread that solves hands nothing to the worker, which
+    would wait for itself; the test gives up on a hang."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     dims = (24, 48, 48)
     plan, f = PoissonPlan(dims), rand_scalar(dims, 23)
     want = plan.solve(f).tobytes()
     submitted, seen = _spy(monkeypatch), []
 
-    def kernel(y, out, rows):
-        if rows == (15, 16):  # the last slab: the worker's group
+    def rows(q, out, span, scratch):
+        if span[0] <= 15 < span[1]:  # the last row: the worker's group
             before = len(submitted)
             got = plan.solve(f).tobytes()
             seen.append((threading.current_thread().name, len(submitted) - before, got))
         out[...] = 0.0
-        return out
 
     # one exact update of sixteen 1-row slabs, the last eight on the worker
     solver = threading.Thread(daemon=True, target=lambda: dual.iterate(
-        lambda p: None, kernel, np.zeros((3, 16, 160, 160)), 0.1, 1, 0.0))
+        dual.RowPotential(rows), fields.grad, np.zeros((3, 16, 160, 160)), 0.1, 1, 0.0))
     solver.start()
     solver.join(timeout=60)
     assert not solver.is_alive(), "a solve on the worker thread waited for itself"
