@@ -148,19 +148,33 @@ def _rows_of(full):
     return lambda y, out, rows: full(y)[:, slice(*rows)].copy()
 
 
-def _residual(dims):
-    """``(residual, potential)`` of ``A(p) = grad(adjoint_grad(p) - f)``: ``residual`` takes the
-    vector dual, and ``iterate`` runs ``grad`` on ``potential``."""
+ORDERS = {1: grad, 2: fields.hessian}  # the kernels by their order of derivative
+
+
+def _residual(dims, kernel=grad):
+    """``(residual, potential)`` of ``A(p) = K(K^* p - f)``, ``K`` the ``kernel``, ``grad`` or
+    ``fields.hessian``, on a dual that stacks ``K``'s channels, each counted once in the norm:
+    ``residual`` takes that dual, and ``iterate`` runs ``kernel`` on ``potential``."""
     f = 3.0 * np.random.default_rng(len(dims)).standard_normal(dims)
+    adjoint = adjoint_grad if kernel is grad else fields.adjoint_hessian
 
     def potential(p):
-        return adjoint_grad(p) - f
+        return adjoint(p) - f
 
-    return lambda p: grad(potential(p)), potential
+    return lambda p: kernel(potential(p)), potential
 
 
 def _start(dims, channel_ndim):
     return (feasible_vector if channel_ndim == 1 else feasible_tensor)(dims, 7, scale=0.9)
+
+
+def _stack_start(dims, kernel):
+    """A feasible dual of ``kernel``'s channels: a vector field for ``grad``; for the Hessian,
+    the packed channels of a feasible tensor field, whose norms bound theirs."""
+    if kernel is grad:
+        return _start(dims, 1)
+    rows, cols, _ = symmetric_packing(len(dims))
+    return _start(dims, 2)[rows, cols]
 
 
 def _assert_same_run(got, want):
@@ -168,17 +182,20 @@ def _assert_same_run(got, want):
     assert got[1:] == want[1:]
 
 
+@pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("dims", GRIDS, ids=str)
-def test_iterate_matches_reference_loop_bitwise(dims):
-    (residual, potential), p0 = _residual(dims), _start(dims, 1)
+def test_iterate_matches_reference_loop_bitwise(dims, order):
+    """``grad``'s vector dual, or the Hessian's channels as a plain stack (``order`` 2)."""
+    kernel = ORDERS[order]
+    (residual, potential), p0 = _residual(dims, kernel), _stack_start(dims, kernel)
     tau = 1.0 / (2 * len(dims))
     want = reference_iterate(residual, p0, 1, tau, 12, 0.0)
-    _assert_same_run(iterate(potential, grad, p0, tau, 12, 0.0), want)
+    _assert_same_run(iterate(potential, kernel, p0, tau, 12, 0.0), want)
     # a tol reached after a few steps stops both loops early, at the same step
     tol = reference_iterate(residual, p0, 1, tau, 5, 0.0)[2]
     want = reference_iterate(residual, p0, 1, tau, 40, tol)
     assert want[1] < 40
-    _assert_same_run(iterate(potential, grad, p0, tau, 40, tol), want)
+    _assert_same_run(iterate(potential, kernel, p0, tau, 40, tol), want)
 
 
 def test_iterate_raises_on_a_nan_in_a_later_slab():
@@ -226,11 +243,12 @@ def test_iterate_runs_the_kernel_that_a_functools_wrapper_wraps():
 
 
 @pytest.mark.parametrize("max_iters", [1, 2])
-def test_iterate_leaves_its_start_unmodified(max_iters):
-    dims = (5, 4)
-    (_, potential), p0 = _residual(dims), _start(dims, 1)
+@pytest.mark.parametrize("order", ORDERS)
+def test_iterate_leaves_its_start_unmodified(order, max_iters):
+    dims, kernel = (5, 4), ORDERS[order]
+    (_, potential), p0 = _residual(dims, kernel), _stack_start(dims, kernel)
     before = p0.copy()
-    p = iterate(potential, grad, p0, 0.25, max_iters, 0.0)[0]
+    p = iterate(potential, kernel, p0, 0.25, max_iters, 0.0)[0]
     assert not np.shares_memory(p, p0)
     assert p0.tobytes() == before.tobytes()
 
@@ -504,14 +522,17 @@ def test_packed_iterate_matches_full_tensor_loop_bitwise(dims):
 def _dual_case(kind, dims):
     """``(reference, stored, unpack)``: the reference loop's potential, the kernel of its
     residual, its start and channel axes; ``iterate``'s potential, kernel, start and channel
-    list; and the map back."""
+    list; and the map back.  ``vector`` is ``grad``'s dual; ``tensor`` the Hessian's channels
+    as a plain stack, each counted once; ``packed`` the symmetric tensor dual that they pack,
+    the off-diagonal channels counted twice."""
     if kind == "packed":
         potential, forward, p0, rows, cols, index = _packed_case(dims)
         stored = (lambda q: potential(q[index]), fields.hessian, p0[rows, cols],
                   index.ravel().tolist())
         return (potential, forward, p0, 2), stored, lambda p: p[index]
-    (_, potential), p0 = _residual(dims), _start(dims, 1)
-    return (potential, grad, p0, 1), (potential, grad, p0, None), lambda p: p
+    kernel = grad if kind == "vector" else fields.hessian
+    (_, potential), p0 = _residual(dims, kernel), _stack_start(dims, kernel)
+    return (potential, kernel, p0, 1), (potential, kernel, p0, None), lambda p: p
 
 
 def _run_both(kind, dims, max_iters, tol, spoil=lambda potential: potential):
@@ -525,7 +546,7 @@ def _run_both(kind, dims, max_iters, tol, spoil=lambda potential: potential):
     return (unpack(got[0]),) + got[1:], want
 
 
-KINDS = ["vector", "packed"]
+KINDS = ["vector", "tensor", "packed"]
 STOP_GRIDS = [(70, 33, 16), (6, 5)]  # three slabs, one slab
 
 
