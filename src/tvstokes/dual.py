@@ -51,8 +51,17 @@ the loop (see below).  The clip divides channel by channel: one
 division of the stacked slab by its norm grid, broadcast over the channels,
 makes numpy allocate an iterator buffer every call, two grids of a 64x64
 frame, and runs slower there.  The update is pointwise, so the result
-depends neither on the slab size nor on the slab order.  :func:`kkt_residual` evaluates the
-stationarity residual through the same kernel, a slab at a time.
+depends neither on the slab size nor on the slab order.
+
+:func:`kkt_residual` evaluates the stationarity residual from the same
+kernel's table, one channel of a slab at a time: it writes each channel of
+``w`` that the norm lists into one slab-sized grid and adds its square, in
+the order ``channels`` lists them, then writes each channel again for its
+terms ``|w|*p + w``.  It holds three slab-sized grids, the channel, the norm
+and the term, and for the Hessian the first difference that its channels
+share, a slab and a row, never a stacked slab of ``w``: on a 64x64 frame,
+where one slab is the whole grid, a solve's tail holds one frame grid less
+(two less for the packed 3-d Hessian's six channels).
 
 The per-shape work runs once per solve, or once per shape: :func:`iterate`
 takes its slabs and their views of ``p`` once, before the first step, and
@@ -144,7 +153,8 @@ the tuple norm then reads ``p``, and the clip divides ``p`` in place.  The
 steps are those of the kernel's own table (``fields._BLOCKS``), which
 :mod:`.fields` alone reads and moves onto the chunk's grid, and the ufuncs
 are those of the slab step, so the bytes are too; this module reads no step
-of a table, only an entry's work shape, which sizes a group's scratch.  A
+of a table, only an entry's work shape, which sizes a group's scratch and
+the KKT value's.  A
 chunk whose clip norm is not finite is divided and then checked: the old
 dual is finite, with norms at most 1, so the increment is finite exactly
 when the new entries are, and :class:`DivergenceError` comes at the same
@@ -183,9 +193,9 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterError, _check_positive, _is_number
-from .fields import (_BLOCKS, _by_rows, _diff, _forward, _spans, _subtract_scaled, _sum_squares,
-                     max_tuple_norm)
+from .errors import DimensionError, DivergenceError, ParameterError, _check_positive, _is_number
+from .fields import (_BLOCKS, _by_rows, _channels, _diff, _forward, _spans, _subtract_scaled,
+                     _sum_squares, max_tuple_norm)
 from .spectral import dual_step_bound
 
 __all__ = [
@@ -367,6 +377,16 @@ class RowPotential:
         return _by_rows(self.rows, q)
 
 
+def _table(kernel):
+    """The step table of ``kernel`` in ``fields._BLOCKS``; any other kernel raises
+    :class:`ParameterError`.  A wrapper that ``functools.wraps`` made of one, as a
+    profiler's, stands for the kernel it wraps."""
+    table = _BLOCKS.get(getattr(kernel, "__wrapped__", kernel))
+    if table is None:
+        raise ParameterError("the kernel must be fields.grad or fields.hessian")
+    return table
+
+
 def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channels=None):
     """Iterate from the dual ``p``; returns ``(p, iters, final_change)``.
 
@@ -402,10 +422,7 @@ def iterate(potential, kernel, p, tau: float, max_iters: int, tol: float, channe
     work = (spans[0][1],) + grid[1:]  # a slab's grid
     slab, row = math.prod(work), math.prod(grid[1:])
     rowwise = potential.rows if isinstance(potential, RowPotential) else None
-    # a wrapper that functools.wraps made, as a profiler's, stands for the kernel it wraps
-    table = _BLOCKS.get(getattr(kernel, "__wrapped__", kernel))
-    if table is None:
-        raise ParameterError("the kernel must be fields.grad or fields.hessian")
+    table = _table(kernel)
     worked = table(grid[1:], grid[0] - spans[-1][0], 0)[1]  # the last slab's work shape, or None
     if rowwise is not None and worked:
         raise ParameterError("a row potential's window holds one halo row; this kernel reads two")
@@ -638,18 +655,50 @@ def stationarity_residual(w: np.ndarray, p: np.ndarray, channels=None) -> float:
     return float(np.max(worst))  # np.max keeps a NaN that Python's max may drop
 
 
-def kkt_residual(kernel, y, p: np.ndarray, channels=None) -> float:
-    """:func:`stationarity_residual` of ``w = K(y)`` and ``p``, one slab of ``w`` at a time.
+def kkt_residual(kernel, y, p: np.ndarray, channels=None, pairs=None) -> float:
+    """:func:`stationarity_residual` of ``w = K(y)`` and ``p``, one channel of a slab of ``w`` at
+    a time.
 
-    ``kernel(y, None, (a, b))`` returns rows ``[a, b)`` of ``w``: the kernel
-    of :func:`iterate` or any function with its signature, such as the
-    smoothing's, which unpacks the Hessian's channels; the result equals
-    ``stationarity_residual(w, p, ...)`` bit for bit, since a max is exact.
+    The ``kernel`` ``K`` is one of :func:`iterate`'s, :func:`.fields.grad` or
+    :func:`.fields.hessian`, run from its table in ``fields._BLOCKS``; any
+    other raises :class:`ParameterError` before the first slab, and a
+    ``functools.wraps`` wrapper of one stands for it.  ``channels`` lists the
+    channel of ``w`` of each tuple entry, in the order the norm adds their
+    squares, and ``pairs`` the channel of ``w`` that each channel of ``p``
+    is checked against; by default each channel of ``p`` is its own, as for
+    a ``p`` stored like ``w``.  Per slab, the kernel writes each listed
+    channel of ``w`` in turn into one slab-sized grid, in the order of
+    ``channels`` for the norm and of ``pairs`` for the terms
+    ``|w|*p[j] + w[pairs[j]]``, so the call holds three slab-sized grids,
+    the channel, the norm and the term, and for the Hessian the first
+    difference of a slab and a row that consecutive channels share.  Each
+    channel runs the kernel's own steps and the norm adds the same squares
+    in the same order, so the result equals ``stationarity_residual(w, p,
+    ...)`` of the whole-grid ``w`` bit for bit, since a max is exact.
     """
-    return float(np.max([
-        stationarity_residual(kernel(y, None, span), p[:, slice(*span)], channels)
-        for span in _spans(p.shape[1:])
-    ]))
+    table = _table(kernel)
+    y = np.asarray(y, dtype=np.float64, order="C")  # the steps slice it flat
+    dims = p.shape[1:]
+    if y.shape != dims:
+        raise DimensionError(f"potential shape {y.shape} does not match the dual's grid {dims}")
+    spans = _spans(dims)
+    if channels is None:
+        channels = range(len(p))
+    if pairs is None:  # the Hessian's channels by first difference, each computed once
+        pairs = range(len(p))
+    grids = np.empty((3, spans[0][1]) + dims[1:])  # a channel of w, the norm and the term
+    work = table(dims[1:], spans[0][1], min(dims[0] - spans[0][1], 2))[1]  # the largest slab's
+    scratch = None if work is None else np.empty(math.prod(work))
+    worst = []
+    for a, b in spans:
+        w, norm, term = grids[:, :b - a]
+        _sum_squares(_channels(table, y, (a, b), channels, w, scratch), norm, term)
+        np.sqrt(norm, out=norm)
+        for j, wc in enumerate(_channels(table, y, (a, b), pairs, w, scratch)):
+            np.multiply(norm, p[j, a:b], out=term)
+            term += wc
+            worst.append(np.abs(term, out=term).max())
+    return float(np.max(worst))  # np.max keeps a NaN that Python's max may drop
 
 
 def solve(potential, kernel, shape, cfg: DualConfig, channels=None):

@@ -50,13 +50,15 @@ inner slab of a grid shares one entry.  A table holds ints, slices and
 tuples of them, never an array, so a call only views its own arrays and
 issues its ufuncs: :func:`_run` runs forward steps and :func:`_diff_t` one
 transposed step.  This module is the tables' one reader.  ``_BLOCKS`` maps
-the two forward kernels that :func:`.dual.iterate` accepts, ``grad`` and
-``hessian``, to their tables: the dual loop runs each slab's residual from
-them through :func:`_forward`, without the kernels' own call.  A step of a
-stacked output also runs onto a one-channel grid, moved there by
-:func:`_shifted`: :func:`_diff` runs one channel of ``grad``'s steps, and
-:func:`_subtract_scaled` steps the dual loop's chunks of slabs in place from
-the same tables, one channel at a time.
+the two forward kernels that :func:`.dual.iterate` and
+:func:`.dual.kkt_residual` accept, ``grad`` and ``hessian``, to their
+tables: the dual loop runs each slab's residual from them through
+:func:`_forward`, without the kernels' own call.  A step of a stacked output
+also runs onto a one-channel grid, moved there by :func:`_shifted`:
+:func:`_diff` runs one channel of ``grad``'s steps, :func:`_subtract_scaled`
+steps the dual loop's chunks of slabs in place from the same tables, one
+channel at a time, and :func:`_channels` writes a slab's channels one at a
+time into one grid, for the KKT value.
 A boundary slice on the first or the last axis is a slice of the flat grid;
 only a middle axis indexes the shaped grid.  The tables that one job of the
 benchmark builds hold about 11 KiB for a 64x64 frame, 34 KiB for a
@@ -562,8 +564,9 @@ def _adjoint_hessian_steps(shape, rows: int, inner: bool, last: bool) -> tuple:
     return tuple(terms), None if last else (slice(0, row), slice(size, size + row))
 
 
-# the forward kernels that dual.iterate accepts, and the tables it runs them from: each slab
-# through _forward and each chunk in place through _subtract_scaled
+# the forward kernels that dual.iterate and dual.kkt_residual accept, and the tables they run
+# them from: each slab through _forward, each chunk in place through _subtract_scaled and each
+# channel of a slab's KKT value through _channels
 _BLOCKS = {grad: _grad_steps, hessian: _hessian_steps}
 
 
@@ -589,6 +592,38 @@ def _subtract_scaled(table, u, a: int, scratch, grid, tau, pc) -> None:
             c = _shifted(mid if first else src, dst, grid, step)
             np.multiply(grid, tau, out=grid)
             np.subtract(pc[c], grid, out=pc[c])
+
+
+def _channels(table, u, rows, order, grid, scratch):
+    """Write channel ``c`` of rows ``rows`` of the forward kernel of ``table`` on the C-ordered
+    grid ``u`` into the one-channel ``grid``, for each ``c`` of ``order`` in turn; yield ``grid``
+    once it holds each.
+
+    As in :func:`_forward`, the table's entry is the rows' geometry, and their
+    offset slices the flat ``u``.  Each channel runs its own step by
+    :func:`_shifted`.  A kernel with a work grid, the Hessian, writes the
+    first difference that a channel reads into one at the front of the flat
+    ``scratch``, and keeps it while the next channels read it too.
+    """
+    a, b = rows
+    n = len(u)
+    _, work, blocks = table(u.shape[1:], b - a, min(n - b, 2))
+    src, dst = u.ravel()[a * (u.size // n):], grid.ravel()
+    if work is not None:
+        du = scratch[:math.prod(work)].reshape(work)
+        mid = du.ravel()
+    steps = {}  # each channel's first differences, if any, and its step
+    for first, seconds in blocks if work else (((), blocks),):
+        for step in seconds:
+            steps[step[2].start // dst.size] = first, step
+    held = None
+    for c in order:
+        first, step = steps[c]
+        if first and first is not held:
+            _run(src, mid, du, first)
+            held = first
+        _shifted(mid if first else src, dst, grid, step)
+        yield grid
 
 
 def divergence(v: np.ndarray) -> np.ndarray:

@@ -28,7 +28,9 @@ from it; it recovers the image in place as
 where ``-lam*y`` may round, the quotient ``u0/lam`` again slab by slab in
 slab-sized scratch.  The objective is :mod:`.dual`'s, shifted by ``m``, and
 also works in slab-sized scratch, so the solve peaks at its final KKT value:
-``u0``, the final dual and ``y``, plus slabs.  Without a shift, ``m = None``,
+``u0``, the final dual and ``y``, plus three slab-sized grids, since
+:func:`.dual.kkt_residual` writes one channel of a slab of the residual at a
+time beside its norm and term grids.  Without a shift, ``m = None``,
 this is plain isotropic TV denoising, which :mod:`.rof` solves through
 :func:`solve_shifted`: the potential then adds no grid and the objective no
 ``<x, m>`` term.

@@ -38,8 +38,12 @@ its ``p``, the full ``(d, d)`` tensor, is unpacked afresh on each access.
 part ``(p + p^T)/2`` of its input, which it checks for feasibility as given;
 ``A`` ignores the antisymmetric part, so a non-symmetric dual steps to the
 symmetric dual its symmetric part steps to.  :func:`smoothing_kkt_residual`
-likewise evaluates ``w = A(p)`` on the symmetric part, unpacked slab by slab,
-and checks ``w + |w|*p`` on every entry of the given ``p``.
+likewise evaluates ``w = A(p)`` on the symmetric part, and checks
+``w + |w|*p`` on every entry of the given ``p``: :func:`.dual.kkt_residual`
+writes the packed Hessian one channel of a slab at a time, adds the squares
+of the ``d*d`` tensor entries in C order, each off-diagonal channel twice,
+and checks entry ``(l, m)`` of ``p`` against the packed channel of
+``(l, m)``, so no unpacked slab is built.
 
 :func:`dual_step` is public at module level only: in ``__all__`` it would
 collide with the reconstruction step.
@@ -160,10 +164,11 @@ def smoothing_kkt_residual(p: np.ndarray, g0: np.ndarray, lam: float) -> float:
     With ``w = grad_vec(project(adjoint_grad_tensor(p)) - g0/lam)`` the
     fixed points satisfy ``w + |w| * p = 0`` entrywise, ``|w|`` being the
     pointwise tuple norm.  ``w`` is computed from the symmetric part of
-    ``p``, one slab at a time, and unpacked slab by slab.
+    ``p`` as the packed Hessian, one channel of a slab at a time, and each
+    entry ``(l, m)`` of ``p`` is checked against the packed channel of
+    ``(l, m)``.
     """
     g0, p = _checked(lam, g0, p, 1)
     y = _bind(g0, lam, PoissonPlan(g0.shape[1:]))(_pack(p))
-    unpack = np.ravel(_layout(len(p))[0])
-    return kkt_residual(lambda y, out, rows: hessian(y, None, rows)[unpack], y,
-                        p.reshape((-1,) + p.shape[2:]))
+    entries = _layout(len(p))[1]  # the packed channel of each tensor entry, in C order
+    return kkt_residual(hessian, y, p.reshape((-1,) + p.shape[2:]), entries, entries)

@@ -7,7 +7,8 @@ output means equal bytes for every record below.  The records are:
 * every driver's arrays and :class:`.DualResult` fields but the objective
   (step 1, step 2 on step 1's field, and ROF) at an iteration cap and at a
   ``tol`` stop, and each driver's objective on its own;
-* both ``dual_step``\\ s, both KKT functions and both objectives;
+* both ``dual_step``\\ s, both KKT functions, the smoothing's also of a
+  non-symmetric tensor dual, and both objectives;
 * ``run_denoise``'s written payload, header and report, less its wall time
   and its steps' objectives, and those objectives on their own, for both
   models on an f64 volume and on an f32 volume with a value range.
@@ -27,6 +28,7 @@ and 1-row slabs, and a video-shaped block (16, 160, 160), sixteen 1-row slabs
 that split every step.  ROF also runs on the benchmark's clip, which stacks
 its frames last, 160x160x16: 27 slabs of 6 rows, where each group of a lazy
 step steps its slabs in place in chunks of four, the last of them short.
+Every solver also runs on the benchmark's frame, 64x64, one slab.
 Every input holds some exact zeros.  ``taskset -c 0`` runs every update and every Poisson solve
 on one thread, and no chunk in place.
 The file has no ``test_`` prefix, so pytest does not collect it.
@@ -55,6 +57,7 @@ from tvstokes import reconstruction, smoothing
 SOLVE_GRIDS = [(40,), (12, 9), (6, 5, 8), (4, 3, 5, 4), (70, 33, 16), (32, 32, 32), (24, 48, 48),
                (17, 17, 17, 17), (50, 48, 48)]
 CLIP = (160, 160, 16)  # ROF alone: the benchmark's clip
+FRAME = (64, 64)  # the benchmark's frame, one slab
 STOPS = {"cap": {"max_iters": 7, "tol": 0.0}, "tol": {"max_iters": 60, "tol": 3e-2}}
 LAM1, LAM2, EPS = 0.2, 0.35, 1e-8
 
@@ -129,6 +132,7 @@ def solver_records(dims, seed: int) -> dict:
         "smoothing": digest(smoothing.dual_step(p1, g0, SmoothingConfig(lam=LAM1))),
         "reconstruction": digest(
             reconstruction.dual_step(p2, u, m, ReconstructionConfig(lam=LAM2))),
+        "smoothing kkt of a non-symmetric dual": digest(smoothing_kkt_residual(p1, g0, LAM1)),
     }
     return records
 
@@ -197,6 +201,7 @@ def main(argv=None) -> int:
     for seed, dims in enumerate(SOLVE_GRIDS):
         records.update(solver_records(dims, seed))
     records.update(rof_records(CLIP, len(SOLVE_GRIDS)))
+    records.update(solver_records(FRAME, len(SOLVE_GRIDS) + 1))
     with tempfile.TemporaryDirectory() as directory:
         records.update(run_records(Path(directory)))
     json.dump(records, sys.stdout, indent=1, sort_keys=True)

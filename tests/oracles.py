@@ -240,6 +240,12 @@ def tuple_norms(q, channel_ndim=1):
     return np.sqrt(sum(q[c] * q[c] for c in np.ndindex(q.shape[:channel_ndim])))
 
 
+def whole_stationarity_residual(w, p, channel_ndim=1):
+    """Max-abs of ``w + |w|*p`` over the whole grids, ``|w|`` the :func:`tuple_norms` of ``w``
+    over its leading ``channel_ndim`` axes; NaN if any entry is."""
+    return float(np.max(np.abs(w + tuple_norms(w, channel_ndim) * p)))
+
+
 def iso_l1_norm(q, channel_ndim=1):
     """Isotropic l1 norm: grid sum of the tuple norms over the leading ``channel_ndim`` axes."""
     return float(np.sum(tuple_norms(q, channel_ndim)))

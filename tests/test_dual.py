@@ -142,12 +142,6 @@ def _stacked(p, channel_ndim):
     return p.reshape((-1,) + p.shape[channel_ndim:])
 
 
-def _rows_of(full):
-    """A kernel for ``kkt_residual``: rows ``[a, b)`` of the first grid axis of ``full(y)``,
-    whose channels are stacked along axis 0, returned fresh."""
-    return lambda y, out, rows: full(y)[:, slice(*rows)].copy()
-
-
 ORDERS = {1: grad, 2: fields.hessian}  # the kernels by their order of derivative
 
 
@@ -421,14 +415,75 @@ def test_stationarity_residual_propagates_nan(channel_ndim, holder, channel):
 @pytest.mark.parametrize("value", [5.0, np.nan], ids=["largest", "nan"])
 def test_kkt_residual_reads_every_slab(value):
     dims = (70, 33, 16)  # slabs of 31, 31 and 8 rows
-    w = 0.1 * rand_vector(dims, 10)
-    w[0, -1, -1, -1] = value  # in the last slab
-    p = _start(dims, 1)
-    got, want = kkt_residual(_rows_of(lambda y: y), w, p), stationarity_residual(w, p)
+    y = 0.1 * rand_scalar(dims, 10)
+    y[-1, -1, -1] += value  # its gradient holds the value in the last slab alone
+    w, p = grad(y), _start(dims, 1)
+    assert np.isnan(w).any() if math.isnan(value) else np.abs(w[:, -8:]).max() > 4.0
+    got, want = kkt_residual(grad, y, p), stationarity_residual(w, p)
     if math.isnan(value):
         assert math.isnan(got) and math.isnan(want)
     else:
         assert got == want
+
+
+# the digest's grids: 1 to 4 dims, three slabs, four, eight, sixteen 1-row slabs, the clip's 27
+# slabs of 6 rows and six slabs of 4-d
+KKT_GRIDS = [(40,), (12, 9), (6, 5, 8), (4, 3, 5, 4), (70, 33, 16), (24, 48, 48), (50, 48, 48),
+             (16, 160, 160), (160, 160, 16), (17, 17, 17, 17)]
+
+
+@pytest.mark.parametrize("nan", [None, "y", "p"])
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("dims", KKT_GRIDS, ids=str)
+def test_kkt_residual_is_the_whole_grid_residual_bitwise(dims, order, nan):
+    """One channel of a slab at a time, ``grad``'s vector dual or the packed Hessian's, whose
+    norm lists each off-diagonal channel twice, equals the stationarity residual of the
+    whole-grid kernel output; a NaN in ``y`` or in ``p`` gives NaN."""
+    kernel, d = ORDERS[order], len(dims)
+    y = rand_scalar(dims, 30)
+    p = _stack_start(dims, kernel)
+    channels = None if kernel is grad else fields._layout(d)[1]
+    if nan is not None:
+        (y if nan == "y" else p[-1]).reshape(-1)[y.size // 2] = np.nan
+    got = kkt_residual(kernel, y, p, channels)
+    want = stationarity_residual(kernel(y), p, channels)
+    if nan is None:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    else:
+        assert math.isnan(got) and math.isnan(want)
+
+
+@pytest.mark.parametrize("kernel", [grad_vec, lambda y, out, rows: grad(y, out, rows)],
+                         ids=["grad_vec", "a-wrapper-of-grad"])
+def test_kkt_residual_refuses_a_kernel_without_a_step_table_before_the_first_slab(kernel):
+    dims, calls = (6, 5), []
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    with pytest.raises(ParameterError, match="fields.grad or fields.hessian"):
+        kkt_residual(counted, rand_scalar(dims, 3), _start(dims, 1))
+    assert calls == []
+
+
+@pytest.mark.parametrize("grid", [(6, 4), (5, 5), (7, 5)], ids=str)
+def test_kkt_residual_refuses_a_potential_of_another_grid(grid):
+    with pytest.raises(DimensionError):
+        kkt_residual(grad, rand_scalar((6, 5), 3), np.zeros((2,) + grid))
+
+
+def test_kkt_residual_runs_the_kernel_that_a_functools_wrapper_wraps():
+    dims, calls = (70, 33, 16), []
+    y, p = rand_scalar(dims, 4), _start(dims, 1)
+
+    @functools.wraps(grad)
+    def traced(*args, **kwargs):
+        calls.append(1)
+        return grad(*args, **kwargs)
+
+    assert kkt_residual(traced, y, p) == kkt_residual(grad, y, p)
+    assert calls == []
 
 
 G0 = grad(U5)

@@ -81,14 +81,15 @@ def test_solver_peak_memory_at_one_dual_at_64(solve, bound):
 
 
 @pytest.mark.parametrize("solve, bound", [
-    (lambda u: smooth_gradient_field(u, SmoothingConfig(lam=0.1, max_iters=2)), 12.5),
-    (lambda u: reconstruct(u, grad(u), ReconstructionConfig(lam=0.1, max_iters=2)), 10.5),
-    (lambda u: rof_denoise(u, RofConfig(lam=0.1, max_iters=2)), 7.5),
+    (lambda u: smooth_gradient_field(u, SmoothingConfig(lam=0.1, max_iters=2)), 11.5),
+    (lambda u: reconstruct(u, grad(u), ReconstructionConfig(lam=0.1, max_iters=2)), 9.5),
+    (lambda u: rof_denoise(u, RofConfig(lam=0.1, max_iters=2)), 6.5),
 ], ids=["smoothing", "reconstruction", "rof"])
 def test_solver_peak_memory_on_a_64x64_frame(solve, bound):
     """The benchmark's frame size, where one slab spans the grid: the clip divides
     channel by channel, so numpy allocates no iterator buffer of two frame grids,
-    and the vector potential divides ``u0`` by ``lam`` into slab-sized scratch."""
+    the vector potential divides ``u0`` by ``lam`` into slab-sized scratch, and the
+    KKT value holds one channel of the residual at a time."""
     frame = noisy_volume((64, 64))
     assert peak_x_input(lambda: solve(frame), frame) <= bound
 
@@ -103,7 +104,7 @@ def test_solver_peak_memory_on_a_64x64_frame(solve, bound):
     # step-1 update's scratch, which holds no kernel work grid of its own
     ((64, 64, 64), "tvstokes", {}, 11.15),
     # an f32 volume with a value range is widened and then normalized in place
-    ((16, 32, 32), "rof", {"dtype": "f32", "value_range": (-1.0, 2.0)}, 10.5),
+    ((16, 32, 32), "rof", {"dtype": "f32", "value_range": (-1.0, 2.0)}, 9.5),
     # a video-shaped block of 1-row slabs: the run's tail, which frees the final
     # dual and rescales and scores the output in place, stays below the ROF loop,
     # and the solve's recovery and objective below its final KKT value
@@ -111,8 +112,12 @@ def test_solver_peak_memory_on_a_64x64_frame(solve, bound):
     # sixteen slabs: ROF peaks at its final KKT value, the input, the final dual
     # and the final potential, plus slabs
     ((64, 64, 64), "rof", {}, 5.6),
+    # the benchmark's frame, one slab: the KKT value holds one channel of the residual at
+    # a time, beside the norm and the term grids
+    ((64, 64), "tvstokes", {}, 12.5),
+    ((64, 64), "rof", {}, 7.5),
 ], ids=["tvstokes-32", "rof-32", "tvstokes-64-one-dual", "rof-f32-value-range",
-        "rof-video-tail", "rof-64-kkt-floor"])
+        "rof-video-tail", "rof-64-kkt-floor", "tvstokes-64x64-frame", "rof-64x64-frame"])
 def test_run_denoise_peak_memory_near_the_dual_floor(tmp_path, shape, model, volume, bound):
     """A whole run at one dual plus a few grids: the loop writes each slab's
     step back into the dual, step 1 keeps its dual packed, the transposed
@@ -125,6 +130,18 @@ def test_run_denoise_peak_memory_near_the_dual_floor(tmp_path, shape, model, vol
     assert peak_x_input(lambda: run_denoise(model, path, max_iters=6, tol=0.0), noisy) <= bound
 
 
+def allocated(run) -> int:
+    """Peak traced bytes that one call of ``run`` allocates, after an untraced warm-up call."""
+    run()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 def test_the_objective_holds_two_slabs_and_its_row_sums():
     """One objective call on a 64^3 three-channel field with a shift allocates its two
     slab-sized grids and one vector of row sums per term (TV, three fits, the shift),
@@ -132,16 +149,23 @@ def test_the_objective_holds_two_slabs_and_its_row_sums():
     dims = (64, 64, 64)
     rng = np.random.default_rng(2)
     x, x0, m = rng.random((3,) + dims), rng.random((3,) + dims), rng.random(dims)
-
-    def run():
-        return dual._objective(x, lambda k, span, out: x0[k, slice(*span)], 0.2, m)
-
-    run()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        run()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak = allocated(lambda: dual._objective(x, lambda k, span, out: x0[k, slice(*span)], 0.2, m))
     assert peak <= 2 * fields._SLAB * 8 + 5 * dims[0] * 8 + (16 << 10)
+
+
+@pytest.mark.parametrize("kernel, stored, channels", [
+    (fields.hessian, 6, fields._layout(3)[1]),
+    (grad, 3, None),
+], ids=["packed-hessian", "vector"])
+def test_the_kkt_value_holds_three_slabs_and_the_hessians_first_difference(kernel, stored,
+                                                                            channels):
+    """One KKT call on a 64^3 dual writes each channel of a slab's residual in turn into one
+    slab-sized grid beside the norm and the term grids, and no stacked slab: the packed
+    Hessian adds the first difference that its channels share, a slab and a row."""
+    dims = (64, 64, 64)
+    rng = np.random.default_rng(3)
+    y, p = rng.random(dims), 0.1 * rng.random((stored,) + dims)
+    peak = allocated(lambda: dual.kkt_residual(kernel, y, p, channels))
+    slab, row = fields._SLAB * 8, dims[1] * dims[2] * 8
+    held = 3 * slab + (slab + row if kernel is fields.hessian else 0)
+    assert peak <= held + (16 << 10)

@@ -23,12 +23,12 @@ from tvstokes import (
     unit_clip,
 )
 from tvstokes import smoothing
-from tvstokes.fields import adjoint_hessian, hessian
+from tvstokes.fields import _pack, adjoint_hessian, hessian
 from tvstokes.smoothing import dual_step
 
 from oracles import (
-    constant_cases, feasible_tensor, full_tensor_residual, iso_l1_norm, rand_scalar,
-    rand_tensor, reference_iterate, symmetric_packing,
+    constant_cases, feasible_tensor, full_tensor_residual, iso_l1_norm, naive_hessian, rand_scalar,
+    rand_tensor, reference_iterate, symmetric_packing, whole_stationarity_residual,
 )
 
 
@@ -137,6 +137,20 @@ def test_solver_beats_trivial_candidates():
         smoothing_objective(np.zeros_like(g0), g0, cfg.lam),
     )
     assert res.objective <= bound + 1e-9
+
+
+@pytest.mark.parametrize("dims", [(5, 4), (6, 5, 8), (4, 3, 5, 4), (70, 33, 16)], ids=str)
+def test_kkt_residual_of_a_non_symmetric_dual_is_the_whole_grid_oracle_bitwise(dims):
+    """Each entry ``(l, m)`` of the given tensor is checked against the Hessian channel of
+    ``(l, m)``, under the norm of all ``d*d`` entries in C order: the whole unpacked Hessian
+    of the symmetric part's potential, bit for bit."""
+    g0, lam = grad(rand_scalar(dims, 27)), 0.2
+    p = feasible_tensor(dims, 28, scale=0.5)
+    assert not np.array_equal(p, p.swapaxes(0, 1))
+    y = smoothing._bind(g0, lam, PoissonPlan(dims))(_pack(p))
+    index = symmetric_packing(len(dims))[2]
+    want = whole_stationarity_residual(naive_hessian(y)[index], p, 2)
+    assert smoothing_kkt_residual(p, g0, lam) == want
 
 
 def test_kkt_residual_examples():
